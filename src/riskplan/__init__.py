@@ -3,9 +3,11 @@
 The package splits into a domain language (:mod:`riskplan.domain`), a
 partially ordered plan representation with branch contexts
 (:mod:`riskplan.plangraph`), probability models that score those contexts
-(:mod:`riskplan.probmodel`), two search strategies
-(:mod:`riskplan.linear`, :mod:`riskplan.nonlinear`), and a Monte Carlo /
-exhaustive execution harness (:mod:`riskplan.simulator`).
+(:mod:`riskplan.probmodel`), one ε-safe best-first search
+(:mod:`riskplan.search`), two planners that differ only in plan shape and
+refinement moves (:mod:`riskplan.linear` grows trees,
+:mod:`riskplan.nonlinear` partial orders), and a Monte Carlo / exhaustive
+execution harness (:mod:`riskplan.simulator`).
 """
 
 from .domain import (Domain, GroundDomain, Problem, Proposition, ground,

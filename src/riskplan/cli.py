@@ -26,6 +26,7 @@ from .linear import plan_linear
 from .nonlinear import plan_nonlinear
 from .plangraph import to_dot
 from .probmodel import net_to_dot, plan_document
+from .search import DEFAULT_NODE_BUDGET
 from .simulator import simulate_document
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
@@ -43,7 +44,7 @@ class RunConfig:
     epsilon: float | None = None
     seed: int = 0
     trials: int = 10000
-    node_budget: int = 10000
+    node_budget: int = DEFAULT_NODE_BUDGET
     emit: tuple[str, ...] = ()
     out_dir: Path = field(default_factory=Path)
 
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random seed for --emit simulate")
     p.add_argument("--trials", type=int, default=10000,
                    help="Monte Carlo trials for --emit simulate")
-    p.add_argument("--node-budget", type=int, default=10000,
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="search nodes to expand before giving up")
     p.add_argument("--emit", action="append", choices=EMISSIONS, default=[],
                    help="artifact to write (repeatable)")
@@ -101,7 +102,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.epsilon is not None and not 0.0 <= args.epsilon < 1.0:
         parser.error(f"--epsilon must be in [0, 1), got {args.epsilon}")
-    if args.trials < 0 or args.node_budget < 1:
+    if args.trials < 1 or args.node_budget < 1:
         parser.error("--trials and --node-budget must be positive")
     return run(_config_from_args(args))
 

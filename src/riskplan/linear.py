@@ -8,35 +8,24 @@ may link it to start, to an existing ancestor, or to a new step inserted on
 matters: interleaved goals (stack a on b, b on c) have no solution if new
 steps may only appear directly above their consumer.
 
-The frontier is ordered by potential mass, then by workload (steps plus
-unresolved flaws, so lean plans come before padded ones), then newest
-first.  A node whose potential falls below 1 - epsilon can never be
-repaired, because inserting steps only shrinks context masses, so it is
-pruned.  Acceptance needs only the *achieved* mass: branches that still
-have flaws are abandoned as give-up leaves and reported as uncovered
-contexts.
+The best-first search itself (frontier order, pruning, acceptance) lives
+in :mod:`riskplan.search`; this module supplies the tree-shaped root and
+the refinement moves.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .domain import GroundDomain, GroundOperator, Problem, Proposition, var_id
-from .errors import PlanningFailure, WouldCreateCycle
+from .errors import WouldCreateCycle
 from .plangraph import (Label, Link, PlanGraph, START_ID, add_link,
-                        canonical_key, extract_conditional_plan,
                         find_threats, make_root_plan, tree_insert)
-from .probmodel import (PlanResult, SuccessBound, model_for_plan,
-                        select_goal_node, success_bound)
+from .probmodel import PlanResult, SuccessBound, select_goal_node
+from .search import (DEFAULT_NODE_BUDGET, TraceFn, _det_sets, _priceable,
+                     _step_source, best_first)
 
-__all__ = ["plan_linear", "DEFAULT_NODE_BUDGET"]
-
-DEFAULT_NODE_BUDGET = 10000
-
-TraceFn = Callable[[dict], None]
+__all__ = ["plan_linear"]
 
 
 def plan_linear(gdomain: GroundDomain, problem: Problem, *,
@@ -46,99 +35,20 @@ def plan_linear(gdomain: GroundDomain, problem: Problem, *,
     """Search for a conditional plan whose finished branches carry mass at
     least 1 - epsilon.  Raises PlanningFailure (carrying the best bound
     seen) when the frontier empties or the node budget runs out."""
-    eps = problem.epsilon if epsilon is None else epsilon
-    started = time.monotonic()
-    stats = {"planner": "linear", "expanded": 0, "generated": 1,
-             "pruned": 0, "deduplicated": 0}
-
-    root = make_root_plan(problem, "tree")
-    root_bound = _bound(root, problem, model, eps)
-    heap: list[tuple[tuple[float, int, int], PlanGraph, SuccessBound, int]] = []
-    counter = itertools.count()
-    seen = {canonical_key(root)}
-    heapq.heappush(heap, ((-root_bound.potential_mass, _workload(root),
-                           -next(counter)),
-                          root, root_bound, len(root_bound.completed)))
-    best = root_bound
-
-    while heap:
-        _key, plan, bound, parent_done = heapq.heappop(heap)
-        if trace:
-            trace({"event": "node-expanded", "n": stats["expanded"],
-                   "achieved": bound.achieved_mass,
-                   "potential": bound.potential_mass,
-                   "steps": len(plan.steps),
-                   "openGoals": len(plan.open_goals),
-                   "openInfluences": len(plan.open_influences)})
-        if len(bound.completed) > parent_done and trace:
-            trace({"event": "branch-completed",
-                   "completed": list(bound.completed),
-                   "achieved": bound.achieved_mass})
-        if _better(bound, best):
-            best = bound
-            if trace:
-                trace({"event": "bound-updated",
-                       "achieved": best.achieved_mass,
-                       "potential": best.potential_mass})
-        if bound.accepted:
-            stats["elapsed"] = time.monotonic() - started
-            m = model_for_plan(plan, problem, model)
-            conditional = extract_conditional_plan(
-                plan, covered=list(bound.completed))
-            return PlanResult(conditional, plan, bound, m, stats)
-        if stats["expanded"] >= node_budget:
-            break
-        stats["expanded"] += 1
-
-        for child in _expand(plan, gdomain, problem, model):
-            key = canonical_key(child)
-            if key in seen:
-                stats["deduplicated"] += 1
-                continue
-            seen.add(key)
-            stats["generated"] += 1
-            cbound = _bound(child, problem, model, eps)
-            if not cbound.viable:
-                stats["pruned"] += 1
-                continue
-            heapq.heappush(heap, ((-cbound.potential_mass, _workload(child),
-                                   -next(counter)),
-                                  child, cbound, len(bound.completed)))
-
-    stats["elapsed"] = time.monotonic() - started
-    reason = ("node budget exhausted" if heap else "search space exhausted")
-    raise PlanningFailure(
-        f"no plan reaches mass {1 - eps:.6g} ({reason}); "
-        f"best achieved {best.achieved_mass:.6g}, "
-        f"potential {best.potential_mass:.6g}",
-        best_bound=best, stats=stats)
-
-
-def _better(a: SuccessBound, b: SuccessBound) -> bool:
-    return (a.achieved_mass, a.potential_mass) > (b.achieved_mass,
-                                                  b.potential_mass)
-
-
-def _workload(plan: PlanGraph) -> int:
-    return (len(plan.steps) + 2 * len(plan.open_goals)
-            + 2 * len(plan.open_influences))
-
-
-def _bound(plan: PlanGraph, problem: Problem, model: str,
-           eps: float) -> SuccessBound:
-    return success_bound(plan, model_for_plan(plan, problem, model), eps)
+    return best_first("linear", make_root_plan(problem, "tree"), _expand,
+                      gdomain, problem, model=model, epsilon=epsilon,
+                      node_budget=node_budget, trace=trace)
 
 
 # ---------------------------------------------------------------------------
 # expansion
 
 
-def _expand(plan: PlanGraph, gdomain: GroundDomain, problem: Problem,
+def _expand(plan: PlanGraph, bound: SuccessBound, m, gdomain: GroundDomain,
             model: str) -> Iterable[PlanGraph]:
     """Children of a search node: all ways to resolve one chosen flaw on the
     heaviest unfinished branch (influences before preconditions)."""
-    m = model_for_plan(plan, problem, model)
-    gid = select_goal_node(plan, m)
+    gid = select_goal_node(plan, m, bound.completed)
     if gid is None:
         return []
     gctx = plan.steps[gid].context
@@ -190,23 +100,6 @@ def _determined_value(plan: PlanGraph, sid: str, var: str) -> str | None:
     return value
 
 
-def _step_source(plan: PlanGraph, op: GroundOperator, model: str) -> str:
-    """What the new step's outcome labels bind to.  Observations share the
-    observed variable under the network model (so re-observation agrees
-    with itself); everything else labels its own fresh step id."""
-    if op.kind == "obs" and model == "kbmc":
-        return op.observes
-    return f"s{plan.next_index}"
-
-
-def _priceable(op: GroundOperator, model: str) -> bool:
-    """Under the simple model a chance step needs its own outcome
-    distribution; skip operators the model cannot price."""
-    if model == "simple" and op.kind in ("cond", "obs"):
-        return op.simple_distribution is not None
-    return True
-
-
 def _redundant_observation(plan: PlanGraph, op: GroundOperator, child: str,
                            model: str) -> bool:
     """Observing a variable that is already settled at the insertion point
@@ -231,12 +124,8 @@ def _insert_producer(plan: PlanGraph, op: GroundOperator, outcome: str | None,
         return None
     if _redundant_observation(plan, op, child, model):
         return None
-    source = None
-    influences: tuple[str, ...] = ()
-    if op.kind in ("cond", "obs"):
-        source = _step_source(plan, op, model)
-        if op.kind == "cond":
-            influences = op.influences
+    source = _step_source(plan, op, model)
+    influences = op.influences if op.kind == "cond" else ()
     try:
         plan2, sid, _leaves = tree_insert(plan, op, parent, child,
                                           chosen_outcome=outcome,
@@ -298,10 +187,9 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
         pass
 
     for op in gdomain.operators:
-        settles = (op.kind == "obs" and op.observes == var and model == "kbmc")
-        settles = settles or (op.kind == "det" and any(
-            var_id(p.positive) == var for p in op.add + op.delete))
-        if not settles:
+        observes = (op.kind == "obs" and op.observes == var
+                    and model == "kbmc")
+        if not (observes or _det_sets(op, var)):
             continue
         outcomes = list(op.outcomes) if op.kind == "obs" else [None]
         for o in outcomes:

@@ -15,28 +15,24 @@ label, which keeps every branch's steps mutually compatible and makes
 extraction well defined.  Plans that still fall short of mass 1 - epsilon
 once flawless may grow a new goal step for an uncovered outcome context, or
 insert an observation of a variable d-connected to one they are acting in
-ignorance of, refining branch masses.
+ignorance of, refining branch masses.  The best-first search around these
+moves is the one in :mod:`riskplan.search`.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
-
-from .domain import GroundDomain, GroundOperator, Problem, Proposition, var_id
-from .errors import PlanningFailure, WouldCreateCycle
+from .domain import GroundDomain, GroundOperator, Problem, Proposition
+from .errors import WouldCreateCycle
 from .plangraph import (Label, Link, PlanGraph, START_ID, Threat, add_link,
-                        canonical_key, condition_step, dag_add_goal,
-                        dag_add_step, extract_conditional_plan, find_threats,
-                        make_root_plan, uncovered_outcome_contexts)
+                        condition_step, dag_add_goal, dag_add_step,
+                        find_threats, make_root_plan,
+                        uncovered_outcome_contexts)
 from .probmodel import (PlanResult, SuccessBound, context_probability,
-                        d_connected, model_for_plan, net_for_plan,
-                        success_bound)
+                        d_connected)
+from .search import (DEFAULT_NODE_BUDGET, _det_sets, _priceable,
+                     _step_source, best_first)
 
-__all__ = ["plan_nonlinear", "DEFAULT_NODE_BUDGET"]
-
-DEFAULT_NODE_BUDGET = 10000
+__all__ = ["plan_nonlinear"]
 
 
 def plan_nonlinear(gdomain: GroundDomain, problem: Problem, *,
@@ -44,113 +40,30 @@ def plan_nonlinear(gdomain: GroundDomain, problem: Problem, *,
                    node_budget: int = DEFAULT_NODE_BUDGET,
                    trace=None) -> PlanResult:
     """Partial-order counterpart of plan_linear; same contract."""
-    eps = problem.epsilon if epsilon is None else epsilon
-    started = time.monotonic()
-    stats = {"planner": "nonlinear", "expanded": 0, "generated": 1,
-             "pruned": 0, "deduplicated": 0}
-
-    root = make_root_plan(problem, "dag")
-    root_bound = _bound(root, problem, model, eps)
-    heap: list = []
-    counter = itertools.count()
-    seen = {canonical_key(root)}
-    heapq.heappush(heap, ((-root_bound.potential_mass, _workload(root),
-                           -next(counter)),
-                          root, root_bound, len(root_bound.completed)))
-    best = root_bound
-
-    while heap:
-        _key, plan, bound, parent_done = heapq.heappop(heap)
-        if trace:
-            trace({"event": "node-expanded", "n": stats["expanded"],
-                   "achieved": bound.achieved_mass,
-                   "potential": bound.potential_mass,
-                   "steps": len(plan.steps),
-                   "openGoals": len(plan.open_goals),
-                   "openInfluences": len(plan.open_influences)})
-            if len(bound.completed) > parent_done:
-                trace({"event": "branch-completed",
-                       "completed": list(bound.completed),
-                       "achieved": bound.achieved_mass})
-        if _better(bound, best):
-            best = bound
-            if trace:
-                trace({"event": "bound-updated",
-                       "achieved": best.achieved_mass,
-                       "potential": best.potential_mass})
-        if bound.accepted:
-            stats["elapsed"] = time.monotonic() - started
-            m = model_for_plan(plan, problem, model)
-            conditional = extract_conditional_plan(
-                plan, covered=list(bound.completed))
-            return PlanResult(conditional, plan, bound, m, stats)
-        if stats["expanded"] >= node_budget:
-            break
-        stats["expanded"] += 1
-
-        for child in _expand(plan, gdomain, problem, model):
-            key = canonical_key(child)
-            if key in seen:
-                stats["deduplicated"] += 1
-                continue
-            seen.add(key)
-            stats["generated"] += 1
-            cbound = _bound(child, problem, model, eps)
-            if not cbound.viable:
-                stats["pruned"] += 1
-                continue
-            heapq.heappush(heap, ((-cbound.potential_mass, _workload(child),
-                                   -next(counter)),
-                                  child, cbound, len(bound.completed)))
-
-    stats["elapsed"] = time.monotonic() - started
-    reason = ("node budget exhausted" if heap else "search space exhausted")
-    raise PlanningFailure(
-        f"no plan reaches mass {1 - eps:.6g} ({reason}); "
-        f"best achieved {best.achieved_mass:.6g}, "
-        f"potential {best.potential_mass:.6g}",
-        best_bound=best, stats=stats)
-
-
-def _better(a: SuccessBound, b: SuccessBound) -> bool:
-    return (a.achieved_mass, a.potential_mass) > (b.achieved_mass,
-                                                  b.potential_mass)
-
-
-def _workload(plan: PlanGraph) -> int:
-    return (len(plan.steps) + 2 * len(plan.open_goals)
-            + 2 * len(plan.open_influences))
-
-
-def _bound(plan: PlanGraph, problem: Problem, model: str,
-           eps: float) -> SuccessBound:
-    return success_bound(plan, model_for_plan(plan, problem, model), eps)
-
-
-def _mass(plan: PlanGraph, ctx, model) -> float:
-    return context_probability(plan, ctx, model)
+    return best_first("nonlinear", make_root_plan(problem, "dag"), _expand,
+                      gdomain, problem, model=model, epsilon=epsilon,
+                      node_budget=node_budget, trace=trace)
 
 
 # ---------------------------------------------------------------------------
 # flaw choice
 
 
-def _expand(plan: PlanGraph, gdomain: GroundDomain, problem: Problem,
+def _expand(plan: PlanGraph, _bound: SuccessBound, m, gdomain: GroundDomain,
             model: str) -> list[PlanGraph]:
-    m = model_for_plan(plan, problem, model)
-
     threats = find_threats(plan)
     if threats:
         def tkey(t: Threat):
             ctx = plan.steps[t.step].context | plan.steps[t.link.consumer].context
-            return (-_mass(plan, ctx, m), plan.steps[t.step].sort_key(),
-                    t.link.text(), t.outcome or "")
+            return (-context_probability(plan, ctx, m),
+                    plan.steps[t.step].sort_key(), t.link.text(),
+                    t.outcome or "")
         return _resolve_threat(plan, min(threats, key=tkey))
 
     if plan.open_goals:
         def gkey(item):
             sid, prop = item
-            return (-_mass(plan, plan.steps[sid].context, m),
+            return (-context_probability(plan, plan.steps[sid].context, m),
                     plan.steps[sid].sort_key(), str(prop))
         sid, prop = min(plan.open_goals, key=gkey)
         return _resolve_precondition(plan, gdomain, model, sid, prop)
@@ -158,18 +71,19 @@ def _expand(plan: PlanGraph, gdomain: GroundDomain, problem: Problem,
     if plan.open_influences:
         def ikey(item):
             sid, var = item
-            return (-_mass(plan, plan.steps[sid].context, m),
+            return (-context_probability(plan, plan.steps[sid].context, m),
                     plan.steps[sid].sort_key(), var)
         sid, var = min(plan.open_influences, key=ikey)
         return _resolve_influence(plan, gdomain, model, sid, var)
 
     out: list[PlanGraph] = []
     for ctx in sorted(uncovered_outcome_contexts(plan),
-                      key=lambda c: (-_mass(plan, c, m), sorted(c))):
+                      key=lambda c: (-context_probability(plan, c, m),
+                                     sorted(c))):
         made = _cover_context(plan, ctx)
         if made is not None:
             out.append(made)
-    out.extend(_collect_information(plan, gdomain, problem, model))
+    out.extend(_collect_information(plan, m, gdomain, model))
     return out
 
 
@@ -184,19 +98,17 @@ def _label_producer(plan: PlanGraph, holder: str, lab: Label) -> str:
         if l.kind == "conditioning" and l.consumer == holder \
                 and l.payload == lab:
             return l.producer
-    for st in plan.step_list():
-        if st.source == lab.source:
-            return st.id
-    return START_ID
+    return _source_step(plan, lab.source)
+
+
+def _source_step(plan: PlanGraph, source: str) -> str:
+    """The canonically first step bound to ``source``, else start."""
+    return next((st.id for st in plan.step_list() if st.source == source),
+                START_ID)
 
 
 def _context_pairs(plan: PlanGraph, ctx) -> list[tuple[Label, str]]:
-    pairs = []
-    for lab in sorted(ctx):
-        prod = next((st.id for st in plan.step_list()
-                     if st.source == lab.source), START_ID)
-        pairs.append((lab, prod))
-    return pairs
+    return [(lab, _source_step(plan, lab.source)) for lab in sorted(ctx)]
 
 
 def _join_branch(plan: PlanGraph, sid: str, producer: str,
@@ -259,18 +171,6 @@ def _resolve_threat(plan: PlanGraph, threat: Threat) -> list[PlanGraph]:
     return out
 
 
-def _priceable(op: GroundOperator, model: str) -> bool:
-    if model == "simple" and op.kind in ("cond", "obs"):
-        return op.simple_distribution is not None
-    return True
-
-
-def _step_source(plan: PlanGraph, op: GroundOperator, model: str) -> str:
-    if op.kind == "obs" and model == "kbmc":
-        return op.observes
-    return f"s{plan.next_index}"
-
-
 def _observed_somewhere(plan: PlanGraph, var: str) -> bool:
     return any(st.operator.observes == var for st in plan.step_list())
 
@@ -283,12 +183,8 @@ def _add_step_for(plan: PlanGraph, op: GroundOperator, sid: str,
     if op.kind == "obs" and model == "kbmc" \
             and _observed_somewhere(plan, op.observes):
         return None  # reuse the existing observer instead
-    source = None
-    influences: tuple[str, ...] = ()
-    if op.kind in ("cond", "obs"):
-        source = _step_source(plan, op, model)
-        if op.kind == "cond":
-            influences = op.influences
+    source = _step_source(plan, op, model)
+    influences = op.influences if op.kind == "cond" else ()
     pairs = _context_pairs(plan, plan.steps[sid].context)
     try:
         return dag_add_step(plan, op, pairs, source=source,
@@ -332,11 +228,6 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
                 continue
             out.append(p2.without_open_goal((sid, prop)))
     return out
-
-
-def _det_sets(op: GroundOperator, var: str) -> bool:
-    return op.kind == "det" and any(
-        var_id(p.positive) == var for p in op.add + op.delete)
 
 
 def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
@@ -406,15 +297,14 @@ def _cover_context(plan: PlanGraph, ctx) -> PlanGraph | None:
     return p2
 
 
-def _collect_information(plan: PlanGraph, gdomain: GroundDomain,
-                         problem: Problem, model: str) -> list[PlanGraph]:
+def _collect_information(plan: PlanGraph, net, gdomain: GroundDomain,
+                         model: str) -> list[PlanGraph]:
     """Refinement move: for a step acting in ignorance of X, observing any
     P' still d-connected to X (given what its branch already fixes) splits
     the branch into contexts with different success odds."""
     if model != "kbmc":
         return []
     out: list[PlanGraph] = []
-    net = net_for_plan(plan, problem)
     for link in sorted(plan.links, key=Link.text):
         if link.kind != "ignorance":
             continue

@@ -444,10 +444,7 @@ def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
     ctx = plan.steps[child].context
     if op.kind in ("cond", "obs"):
         assert chosen_outcome in op.outcomes
-        point_ctx = ctx
-    else:
-        point_ctx = ctx
-    step = Step(sid, index, op, point_ctx, source)
+    step = Step(sid, index, op, ctx, source)
     steps = dict(plan.steps)
     steps[sid] = step
     tree = dict(plan.tree)
@@ -470,7 +467,7 @@ def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
         for o in op.outcomes:
             if o == chosen_outcome:
                 continue
-            leaf_ctx = point_ctx | {Label(source, o)}
+            leaf_ctx = ctx | {Label(source, o)}
             if not context_consistent(leaf_ctx):
                 continue
             gidx = plan2.next_index

@@ -36,8 +36,6 @@ __all__ = [
     "PlanResult",
     "build_initial_net",
     "add_conditional_node",
-    "bind_observation",
-    "force_influence",
     "joint_probability",
     "conditional_outcome_probability",
     "d_connected",
@@ -162,44 +160,6 @@ def _check_total(cpt, outcomes, parent_spaces, where: str):
         for o in outcomes:
             if (o,) + tail not in cpt:
                 raise MissingCptRow(f"{where}: no row for {(o,) + tail}")
-
-
-def bind_observation(net: BeliefNet, op: GroundOperator) -> str:
-    """Check that an observation operator lines up with its variable and
-    return the variable id its outcome labels bind to.  No node is added."""
-    v = op.observes
-    if v not in net.variables:
-        raise UnknownVariable(
-            f"operator {op.name} observes {v}, which is not in the net")
-    space = net.variables[v].space
-    if tuple(op.outcomes) != tuple(space):
-        raise OutcomeSpaceMismatch(
-            f"operator {op.name} outcomes {list(op.outcomes)} != "
-            f"{v} outcomes {list(space)}")
-    return v
-
-
-def force_influence(net: BeliefNet, node_id: str, parent: str,
-                    value: str) -> BeliefNet:
-    """Resolve an influence by causation: the plan forces ``parent`` to
-    ``value`` before the node runs, so the arc is cut and the node's table
-    is conditioned on that row."""
-    nv = net.variables[node_id]
-    if parent not in nv.parents:
-        raise MissingInfluenceVariable(
-            f"{node_id} has no influence arc from {parent}")
-    if value not in net.variables[parent].space:
-        raise OutcomeSpaceMismatch(f"{parent} has no outcome {value!r}")
-    pos = nv.parents.index(parent)
-    cpt: dict[tuple[str, ...], float] = {}
-    for key, p in nv.cpt.items():
-        tail = key[1:]
-        if tail[pos] == value:
-            cpt[(key[0],) + tail[:pos] + tail[pos + 1:]] = p
-    parents = nv.parents[:pos] + nv.parents[pos + 1:]
-    d = dict(net.variables)
-    d[node_id] = NetVariable(nv.space, parents, cpt)
-    return BeliefNet(d)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +474,12 @@ def success_bound(plan: PlanGraph, model, epsilon: float) -> SuccessBound:
                         tuple(sorted(complete)), tuple(open_ctxs))
 
 
-def select_goal_node(plan: PlanGraph, model) -> str | None:
+def select_goal_node(plan: PlanGraph, model,
+                     completed: Iterable[str]) -> str | None:
     """The unfinished goal step with the most probability mass at stake;
-    ties go to the canonically first step."""
-    complete = set(complete_goal_ids(plan))
+    ties go to the canonically first step.  ``completed`` holds the ids of
+    the finished goal steps, as in the plan's SuccessBound."""
+    complete = set(completed)
     best: tuple[float, tuple[int, int]] | None = None
     best_id: str | None = None
     for g in plan.goal_steps():

@@ -95,6 +95,9 @@ def test_usage_errors_exit_one(ski_files, capsys):
     with pytest.raises(SystemExit) as e:
         run(["--domain", dom])  # --problem is required
     assert e.value.code == 1
+    with pytest.raises(SystemExit) as e:
+        run(["--domain", dom, "--problem", prob, "--trials", "0"])
+    assert e.value.code == 1
 
 
 def test_missing_file_exits_one(ski_files, capsys):

@@ -1,0 +1,282 @@
+"""Golden outputs: every bundled world through the CLI, pinned by digest.
+
+Each case runs ``cli.main`` with ``--emit plan-json --emit dot --emit
+trace`` and pins the exit code and the sha256 of every file written.  A
+run that finds no plan writes nothing, so it pins exit code 2 and the
+failure line it prints to stderr instead.  The digests were recorded
+before the two planners were folded onto one search engine; any change
+to the plans found, their masses, the belief nets, the trace events or
+the search counters shows up here.
+
+To re-record after an intended change of output::
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from riskplan.cli import main
+from riskplan import worlds
+
+# (case id, world texts, extra arguments); the last one runs out of nodes
+WORLDS = [
+    ("ski-0.1", worlds.ski_world, ["--epsilon", "0.1"]),
+    ("ski-0.085", worlds.ski_world, ["--epsilon", "0.085"]),
+    ("sussman", worlds.sussman, []),
+    ("chain3", lambda: worlds.det_chain(3), []),
+    ("slippery", worlds.slippery_walk, []),
+    ("button", worlds.press_button, []),
+    ("ski-budget", worlds.ski_world,
+     ["--epsilon", "0", "--node-budget", "12"]),
+]
+PLANNERS = ("linear", "nonlinear")
+MODELS = ("kbmc", "simple")
+
+CASES = [(f"{w}-{p}-{m}", make, extra, p, m)
+         for w, make, extra in WORLDS for p in PLANNERS for m in MODELS]
+
+# case id -> (exit code, {file name: sha256}, failure line on stderr)
+GOLDEN = {
+    'ski-0.1-linear-kbmc': (0, {
+        'net.dot':
+            'bd21cecfe3afe98011d5b8a0366391d203539f2e280175d72b5fda1380876547',
+        'plan.dot':
+            '71a733926eb53eeffd6566cf8ae9b9039d279fe5c15bfe4c82210feb4cf7bfaa',
+        'plan.json':
+            'cc53e6ea169972cd1d4db3e1071f0a95093259c79ce0e39baea1b03fe080b613',
+        'trace.jsonl':
+            '6d8bce44ffdad68e82885fbe8cbfea92c79714bf74d03f71d52899e0fcfed57a',
+    }, None),
+    'ski-0.1-linear-simple': (2, {},
+        'no plan: no plan reaches mass 0.9 (search space exhausted); best achieved 0, potential 1'),
+    'ski-0.1-nonlinear-kbmc': (0, {
+        'net.dot':
+            'bd21cecfe3afe98011d5b8a0366391d203539f2e280175d72b5fda1380876547',
+        'plan.dot':
+            'ffe5765b2c1802fa65672f37c799b5458776fcf9683e652cb246dd9994828b58',
+        'plan.json':
+            'addd0057a99a6fdc52b21b55b747d66057e95b9d26e31adfbe8f609bef30364f',
+        'trace.jsonl':
+            '2f4bde10110299865b5af8732a91375b8bb1b2e801669a33b81666b29beb173d',
+    }, None),
+    'ski-0.1-nonlinear-simple': (2, {},
+        'no plan: no plan reaches mass 0.9 (search space exhausted); best achieved 0, potential 1'),
+    'ski-0.085-linear-kbmc': (0, {
+        'net.dot':
+            'bd21cecfe3afe98011d5b8a0366391d203539f2e280175d72b5fda1380876547',
+        'plan.dot':
+            '0608efc3238d2e042011301166b9c20720e7ecf67678aca2b26fba6c493a5d12',
+        'plan.json':
+            '21e65fddf3df0fc282f644f856202f603c846fb4cf48ff0d4abf2d8c837a3efa',
+        'trace.jsonl':
+            '0b809e99baa8652353fa345ff045607928608797b3bf7eeb169e91e623d0fcb9',
+    }, None),
+    'ski-0.085-linear-simple': (2, {},
+        'no plan: no plan reaches mass 0.915 (search space exhausted); best achieved 0, potential 1'),
+    'ski-0.085-nonlinear-kbmc': (0, {
+        'net.dot':
+            'bd21cecfe3afe98011d5b8a0366391d203539f2e280175d72b5fda1380876547',
+        'plan.dot':
+            'e64756a12dfa483e4ed3d192619e686803875ae836efc0d6d31bebe8870ada6a',
+        'plan.json':
+            '0ba060f06cf835ac9d04ba86cbc270cba768ca8680ab2f31898f678ab5de5e54',
+        'trace.jsonl':
+            'f412e5193c4007c5d4fc9117928638fca8a30fce4e8a79b1ccbcddc5cea243a9',
+    }, None),
+    'ski-0.085-nonlinear-simple': (2, {},
+        'no plan: no plan reaches mass 0.915 (search space exhausted); best achieved 0, potential 1'),
+    'sussman-linear-kbmc': (0, {
+        'net.dot':
+            '2947dd95f7dcd05149cf5c1df69ac645c117356de0b3661f54889df6bd9dfaba',
+        'plan.dot':
+            '98acb13e5e822f4147c1aa9e93a415765af3c6658e03aa2b151eeaf4d39765c1',
+        'plan.json':
+            '98b80f85d89be4b300d70ec3de2a3a822d687aba9fcf111eb9fce4ce5b13912f',
+        'trace.jsonl':
+            'aeff2d978bd73cd9f2874287f8ee7b85f5f25a165b84cb0b0f74e2cb37e73ea9',
+    }, None),
+    'sussman-linear-simple': (0, {
+        'plan.dot':
+            '98acb13e5e822f4147c1aa9e93a415765af3c6658e03aa2b151eeaf4d39765c1',
+        'plan.json':
+            '6d6ddd2e57f9d0f0727867c7b2b81c6f225b9b5752cc9529841cd96c9bec5458',
+        'trace.jsonl':
+            'aeff2d978bd73cd9f2874287f8ee7b85f5f25a165b84cb0b0f74e2cb37e73ea9',
+    }, None),
+    'sussman-nonlinear-kbmc': (0, {
+        'net.dot':
+            '2947dd95f7dcd05149cf5c1df69ac645c117356de0b3661f54889df6bd9dfaba',
+        'plan.dot':
+            '30f1b84fa7bad784dbaef21021c7f679840b50b4c0e9b35e8780a10d7dffe0c7',
+        'plan.json':
+            '44bc05b4abff14730ddbd7cda7a08574feb70c69cd52a79df6251f6f7e7906b2',
+        'trace.jsonl':
+            '1885ab5279071ae770cf43ee4f9aaccc5e270f594668b3bf9f02dfb9b9c77009',
+    }, None),
+    'sussman-nonlinear-simple': (0, {
+        'plan.dot':
+            '30f1b84fa7bad784dbaef21021c7f679840b50b4c0e9b35e8780a10d7dffe0c7',
+        'plan.json':
+            '5890d8ec8ba0712ef5b6c6b74f184f11e3dde99669ddd70d46ec48096091619f',
+        'trace.jsonl':
+            '1885ab5279071ae770cf43ee4f9aaccc5e270f594668b3bf9f02dfb9b9c77009',
+    }, None),
+    'chain3-linear-kbmc': (0, {
+        'net.dot':
+            '2947dd95f7dcd05149cf5c1df69ac645c117356de0b3661f54889df6bd9dfaba',
+        'plan.dot':
+            '4d147b930c1748ecc428710252b518d0aeb3e146e887e91f46f84cbd59b0a25a',
+        'plan.json':
+            '6f69d1ee0cfdae2b5d6ac6417b0ad86a8867f95ac4ea4ef63342cc014630b5e0',
+        'trace.jsonl':
+            'efb52b64f057ed32e4860afb08b340350505321ffd46411cd308aa1dcff89d00',
+    }, None),
+    'chain3-linear-simple': (0, {
+        'plan.dot':
+            '4d147b930c1748ecc428710252b518d0aeb3e146e887e91f46f84cbd59b0a25a',
+        'plan.json':
+            '8a42821963de5a30af4a0888f376f0e40ffd2d379b31d5344266b67fb7751966',
+        'trace.jsonl':
+            'efb52b64f057ed32e4860afb08b340350505321ffd46411cd308aa1dcff89d00',
+    }, None),
+    'chain3-nonlinear-kbmc': (0, {
+        'net.dot':
+            '2947dd95f7dcd05149cf5c1df69ac645c117356de0b3661f54889df6bd9dfaba',
+        'plan.dot':
+            '437f0958fdb06cd2f804d0f528c880d6c098ecacebbae822067b377aeaa09f31',
+        'plan.json':
+            'd5764576b5d6c8a2e44f2cc70c500817ab2bd127f13d3de0f1dad17ecce5b8b2',
+        'trace.jsonl':
+            'efb52b64f057ed32e4860afb08b340350505321ffd46411cd308aa1dcff89d00',
+    }, None),
+    'chain3-nonlinear-simple': (0, {
+        'plan.dot':
+            '437f0958fdb06cd2f804d0f528c880d6c098ecacebbae822067b377aeaa09f31',
+        'plan.json':
+            '91ac6b965d1f7dc5d801166ddbaf90612f29f40427277df9e9ecc6be3f297322',
+        'trace.jsonl':
+            'efb52b64f057ed32e4860afb08b340350505321ffd46411cd308aa1dcff89d00',
+    }, None),
+    'slippery-linear-kbmc': (0, {
+        'net.dot':
+            'ede7ac8b0395ce72748c8dc14877e5902699392f2a6da0c2165f35a3432b3879',
+        'plan.dot':
+            '4742de868585ccc29f81df06c94a8978b59cff2012795a3d97ec5e54d3a79553',
+        'plan.json':
+            'a9b7fd7af9e618756edef5fa2bde56307c1b598f13773d8f0d42bb36b7054cf5',
+        'trace.jsonl':
+            '0694438cdc809ef3bd5b1096f79a5e4ab1061699c50ee1d00fe6fa7a5f6f9608',
+    }, None),
+    'slippery-linear-simple': (2, {},
+        'no plan: no plan reaches mass 0.85 (search space exhausted); best achieved 0, potential 1'),
+    'slippery-nonlinear-kbmc': (0, {
+        'net.dot':
+            'ede7ac8b0395ce72748c8dc14877e5902699392f2a6da0c2165f35a3432b3879',
+        'plan.dot':
+            'a24d654856266dc51dd61915e4c13f5b998a6579c9dda113394ff515d1a603ad',
+        'plan.json':
+            '27f1620fef3ae95f4babbb2c03f79b4b8474965d02470831193dcc7a4ec78381',
+        'trace.jsonl':
+            '17b732a13c7dc9c2955a2010bd33c8f6f62a78cd4b78931f308996d627851c0a',
+    }, None),
+    'slippery-nonlinear-simple': (2, {},
+        'no plan: no plan reaches mass 0.85 (search space exhausted); best achieved 0, potential 1'),
+    'button-linear-kbmc': (0, {
+        'net.dot':
+            'fd2d661f727ed1bf5a48c5cdaed0003023aa39dba201e82d6078b3ef226060d3',
+        'plan.dot':
+            'b0d7ec9b16ff061daaff60630ca37389b2e805b709b49cdfdd1442455d3a69e4',
+        'plan.json':
+            '30d3711baa492c2e76c4976d1a74dc7aa3cabb6f5a5458d92c5aaa1c15a49021',
+        'trace.jsonl':
+            'a991a7cb9bddbdaa8dd81be65fae4846a4a44c35203b7b5892543ba8aef7fbb8',
+    }, None),
+    'button-linear-simple': (0, {
+        'plan.dot':
+            'b0d7ec9b16ff061daaff60630ca37389b2e805b709b49cdfdd1442455d3a69e4',
+        'plan.json':
+            '052b9fa2d22824c8f34014777aced7d04a06edf17a45d6ad666682ad1743d3a3',
+        'trace.jsonl':
+            'a991a7cb9bddbdaa8dd81be65fae4846a4a44c35203b7b5892543ba8aef7fbb8',
+    }, None),
+    'button-nonlinear-kbmc': (0, {
+        'net.dot':
+            'fd2d661f727ed1bf5a48c5cdaed0003023aa39dba201e82d6078b3ef226060d3',
+        'plan.dot':
+            'c54257ef147b6d69ef86caada4ae8740d9d2d72c965c87ac81e48578a37512e3',
+        'plan.json':
+            '3c199e898b6f29a27c0f0e7781bbcfbdc7d80a6f47d9af9b21506da772f98101',
+        'trace.jsonl':
+            '7112d580af58aa919817ee71ca10e9952bf892c692c54f51d5461c77133eacab',
+    }, None),
+    'button-nonlinear-simple': (0, {
+        'plan.dot':
+            'c54257ef147b6d69ef86caada4ae8740d9d2d72c965c87ac81e48578a37512e3',
+        'plan.json':
+            '018e2ceb194d4440ecc3aff61ff0cc005783ca496b45acd26e39f27cfb6fb4c7',
+        'trace.jsonl':
+            '7112d580af58aa919817ee71ca10e9952bf892c692c54f51d5461c77133eacab',
+    }, None),
+    'ski-budget-linear-kbmc': (2, {},
+        'no plan: no plan reaches mass 1 (node budget exhausted); best achieved 0.9091, potential 1'),
+    'ski-budget-linear-simple': (2, {},
+        'no plan: no plan reaches mass 1 (search space exhausted); best achieved 0, potential 1'),
+    'ski-budget-nonlinear-kbmc': (2, {},
+        'no plan: no plan reaches mass 1 (node budget exhausted); best achieved 0.9091, potential 1'),
+    'ski-budget-nonlinear-simple': (2, {},
+        'no plan: no plan reaches mass 1 (search space exhausted); best achieved 0, potential 1'),
+}
+
+
+def run_case(tmp: Path, make, extra, planner: str, model: str):
+    domain, problem = make()
+    dom = tmp / "domain.sexp"
+    prob = tmp / "problem.sexp"
+    dom.write_text(domain)
+    prob.write_text(problem)
+    out = tmp / "out"
+    argv = ["--domain", str(dom), "--problem", str(prob),
+            "--planner", planner, "--model", model,
+            "--emit", "plan-json", "--emit", "dot", "--emit", "trace",
+            "--out", str(out), *extra]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    digests = {}
+    if out.is_dir():
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out.iterdir())}
+    failure = next((line for line in err.getvalue().splitlines()
+                    if line.startswith("no plan:")), None)
+    return code, digests, failure
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(case, tmp_path):
+    name, make, extra, planner, model = case
+    assert run_case(tmp_path, make, extra, planner, model) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    print("GOLDEN = {")
+    for name, make, extra, planner, model in CASES:
+        with tempfile.TemporaryDirectory() as d:
+            code, digests, failure = run_case(Path(d), make, extra, planner,
+                                              model)
+        if not digests:
+            print(f"    {name!r}: ({code}, {{}},\n        {failure!r}),")
+            continue
+        print(f"    {name!r}: ({code}, {{")
+        for fname, sha in digests.items():
+            print(f"        {fname!r}:\n            {sha!r},")
+        print(f"    }}, {failure!r}),")
+    print("}")

@@ -20,12 +20,12 @@ from riskplan.errors import (InconsistentLabels, LabelWithoutDistribution,
 from riskplan.plangraph import (Label, Link, add_link, condition_step,
                                 dag_add_step, make_root_plan)
 from riskplan.probmodel import (BeliefNet, NetVariable, add_conditional_node,
-                                bind_observation, build_initial_net,
+                                build_initial_net,
                                 conditional_outcome_probability,
                                 context_probability, d_connected,
-                                force_influence, joint_probability,
-                                net_for_plan, select_goal_node,
-                                simple_context_probability, success_bound)
+                                joint_probability, net_for_plan,
+                                select_goal_node, simple_context_probability,
+                                success_bound)
 from riskplan.worlds import load_texts, ski_world
 
 from .gen import random_evidence, random_net
@@ -194,34 +194,6 @@ def test_add_conditional_node_incomplete_cpt():
         add_conditional_node(net, "s2", op)
 
 
-def test_bind_observation(ski):
-    gdom, _prob, net = ski
-    assert bind_observation(net, gdom.operator("check-road-b-snowbird")) == CBS
-    bad = GroundOperator(name="peek", kind="obs", outcomes=("true", "false"),
-                         observes="nosuch")
-    with pytest.raises(UnknownVariable):
-        bind_observation(net, bad)
-    worse = GroundOperator(name="peek", kind="obs", outcomes=("yes", "no"),
-                           observes=CBS)
-    with pytest.raises(OutcomeSpaceMismatch):
-        bind_observation(net, worse)
-
-
-def test_force_influence_cuts_arc():
-    net = BeliefNet({"x": NetVariable(("true", "false"), (),
-                                      {("true",): 0.3, ("false",): 0.7})})
-    op = GroundOperator(
-        name="walk", kind="cond", outcomes=("arrive", "slip"),
-        influences=("x",),
-        cpt={("arrive", "true"): 0.6, ("slip", "true"): 0.4,
-             ("arrive", "false"): 0.99, ("slip", "false"): 0.01})
-    net2, _ = add_conditional_node(net, "s2", op)
-    net3 = force_influence(net2, "s2", "x", "true")
-    assert net3.variables["s2"].parents == ()
-    assert joint_probability(net3, [Label("s2", "arrive")]) == \
-        pytest.approx(0.6, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # d-connection
 
@@ -362,4 +334,6 @@ def test_select_goal_node_prefers_mass():
         [(Label(cid, "t"), cid)])
     plan = plan._rebuild(
         open_goals=plan.open_goals | {(gid, lit("(g)"))})
-    assert select_goal_node(plan, "simple") == gid
+    completed = success_bound(plan, "simple", epsilon=0.0).completed
+    assert completed == ("s1",)
+    assert select_goal_node(plan, "simple", completed) == gid
