@@ -113,10 +113,8 @@ def run(config: RunConfig) -> int:
         problem = parse_problem(config.problem.read_text())
         gdomain = ground(domain)
         problem = problem.with_priors(gdomain.clauses)
-    except OSError as e:
-        print(f"riskplan: {e}", file=sys.stderr)
-        return 1
-    except (DomainSyntaxError, DomainValidationError, GroundingError) as e:
+    except (OSError, DomainSyntaxError, DomainValidationError,
+            GroundingError) as e:
         print(f"riskplan: {e}", file=sys.stderr)
         return 1
 

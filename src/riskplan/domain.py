@@ -32,13 +32,18 @@ Members of a type may be tuples, in which case a parameter bound to a
 member splices all of its elements into the argument list; this lets a
 schema range over declared pairs (roads, edges) instead of a full cross
 product.
+
+When a step (or one outcome of it) runs, its deletes apply first and its
+adds second: ``(del P)`` makes P false, ``(del (not P))`` makes P true, an
+added literal holds, and so an add wins over a delete of the same variable.
+``GroundOperator.effect_values`` is the one place this rule is applied.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainSyntaxError, DomainValidationError, GroundingError
 
@@ -174,11 +179,17 @@ class GroundOperator:
     cpt: Mapping[tuple[str, ...], float] | None = None
     observes: str | None = None  # variable id
 
+    # outcome (None = det) -> {variable id: value}; see effect_values
+    _effects: Mapping = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.outcome_adds is None:
             object.__setattr__(self, "outcome_adds", {})
         if self.outcome_dels is None:
             object.__setattr__(self, "outcome_dels", {})
+        object.__setattr__(self, "_effects", {
+            o: _effect_values(self.adds_for(o), self.deletes_for(o))
+            for o in (None,) + tuple(self.outcomes)})
 
     def adds_for(self, outcome: str | None) -> tuple[Proposition, ...]:
         if outcome is None:
@@ -196,28 +207,36 @@ class GroundOperator:
         dels = self.deletes_for(outcome)
         return frozenset(dels) | frozenset(p.negate() for p in adds)
 
+    def effect_values(self, outcome: str | None) -> Mapping[str, str]:
+        """The value (``"true"``/``"false"``) each variable this operator
+        writes takes when it runs under ``outcome`` (None = det).  The
+        mapping is shared: read it, do not change it."""
+        return self._effects.get(outcome, {})
+
     def establishing_outcomes(self, lit: Proposition) -> list[str | None]:
         """Outcomes under which this operator makes ``lit`` hold (None =
-        det): adding it, or deleting its positive form when it is negated."""
-        def makes(adds: tuple, dels: tuple) -> bool:
-            return lit in adds or (lit.negated and lit.positive in dels)
-        if self.kind in ("det", "start"):
-            return [None] if makes(self.add, self.delete) else []
-        return [o for o in self.outcomes
-                if makes(self.outcome_adds.get(o, ()),
-                         self.outcome_dels.get(o, ()))]
+        det)."""
+        var = var_id(lit.positive)
+        want = "false" if lit.negated else "true"
+        variants = [None] if self.kind in ("det", "start") else self.outcomes
+        return [o for o in variants if self._effects[o].get(var) == want]
 
     def touches_variable(self, var: str) -> bool:
         """True if executing this operator reveals or forces the value of
         the boolean variable ``var`` (observation of it, or setting either
         polarity of its underlying proposition)."""
-        if self.observes == var:
-            return True
-        touched = list(self.add) + list(self.delete)
-        for o in self.outcomes:
-            touched.extend(self.outcome_adds.get(o, ()))
-            touched.extend(self.outcome_dels.get(o, ()))
-        return any(var_id(p.positive) == var for p in touched)
+        return self.observes == var or any(
+            var in values for values in self._effects.values())
+
+
+def _effect_values(adds: Iterable[Proposition],
+                   dels: Iterable[Proposition]) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for p in dels:
+        values[var_id(p.positive)] = "true" if p.negated else "false"
+    for p in adds:
+        values[var_id(p.positive)] = "false" if p.negated else "true"
+    return values
 
 
 @dataclass(frozen=True, eq=True)
@@ -432,27 +451,29 @@ def _parse_cpt_rows(node) -> dict[tuple[str, ...], float]:
 
 def _check_row_groups(rows: Mapping[tuple[str, ...], float],
                       outcomes: Sequence[str], where: str):
-    """Rows grouped by their tail (influence/body assignment) must cover the
-    outcome set exactly and sum to one."""
+    """The one check of every distribution: CPT rows, and ``(prob ...)``
+    maps keyed ``(outcome,)``.  Each probability lies in [0, 1], and rows
+    grouped by their tail (influence/body assignment) cover the outcome set
+    exactly and sum to one."""
     groups: dict[tuple[str, ...], dict[str, float]] = {}
     for key, p in rows.items():
         if not key:
             raise DomainValidationError(f"{where}: empty cpt row key")
         if key[0] not in outcomes:
             raise DomainValidationError(
-                f"{where}: cpt row names unknown outcome {key[0]!r}")
+                f"{where}: a row names unknown outcome {key[0]!r}")
         if not 0.0 <= p <= 1.0:
             raise DomainValidationError(f"{where}: probability {p} out of range")
         groups.setdefault(key[1:], {})[key[0]] = p
     for tail, by_out in groups.items():
         if set(by_out) != set(outcomes):
             raise DomainValidationError(
-                f"{where}: cpt rows for tail {tail} cover {sorted(by_out)} "
+                f"{where}: rows for tail {tail} cover {sorted(by_out)} "
                 f"but outcomes are {sorted(outcomes)}")
         total = sum(by_out.values())
         if abs(total - 1.0) > PROB_TOL:
             raise DomainValidationError(
-                f"{where}: cpt rows for tail {tail} sum to {total}, not 1")
+                f"{where}: rows for tail {tail} sum to {total}, not 1")
 
 
 def _parse_operator(form) -> OperatorSchema:
@@ -464,7 +485,7 @@ def _parse_operator(form) -> OperatorSchema:
     outcomes: list[str] = []
     adds: dict[str, tuple] = {}
     dels: dict[str, tuple] = {}
-    probs: dict[str, float] = {}
+    probs: dict[tuple[str], float] = {}  # (prob ...) rows, keyed (outcome,)
     saw_prob = False
     for sec in parts[2:]:
         if not _is_list(sec) or not _items(sec):
@@ -500,7 +521,9 @@ def _parse_operator(form) -> OperatorSchema:
                     ohead = _atom(_items(osec)[0], "an outcome section")
                     obody = _items(osec)[1:]
                     if ohead == "prob":
-                        probs[oname] = _parse_number(obody[0])
+                        if len(obody) != 1:
+                            _err(osec, "(prob ...) takes exactly one number")
+                        probs[(oname,)] = _parse_number(obody[0])
                         saw_prob = True
                     elif ohead == "add":
                         adds[oname] = tuple(_parse_literal(l) for l in obody)
@@ -531,15 +554,8 @@ def _parse_operator(form) -> OperatorSchema:
             raise DomainValidationError(f"operator {name!r}: no outcomes declared")
         fields["outcomes"] = OutcomeFamily(tuple(outcomes), adds, dels)
         if saw_prob:
-            if set(probs) != set(outcomes):
-                raise DomainValidationError(
-                    f"operator {name!r}: (prob ...) given for {sorted(probs)} "
-                    f"but outcomes are {sorted(outcomes)}")
-            total = sum(probs.values())
-            if abs(total - 1.0) > PROB_TOL:
-                raise DomainValidationError(
-                    f"operator {name!r}: outcome probabilities sum to {total}, not 1")
-            fields["simple_distribution"] = probs
+            _check_row_groups(probs, outcomes, f"operator {name!r}")
+            fields["simple_distribution"] = {k[0]: p for k, p in probs.items()}
         if kind == "obs":
             if fields.get("observes") is None:
                 raise DomainValidationError(f"operator {name!r}: obs operators need (observes ...)")
@@ -635,7 +651,9 @@ def parse_domain(text: str) -> Domain:
     for name in names:
         if names.count(name) > 1:
             raise DomainValidationError(f"duplicate operator name {name!r}")
-    _check_clause_acyclicity([(c.head.name, tuple(b.name for b in c.body)) for c in clauses])
+    _check_clause_acyclicity(
+        dict((c.head.name, tuple(b.name for b in c.body)) for c in clauses),
+        DomainValidationError)
     return Domain(tuple(operators), tuple(clauses), types)
 
 
@@ -679,24 +697,45 @@ def parse_problem(text: str) -> Problem:
     return Problem(frozenset(known_true), frozenset(known_false), goals, epsilon)
 
 
-def _check_clause_acyclicity(edges: list[tuple[str, tuple[str, ...]]]):
-    deps = {h: set(b) for h, b in edges}
-    seen: dict[str, int] = {}  # 0 visiting, 1 done
+class DependencyCycle(ValueError):
+    """``dependency_order`` met a node still on its path.  ``args[0]`` is
+    that path, from the walk's root down to the node that closes it."""
 
-    def visit(v: str, trail: tuple[str, ...]):
-        state = seen.get(v)
-        if state == 1:
-            return
-        if state == 0:
-            raise DomainValidationError(
-                "clause set is cyclic: " + " -> ".join(trail + (v,)))
-        seen[v] = 0
-        for b in deps.get(v, ()):
-            visit(b, trail + (v,))
-        seen[v] = 1
 
-    for h in deps:
-        visit(h, ())
+def dependency_order(roots: Iterable[str],
+                     deps: Mapping[str, Iterable[str]]) -> list[str]:
+    """Depth-first post-order from ``roots``, taken in the order given, with
+    each node's dependencies visited in declared order: every node comes
+    after all of its dependencies.  A node missing from ``deps`` has none.
+    Raises DependencyCycle when the dependencies loop."""
+    order: list[str] = []
+    placed: dict[str, bool] = {}  # False while on the path, True once placed
+    stack: list[tuple[str, Iterator[str]]] = []  # the path, with what is left
+    for root in roots:
+        if root not in placed:
+            placed[root] = False
+            stack.append((root, iter(deps.get(root, ()))))
+        while stack:
+            v, pending = stack[-1]
+            for d in pending:
+                if d not in placed:
+                    placed[d] = False
+                    stack.append((d, iter(deps.get(d, ()))))
+                    break
+                if not placed[d]:
+                    raise DependencyCycle(tuple(u for u, _ in stack) + (d,))
+            else:
+                stack.pop()
+                placed[v] = True
+                order.append(v)
+    return order
+
+
+def _check_clause_acyclicity(deps: Mapping[str, Sequence[str]], error: type):
+    try:
+        dependency_order(deps, deps)
+    except DependencyCycle as e:
+        raise error("clause set is cyclic: " + " -> ".join(e.args[0])) from None
 
 
 # ---------------------------------------------------------------------------
@@ -896,17 +935,11 @@ def ground(domain: Domain, objects=None) -> GroundDomain:
         for p in c.parents:
             if p not in by_var:
                 raise GroundingError(f"clause for {c.var} depends on undeclared {p}")
-    _check_ground_acyclicity(by_var)
+    _check_clause_acyclicity({c.var: c.parents for c in by_var.values()},
+                             GroundingError)
     ops.sort(key=lambda o: o.name)
     clauses.sort(key=lambda c: c.var)
     return GroundDomain(tuple(ops), tuple(clauses))
-
-
-def _check_ground_acyclicity(by_var: Mapping[str, GroundClause]):
-    try:
-        _check_clause_acyclicity([(c.var, c.parents) for c in by_var.values()])
-    except DomainValidationError as e:
-        raise GroundingError(str(e)) from None
 
 
 def prop_from_text(s: str) -> Proposition:

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .domain import GroundDomain, GroundOperator, Problem, Proposition, var_id
+from .domain import GroundDomain, GroundOperator, Problem, Proposition
 from .errors import WouldCreateCycle
 from .plangraph import (Label, Link, PlanGraph, START_ID, add_link,
-                        find_threats, make_root_plan, tree_insert)
+                        make_root_plan, tree_insert)
+# unused here since plans carry their threats, but bench/test_bench.py
+# expects the name bound in this module
+from .plangraph import find_threats  # noqa: F401
 from .probmodel import PlanResult, SuccessBound, select_goal_node
 from .search import (DEFAULT_NODE_BUDGET, TraceFn, _det_sets, _priceable,
                      _step_source, best_first)
@@ -68,9 +71,7 @@ def _expand(plan: PlanGraph, bound: SuccessBound, m, gdomain: GroundDomain,
 def _safe(plan: PlanGraph | None) -> list[PlanGraph]:
     """Keep a candidate only if it is internally consistent: tree plans
     cannot reorder steps, so any threat is fatal and pruned right here."""
-    if plan is None:
-        return []
-    if find_threats(plan):
+    if plan is None or plan.threats:
         return []
     return [plan]
 
@@ -87,16 +88,8 @@ def _determined_value(plan: PlanGraph, sid: str, var: str) -> str | None:
         if lab.source == var:
             return lab.outcome
     value = None
-    for wid in plan.tree_path(sid)[:-1]:
-        op = plan.steps[wid].operator
-        if op.kind not in ("det", "start"):
-            continue
-        for p in op.add:
-            if var_id(p.positive) == var:
-                value = "false" if p.negated else "true"
-        for p in op.delete:
-            if var_id(p.positive) == var:
-                value = "false"
+    for wid in plan.tree_path(sid)[:-1]:  # chance steps have no det effects
+        value = plan.steps[wid].operator.effect_values(None).get(var, value)
     return value
 
 

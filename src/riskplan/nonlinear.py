@@ -25,8 +25,7 @@ from .domain import GroundDomain, GroundOperator, Problem, Proposition
 from .errors import WouldCreateCycle
 from .plangraph import (Label, Link, PlanGraph, START_ID, Threat, add_link,
                         condition_step, dag_add_goal, dag_add_step,
-                        find_threats, make_root_plan,
-                        uncovered_outcome_contexts)
+                        make_root_plan, uncovered_outcome_contexts)
 from .probmodel import (PlanResult, SuccessBound, context_probability,
                         d_connected)
 from .search import (DEFAULT_NODE_BUDGET, _det_sets, _priceable,
@@ -51,7 +50,7 @@ def plan_nonlinear(gdomain: GroundDomain, problem: Problem, *,
 
 def _expand(plan: PlanGraph, _bound: SuccessBound, m, gdomain: GroundDomain,
             model: str) -> list[PlanGraph]:
-    threats = find_threats(plan)
+    threats = plan.threats
     if threats:
         def tkey(t: Threat):
             ctx = plan.steps[t.step].context | plan.steps[t.link.consumer].context

@@ -17,7 +17,8 @@ ordering (producer strictly before consumer):
 A step's *context* is the set of outcome labels under which it executes.
 Two contexts are compatible when their union assigns no variable two
 different outcomes.  Plans are immutable; every mutation returns a fresh
-graph with the ordering closure recomputed.
+graph, and the ordering closure is recomputed only when the steps, links
+or tree change.  Threats are derived once per graph (``PlanGraph.threats``).
 
 Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 (each step has one parent; conditional steps fan out per outcome), which
@@ -28,9 +29,11 @@ far as links require.  All queries here work on either shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .domain import GroundOperator, Problem, Proposition, prop_from_text
+from .domain import (DependencyCycle, GroundOperator, Problem, Proposition,
+                     dependency_order, prop_from_text)
 from .errors import (IgnoranceNotFromStart, IncompletePlan, MalformedPlan,
                      OverlappingGoalContexts, PlanGraphError, WouldCreateCycle)
 
@@ -156,6 +159,12 @@ class PlanGraph:
 
     # -- queries ----------------------------------------------------------
 
+    @cached_property
+    def threats(self) -> list[Threat]:
+        """``find_threats(self)``, computed on first use and kept: the graph
+        never changes."""
+        return find_threats(self)
+
     def step_list(self) -> list[Step]:
         return sorted(self.steps.values(), key=Step.sort_key)
 
@@ -197,14 +206,12 @@ class PlanGraph:
     # -- functional updates ------------------------------------------------
 
     def _rebuild(self, **kw) -> "PlanGraph":
-        fields = dict(shape=self.shape, steps=self.steps, links=self.links,
-                      open_goals=self.open_goals,
-                      open_influences=self.open_influences,
-                      goal_literals=self.goal_literals,
-                      next_index=self.next_index, tree=self.tree)
-        fields.update(kw)
-        after = _ordering_closure(fields["steps"], fields["links"], fields["tree"])
-        return PlanGraph(after=after, **fields)
+        """A copy with ``kw`` replaced and the ordering closure recomputed;
+        for updates that add steps, links or tree edges."""
+        after = _ordering_closure(kw.get("steps", self.steps),
+                                  kw.get("links", self.links),
+                                  kw.get("tree", self.tree))
+        return replace(self, after=after, **kw)
 
     def with_step(self, step: Step) -> "PlanGraph":
         steps = dict(self.steps)
@@ -215,13 +222,13 @@ class PlanGraph:
     def with_context(self, sid: str, ctx: frozenset) -> "PlanGraph":
         steps = dict(self.steps)
         steps[sid] = replace(steps[sid], context=ctx)
-        return self._rebuild(steps=steps)
+        return replace(self, steps=steps)  # same ids: same closure
 
     def without_open_goal(self, item) -> "PlanGraph":
-        return self._rebuild(open_goals=self.open_goals - {item})
+        return replace(self, open_goals=self.open_goals - {item})
 
     def without_open_influence(self, item) -> "PlanGraph":
-        return self._rebuild(open_influences=self.open_influences - {item})
+        return replace(self, open_influences=self.open_influences - {item})
 
 
 def _ordering_closure(steps, links, tree) -> dict[str, frozenset]:
@@ -235,25 +242,17 @@ def _ordering_closure(steps, links, tree) -> dict[str, frozenset]:
     for sid in steps:
         if sid != START_ID:
             succ[START_ID].add(sid)
+    try:
+        order = dependency_order(steps, succ)
+    except DependencyCycle as e:
+        raise WouldCreateCycle(f"ordering cycle through {e.args[0][-1]}") from None
     after: dict[str, frozenset] = {}
-    state: dict[str, int] = {}
-
-    def visit(v: str) -> frozenset:
-        if state.get(v) == 2:
-            return after[v]
-        if state.get(v) == 1:
-            raise WouldCreateCycle(f"ordering cycle through {v}")
-        state[v] = 1
+    for v in order:
         acc: set = set()
-        for w in succ.get(v, ()):
+        for w in succ[v]:
             acc.add(w)
-            acc |= visit(w)
-        state[v] = 2
+            acc |= after[w]
         after[v] = frozenset(acc)
-        return after[v]
-
-    for sid in steps:
-        visit(sid)
     return after
 
 
@@ -414,7 +413,8 @@ def dag_add_step(plan: PlanGraph, op: GroundOperator,
         if out is None:
             raise PlanGraphError("new step context is contradictory")
         plan = out
-    plan = plan._rebuild(
+    plan = replace(
+        plan,
         open_goals=plan.open_goals | {(sid, p) for p in op.preconditions},
         open_influences=plan.open_influences | {(sid, v) for v in influences})
     return plan, sid
@@ -444,20 +444,15 @@ def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
     ctx = plan.steps[child].context
     if op.kind in ("cond", "obs"):
         assert chosen_outcome in op.outcomes
-    step = Step(sid, index, op, ctx, source)
     steps = dict(plan.steps)
-    steps[sid] = step
+    steps[sid] = Step(sid, index, op, ctx, source)
     tree = dict(plan.tree)
     tree[sid] = (parent, edge_out)
     tree[child] = (sid, chosen_outcome)
-    open_goals = set(plan.open_goals) | {(sid, p) for p in op.preconditions}
-    open_infl = set(plan.open_influences) | {(sid, v) for v in influences}
-    plan2 = PlanGraph(shape="tree", steps=steps, links=plan.links,
-                      open_goals=frozenset(open_goals),
-                      open_influences=frozenset(open_infl),
-                      goal_literals=plan.goal_literals,
-                      next_index=index + 1, tree=tree,
-                      after=_ordering_closure(steps, plan.links, tree))
+    plan2 = plan._rebuild(
+        steps=steps, tree=tree, next_index=index + 1,
+        open_goals=plan.open_goals | {(sid, p) for p in op.preconditions},
+        open_influences=plan.open_influences | {(sid, v) for v in influences})
     new_goals: list[str] = []
     if op.kind in ("cond", "obs"):
         lab = Label(source, chosen_outcome)
@@ -562,16 +557,7 @@ class ConditionalPlan:
     uncovered: tuple  # of frozenset[Label]
 
     def leaves(self) -> Iterator[object]:
-        def walk(node):
-            if isinstance(node, ActionNode):
-                yield from walk(node.child)
-            elif isinstance(node, BranchNode):
-                for o in node.op.outcomes:
-                    if o in node.children:
-                        yield from walk(node.children[o])
-            else:
-                yield node
-        yield from walk(self.root)
+        return _leaves(self.root)
 
     def steps_used(self) -> dict[str, GroundOperator]:
         out: dict[str, GroundOperator] = {}
@@ -644,6 +630,20 @@ class ConditionalPlan:
             raise MalformedPlan(f"cannot decode plan: {e}") from e
 
 
+def _leaves(node) -> Iterator[object]:
+    """The leaves under ``node``, each branch's outcomes in declared order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ActionNode):
+            stack.append(node.child)
+        elif isinstance(node, BranchNode):
+            stack.extend(node.children[o] for o in reversed(node.op.outcomes)
+                         if o in node.children)
+        else:
+            yield node
+
+
 def _ctx_json(ctx: frozenset) -> list[list[str]]:
     return [[lab.source, lab.outcome] for lab in sorted(ctx)]
 
@@ -699,21 +699,16 @@ def _op_from_json(rec: dict) -> GroundOperator:
 # extraction
 
 
-def _flaw_contexts(plan: PlanGraph) -> list[frozenset]:
-    out = [plan.steps[sid].context for sid, _p in plan.open_goals]
-    out += [plan.steps[sid].context for sid, _v in plan.open_influences]
-    for t in find_threats(plan):
+def complete_goal_ids(plan: PlanGraph) -> list[str]:
+    """Goal steps whose branch no remaining flaw can touch."""
+    flaws = [plan.steps[sid].context for sid, _p in plan.open_goals]
+    flaws += [plan.steps[sid].context for sid, _v in plan.open_influences]
+    for t in plan.threats:
         vctx = plan.steps[t.step].context
         wctx = plan.steps[t.link.consumer].context
         if t.outcome is not None and plan.steps[t.step].source:
             vctx = vctx | {Label(plan.steps[t.step].source, t.outcome)}
-        out.append(frozenset(vctx | wctx))
-    return out
-
-
-def complete_goal_ids(plan: PlanGraph) -> list[str]:
-    """Goal steps whose branch no remaining flaw can touch."""
-    flaws = _flaw_contexts(plan)
+        flaws.append(frozenset(vctx | wctx))
     out = []
     for g in plan.goal_steps():
         if all(not contexts_compatible(f, g.context) for f in flaws):
@@ -779,59 +774,51 @@ def extract_conditional_plan(plan: PlanGraph,
                 raise OverlappingGoalContexts(
                     f"goal steps {covered_ids[a]} and {covered_ids[b]} have "
                     "compatible contexts")
-    flaws = _flaw_contexts(plan)
+    complete = set(complete_goal_ids(plan))
     for gid in covered_ids:
-        for f in flaws:
-            if contexts_compatible(f, goals[gid].context):
-                raise IncompletePlan(
-                    f"branch of goal {gid} still has an open flaw")
+        if gid not in complete:
+            raise IncompletePlan(f"branch of goal {gid} still has an open flaw")
     covered_ctxs = [goals[g].context for g in covered_ids]
     include = [sid for sid, st in plan.steps.items()
                if st.kind != "start"
                and (st.kind != "goal" or sid in covered_ids)
                and any(contexts_compatible(st.context, c) for c in covered_ctxs)]
-    order = _canonical_topo(plan, include)
-
-    def build(ctx: frozenset, pos: int):
-        while pos < len(order):
-            sid = order[pos]
-            st = plan.steps[sid]
-            pos += 1
-            if not st.context <= ctx:
-                continue
-            if st.kind == "goal":
-                return GoalLeaf(sid, st.context, st.operator.preconditions)
-            if st.kind in ("cond", "obs"):
-                children = {}
-                for o in st.operator.outcomes:
-                    c2 = ctx | {Label(st.source, o)}
-                    if not context_consistent(c2):
-                        continue
-                    if any(contexts_compatible(c2, g) for g in covered_ctxs):
-                        children[o] = build(frozenset(c2), pos)
-                    else:
-                        children[o] = GiveUpLeaf(frozenset(c2))
-                return BranchNode(sid, st.operator, st.source, children)
-            return ActionNode(sid, st.operator, build(ctx, pos))
-        return GiveUpLeaf(frozenset(ctx))
-
-    root = build(frozenset(), 0)
-    giveups: list[frozenset] = []
-
-    def collect(node):
-        if isinstance(node, ActionNode):
-            collect(node.child)
-        elif isinstance(node, BranchNode):
-            for ch in node.children.values():
-                collect(ch)
-        elif isinstance(node, GiveUpLeaf):
-            giveups.append(node.context)
-
-    collect(root)
+    root = _build_branch(plan, _canonical_topo(plan, include), covered_ctxs,
+                         frozenset(), 0)
     return ConditionalPlan(
         root=root,
         goal_contexts=tuple(goals[g].context for g in covered_ids),
-        uncovered=tuple(giveups))
+        uncovered=tuple(leaf.context for leaf in _leaves(root)
+                        if isinstance(leaf, GiveUpLeaf)))
+
+
+def _build_branch(plan: PlanGraph, order: Sequence[str],
+                  covered_ctxs: Sequence[frozenset], ctx: frozenset, pos: int):
+    """The executable node for context ``ctx``, reading steps from
+    ``order[pos:]``."""
+    while pos < len(order):
+        sid = order[pos]
+        st = plan.steps[sid]
+        pos += 1
+        if not st.context <= ctx:
+            continue
+        if st.kind == "goal":
+            return GoalLeaf(sid, st.context, st.operator.preconditions)
+        if st.kind in ("cond", "obs"):
+            children = {}
+            for o in st.operator.outcomes:
+                c2 = ctx | {Label(st.source, o)}
+                if not context_consistent(c2):
+                    continue
+                if any(contexts_compatible(c2, g) for g in covered_ctxs):
+                    children[o] = _build_branch(plan, order, covered_ctxs,
+                                                frozenset(c2), pos)
+                else:
+                    children[o] = GiveUpLeaf(frozenset(c2))
+            return BranchNode(sid, st.operator, st.source, children)
+        return ActionNode(sid, st.operator,
+                          _build_branch(plan, order, covered_ctxs, ctx, pos))
+    return GiveUpLeaf(frozenset(ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import GroundOperator, Problem, var_id
+from .domain import (DependencyCycle, GroundOperator, Problem,
+                     dependency_order)
 from .errors import (InconsistentLabels, LabelWithoutDistribution,
                      MissingCptRow, MissingInfluenceVariable,
                      OutcomeSpaceMismatch, OverlappingGoalContexts,
@@ -75,42 +76,24 @@ class BeliefNet:
         return BeliefNet(d)
 
     def topological_order(self) -> list[str]:
-        order: list[str] = []
-        seen: set[str] = set()
-
-        def visit(v: str):
-            if v in seen:
-                return
-            seen.add(v)
-            for p in self.variables[v].parents:
-                visit(p)
-            order.append(v)
-
-        for v in sorted(self.variables):
-            visit(v)
-        return order
+        return dependency_order(
+            sorted(self.variables),
+            {v: nv.parents for v, nv in self.variables.items()})
 
 
 def build_initial_net(problem: Problem) -> BeliefNet:
     """Net over the prior-governed variables only.  Propositions known true
     or false in the initial state are facts, not random variables."""
-    net = BeliefNet({})
     by_var = {c.var: c for c in problem.priors}
-    done: set[str] = set()
-
-    def visit(v: str):
-        if v in done:
-            return
-        done.add(v)
-        c = by_var[v]
-        for p in c.parents:
-            visit(p)
-        nonlocal net
-        net = net.with_variable(v, NetVariable(c.space, c.parents, c.cpt))
-
-    for v in sorted(by_var):
-        visit(v)
-    return net
+    try:
+        order = dependency_order(sorted(by_var),
+                                 {v: c.parents for v, c in by_var.items()})
+    except DependencyCycle as e:
+        v, p = e.args[0][-2:]
+        raise MissingInfluenceVariable(
+            f"variable {v} depends on {p}, not in the net") from None
+    return BeliefNet({v: NetVariable(by_var[v].space, by_var[v].parents,
+                                     by_var[v].cpt) for v in order})
 
 
 def add_conditional_node(net: BeliefNet, node_id: str, op: GroundOperator,
@@ -390,27 +373,18 @@ def net_for_plan(plan: PlanGraph, problem: Problem) -> BeliefNet:
     """The belief net a plan graph denotes: the problem's priors plus one
     node per conditional step.  Observation steps add nothing; their labels
     bind to the observed variable.  An influence whose value the plan has
-    pinned down before the step runs (known initially, or added
-    deterministically by an earlier step of the same branch) selects CPT
-    rows instead of drawing an arc."""
+    pinned down before the step runs (known initially, which is what the
+    start step sets, or set deterministically by an earlier step of the
+    same branch) selects CPT rows instead of drawing an arc."""
     net = build_initial_net(problem)
-    known = {var_id(p): "true" for p in problem.known_true}
-    known.update({var_id(p): "false" for p in problem.known_false})
-    steps = plan.step_list()
+    steps = plan.step_list()  # start first; chance steps set nothing det
     for st in steps:
         if st.kind != "cond":
             continue
-        kv = dict(known)
+        kv: dict[str, str] = {}
         for w in steps:
-            if w.id == st.id or w.kind not in ("det",):
-                continue
-            if not (plan.ordered_before(w.id, st.id)
-                    and w.context <= st.context):
-                continue
-            for p in w.operator.add:
-                kv[var_id(p.positive)] = "false" if p.negated else "true"
-            for p in w.operator.delete:
-                kv[var_id(p.positive)] = "false"
+            if plan.ordered_before(w.id, st.id) and w.context <= st.context:
+                kv.update(w.operator.effect_values(None))
         net, _parents = add_conditional_node(net, st.id, st.operator, kv)
     return net
 
@@ -438,7 +412,6 @@ class SuccessBound:
     potential_mass: float
     epsilon: float
     completed: tuple = ()  # goal step ids
-    open_contexts: tuple = ()  # of frozenset[Label]
 
     @property
     def accepted(self) -> bool:
@@ -458,20 +431,17 @@ def success_bound(plan: PlanGraph, model, epsilon: float) -> SuccessBound:
                     f"goal steps {goals[i].id} and {goals[j].id} overlap")
     complete = set(complete_goal_ids(plan))
     achieved = 0.0
-    open_ctxs: list[frozenset] = []
     for g in goals:
         if g.id in complete:
             achieved += context_probability(plan, g.context, model)
-        else:
-            open_ctxs.append(g.context)
     potential = achieved
-    for ctx in open_ctxs:
-        potential += context_probability(plan, ctx, model)
+    for g in goals:
+        if g.id not in complete:
+            potential += context_probability(plan, g.context, model)
     for ctx in uncovered_outcome_contexts(plan):
-        open_ctxs.append(ctx)
         potential += context_probability(plan, ctx, model)
     return SuccessBound(achieved, min(1.0, potential), epsilon,
-                        tuple(sorted(complete)), tuple(open_ctxs))
+                        tuple(sorted(complete)))
 
 
 def select_goal_node(plan: PlanGraph, model,

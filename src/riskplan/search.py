@@ -21,7 +21,7 @@ import itertools
 import time
 from typing import Callable, Iterable
 
-from .domain import GroundDomain, GroundOperator, Problem, var_id
+from .domain import GroundDomain, GroundOperator, Problem
 from .errors import PlanningFailure
 from .plangraph import PlanGraph, canonical_key, extract_conditional_plan
 from .probmodel import (PlanResult, SuccessBound, model_for_plan,
@@ -141,8 +141,7 @@ def _priceable(op: GroundOperator, model: str) -> bool:
 
 def _det_sets(op: GroundOperator, var: str) -> bool:
     """A deterministic step that forces ``var`` to a value."""
-    return op.kind == "det" and any(
-        var_id(p.positive) == var for p in op.add + op.delete)
+    return op.kind == "det" and var in op.effect_values(None)
 
 
 def _step_source(plan: PlanGraph, op: GroundOperator,

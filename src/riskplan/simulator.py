@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import GroundClause, GroundOperator, Proposition, var_id
+from .domain import (DependencyCycle, GroundClause, GroundOperator,
+                     Proposition, dependency_order, var_id)
 from .errors import MalformedPlan
 from .plangraph import (ActionNode, BranchNode, ConditionalPlan, GiveUpLeaf,
                         GoalLeaf)
@@ -55,20 +56,13 @@ def _rng_for(seed: int, trial: int) -> np.random.Generator:
 
 def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
     by_var = {c.var: c for c in priors}
-    order: list[GroundClause] = []
-    done: set[str] = set()
-
-    def visit(v: str):
-        if v in done:
-            return
-        done.add(v)
-        for p in by_var[v].parents:
-            visit(p)
-        order.append(by_var[v])
-
-    for v in sorted(by_var):
-        visit(v)
-    return order
+    try:
+        order = dependency_order(sorted(by_var),
+                                 {v: c.parents for v, c in by_var.items()})
+    except DependencyCycle as e:
+        raise MalformedPlan("prior clauses are cyclic: "
+                            + " -> ".join(e.args[0])) from None
+    return [by_var[v] for v in order]
 
 
 def sample_world(priors: Sequence[GroundClause],
@@ -100,14 +94,6 @@ def _init_values(world: Mapping[str, str],
     for p in known_false:
         values[var_id(p)] = "false"
     return values
-
-
-def _apply(values: dict[str, str], adds: Iterable[Proposition],
-           dels: Iterable[Proposition]):
-    for p in dels:
-        values[var_id(p.positive)] = "true" if p.negated else "false"
-    for p in adds:
-        values[var_id(p.positive)] = "false" if p.negated else "true"
 
 
 def _holds(values: Mapping[str, str], prop: Proposition) -> bool:
@@ -155,7 +141,7 @@ def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
                 return TrialResult(False, "aborted", tuple(violations),
                                    tuple(outcomes))
         if isinstance(node, ActionNode):
-            _apply(values, node.op.add, node.op.delete)
+            values.update(node.op.effect_values(None))
             node = node.child
         elif isinstance(node, BranchNode):
             op = node.op
@@ -179,8 +165,7 @@ def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
                     raise ValueError("conditional steps need an rng")
                 got = op.outcomes[_draw(rng, probs)]
             outcomes.append((node.step_id, got))
-            _apply(values, op.outcome_adds.get(got, ()),
-                   op.outcome_dels.get(got, ()))
+            values.update(op.effect_values(got))
             nxt = node.children.get(got)
             if nxt is None:
                 violations.append(
@@ -250,7 +235,7 @@ def exhaustive_success(conditional: ConditionalPlan,
         if isinstance(node, ActionNode):
             if not all(_holds(values, p) for p in node.op.preconditions):
                 return 0.0
-            _apply(values, node.op.add, node.op.delete)
+            values.update(node.op.effect_values(None))
             return walk(node.child, values, weight)
         if isinstance(node, BranchNode):
             op = node.op
@@ -262,8 +247,7 @@ def exhaustive_success(conditional: ConditionalPlan,
                 if child is None:
                     return 0.0
                 v2 = dict(values)
-                _apply(v2, op.outcome_adds.get(got, ()),
-                       op.outcome_dels.get(got, ()))
+                v2.update(op.effect_values(got))
                 return walk(child, v2, weight)
             probs = _outcome_distribution(op, values)
             if probs is None:
@@ -274,8 +258,7 @@ def exhaustive_success(conditional: ConditionalPlan,
                 if child is None or p == 0.0:
                     continue
                 v2 = dict(values)
-                _apply(v2, op.outcome_adds.get(o, ()),
-                       op.outcome_dels.get(o, ()))
+                v2.update(op.effect_values(o))
                 total += walk(child, v2, weight * p)
             return total
         if isinstance(node, GoalLeaf):

@@ -1,8 +1,11 @@
 """Domain language: parsing, rendering, grounding, validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riskplan.domain import (Proposition, ground, parse_domain, parse_problem,
+from riskplan.domain import (DependencyCycle, Proposition, dependency_order,
+                             ground, parse_domain, parse_problem,
                              prop_from_text, render_domain, render_problem,
                              validate_problem, var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
@@ -79,9 +82,15 @@ def test_syntax_error_carries_position():
 
 
 def test_outcome_probabilities_must_sum_to_one():
-    with pytest.raises(DomainValidationError):
-        parse_domain("(operator a (kind cond)"
-                     " (outcomes (x (prob 0.5)) (y (prob 0.4))))")
+    cases = [
+        ("(x (prob 0.5)) (y (prob 0.4))", DomainValidationError),
+        ("(x (prob 1.5)) (y (prob -0.5))", DomainValidationError),
+        ("(x (prob nan)) (y (prob nan))", DomainValidationError),
+        ("(x (prob)) (y (prob 1.0))", DomainSyntaxError),
+    ]
+    for outcomes, error in cases:
+        with pytest.raises(error):
+            parse_domain(f"(operator a (kind cond) (outcomes {outcomes}))")
 
 
 def test_negated_preconditions_parse_and_ground():
@@ -147,6 +156,99 @@ def test_delete_effects_establish_negations():
     assert gdom.operator("look").establishing_outcomes(not_x) == ["false"]
     assert gdom.operator("wipe").establishing_outcomes(not_x) == [None]
     assert gdom.operator("wipe").touches_variable("x")
+
+
+def test_effect_values_apply_deletes_then_adds():
+    gdom = ground(parse_domain("""
+    (operator dry (kind det) (del (not (x))))
+    (operator both (kind det) (add (x)) (del (x) (y)))
+    """))
+    dry, both = gdom.operator("dry"), gdom.operator("both")
+    assert dry.effect_values(None) == {"x": "true"}
+    assert dry.establishing_outcomes(prop_from_text("(x)")) == [None]
+    assert dry.establishing_outcomes(prop_from_text("(not (x))")) == []
+    assert both.effect_values(None) == {"x": "true", "y": "false"}
+    assert both.establishing_outcomes(prop_from_text("(not (x))")) == []
+
+
+def test_cyclic_clauses_rejected():
+    text = """
+    (clause (head (a) (true false)) (body (b))
+            (cpt ((true true) 0.5) ((false true) 0.5)
+                 ((true false) 0.5) ((false false) 0.5)))
+    (clause (head (b) (true false)) (body (a))
+            (cpt ((true true) 0.5) ((false true) 0.5)
+                 ((true false) 0.5) ((false false) 0.5)))
+    """
+    with pytest.raises(DomainValidationError,
+                       match=r"^clause set is cyclic: a -> b -> a$"):
+        parse_domain(text)
+
+
+def test_cycle_after_grounding_rejected():
+    # by name, the last (p ...) clause has no body, so p -> q -> p is not
+    # a cycle until the clauses are grounded
+    text = """
+    (clause (head (p a) (true false)) (body (q))
+            (cpt ((true true) 0.5) ((false true) 0.5)
+                 ((true false) 0.5) ((false false) 0.5)))
+    (clause (head (q) (true false)) (body (p a))
+            (cpt ((true true) 0.5) ((false true) 0.5)
+                 ((true false) 0.5) ((false false) 0.5)))
+    (clause (head (p b) (true false)) (cpt ((true) 0.5) ((false) 0.5)))
+    """
+    domain = parse_domain(text)
+    with pytest.raises(GroundingError,
+                       match=r"^clause set is cyclic: p\(a\) -> q -> p\(a\)$"):
+        ground(domain)
+
+
+def _recursive_post_order(roots, deps):
+    order, seen = [], set()
+
+    def visit(v):
+        if v in seen:
+            return
+        seen.add(v)
+        for d in deps.get(v, ()):
+            visit(d)
+        order.append(v)
+
+    for r in roots:
+        visit(r)
+    return order
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.permutations([f"v{i}" for i in range(n)]),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=20),
+    st.permutations(range(n)),
+    st.integers(0, n - 1), st.integers(0, 10 ** 6))))
+def test_dependency_order_matches_recursive_dfs(case):
+    names, pairs, roots, back_from, pick = case
+    # edges run from a later name to an earlier one, so the graph is a DAG
+    deps: dict[str, list[str]] = {}
+    for a, b in pairs:
+        if a > b and names[b] not in deps.get(names[a], []):
+            deps.setdefault(names[a], []).append(names[b])
+    root_names = [names[i] for i in roots]
+    order = dependency_order(root_names, deps)
+    assert order == _recursive_post_order(root_names, deps)
+    assert sorted(order) == sorted(names)
+
+    # an edge back to ``start`` from anything it reaches (itself included)
+    # closes a cycle, which the walk must report
+    start = names[back_from]
+    reach = _recursive_post_order([start], deps)
+    end = reach[pick % len(reach)]
+    looped = {k: list(v) for k, v in deps.items()}
+    looped.setdefault(end, []).append(start)
+    with pytest.raises(DependencyCycle) as info:
+        dependency_order(root_names, looped)
+    path = info.value.args[0]
+    assert path[-1] in path[:-1]
 
 
 def test_validate_ski_is_clean():

@@ -130,6 +130,7 @@ def test_closure_matches_edge_reachability(edges):
                     frontier.append(nxt)
         for dst in sids:
             assert (dst in reach) == plan.ordered_before(src, dst)
+    assert plan.threats == find_threats(plan)
 
 
 # ---------------------------------------------------------------------------

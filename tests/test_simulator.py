@@ -1,11 +1,14 @@
 """Execution harness: single trials, Monte Carlo, exhaustive enumeration."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from riskplan.errors import MalformedPlan
 from riskplan.linear import plan_linear
+from riskplan.nonlinear import plan_nonlinear
 from riskplan.probmodel import plan_document
 from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, estimate_success,
                                 execute_plan, exhaustive_success,
@@ -134,3 +137,52 @@ def test_simulate_document_roundtrip():
     assert report["violations"] == 0
     spread = max(3 * report["stderr"], 1e-9)
     assert abs(report["estimate"] - 0.9091) <= spread
+
+
+# warm-up deletes (not (x)), so x is true when the hike runs: the planners
+# must price the hike's CPT row for x=true, as execution does
+DEL_NOT_DOMAIN = """
+(operator warm (kind det) (add (ready)) (del (not (x))))
+(operator hike (kind cond) (pre (ready)) (outcomes (summit (add (top))) (fail))
+  (influences (x))
+  (cpt ((summit true) 0.99) ((fail true) 0.01)
+       ((summit false) 0.5) ((fail false) 0.5)))
+"""
+DEL_NOT_PROBLEM = """
+(problem (init (not (x)) (not (ready)) (not (top))) (goal (top))
+         (epsilon 0.4))
+"""
+
+
+@pytest.mark.parametrize("planner", [plan_linear, plan_nonlinear])
+def test_delete_of_negation_priced_as_executed(planner):
+    gdom, prob = load_texts(DEL_NOT_DOMAIN, DEL_NOT_PROBLEM)
+    res = planner(gdom, prob)
+    exact = exhaustive_success(res.conditional, prob.priors,
+                               prob.known_true, prob.known_false)
+    assert res.bound.achieved_mass == pytest.approx(exact, abs=1e-12)
+    assert exact == pytest.approx(0.99, abs=1e-12)
+
+
+def test_solves_leave_no_cyclic_garbage():
+    gdom, prob = load_texts(*sussman())
+    gc.collect()
+    gc.disable()
+    try:
+        plan_nonlinear(gdom, prob)
+        res = plan_linear(gdom, prob)
+        estimate_success(res.conditional, prob.priors, prob.known_true,
+                         prob.known_false, trials=200, seed=0)
+    finally:
+        garbage = gc.collect()
+        gc.enable()
+    assert garbage < 100
+
+
+def test_cyclic_document_priors_rejected():
+    gdom, prob = load_texts(*ski_world())
+    doc = plan_document(plan_linear(gdom, prob), prob, "kbmc")
+    by_var = {r["var"]: r for r in doc["priors"]}
+    by_var["blizzard"]["parents"] = ["clear(b,snowbird)"]
+    with pytest.raises(MalformedPlan, match="prior clauses are cyclic"):
+        simulate_document(doc, trials=10, seed=0)
