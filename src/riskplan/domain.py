@@ -249,7 +249,8 @@ class GroundClause:
 
 @dataclass(frozen=True, eq=True)
 class GroundDomain:
-    operators: tuple[GroundOperator, ...]
+    operators: tuple[GroundOperator, ...]  # sorted by name
+    # in dependency order over sorted variable names: parents first
     clauses: tuple[GroundClause, ...]
 
     def operator(self, name: str) -> GroundOperator:
@@ -651,9 +652,12 @@ def parse_domain(text: str) -> Domain:
     for name in names:
         if names.count(name) > 1:
             raise DomainValidationError(f"duplicate operator name {name!r}")
-    _check_clause_acyclicity(
-        dict((c.head.name, tuple(b.name for b in c.body)) for c in clauses),
-        DomainValidationError)
+    # keyed by each variable as written (``p(?x)`` stays so): exact for
+    # parameter-free clauses, and grounding checks the rest
+    deps: dict[str, list[str]] = {}
+    for c in clauses:
+        deps.setdefault(var_id(c.head), []).extend(map(var_id, c.body))
+    _check_clause_acyclicity(deps, DomainValidationError)
     return Domain(tuple(operators), tuple(clauses), types)
 
 
@@ -731,9 +735,12 @@ def dependency_order(roots: Iterable[str],
     return order
 
 
-def _check_clause_acyclicity(deps: Mapping[str, Sequence[str]], error: type):
+def _check_clause_acyclicity(deps: Mapping[str, Sequence[str]],
+                             error: type) -> list[str]:
+    """The clauses' variables in dependency order, walked from the keys of
+    ``deps`` in their order; a cycle raises ``error``."""
     try:
-        dependency_order(deps, deps)
+        return dependency_order(deps, deps)
     except DependencyCycle as e:
         raise error("clause set is cyclic: " + " -> ".join(e.args[0])) from None
 
@@ -935,11 +942,10 @@ def ground(domain: Domain, objects=None) -> GroundDomain:
         for p in c.parents:
             if p not in by_var:
                 raise GroundingError(f"clause for {c.var} depends on undeclared {p}")
-    _check_clause_acyclicity({c.var: c.parents for c in by_var.values()},
-                             GroundingError)
+    order = _check_clause_acyclicity(
+        {v: by_var[v].parents for v in sorted(by_var)}, GroundingError)
     ops.sort(key=lambda o: o.name)
-    clauses.sort(key=lambda c: c.var)
-    return GroundDomain(tuple(ops), tuple(clauses))
+    return GroundDomain(tuple(ops), tuple(by_var[v] for v in order))
 
 
 def prop_from_text(s: str) -> Proposition:

@@ -51,7 +51,7 @@ def _expand(plan: PlanGraph, bound: SuccessBound, m, gdomain: GroundDomain,
             model: str) -> Iterable[PlanGraph]:
     """Children of a search node: all ways to resolve one chosen flaw on the
     heaviest unfinished branch (influences before preconditions)."""
-    gid = select_goal_node(plan, m, bound.completed)
+    gid = select_goal_node(plan, bound)
     if gid is None:
         return []
     gctx = plan.steps[gid].context

@@ -48,21 +48,27 @@ def plan_nonlinear(gdomain: GroundDomain, problem: Problem, *,
 # flaw choice
 
 
-def _expand(plan: PlanGraph, _bound: SuccessBound, m, gdomain: GroundDomain,
+def _expand(plan: PlanGraph, bound: SuccessBound, m, gdomain: GroundDomain,
             model: str) -> list[PlanGraph]:
+    masses = dict(bound.masses)  # and contexts priced in this expansion
+
+    def mass(ctx) -> float:
+        if ctx not in masses:
+            masses[ctx] = context_probability(plan, ctx, m)
+        return masses[ctx]
+
     threats = plan.threats
     if threats:
         def tkey(t: Threat):
             ctx = plan.steps[t.step].context | plan.steps[t.link.consumer].context
-            return (-context_probability(plan, ctx, m),
-                    plan.steps[t.step].sort_key(), t.link.text(),
+            return (-mass(ctx), plan.steps[t.step].sort_key(), t.link.text(),
                     t.outcome or "")
         return _resolve_threat(plan, min(threats, key=tkey))
 
     if plan.open_goals:
         def gkey(item):
             sid, prop = item
-            return (-context_probability(plan, plan.steps[sid].context, m),
+            return (-mass(plan.steps[sid].context),
                     plan.steps[sid].sort_key(), str(prop))
         sid, prop = min(plan.open_goals, key=gkey)
         return _resolve_precondition(plan, gdomain, model, sid, prop)
@@ -70,15 +76,14 @@ def _expand(plan: PlanGraph, _bound: SuccessBound, m, gdomain: GroundDomain,
     if plan.open_influences:
         def ikey(item):
             sid, var = item
-            return (-context_probability(plan, plan.steps[sid].context, m),
+            return (-mass(plan.steps[sid].context),
                     plan.steps[sid].sort_key(), var)
         sid, var = min(plan.open_influences, key=ikey)
         return _resolve_influence(plan, gdomain, model, sid, var)
 
     out: list[PlanGraph] = []
     for ctx in sorted(uncovered_outcome_contexts(plan),
-                      key=lambda c: (-context_probability(plan, c, m),
-                                     sorted(c))):
+                      key=lambda c: (-mass(c), sorted(c))):
         made = _cover_context(plan, ctx)
         if made is not None:
             out.append(made)

@@ -33,8 +33,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import (DependencyCycle, GroundOperator, Problem, Proposition,
-                     dependency_order, prop_from_text)
-from .errors import (IgnoranceNotFromStart, IncompletePlan, MalformedPlan,
+                     _check_row_groups, dependency_order, prop_from_text)
+from .errors import (DomainSyntaxError, DomainValidationError,
+                     IgnoranceNotFromStart, IncompletePlan, MalformedPlan,
                      OverlappingGoalContexts, PlanGraphError, WouldCreateCycle)
 
 __all__ = [
@@ -626,7 +627,8 @@ class ConditionalPlan:
                        tuple(_ctx_from_json(c) for c in data["contexts"]),
                        tuple(_ctx_from_json(c)
                              for c in data["uncoveredContexts"]))
-        except (KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                DomainSyntaxError, DomainValidationError) as e:
             raise MalformedPlan(f"cannot decode plan: {e}") from e
 
 
@@ -682,16 +684,27 @@ def _op_from_json(rec: dict) -> GroundOperator:
         kw["add"] = lits(rec.get("add", ()))
         kw["delete"] = lits(rec.get("del", ()))
     else:
+        where = f"step {rec['id']}"
         fam = rec["outcomes"]
+        if not fam:
+            raise ValueError(f"{where} has no outcomes")
         kw["outcomes"] = tuple(fam)
         kw["outcome_adds"] = {o: lits(v.get("add", ())) for o, v in fam.items()}
         kw["outcome_dels"] = {o: lits(v.get("del", ())) for o, v in fam.items()}
-        if "dist" in rec:
-            kw["simple_distribution"] = dict(rec["dist"])
         kw["influences"] = tuple(rec.get("influences", ()))
+        kw["observes"] = rec.get("observes")
+        if not isinstance(kw["observes"], (str, type(None))) or not all(
+                isinstance(v, str) for v in kw["influences"]):
+            raise TypeError(f"{where}: variables are named by strings")
+        # distributions get the checks a domain's get
+        if "dist" in rec:
+            kw["simple_distribution"] = {o: rec["dist"][o] for o in fam}
+            _check_row_groups({(o,): p for o, p in
+                               kw["simple_distribution"].items()},
+                              kw["outcomes"], where)
         if "cpt" in rec:
             kw["cpt"] = {tuple(k): p for k, p in rec["cpt"]}
-        kw["observes"] = rec.get("observes")
+            _check_row_groups(kw["cpt"], kw["outcomes"], where)
     return GroundOperator(**kw)
 
 

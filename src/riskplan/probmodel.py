@@ -15,7 +15,7 @@ path are provided and must agree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -406,12 +406,14 @@ def model_for_plan(plan: PlanGraph, problem: Problem, model_name: str):
 class SuccessBound:
     """achieved_mass counts branches that are finished end to end;
     potential_mass adds every still-open branch at its full context mass
-    (an optimistic ceiling, clamped to 1)."""
+    (an optimistic ceiling, clamped to 1).  ``masses`` maps every goal-step
+    and uncovered outcome context to its mass, priced once for the node."""
 
     achieved_mass: float
     potential_mass: float
     epsilon: float
     completed: tuple = ()  # goal step ids
+    masses: Mapping = field(default_factory=dict, compare=False)
 
     @property
     def accepted(self) -> bool:
@@ -424,43 +426,35 @@ class SuccessBound:
 
 def success_bound(plan: PlanGraph, model, epsilon: float) -> SuccessBound:
     goals = plan.goal_steps()
-    for i in range(len(goals)):
-        for j in range(i + 1, len(goals)):
-            if contexts_compatible(goals[i].context, goals[j].context):
-                raise OverlappingGoalContexts(
-                    f"goal steps {goals[i].id} and {goals[j].id} overlap")
+    for a, b in itertools.combinations(goals, 2):
+        if contexts_compatible(a.context, b.context):
+            raise OverlappingGoalContexts(
+                f"goal steps {a.id} and {b.id} overlap")
     complete = set(complete_goal_ids(plan))
+    done = [g.context for g in goals if g.id in complete]
+    still_open = [g.context for g in goals if g.id not in complete]
+    still_open += uncovered_outcome_contexts(plan)
+    # all distinct: goals do not overlap, and uncovered contexts meet no goal
+    masses = {ctx: context_probability(plan, ctx, model)
+              for ctx in done + still_open}
     achieved = 0.0
-    for g in goals:
-        if g.id in complete:
-            achieved += context_probability(plan, g.context, model)
+    for ctx in done:
+        achieved += masses[ctx]
     potential = achieved
-    for g in goals:
-        if g.id not in complete:
-            potential += context_probability(plan, g.context, model)
-    for ctx in uncovered_outcome_contexts(plan):
-        potential += context_probability(plan, ctx, model)
+    for ctx in still_open:
+        potential += masses[ctx]
     return SuccessBound(achieved, min(1.0, potential), epsilon,
-                        tuple(sorted(complete)))
+                        tuple(sorted(complete)), masses)
 
 
-def select_goal_node(plan: PlanGraph, model,
-                     completed: Iterable[str]) -> str | None:
+def select_goal_node(plan: PlanGraph, bound: SuccessBound) -> str | None:
     """The unfinished goal step with the most probability mass at stake;
-    ties go to the canonically first step.  ``completed`` holds the ids of
-    the finished goal steps, as in the plan's SuccessBound."""
-    complete = set(completed)
-    best: tuple[float, tuple[int, int]] | None = None
-    best_id: str | None = None
-    for g in plan.goal_steps():
-        if g.id in complete:
-            continue
-        mass = context_probability(plan, g.context, model)
-        key = (-mass, g.sort_key())
-        if best is None or key < best:
-            best = key
-            best_id = g.id
-    return best_id
+    ties go to the canonically first step.  The finished goals and the
+    masses are read from the plan's bound: nothing is priced here."""
+    unfinished = [g for g in plan.goal_steps() if g.id not in bound.completed]
+    best = min(unfinished, default=None,
+               key=lambda g: (-bound.masses[g.context], g.sort_key()))
+    return best.id if best else None
 
 
 # ---------------------------------------------------------------------------

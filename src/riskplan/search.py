@@ -9,9 +9,10 @@ a plan only shrinks context masses, so it is pruned.  Acceptance needs only
 the *achieved* mass: branches that still have flaws are abandoned as
 give-up leaves and reported as uncovered contexts.
 
-Each popped node's model is built once and handed both to ``expand`` and,
-on acceptance, to the result.  Models are not kept on the frontier: a
-child's model is built to bound it and then dropped.
+Each node's model is built once, when the node is generated, to bound it.
+It rides on the node's frontier entry to its expansion and, on acceptance,
+to the result: the bound's masses were priced under it, and rebuilding it
+when the node is popped would only repeat that work.
 """
 
 from __future__ import annotations
@@ -49,18 +50,19 @@ def best_first(planner: str, root: PlanGraph,
     stats = {"planner": planner, "expanded": 0, "generated": 1,
              "pruned": 0, "deduplicated": 0}
 
-    root_bound = _bound(root, problem, model, eps)
-    # (key, plan, its bound, goals its parent had completed)
-    heap: list[tuple[tuple, PlanGraph, SuccessBound, int]] = []
+    m = model_for_plan(root, problem, model)
+    root_bound = success_bound(root, m, eps)
+    # (key, plan, its bound, its model, goals its parent had completed)
+    heap: list[tuple[tuple, PlanGraph, SuccessBound, object, int]] = []
     counter = itertools.count()
     seen = {canonical_key(root)}
     heapq.heappush(heap, ((-root_bound.potential_mass, _workload(root),
                            -next(counter)),
-                          root, root_bound, len(root_bound.completed)))
+                          root, root_bound, m, len(root_bound.completed)))
     best = root_bound
 
     while heap:
-        _key, plan, bound, parent_done = heapq.heappop(heap)
+        _key, plan, bound, m, parent_done = heapq.heappop(heap)
         if trace:
             trace({"event": "node-expanded", "n": stats["expanded"],
                    "achieved": bound.achieved_mass,
@@ -80,7 +82,6 @@ def best_first(planner: str, root: PlanGraph,
                        "potential": best.potential_mass})
         if not bound.accepted and stats["expanded"] >= node_budget:
             break
-        m = model_for_plan(plan, problem, model)
         if bound.accepted:
             stats["elapsed"] = time.monotonic() - started
             conditional = extract_conditional_plan(
@@ -95,13 +96,14 @@ def best_first(planner: str, root: PlanGraph,
                 continue
             seen.add(key)
             stats["generated"] += 1
-            cbound = _bound(child, problem, model, eps)
+            cmodel = model_for_plan(child, problem, model)
+            cbound = success_bound(child, cmodel, eps)
             if not cbound.viable:
                 stats["pruned"] += 1
                 continue
             heapq.heappush(heap, ((-cbound.potential_mass, _workload(child),
                                    -next(counter)),
-                                  child, cbound, len(bound.completed)))
+                                  child, cbound, cmodel, len(bound.completed)))
 
     stats["elapsed"] = time.monotonic() - started
     reason = ("node budget exhausted" if heap else "search space exhausted")
@@ -110,11 +112,6 @@ def best_first(planner: str, root: PlanGraph,
         f"best achieved {best.achieved_mass:.6g}, "
         f"potential {best.potential_mass:.6g}",
         best_bound=best, stats=stats)
-
-
-def _bound(plan: PlanGraph, problem: Problem, model: str,
-           eps: float) -> SuccessBound:
-    return success_bound(plan, model_for_plan(plan, problem, model), eps)
 
 
 def _better(a: SuccessBound, b: SuccessBound) -> bool:

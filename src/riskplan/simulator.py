@@ -23,8 +23,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .domain import (DependencyCycle, GroundClause, GroundOperator,
-                     Proposition, dependency_order, var_id)
-from .errors import MalformedPlan
+                     Proposition, _check_row_groups, dependency_order,
+                     prop_from_text, var_id)
+from .errors import DomainSyntaxError, DomainValidationError, MalformedPlan
 from .plangraph import (ActionNode, BranchNode, ConditionalPlan, GiveUpLeaf,
                         GoalLeaf)
 
@@ -67,9 +68,16 @@ def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
 
 def sample_world(priors: Sequence[GroundClause],
                  rng: np.random.Generator) -> dict[str, str]:
+    """One world by ancestral sampling, drawing the clauses in the order
+    given: each must come after its parents, as ``GroundDomain.clauses``
+    do."""
     world: dict[str, str] = {}
-    for c in _topo_clauses(priors):
-        tail = tuple(world[p] for p in c.parents)
+    for c in priors:
+        try:
+            tail = tuple(world[p] for p in c.parents)
+        except KeyError as e:
+            raise MalformedPlan(f"prior clause {c.var} comes before its "
+                                f"parent {e.args[0]}") from None
         probs = [c.cpt[(o,) + tail] for o in c.space]
         world[c.var] = c.space[_draw(rng, probs)]
     return world
@@ -193,6 +201,7 @@ def estimate_success(conditional: ConditionalPlan,
                      trials: int = 10000, seed: int = 0) -> dict:
     """Monte Carlo success frequency with its binomial standard error."""
     kt, kf = tuple(known_true), tuple(known_false)
+    priors = _topo_clauses(priors)
     successes = 0
     giveups = 0
     violation_count = 0
@@ -282,19 +291,51 @@ def exhaustive_success(conditional: ConditionalPlan,
 def simulate_document(doc: dict, trials: int = 10000, seed: int = 0) -> dict:
     """Run Monte Carlo on a self-contained plan document (the plan-json
     emission), without the original domain files."""
-    from .domain import prop_from_text
-
     conditional = ConditionalPlan.from_json_dict(doc)
     try:
-        priors = [GroundClause(r["var"], tuple(r["space"]),
-                               tuple(r["parents"]),
-                               {tuple(k): p for k, p in r["cpt"]})
-                  for r in doc.get("priors", ())]
+        priors = _document_priors(doc.get("priors", ()))
         init = doc.get("init", {})
         kt = [prop_from_text(s) for s in init.get("true", ())]
         kf = [prop_from_text(s) for s in init.get("false", ())]
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            DomainSyntaxError, DomainValidationError) as e:
         raise MalformedPlan(f"cannot decode plan document: {e}") from e
     report = estimate_success(conditional, priors, kt, kf, trials, seed)
     report["analyticMass"] = doc.get("achievedMass")
     return report
+
+
+def _document_priors(records) -> list[GroundClause]:
+    """The prior clauses of a plan document, in dependency order, checked
+    as a domain's clauses are: variables and outcomes are strings, outcome
+    spaces are nonempty and distinct, every variable has one clause and
+    every parent a clause, and each clause's rows pass
+    ``_check_row_groups`` and cover every assignment to its parents."""
+    priors = []
+    for r in records:
+        names = [r["var"], *r["space"], *r["parents"]]
+        if not all(isinstance(x, str) for x in names):
+            raise MalformedPlan(f"prior {r['var']!r}: variables and outcomes "
+                                "must be strings")
+        priors.append(GroundClause(r["var"], tuple(r["space"]),
+                                   tuple(r["parents"]),
+                                   {tuple(k): p for k, p in r["cpt"]}))
+    by_var = {c.var: c for c in priors}
+    if len(by_var) != len(priors):
+        raise MalformedPlan("two prior clauses govern one variable")
+    for c in priors:
+        if not c.space or len(set(c.space)) != len(c.space):
+            raise MalformedPlan(f"prior {c.var}: outcomes must be distinct "
+                                "and at least one")
+        for p in c.parents:
+            if p not in by_var:
+                raise MalformedPlan(f"prior {c.var} depends on undeclared {p}")
+    priors = _topo_clauses(priors)
+    for c in priors:
+        _check_row_groups(c.cpt, c.space, f"prior {c.var}")
+        for tail in itertools.product(*(by_var[p].space for p in c.parents)):
+            for o in c.space:
+                if (o,) + tail not in c.cpt:
+                    raise MalformedPlan(f"prior {c.var}: no row for "
+                                        f"{(o,) + tail}")
+    return priors

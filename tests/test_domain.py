@@ -1,5 +1,7 @@
 """Domain language: parsing, rendering, grounding, validation."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,18 +187,42 @@ def test_cyclic_clauses_rejected():
         parse_domain(text)
 
 
+def _clause(head, body=(), params=""):
+    """A binary clause text with uniform rows."""
+    tails = list(itertools.product(("true", "false"), repeat=len(body)))
+    rows = " ".join(f"(({' '.join((o,) + tail)}) 0.5)"
+                    for tail in tails for o in ("true", "false"))
+    body_text = f"(body {' '.join(body)})" if body else ""
+    return (f"(clause {params} (head {head} (true false)) {body_text} "
+            f"(cpt {rows}))")
+
+
+def test_cycle_through_one_instance_rejected_at_parse():
+    # p(a) -> q -> p(a); the body-free p(b) shares p's name but not its
+    # variable, so it must not hide the cycle, whatever the clause order
+    clauses = [_clause("(p a)", ["(q)"]), _clause("(q)", ["(p a)"]),
+               _clause("(p b)")]
+    for text, path in (("\n".join(clauses), r"p\(a\) -> q -> p\(a\)"),
+                       ("\n".join(reversed(clauses)),
+                        r"q -> p\(a\) -> q")):
+        with pytest.raises(DomainValidationError,
+                           match=rf"^clause set is cyclic: {path}$"):
+            parse_domain(text)
+
+
+def test_clauses_sharing_a_name_are_not_merged():
+    # p(a) <- q <- p(b) is a chain, not a cycle
+    text = "\n".join([_clause("(p a)", ["(q)"]), _clause("(q)", ["(p b)"]),
+                      _clause("(p b)")])
+    gdom = ground(parse_domain(text))
+    assert [c.var for c in gdom.clauses] == ["p(b)", "q", "p(a)"]
+
+
 def test_cycle_after_grounding_rejected():
-    # by name, the last (p ...) clause has no body, so p -> q -> p is not
-    # a cycle until the clauses are grounded
-    text = """
-    (clause (head (p a) (true false)) (body (q))
-            (cpt ((true true) 0.5) ((false true) 0.5)
-                 ((true false) 0.5) ((false false) 0.5)))
-    (clause (head (q) (true false)) (body (p a))
-            (cpt ((true true) 0.5) ((false true) 0.5)
-                 ((true false) 0.5) ((false false) 0.5)))
-    (clause (head (p b) (true false)) (cpt ((true) 0.5) ((false) 0.5)))
-    """
+    # p(?x) <- q <- p(a) closes a cycle only once ?x is bound to a
+    text = "(types (obj a b))\n" + "\n".join([
+        _clause("(p ?x)", ["(q)"], params="(params (?x obj))"),
+        _clause("(q)", ["(p a)"])])
     domain = parse_domain(text)
     with pytest.raises(GroundingError,
                        match=r"^clause set is cyclic: p\(a\) -> q -> p\(a\)$"):

@@ -18,7 +18,8 @@ from riskplan.errors import (InconsistentLabels, LabelWithoutDistribution,
                              OutcomeSpaceMismatch, OverlappingGoalContexts,
                              UnknownVariable, ZeroProbabilityContext)
 from riskplan.plangraph import (Label, Link, add_link, condition_step,
-                                dag_add_step, make_root_plan)
+                                dag_add_step, make_root_plan,
+                                uncovered_outcome_contexts)
 from riskplan.probmodel import (BeliefNet, NetVariable, add_conditional_node,
                                 build_initial_net,
                                 conditional_outcome_probability,
@@ -297,9 +298,21 @@ def _flip_plan_with_goal():
     return plan, cid
 
 
+def _assert_masses_priced(plan, bound, model):
+    """The bound holds each goal and uncovered context at the mass the
+    model gives it, and nothing else."""
+    ctxs = [g.context for g in plan.goal_steps()]
+    ctxs += uncovered_outcome_contexts(plan)
+    assert set(bound.masses) == set(ctxs)
+    for ctx in ctxs:
+        assert bound.masses[ctx] == context_probability(plan, ctx, model)
+
+
 def test_success_bound_counts_completed_and_open():
     plan, cid = _flip_plan_with_goal()
     b = success_bound(plan, "simple", epsilon=0.3)
+    _assert_masses_priced(plan, b, "simple")
+    assert len(b.masses) == 2
     assert b.achieved_mass == pytest.approx(0.7, abs=1e-12)
     # the tails continuation is uncovered but still open
     assert b.potential_mass == pytest.approx(1.0, abs=1e-12)
@@ -312,6 +325,7 @@ def test_success_bound_counts_completed_and_open():
 def test_success_bound_epsilon_one_accepts_anything():
     plan = make_root_plan(problem(), "dag")
     b = success_bound(plan, "simple", epsilon=1.0)
+    _assert_masses_priced(plan, b, "simple")
     assert b.achieved_mass == 0.0
     assert b.accepted
 
@@ -334,6 +348,7 @@ def test_select_goal_node_prefers_mass():
         [(Label(cid, "t"), cid)])
     plan = plan._rebuild(
         open_goals=plan.open_goals | {(gid, lit("(g)"))})
-    completed = success_bound(plan, "simple", epsilon=0.0).completed
-    assert completed == ("s1",)
-    assert select_goal_node(plan, "simple", completed) == gid
+    bound = success_bound(plan, "simple", epsilon=0.0)
+    _assert_masses_priced(plan, bound, "simple")
+    assert bound.completed == ("s1",)
+    assert select_goal_node(plan, bound) == gid

@@ -2,6 +2,7 @@
 
 import gc
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -186,3 +187,82 @@ def test_cyclic_document_priors_rejected():
     by_var["blizzard"]["parents"] = ["clear(b,snowbird)"]
     with pytest.raises(MalformedPlan, match="prior clauses are cyclic"):
         simulate_document(doc, trials=10, seed=0)
+
+
+# ``alpha`` sorts before ``zeta`` but depends on it
+ALPHA = ("""
+(operator see-alpha (kind obs) (observes (alpha))
+  (outcomes (true (add (alpha))) (false (del (alpha)))))
+(clause (head (zeta) (true false)) (cpt ((true) 0.3) ((false) 0.7)))
+(clause (head (alpha) (true false)) (body (zeta))
+  (cpt ((true true) 0.9) ((false true) 0.1)
+       ((true false) 0.2) ((false false) 0.8)))
+""", "(problem (init) (goal (alpha)) (epsilon 0.6))")
+
+
+def test_monte_carlo_streams_are_pinned():
+    # figures of the simulator that sorted the priors on every trial:
+    # trial t of seed s still draws the same world and outcomes
+    for world, want in ((ALPHA, (1216, 1784)), (ski_world(), (2724, 276))):
+        gdom, prob = load_texts(*world)
+        res = plan_linear(gdom, prob)
+        for priors in (prob.priors, sorted(prob.priors, key=lambda c: c.var)):
+            r = estimate_success(res.conditional, priors, prob.known_true,
+                                 prob.known_false, trials=3000, seed=11)
+            assert (r["successes"], r["giveups"]) == want
+    gdom, prob = load_texts(*ALPHA)
+    worlds = Counter()
+    for t in range(400):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([5, t], dtype=np.uint64)))
+        w = sample_world(prob.priors, rng)
+        worlds[w["zeta"], w["alpha"]] += 1
+    assert worlds == {("false", "false"): 217, ("true", "false"): 15,
+                      ("false", "true"): 57, ("true", "true"): 111}
+
+
+def test_sample_world_takes_clauses_in_the_order_given():
+    gdom, prob = load_texts(*ALPHA)
+    assert [c.var for c in gdom.clauses] == ["zeta", "alpha"]
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0],
+                                                            dtype=np.uint64)))
+    with pytest.raises(MalformedPlan,
+                       match="^prior clause alpha comes before its parent "
+                             "zeta$"):
+        sample_world(sorted(prob.priors, key=lambda c: c.var), rng)
+
+
+def _paths(node, path=()):
+    """Every place in a JSON tree, parents before children."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+_DELETE = object()
+
+
+def test_mutated_documents_raise_malformed_plan():
+    # a plan document is outside input: whatever is wrong with it, the
+    # simulator runs it or raises MalformedPlan.  Every place in the ski
+    # document is replaced by each bad value in turn, or deleted.
+    gdom, prob = load_texts(*ski_world())
+    text = json.dumps(plan_document(plan_linear(gdom, prob), prob, "kbmc"))
+    paths = [p for p in _paths(json.loads(text)) if p]
+    assert len(paths) > 150
+    for path in paths:
+        for value in (None, -1, 1.5, "x", [], {}, _DELETE):
+            doc = json.loads(text)
+            owner = doc
+            for key in path[:-1]:
+                owner = owner[key]
+            if value is _DELETE:
+                del owner[path[-1]]
+            else:
+                owner[path[-1]] = value
+            try:
+                simulate_document(doc, trials=20, seed=0)
+            except MalformedPlan:
+                pass
