@@ -181,15 +181,22 @@ class GroundOperator:
 
     # outcome (None = det) -> {variable id: value}; see effect_values
     _effects: Mapping = field(init=False, repr=False, compare=False)
+    # outcome (None = det) -> frozenset; see effective_deletes
+    _deletes: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.outcome_adds is None:
             object.__setattr__(self, "outcome_adds", {})
         if self.outcome_dels is None:
             object.__setattr__(self, "outcome_dels", {})
+        variants = (None,) + tuple(self.outcomes)
         object.__setattr__(self, "_effects", {
             o: _effect_values(self.adds_for(o), self.deletes_for(o))
-            for o in (None,) + tuple(self.outcomes)})
+            for o in variants})
+        object.__setattr__(self, "_deletes", {
+            o: frozenset(self.deletes_for(o))
+            | frozenset(p.negate() for p in self.adds_for(o))
+            for o in variants})
 
     def adds_for(self, outcome: str | None) -> tuple[Proposition, ...]:
         if outcome is None:
@@ -202,10 +209,9 @@ class GroundOperator:
         return self.outcome_dels.get(outcome, ())
 
     def effective_deletes(self, outcome: str | None) -> frozenset[Proposition]:
-        """Declared deletes plus the negation of every added literal."""
-        adds = self.adds_for(outcome)
-        dels = self.deletes_for(outcome)
-        return frozenset(dels) | frozenset(p.negate() for p in adds)
+        """Declared deletes plus the negation of every added literal,
+        computed once per outcome when the operator is made."""
+        return self._deletes.get(outcome, frozenset())
 
     def effect_values(self, outcome: str | None) -> Mapping[str, str]:
         """The value (``"true"``/``"false"``) each variable this operator
@@ -475,6 +481,16 @@ def _check_row_groups(rows: Mapping[tuple[str, ...], float],
         if abs(total - 1.0) > PROB_TOL:
             raise DomainValidationError(
                 f"{where}: rows for tail {tail} sum to {total}, not 1")
+
+
+def missing_cpt_rows(cpt: Mapping[tuple[str, ...], float],
+                     outcomes: Sequence[str],
+                     parent_spaces: Sequence[Sequence[str]]
+                     ) -> list[tuple[str, ...]]:
+    """The ``(outcome, *parent outcomes)`` rows a CPT lacks, parent
+    assignments in product order and outcomes within each."""
+    return [(o,) + tail for tail in itertools.product(*parent_spaces)
+            for o in outcomes if (o,) + tail not in cpt]
 
 
 def _parse_operator(form) -> OperatorSchema:
@@ -1000,6 +1016,15 @@ def validate_problem(problem: Problem, gdomain: GroundDomain) -> list[Diagnostic
                 "error", "non-boolean-proposition",
                 f"{p} appears in operator effects but variable {vid} has "
                 f"outcomes {list(clause_vars[vid].space)}"))
+
+    for c in gdomain.clauses:
+        missing = missing_cpt_rows(
+            c.cpt, c.space, [clause_vars[p].space for p in c.parents])
+        if missing:
+            diags.append(Diagnostic(
+                "error", "missing-cpt-row",
+                f"clause {c.var} cpt lacks (outcome, *parents) rows "
+                f"{missing}"))
 
     known_vids = {var_id(p) for p in known}
     for op in gdomain.operators:

@@ -10,6 +10,13 @@ outcome labels to an existing variable (no node is added, which is what
 makes re-observation consistent).  Context probabilities are then exact
 joint marginals; both an enumeration oracle and a variable-elimination fast
 path are provided and must agree.
+
+A search asks the same few nets the same questions many times.  Nets are
+immutable, so one search keeps one net object per distinct net (see
+``net_for_plan``), and each net compiles its factor tables once and
+remembers every joint it has answered.  ``_joint_ve`` and
+``_joint_enumerate`` stay callable without the memo, as the oracles the
+shortcuts are tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .domain import (DependencyCycle, GroundOperator, Problem,
-                     dependency_order)
+                     dependency_order, missing_cpt_rows)
 from .errors import (InconsistentLabels, LabelWithoutDistribution,
                      MissingCptRow, MissingInfluenceVariable,
                      OutcomeSpaceMismatch, OverlappingGoalContexts,
@@ -62,7 +69,19 @@ class NetVariable:
 
 @dataclass(frozen=True)
 class BeliefNet:
+    """A belief net over named variables, in the order they were added.
+
+    Nets are immutable: adding a variable makes a new net.  One net object
+    can therefore be shared by every search node that denotes it, and it
+    owns what inference learns about it: the factor table of each variable,
+    compiled on first use, and the joint of each evidence set variable
+    elimination has answered.  Both caches are left out of eq and repr."""
+
     variables: Mapping[str, NetVariable]
+    _factors: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _joints: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def with_variable(self, name: str, nv: NetVariable) -> "BeliefNet":
         if name in self.variables:
@@ -126,9 +145,10 @@ def add_conditional_node(net: BeliefNet, node_id: str, op: GroundOperator,
                 new_tail = tuple(t for i, t in enumerate(tail)
                                  if i not in fixed_pos)
                 cpt[(key[0],) + new_tail] = p
-        _check_total(cpt, op.outcomes,
-                     [net.variables[p].space for p in parents],
-                     f"step {node_id}")
+        missing = missing_cpt_rows(cpt, op.outcomes,
+                                   [net.variables[p].space for p in parents])
+        if missing:
+            raise MissingCptRow(f"step {node_id}: no row for {missing[0]}")
     else:
         if op.simple_distribution is None:
             raise LabelWithoutDistribution(
@@ -136,13 +156,6 @@ def add_conditional_node(net: BeliefNet, node_id: str, op: GroundOperator,
         cpt = {(o,): p for o, p in op.simple_distribution.items()}
     nv = NetVariable(tuple(op.outcomes), tuple(parents), cpt)
     return net.with_variable(node_id, nv), tuple(parents)
-
-
-def _check_total(cpt, outcomes, parent_spaces, where: str):
-    for tail in itertools.product(*parent_spaces):
-        for o in outcomes:
-            if (o,) + tail not in cpt:
-                raise MissingCptRow(f"{where}: no row for {(o,) + tail}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +183,8 @@ def joint_probability(net: BeliefNet, labels: Iterable[Label],
 
     ``method`` is ``ve`` (variable elimination, the default) or
     ``enumerate`` (the brute-force oracle the fast path is tested against).
+    A ``ve`` answer is kept on the net, so asking the same net the same
+    question again costs a lookup; ``enumerate`` always recomputes.
     """
     ev = _as_evidence(net, labels)
     if not net.variables:
@@ -177,7 +192,11 @@ def joint_probability(net: BeliefNet, labels: Iterable[Label],
     if method == "enumerate":
         return _joint_enumerate(net, ev)
     if method == "ve":
-        return _joint_ve(net, ev)
+        key = frozenset(ev.items())
+        p = net._joints.get(key)
+        if p is None:
+            p = net._joints[key] = _joint_ve(net, ev)
+        return p
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -215,6 +234,11 @@ class _Factor:
 
 
 def _factor_for(net: BeliefNet, v: str) -> _Factor:
+    """The factor of ``v``'s CPT, compiled once per net.  Its table is
+    read-only: elimination restricts and multiplies into new arrays."""
+    f = net._factors.get(v)
+    if f is not None:
+        return f
     nv = net.variables[v]
     shape = [len(nv.space)] + [len(net.variables[p].space) for p in nv.parents]
     table = np.empty(shape, dtype=float)
@@ -224,7 +248,9 @@ def _factor_for(net: BeliefNet, v: str) -> _Factor:
         if key not in nv.cpt:
             raise MissingCptRow(f"{v}: no row for {key}")
         table[idx] = nv.cpt[key]
-    return _Factor((v,) + nv.parents, table)
+    table.flags.writeable = False
+    f = net._factors[v] = _Factor((v,) + nv.parents, table)
+    return f
 
 
 def _restrict(f: _Factor, v: str, index: int) -> _Factor:
@@ -369,14 +395,30 @@ def context_probability(plan: PlanGraph, context: Iterable[Label],
     return joint_probability(model, context)
 
 
-def net_for_plan(plan: PlanGraph, problem: Problem) -> BeliefNet:
+def net_for_plan(plan: PlanGraph, problem: Problem,
+                 nets: dict | None = None) -> BeliefNet:
     """The belief net a plan graph denotes: the problem's priors plus one
     node per conditional step.  Observation steps add nothing; their labels
     bind to the observed variable.  An influence whose value the plan has
     pinned down before the step runs (known initially, which is what the
     start step sets, or set deterministically by an earlier step of the
-    same branch) selects CPT rows instead of drawing an arc."""
-    net = build_initial_net(problem)
+    same branch) selects CPT rows instead of drawing an arc.
+
+    For fixed priors the net depends only on the plan's *signature*: its
+    conditional steps in ``step_list`` order, each as (step id, operator
+    name, the pinned values of the operator's influences).  Order matters,
+    because the order of ``net.variables`` fixes the factor order of
+    variable elimination and so the last bit of every joint.  ``nets``, kept
+    by the caller for one problem's search, maps each signature prefix to
+    its net; a plan whose signature is there gets that very net object, and
+    its memoized answers with it.  Without ``nets`` the net is built from
+    scratch."""
+    if nets is None:
+        nets = {}
+    net = nets.get(())
+    if net is None:
+        net = nets[()] = build_initial_net(problem)
+    key: tuple = ()  # the signature of the steps taken so far
     steps = plan.step_list()  # start first; chance steps set nothing det
     for st in steps:
         if st.kind != "cond":
@@ -385,16 +427,27 @@ def net_for_plan(plan: PlanGraph, problem: Problem) -> BeliefNet:
         for w in steps:
             if plan.ordered_before(w.id, st.id) and w.context <= st.context:
                 kv.update(w.operator.effect_values(None))
-        net, _parents = add_conditional_node(net, st.id, st.operator, kv)
+        op = st.operator
+        pinned = tuple((v, kv[v]) for v in op.influences if v in kv)
+        # ground operator names are unique, so a name stands for its operator
+        key += ((st.id, op.name, pinned),)
+        grown = nets.get(key)
+        if grown is None:
+            grown, _parents = add_conditional_node(net, st.id, op,
+                                                   dict(pinned))
+            nets[key] = grown
+        net = grown
     return net
 
 
-def model_for_plan(plan: PlanGraph, problem: Problem, model_name: str):
-    """Dispatch helper: the value context_probability expects."""
+def model_for_plan(plan: PlanGraph, problem: Problem, model_name: str,
+                   nets: dict | None = None):
+    """Dispatch helper: the value context_probability expects.  ``nets``
+    is net_for_plan's per-search cache."""
     if model_name == "simple":
         return "simple"
     if model_name == "kbmc":
-        return net_for_plan(plan, problem)
+        return net_for_plan(plan, problem, nets)
     raise ValueError(f"unknown model {model_name!r}")
 
 

@@ -2,17 +2,22 @@
 
 A planner supplies the root of its plan shape and an ``expand`` function
 with its refinement moves; everything else is shared.  The frontier is
-ordered by potential mass, then by workload (steps plus unresolved flaws,
-so lean plans come before padded ones), then newest first.  A node whose
-potential falls below 1 - epsilon can never be repaired, because refining
-a plan only shrinks context masses, so it is pruned.  Acceptance needs only
-the *achieved* mass: branches that still have flaws are abandoned as
-give-up leaves and reported as uncovered contexts.
+ordered by workload (steps plus unresolved flaws, so lean plans come before
+padded ones), then newest first.  Potential mass is not part of the order:
+while nothing gives mass up it is exactly 1 in exact arithmetic, and a
+float sum that lands an ulp low would send a node behind the whole
+frontier.  A node whose potential falls below 1 - epsilon can never be
+repaired, because refining a plan only shrinks context masses, so it is
+pruned.  Acceptance needs only the *achieved* mass: branches that still
+have flaws are abandoned as give-up leaves and reported as uncovered
+contexts.
 
-Each node's model is built once, when the node is generated, to bound it.
-It rides on the node's frontier entry to its expansion and, on acceptance,
-to the result: the bound's masses were priced under it, and rebuilding it
-when the node is popped would only repeat that work.
+Each node's model is looked up once, when the node is generated, to bound
+it.  It rides on the node's frontier entry to its expansion and, on
+acceptance, to the result.  Under the network model the search keeps one
+net object per distinct net (``net_for_plan``'s cache, which lives as long
+as the search), so nodes that denote the same net share it, and with it
+the joints already computed on it.
 """
 
 from __future__ import annotations
@@ -50,14 +55,14 @@ def best_first(planner: str, root: PlanGraph,
     stats = {"planner": planner, "expanded": 0, "generated": 1,
              "pruned": 0, "deduplicated": 0}
 
-    m = model_for_plan(root, problem, model)
+    nets: dict = {}  # signature -> belief net, for this search only
+    m = model_for_plan(root, problem, model, nets)
     root_bound = success_bound(root, m, eps)
     # (key, plan, its bound, its model, goals its parent had completed)
     heap: list[tuple[tuple, PlanGraph, SuccessBound, object, int]] = []
     counter = itertools.count()
     seen = {canonical_key(root)}
-    heapq.heappush(heap, ((-root_bound.potential_mass, _workload(root),
-                           -next(counter)),
+    heapq.heappush(heap, ((_workload(root), -next(counter)),
                           root, root_bound, m, len(root_bound.completed)))
     best = root_bound
 
@@ -96,13 +101,12 @@ def best_first(planner: str, root: PlanGraph,
                 continue
             seen.add(key)
             stats["generated"] += 1
-            cmodel = model_for_plan(child, problem, model)
+            cmodel = model_for_plan(child, problem, model, nets)
             cbound = success_bound(child, cmodel, eps)
             if not cbound.viable:
                 stats["pruned"] += 1
                 continue
-            heapq.heappush(heap, ((-cbound.potential_mass, _workload(child),
-                                   -next(counter)),
+            heapq.heappush(heap, ((_workload(child), -next(counter)),
                                   child, cbound, cmodel, len(bound.completed)))
 
     stats["elapsed"] = time.monotonic() - started

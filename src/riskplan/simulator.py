@@ -24,7 +24,7 @@ import numpy as np
 
 from .domain import (DependencyCycle, GroundClause, GroundOperator,
                      Proposition, _check_row_groups, dependency_order,
-                     prop_from_text, var_id)
+                     missing_cpt_rows, prop_from_text, var_id)
 from .errors import DomainSyntaxError, DomainValidationError, MalformedPlan
 from .plangraph import (ActionNode, BranchNode, ConditionalPlan, GiveUpLeaf,
                         GoalLeaf)
@@ -333,9 +333,8 @@ def _document_priors(records) -> list[GroundClause]:
     priors = _topo_clauses(priors)
     for c in priors:
         _check_row_groups(c.cpt, c.space, f"prior {c.var}")
-        for tail in itertools.product(*(by_var[p].space for p in c.parents)):
-            for o in c.space:
-                if (o,) + tail not in c.cpt:
-                    raise MalformedPlan(f"prior {c.var}: no row for "
-                                        f"{(o,) + tail}")
+        missing = missing_cpt_rows(c.cpt, c.space,
+                                   [by_var[p].space for p in c.parents])
+        if missing:
+            raise MalformedPlan(f"prior {c.var}: no row for {missing[0]}")
     return priors

@@ -17,8 +17,13 @@ __all__ = [
     "det_chain",
     "slippery_walk",
     "press_button",
+    "nroad_world",
     "load_texts",
 ]
+
+
+def _num(x: float) -> str:
+    return format(x, ".12g")
 
 
 def load_texts(domain_text: str, problem_text: str) -> tuple[GroundDomain, Problem]:
@@ -212,5 +217,50 @@ def press_button() -> tuple[str, str]:
   (init (not (door-open)))
   (goal (door-open))
   (epsilon 0.2))
+"""
+    return domain, problem
+
+
+def nroad_world(n: int, p_bliz: float = 0.1, clear_if_bliz: float = 0.3,
+                clear_otherwise: float = 0.9,
+                epsilon: float = 0.05) -> tuple[str, str]:
+    """N canyon roads leave junction b, and one blizzard tends to close them
+    all.  Each road can be checked from b and driven if clear.  Checking k
+    roads and driving the first clear one fails only when all k are closed,
+    so the cheapest acceptable plan checks the fewest roads that reach mass
+    1 - epsilon; with the defaults that is three roads."""
+    forms = []
+    for i in range(n):
+        forms.append(f"""\
+(operator check-road-b-r{i}
+  (kind obs)
+  (pre (at b))
+  (observes (clear b r{i}))
+  (outcomes (true (add (clear b r{i})))
+            (false (del (clear b r{i})))))""")
+        forms.append(f"""\
+(operator drive-b-r{i}
+  (kind det)
+  (pre (at b) (clear b r{i}))
+  (add (at-resort))
+  (del (at b)))""")
+    forms.append(f"""\
+(clause (head (blizzard) (true false))
+  (cpt ((true) {_num(p_bliz)}) ((false) {_num(1.0 - p_bliz)})))""")
+    for i in range(n):
+        forms.append(f"""\
+(clause (head (clear b r{i}) (true false))
+  (body (blizzard))
+  (cpt ((true true) {_num(clear_if_bliz)})
+       ((false true) {_num(1.0 - clear_if_bliz)})
+       ((true false) {_num(clear_otherwise)})
+       ((false false) {_num(1.0 - clear_otherwise)})))""")
+    domain = (f"; {n} roads leave junction b; a blizzard tends to close "
+              "them all at once\n\n" + "\n\n".join(forms) + "\n")
+    problem = f"""\
+(problem
+  (init (at b) (not (at-resort)))
+  (goal (at-resort))
+  (epsilon {_num(epsilon)}))
 """
     return domain, problem

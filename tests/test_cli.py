@@ -22,6 +22,16 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def test_clause_missing_cpt_rows_exits_one(tmp_path, capsys):
+    from .test_domain import PARTIAL_CLAUSE
+    dom, prob = tmp_path / "d.sexp", tmp_path / "p.sexp"
+    dom.write_text(PARTIAL_CLAUSE[0])
+    prob.write_text(PARTIAL_CLAUSE[1])
+    assert run(["--domain", dom, "--problem", prob,
+                "--planner", "nonlinear"]) == 1
+    assert "[missing-cpt-row] clause a" in capsys.readouterr().err
+
+
 def test_plan_found_exits_zero(ski_files, capsys):
     dom, prob = ski_files
     assert run(["--domain", dom, "--problem", prob]) == 0

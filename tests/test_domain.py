@@ -12,7 +12,8 @@ from riskplan.domain import (DependencyCycle, Proposition, dependency_order,
                              validate_problem, var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
                              GroundingError)
-from riskplan.worlds import load_texts, ski_world, slippery_walk
+from riskplan.worlds import (load_texts, nroad_world, ski_world,
+                             slippery_walk, sussman)
 
 SKI_DOMAIN, SKI_PROBLEM = ski_world()
 
@@ -134,6 +135,19 @@ def test_effective_deletes_include_negated_adds():
     drive = gdom.operator("drive-b-snowbird")
     assert prop_from_text("(not (at snowbird))") in drive.effective_deletes(None)
     assert prop_from_text("(at b)") in drive.effective_deletes(None)
+
+
+@pytest.mark.parametrize("world", [ski_world, sussman,
+                                   lambda: nroad_world(3)])
+def test_effective_deletes_are_computed_once_per_outcome(world):
+    gdom, _ = load_texts(*world())
+    for op in gdom.operators:
+        for o in (None, *op.outcomes):
+            adds = op.add if o is None else op.outcome_adds.get(o, ())
+            dels = op.delete if o is None else op.outcome_dels.get(o, ())
+            want = frozenset(dels) | {p.negate() for p in adds}
+            assert op.effective_deletes(o) == want
+            assert op.effective_deletes(o) is op.effective_deletes(o)
 
 
 def test_touches_variable():
@@ -325,6 +339,27 @@ def test_validate_missing_cpt_row():
         "(clause (head (x) (true false)) (cpt ((true) 0.5) ((false) 0.5)))",
         "(problem (init (not (g))) (goal (g)) (epsilon 0))")
     assert "missing-cpt-row" in codes
+
+
+# a clause with rows for z = true only: it parses and grounds, and without
+# the check it fails only mid-search, when the planner first prices it
+PARTIAL_CLAUSE = (
+    "(operator make (kind cond) (outcomes (yes (add (g))) (no))\n"
+    "  (influences (a))\n"
+    "  (cpt ((yes true) 0.9) ((no true) 0.1) ((yes false) 0.2)"
+    " ((no false) 0.8)))\n"
+    "(clause (head (z) (true false)) (cpt ((true) 0.5) ((false) 0.5)))\n"
+    "(clause (head (a) (true false)) (body (z))\n"
+    "  (cpt ((true true) 0.7) ((false true) 0.3)))",
+    "(problem (init (not (g))) (goal (g)) (epsilon 0.5))")
+
+
+def test_validate_missing_clause_cpt_row():
+    gdom, problem = load_texts(*PARTIAL_CLAUSE)
+    diags = validate_problem(problem, gdom)
+    assert [(d.level, d.code) for d in diags] == [("error", "missing-cpt-row")]
+    assert "clause a" in diags[0].message
+    assert "('true', 'false'), ('false', 'false')" in diags[0].message
 
 
 def test_validate_conditional_without_distribution():

@@ -20,7 +20,8 @@ from riskplan.errors import (InconsistentLabels, LabelWithoutDistribution,
 from riskplan.plangraph import (Label, Link, add_link, condition_step,
                                 dag_add_step, make_root_plan,
                                 uncovered_outcome_contexts)
-from riskplan.probmodel import (BeliefNet, NetVariable, add_conditional_node,
+from riskplan.probmodel import (BeliefNet, NetVariable, _joint_ve,
+                                add_conditional_node,
                                 build_initial_net,
                                 conditional_outcome_probability,
                                 context_probability, d_connected,
@@ -116,6 +117,23 @@ def test_enumeration_and_ve_agree_on_random_nets(seed):
     a = joint_probability(net, ev, "enumerate")
     b = joint_probability(net, ev, "ve")
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_memoized_joint_equals_uncached_elimination(seed):
+    """A net remembers its answers; each must be the bit-for-bit result of
+    elimination on a fresh copy of the net, whatever was asked before."""
+    rng = random.Random(seed)
+    net = random_net(rng, max_vars=8)
+    pool = [random_evidence(rng, net) for _ in range(4)]
+    for _ in range(12):
+        labels = rng.choice(pool)
+        labels = rng.sample(labels, len(labels))  # same evidence, any order
+        fresh = BeliefNet(dict(net.variables))
+        ev = {lab.source: lab.outcome for lab in labels}
+        assert joint_probability(net, labels) == _joint_ve(fresh, ev)
+    assert len(net._joints) <= len(pool)
 
 
 @settings(max_examples=25, deadline=None)
