@@ -504,11 +504,13 @@ def _parse_operator(form) -> OperatorSchema:
     dels: dict[str, tuple] = {}
     probs: dict[tuple[str], float] = {}  # (prob ...) rows, keyed (outcome,)
     saw_prob = False
+    present: set[str] = set()  # section names; an empty section counts
     for sec in parts[2:]:
         if not _is_list(sec) or not _items(sec):
             _err(sec, "expected an operator section")
         head = _atom(_items(sec)[0], "a section name")
         body = _items(sec)[1:]
+        present.add(head)
         if head == "params":
             fields["params"] = _parse_params(sec)
         elif head == "pre":
@@ -560,11 +562,11 @@ def _parse_operator(form) -> OperatorSchema:
         _err(form, f"operator {name!r} is missing (kind ...)")
     kind = fields["kind"]
     if kind == "det":
-        if outcomes or fields.get("observes") or fields.get("influences") or fields.get("cpt"):
+        if present & {"outcomes", "observes", "influences", "cpt"}:
             raise DomainValidationError(
                 f"operator {name!r}: det operators take only add/del effects")
     else:
-        if fields.get("add") or fields.get("delete"):
+        if present & {"add", "del"}:
             raise DomainValidationError(
                 f"operator {name!r}: use (outcomes ...) for {kind} operators")
         if not outcomes:
@@ -576,7 +578,7 @@ def _parse_operator(form) -> OperatorSchema:
         if kind == "obs":
             if fields.get("observes") is None:
                 raise DomainValidationError(f"operator {name!r}: obs operators need (observes ...)")
-            if fields.get("influences") or fields.get("cpt"):
+            if present & {"influences", "cpt"}:
                 raise DomainValidationError(
                     f"operator {name!r}: obs operators take their distribution "
                     "from the observed variable")

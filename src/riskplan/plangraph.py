@@ -17,8 +17,15 @@ ordering (producer strictly before consumer):
 A step's *context* is the set of outcome labels under which it executes.
 Two contexts are compatible when their union assigns no variable two
 different outcomes.  Plans are immutable; every mutation returns a fresh
-graph, and the ordering closure is recomputed only when the steps, links
-or tree change.  Threats are derived once per graph (``PlanGraph.threats``).
+graph.  Updates only add steps, links and tree edges and only grow
+contexts, so a child's facts follow from its parent's.  Adding a -> b
+gives ``{b} | after[b]`` to a and to every step ordered before a.  Threats
+are derived once per graph (``PlanGraph.threats``): a graph derived from
+one whose threats are known keeps those threats that still hold and checks
+only its new links against every step and its old links against its new
+steps, as UCPOP does (Penberthy & Weld, KR 1992).  ``_ordering_closure``
+and ``find_threats`` are the from-scratch paths: roots use them, and the
+tests hold every shortcut to them.
 
 Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 (each step has one parent; conditional steps fan out per outcome), which
@@ -28,7 +35,7 @@ far as links require.  All queries here work on either shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -146,6 +153,17 @@ class Threat:
     outcome: str | None = None
 
 
+@dataclass(frozen=True)
+class _ThreatBasis:
+    """What a derived plan's threats start from: the threats of the plan it
+    was derived from, and the step ids and links added since.  It holds no
+    plan, so a chain of derived plans keeps no ancestor alive."""
+
+    threats: tuple  # of Threat
+    steps: frozenset  # of step id
+    links: frozenset  # of Link
+
+
 @dataclass(frozen=True, eq=True)
 class PlanGraph:
     shape: str  # tree | dag
@@ -157,17 +175,27 @@ class PlanGraph:
     next_index: int
     tree: Mapping[str, tuple] | None  # child id -> (parent id, edge outcome)
     after: Mapping[str, frozenset]  # derived: strict ordering closure
+    _basis: _ThreatBasis | None = field(default=None, compare=False,
+                                        repr=False)
 
     # -- queries ----------------------------------------------------------
 
     @cached_property
     def threats(self) -> list[Threat]:
-        """``find_threats(self)``, computed on first use and kept: the graph
-        never changes."""
-        return find_threats(self)
+        """The plan's threats in ``find_threats`` order, computed on first
+        use and kept: the graph never changes."""
+        if self._basis is None:
+            return find_threats(self)
+        return _derived_threats(self, self._basis)
 
-    def step_list(self) -> list[Step]:
-        return sorted(self.steps.values(), key=Step.sort_key)
+    @cached_property
+    def _step_order(self) -> tuple[Step, ...]:
+        return tuple(sorted(self.steps.values(), key=Step.sort_key))
+
+    def step_list(self) -> tuple[Step, ...]:
+        """The steps in canonical order (``Step.sort_key``), sorted once
+        per plan."""
+        return self._step_order
 
     def goal_steps(self) -> list[Step]:
         return [s for s in self.step_list() if s.kind == "goal"]
@@ -206,30 +234,61 @@ class PlanGraph:
 
     # -- functional updates ------------------------------------------------
 
+    def _derive(self, new_steps: frozenset = frozenset(),
+                new_links: frozenset = frozenset(), **kw) -> "PlanGraph":
+        """A copy with ``kw`` replaced that adds the steps ``new_steps`` and
+        the links ``new_links``.  Its threats start from this plan's, if
+        they are known (a cached property lives in the instance dict), or
+        from this plan's own basis."""
+        if "threats" in self.__dict__:
+            basis = _ThreatBasis(tuple(self.threats), new_steps, new_links)
+        elif self._basis is not None:
+            b = self._basis
+            basis = _ThreatBasis(b.threats, b.steps | new_steps,
+                                 b.links | new_links)
+        else:
+            basis = None
+        return replace(self, _basis=basis, **kw)
+
     def _rebuild(self, **kw) -> "PlanGraph":
-        """A copy with ``kw`` replaced and the ordering closure recomputed;
-        for updates that add steps, links or tree edges."""
+        """A copy with ``kw`` replaced, its ordering closure recomputed and
+        its threats left to ``find_threats``: the from-scratch path that the
+        incremental updates are held to."""
         after = _ordering_closure(kw.get("steps", self.steps),
                                   kw.get("links", self.links),
                                   kw.get("tree", self.tree))
-        return replace(self, after=after, **kw)
+        return replace(self, after=after, _basis=None, **kw)
 
     def with_step(self, step: Step) -> "PlanGraph":
+        """Add a new step, ordered after start."""
+        if step.id in self.steps:
+            raise PlanGraphError(f"step {step.id} is already in the plan")
         steps = dict(self.steps)
         steps[step.id] = step
-        return self._rebuild(steps=steps,
-                             next_index=max(self.next_index, step.index + 1))
+        after = dict(self.after)
+        after[step.id] = frozenset()
+        after[START_ID] = after[START_ID] | {step.id}
+        return self._derive(new_steps=frozenset({step.id}), steps=steps,
+                            after=after,
+                            next_index=max(self.next_index, step.index + 1))
 
     def with_context(self, sid: str, ctx: frozenset) -> "PlanGraph":
+        """Grow step ``sid``'s context to ``ctx``; a context never loses a
+        label."""
+        step = self.steps[sid]
+        if not step.context <= ctx:
+            raise PlanGraphError(
+                f"context of {sid} cannot drop "
+                f"{_ctx_text(step.context - ctx)}")
         steps = dict(self.steps)
-        steps[sid] = replace(steps[sid], context=ctx)
-        return replace(self, steps=steps)  # same ids: same closure
+        steps[sid] = replace(step, context=ctx)
+        return self._derive(steps=steps)  # same ids: same closure
 
     def without_open_goal(self, item) -> "PlanGraph":
-        return replace(self, open_goals=self.open_goals - {item})
+        return self._derive(open_goals=self.open_goals - {item})
 
     def without_open_influence(self, item) -> "PlanGraph":
-        return replace(self, open_influences=self.open_influences - {item})
+        return self._derive(open_influences=self.open_influences - {item})
 
 
 def _ordering_closure(steps, links, tree) -> dict[str, frozenset]:
@@ -255,6 +314,20 @@ def _ordering_closure(steps, links, tree) -> dict[str, frozenset]:
             acc |= after[w]
         after[v] = frozenset(acc)
     return after
+
+
+def _with_order(after: Mapping[str, frozenset], a: str, b: str
+                ) -> Mapping[str, frozenset]:
+    """The closure ``after`` with a ordered before b: a and every step
+    before a gain ``{b} | after[b]``.  Raises WouldCreateCycle when b is
+    already before a."""
+    if a == b or b in after[a]:
+        return after
+    if a in after[b]:
+        raise WouldCreateCycle(f"ordering cycle through {a}")
+    gain = after[b] | {b}
+    return {x: succ | gain if x == a or a in succ else succ
+            for x, succ in after.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +375,9 @@ def add_link(plan: PlanGraph, link: Link) -> PlanGraph:
             f"not {link.producer}")
     if link in plan.links:
         return plan
-    return plan._rebuild(links=plan.links | {link})  # raises WouldCreateCycle
+    after = _with_order(plan.after, link.producer, link.consumer)
+    return plan._derive(new_links=frozenset({link}),
+                        links=plan.links | {link}, after=after)
 
 
 # ---------------------------------------------------------------------------
@@ -318,41 +393,75 @@ def find_threats(plan: PlanGraph) -> list[Threat]:
     while staying context-compatible with both endpoints.  ``v`` threatens
     ignorance link ``(start, X, w)`` iff v could precede w, is
     context-compatible with w, and observing or executing v would reveal
-    X's value.
+    X's value.  Threats come by link text, then by step in canonical
+    order, then by outcome in declared order.
     """
     threats: list[Threat] = []
+    steps = plan.step_list()
     for link in sorted(plan.links, key=Link.text):
-        if link.kind == "causal":
-            s, w, prop = link.producer, link.consumer, link.payload
-            sctx = plan.steps[s].context
-            wctx = plan.steps[w].context
-            for v in plan.step_list():
-                if not plan.possibly_between(v.id, s, w):
-                    continue
-                if v.kind in ("det", "start"):
-                    variants: list[str | None] = [None]
-                else:
-                    variants = list(v.operator.outcomes)
-                for o in variants:
-                    if prop not in v.operator.effective_deletes(o):
-                        continue
-                    vctx = set(v.context)
-                    if o is not None and v.source is not None:
-                        vctx.add(Label(v.source, o))
-                    if contexts_compatible(vctx, sctx) and \
-                            contexts_compatible(vctx, wctx):
-                        threats.append(Threat(v.id, link, o))
-        elif link.kind == "ignorance":
-            w, varid = link.consumer, link.payload
-            wctx = plan.steps[w].context
-            for v in plan.step_list():
-                if v.id in (START_ID, w) or plan.ordered_before(w, v.id):
-                    continue
-                if not v.operator.touches_variable(varid):
-                    continue
-                if contexts_compatible(v.context, wctx):
-                    threats.append(Threat(v.id, link, None))
+        threats.extend(_link_threats(plan, link, steps))
     return threats
+
+
+def _link_threats(plan: PlanGraph, link: Link,
+                  steps: Iterable[Step]) -> Iterator[Threat]:
+    """The threats to ``link`` from ``steps``, in the order given."""
+    if link.kind == "causal":
+        s, w, prop = link.producer, link.consumer, link.payload
+        sctx = plan.steps[s].context
+        wctx = plan.steps[w].context
+        for v in steps:
+            if not plan.possibly_between(v.id, s, w):
+                continue
+            if v.kind in ("det", "start"):
+                variants: Sequence[str | None] = (None,)
+            else:
+                variants = v.operator.outcomes
+            for o in variants:
+                if prop not in v.operator.effective_deletes(o):
+                    continue
+                vctx = set(v.context)
+                if o is not None and v.source is not None:
+                    vctx.add(Label(v.source, o))
+                if contexts_compatible(vctx, sctx) and \
+                        contexts_compatible(vctx, wctx):
+                    yield Threat(v.id, link, o)
+    elif link.kind == "ignorance":
+        w, varid = link.consumer, link.payload
+        wctx = plan.steps[w].context
+        for v in steps:
+            if v.id in (START_ID, w) or plan.ordered_before(w, v.id):
+                continue
+            if not v.operator.touches_variable(varid):
+                continue
+            if contexts_compatible(v.context, wctx):
+                yield Threat(v.id, link, None)
+
+
+def _derived_threats(plan: PlanGraph, basis: _ThreatBasis) -> list[Threat]:
+    """``find_threats(plan)`` from the threats of a plan it was derived
+    from.  Derived plans only add steps and links and only grow contexts
+    and orderings, so a step that did not threaten a link there does not
+    threaten it here: it is enough to keep the old threats that still
+    hold, check the new links against every step, and check the old links
+    against the new steps."""
+    found = [t for t in basis.threats
+             if t in _link_threats(plan, t.link, (plan.steps[t.step],))]
+    every = plan.step_list()
+    for link in basis.links:
+        found.extend(_link_threats(plan, link, every))
+    if basis.steps:
+        fresh = [plan.steps[sid] for sid in basis.steps]
+        for link in plan.links - basis.links:
+            found.extend(_link_threats(plan, link, fresh))
+
+    def order(t: Threat):
+        v = plan.steps[t.step]
+        pos = -1 if t.outcome is None else v.operator.outcomes.index(t.outcome)
+        return (t.link.text(), v.sort_key(), pos)
+
+    found.sort(key=order)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +523,7 @@ def dag_add_step(plan: PlanGraph, op: GroundOperator,
         if out is None:
             raise PlanGraphError("new step context is contradictory")
         plan = out
-    plan = replace(
-        plan,
+    plan = plan._derive(
         open_goals=plan.open_goals | {(sid, p) for p in op.preconditions},
         open_influences=plan.open_influences | {(sid, v) for v in influences})
     return plan, sid
@@ -445,13 +553,13 @@ def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
     ctx = plan.steps[child].context
     if op.kind in ("cond", "obs"):
         assert chosen_outcome in op.outcomes
-    steps = dict(plan.steps)
-    steps[sid] = Step(sid, index, op, ctx, source)
+    plan2 = plan.with_step(Step(sid, index, op, ctx, source))
     tree = dict(plan.tree)
     tree[sid] = (parent, edge_out)
-    tree[child] = (sid, chosen_outcome)
-    plan2 = plan._rebuild(
-        steps=steps, tree=tree, next_index=index + 1,
+    tree[child] = (sid, chosen_outcome)  # parent -> child still holds
+    plan2 = plan2._derive(
+        tree=tree,
+        after=_with_order(_with_order(plan2.after, parent, sid), sid, child),
         open_goals=plan.open_goals | {(sid, p) for p in op.preconditions},
         open_influences=plan.open_influences | {(sid, v) for v in influences})
     new_goals: list[str] = []
@@ -473,8 +581,8 @@ def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
             plan2 = plan2.with_step(leaf)
             t2 = dict(plan2.tree)
             t2[gid] = (sid, o)
-            plan2 = plan2._rebuild(
-                tree=t2,
+            plan2 = plan2._derive(
+                tree=t2, after=_with_order(plan2.after, sid, gid),
                 open_goals=plan2.open_goals | {(gid, g)
                                                for g in plan2.goal_literals})
             new_goals.append(gid)

@@ -1,6 +1,7 @@
 """Domain language: parsing, rendering, grounding, validation."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,50 @@ def test_render_roundtrip():
     assert parse_problem(render_problem(p)) == p
 
 
+_FUZZ_SEEDS = [ski_world()[0], sussman()[0], slippery_walk()[0],
+               nroad_world(2)[0], "(types (block a b))\n(operator put "
+               "(params (?x block)) (kind det) (add (on ?x)))"]
+_FUZZ_WORDS = ["(", ")", "()", "(cpt)", "(add)", "(influences)",
+               "(outcomes)", "kind", "det", "cond", "obs", "outcomes",
+               "add", "del", "prob", "cpt", "influences", "observes", "pre",
+               "params", "clause", "head", "body", "types", "not", "?x",
+               "x", "true", "0.5", "1.5", "-1", "nan", "inf", "1e999", ";"]
+
+
+def _tokens(text):
+    """Parens and atoms; comments dropped, since the tokens are joined on
+    one line."""
+    return re.findall(r"[()]|[^\s();]+", re.sub(r";[^\n]*", "", text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_SEEDS),
+       st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                          st.integers(0, 10 ** 6),
+                          st.sampled_from(_FUZZ_WORDS)),
+                min_size=1, max_size=4))
+def test_mutated_domains_parse_and_round_trip_or_raise(seed, edits):
+    """Mutated domain text either parses, and then survives a render and
+    parse unchanged, or raises one of the errors the CLI reports with exit
+    code 1.  Any other exception fails."""
+    toks = _tokens(seed)
+    for what, at, word in edits:
+        if what == "insert":  # after a closing paren, where sections start
+            ends = [i + 1 for i, t in enumerate(toks) if t == ")"] or [0]
+            toks.insert(ends[at % len(ends)], word)
+        elif toks:
+            at %= len(toks)
+            if what == "delete":
+                del toks[at]
+            else:
+                toks[at] = word
+    try:
+        d = parse_domain(" ".join(toks))
+    except (DomainSyntaxError, DomainValidationError):
+        return
+    assert parse_domain(render_domain(d)) == d
+
+
 def test_comments_and_whitespace_ignored():
     d = parse_domain("; nothing here\n(operator a (kind det) (add (x)))\n")
     assert d.operators[0].name == "a"
@@ -71,6 +116,10 @@ def test_comments_and_whitespace_ignored():
     ("(operator a (kind cond) (add (p)))", "outcomes"),
     ("(unknown-form)", "unknown-form"),
     ("(operator a (kind det) (add (p))", "unclosed"),
+    # an empty section is still a section
+    ("(operator a (kind det) (add (x)) (cpt))", "add/del"),
+    ("(operator a (kind obs) (observes (x)) (outcomes (t) (f)) (cpt))",
+     "observed variable"),
 ])
 def test_malformed_domains_rejected(text, fragment):
     with pytest.raises((DomainSyntaxError, DomainValidationError)) as e:

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 
 from riskplan.domain import GroundOperator, Problem, prop_from_text
 from riskplan.errors import (IgnoranceNotFromStart, IncompletePlan,
-                             WouldCreateCycle)
-from riskplan.plangraph import (ConditionalPlan, Label, Link, START_ID,
-                                add_link, canonical_key, condition_step,
-                                complete_goal_ids, context_consistent,
-                                contexts_compatible, dag_add_goal,
-                                dag_add_step, extract_conditional_plan,
-                                find_threats, linearizations, make_root_plan,
-                                to_dot, tree_insert,
-                                uncovered_outcome_contexts)
+                             PlanGraphError, WouldCreateCycle)
+from riskplan.plangraph import (ConditionalPlan, Label, Link, START_ID, Step,
+                                _ordering_closure, add_link, canonical_key,
+                                condition_step, complete_goal_ids,
+                                context_consistent, contexts_compatible,
+                                dag_add_goal, dag_add_step,
+                                extract_conditional_plan, find_threats,
+                                linearizations, make_root_plan, to_dot,
+                                tree_insert, uncovered_outcome_contexts)
 
 
 def lit(s):
@@ -131,6 +131,118 @@ def test_closure_matches_edge_reachability(edges):
         for dst in sids:
             assert (dst in reach) == plan.ordered_before(src, dst)
     assert plan.threats == find_threats(plan)
+
+
+def _obs(name, var):
+    return GroundOperator(name=name, kind="obs", outcomes=("true", "false"),
+                          observes=var)
+
+
+# operators for random plans: producers, clobberers (deterministic, by
+# negation, by one outcome), and revealers of the variable x
+_OPS = [det("make-p", add=["(p)"]), det("wreck-p", delete=["(p)"]),
+        det("negate-p", add=["(not (p))"]), det("make-q", add=["(q)"]),
+        det("set-x", add=["(x)"]),
+        cond("flip", {"heads": (["(p)"], ()), "tails": ((), ["(p)", "(q)"])}),
+        _obs("look", "x")]
+_PROPS = [lit("(p)"), lit("(q)"), lit("(x)")]
+
+_moves = st.lists(st.tuples(st.sampled_from(["step", "link", "condition"]),
+                            st.integers(0, 99), st.integers(0, 99),
+                            st.integers(0, 99), st.booleans()),
+                  max_size=14)
+
+
+def _source(plan, op):
+    if op.kind == "obs":
+        return op.observes
+    return f"s{plan.next_index}" if op.kind == "cond" else None
+
+
+def _chance_labels(plan):
+    return [(Label(s.source, o), s.id) for s in plan.step_list()
+            if s.source is not None for o in s.operator.outcomes]
+
+
+def _random_link(plan, a, b, c):
+    ids = sorted(plan.steps)
+    kind = ["causal", "ordering", "ignorance"][a % 3]
+    consumer = ids[c % len(ids)]
+    if kind == "ignorance":
+        return Link(kind, START_ID, consumer, "x")
+    producer = ids[b % len(ids)]
+    return Link(kind, producer, consumer,
+                _PROPS[a % len(_PROPS)] if kind == "causal" else None)
+
+
+def _assert_matches_oracles(plan, look):
+    assert plan.after == _ordering_closure(plan.steps, plan.links, plan.tree)
+    if look:  # else the next plan derives its threats across two updates
+        assert plan.threats == find_threats(plan)
+
+
+@pytest.mark.parametrize("shape", ["dag", "tree"])
+@settings(max_examples=150, deadline=None)
+@given(moves=_moves)
+def test_incremental_updates_match_from_scratch_oracles(shape, moves):
+    """After every update, the ordering closure and the threat list derived
+    from the parent equal ``_ordering_closure`` and ``find_threats`` run
+    from scratch, and a link raises WouldCreateCycle exactly when the
+    from-scratch closure does."""
+    plan = make_root_plan(problem(goals=("(p)", "(q)")), shape)
+    plan.threats  # searches know the root's threats before refining it
+    for move, a, b, c, look in moves:
+        if move == "step":
+            op = _OPS[a % len(_OPS)]
+            labels = _chance_labels(plan)
+            if shape == "dag":
+                pairs = [labels[b % len(labels)]] if labels and c % 2 else []
+                plan, _sid = dag_add_step(plan, op, pairs,
+                                          source=_source(plan, op))
+            else:
+                child = sorted(plan.tree)[b % len(plan.tree)]
+                outcome = (op.outcomes[c % len(op.outcomes)]
+                           if op.outcomes else None)
+                plan, _sid, _leaves = tree_insert(
+                    plan, op, plan.tree[child][0], child,
+                    chosen_outcome=outcome, source=_source(plan, op))
+        elif move == "link":
+            link = _random_link(plan, a, b, c)
+            try:
+                plan = add_link(plan, link)
+            except WouldCreateCycle:
+                with pytest.raises(WouldCreateCycle):
+                    _ordering_closure(plan.steps, plan.links | {link},
+                                      plan.tree)
+                continue
+        else:
+            labels = _chance_labels(plan)
+            if not labels:
+                continue
+            sid = sorted(plan.steps)[a % len(plan.steps)]
+            conditioned = condition_step(plan, sid, [labels[b % len(labels)]])
+            if conditioned is None:
+                continue
+            plan = conditioned
+        _assert_matches_oracles(plan, look)
+    _assert_matches_oracles(plan, True)
+
+
+def test_with_step_adds_a_new_step_after_start_only():
+    plan = make_root_plan(problem(), "dag").with_step(Step("s2", 2, det("a")))
+    assert plan.after == _ordering_closure(plan.steps, plan.links, plan.tree)
+    assert plan.ordered_before(START_ID, "s2")
+    with pytest.raises(PlanGraphError):
+        plan.with_step(Step("s2", 9, det("b")))
+
+
+def test_with_context_cannot_drop_a_label():
+    plan = make_root_plan(problem(), "dag")
+    plan, sid = dag_add_step(plan, det("a"), ())
+    heads, tails = Label("c", "heads"), Label("d", "tails")
+    plan = plan.with_context(sid, frozenset({heads, tails}))
+    with pytest.raises(PlanGraphError):
+        plan.with_context(sid, frozenset({heads}))
 
 
 # ---------------------------------------------------------------------------

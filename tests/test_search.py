@@ -1,15 +1,19 @@
 """The shared best-first search: nodes that denote the same belief net share
-one net object, and with it every joint already computed; and the frontier
-order does not hang on the last bit of a float mass."""
+one net object, and with it every joint already computed; every node's
+threats and ordering closure, derived from its parent's, equal the
+from-scratch oracles; and the frontier order does not hang on the last bit
+of a float mass."""
 
 from collections import Counter
 
 import pytest
 
-from riskplan import probmodel
+from riskplan import probmodel, search
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
-from riskplan.worlds import load_texts, nroad_world, ski_world
+from riskplan.plangraph import _ordering_closure, find_threats
+from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
+                             sussman)
 
 from .test_bench_targets import load_bench_module
 from .test_probmodel import _assert_masses_priced
@@ -69,6 +73,46 @@ def test_nodes_share_one_net_per_distinct_net(monkeypatch, planner, world):
     # the result carries the net its bound was priced under
     assert any(res.model is net for _plan, net in shared)
     _assert_masses_priced(res.graph, res.bound, res.model)
+
+
+# (world, planner) -> (expanded, generated), as the search counted them
+# when every plan-graph update was made from scratch
+_EFFORT = {
+    ("ski", plan_linear): (28, 32), ("ski", plan_nonlinear): (26, 28),
+    ("sussman", plan_linear): (40, 193),
+    ("sussman", plan_nonlinear): (37, 129),
+    ("relay", plan_linear): (21, 22), ("relay", plan_nonlinear): (21, 22),
+    ("nroad", plan_linear): (290, 422), ("nroad", plan_nonlinear): (94, 141),
+}
+
+
+@pytest.mark.parametrize("planner", [plan_linear, plan_nonlinear])
+@pytest.mark.parametrize("world", ["ski", "sussman", "relay", "nroad"])
+def test_every_node_matches_the_from_scratch_plan_graph(monkeypatch, planner,
+                                                        world):
+    domain_text, problem_text, epsilon = {
+        "ski": (*ski_world(), 0.085), "sussman": (*sussman(), None),
+        "relay": (*det_chain(20), None),
+        "nroad": (*nroad_world(4), None)}[world]
+    gdom, prob = load_texts(domain_text, problem_text)
+    generated = []
+    model_for_plan = search.model_for_plan
+
+    def recorded(plan, *args):
+        generated.append(plan)
+        return model_for_plan(plan, *args)
+
+    monkeypatch.setattr(search, "model_for_plan", recorded)
+    res = planner(gdom, prob, model="kbmc", epsilon=epsilon)
+    monkeypatch.undo()
+
+    assert (res.stats["expanded"], res.stats["generated"]) == \
+        _EFFORT[world, planner]
+    assert len(generated) == res.stats["generated"]
+    for plan in generated:
+        assert plan.after == _ordering_closure(plan.steps, plan.links,
+                                               plan.tree)
+        assert plan.threats == find_threats(plan)
 
 
 # P(blizzard), P(clear | blizzard), P(clear | no blizzard), epsilon.  Under
