@@ -250,15 +250,6 @@ class PlanGraph:
             basis = None
         return replace(self, _basis=basis, **kw)
 
-    def _rebuild(self, **kw) -> "PlanGraph":
-        """A copy with ``kw`` replaced, its ordering closure recomputed and
-        its threats left to ``find_threats``: the from-scratch path that the
-        incremental updates are held to."""
-        after = _ordering_closure(kw.get("steps", self.steps),
-                                  kw.get("links", self.links),
-                                  kw.get("tree", self.tree))
-        return replace(self, after=after, _basis=None, **kw)
-
     def with_step(self, step: Step) -> "PlanGraph":
         """Add a new step, ordered after start."""
         if step.id in self.steps:

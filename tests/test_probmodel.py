@@ -364,8 +364,7 @@ def test_select_goal_node_prefers_mass():
         plan, GroundOperator(name="goal", kind="goal",
                              preconditions=(lit("(g)"),)),
         [(Label(cid, "t"), cid)])
-    plan = plan._rebuild(
-        open_goals=plan.open_goals | {(gid, lit("(g)"))})
+    plan = plan._derive(open_goals=plan.open_goals | {(gid, lit("(g)"))})
     bound = success_bound(plan, "simple", epsilon=0.0)
     _assert_masses_priced(plan, bound, "simple")
     assert bound.completed == ("s1",)
