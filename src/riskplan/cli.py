@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the problem's failure budget; must be "
                         "in [0, 1)")
     p.add_argument("--seed", type=int, default=0,
-                   help="random seed for --emit simulate")
+                   help="random seed for --emit simulate, in [0, 2**64)")
     p.add_argument("--trials", type=int, default=10000,
                    help="Monte Carlo trials for --emit simulate")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
@@ -104,6 +104,8 @@ def main(argv=None) -> int:
         parser.error(f"--epsilon must be in [0, 1), got {args.epsilon}")
     if args.trials < 1 or args.node_budget < 1:
         parser.error("--trials and --node-budget must be positive")
+    if not 0 <= args.seed < 2**64:  # a Philox key word
+        parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
     return run(_config_from_args(args))
 
 

@@ -8,7 +8,7 @@ may link it to start, to an existing ancestor, or to a new step inserted on
 matters: interleaved goals (stack a on b, b on c) have no solution if new
 steps may only appear directly above their consumer.
 
-The best-first search itself (frontier order, pruning, acceptance) lives
+The best-first search itself (frontier order, acceptance, node budget) lives
 in :mod:`riskplan.search`; this module supplies the tree-shaped root and
 the refinement moves.
 """
@@ -70,7 +70,8 @@ def _expand(plan: PlanGraph, bound: SuccessBound, m, gdomain: GroundDomain,
 
 def _safe(plan: PlanGraph | None) -> list[PlanGraph]:
     """Keep a candidate only if it is internally consistent: tree plans
-    cannot reorder steps, so any threat is fatal and pruned right here."""
+    cannot reorder steps, so any threat is fatal and the candidate is
+    dropped here."""
     if plan is None or plan.threats:
         return []
     return [plan]

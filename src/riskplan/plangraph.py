@@ -124,6 +124,12 @@ class Step:
         """Canonical order: fewer labels first, then insertion order."""
         return (len(self.context), self.index)
 
+    def grown(self, labels: frozenset) -> "Step":
+        """This step with ``labels`` added to its context; a context only
+        grows."""
+        return Step(self.id, self.index, self.operator, self.context | labels,
+                    self.source)
+
 
 @dataclass(frozen=True)
 class Link:
@@ -250,31 +256,6 @@ class PlanGraph:
             basis = None
         return replace(self, _basis=basis, **kw)
 
-    def with_step(self, step: Step) -> "PlanGraph":
-        """Add a new step, ordered after start."""
-        if step.id in self.steps:
-            raise PlanGraphError(f"step {step.id} is already in the plan")
-        steps = dict(self.steps)
-        steps[step.id] = step
-        after = dict(self.after)
-        after[step.id] = frozenset()
-        after[START_ID] = after[START_ID] | {step.id}
-        return self._derive(new_steps=frozenset({step.id}), steps=steps,
-                            after=after,
-                            next_index=max(self.next_index, step.index + 1))
-
-    def with_context(self, sid: str, ctx: frozenset) -> "PlanGraph":
-        """Grow step ``sid``'s context to ``ctx``; a context never loses a
-        label."""
-        step = self.steps[sid]
-        if not step.context <= ctx:
-            raise PlanGraphError(
-                f"context of {sid} cannot drop "
-                f"{_ctx_text(step.context - ctx)}")
-        steps = dict(self.steps)
-        steps[sid] = replace(step, context=ctx)
-        return self._derive(steps=steps)  # same ids: same closure
-
     def without_open_goal(self, item) -> "PlanGraph":
         return self._derive(open_goals=self.open_goals - {item})
 
@@ -319,6 +300,17 @@ def _with_order(after: Mapping[str, frozenset], a: str, b: str
     gain = after[b] | {b}
     return {x: succ | gain if x == a or a in succ else succ
             for x, succ in after.items()}
+
+
+def _after_start(after: Mapping[str, frozenset], ids: Sequence[str]
+                 ) -> dict[str, frozenset]:
+    """The closure ``after`` with the new steps ``ids``, each ordered after
+    start and before nothing."""
+    out = dict(after)
+    for sid in ids:
+        out[sid] = frozenset()
+    out[START_ID] = out[START_ID] | set(ids)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,31 +457,38 @@ def condition_step(plan: PlanGraph, sid: str,
     effects) to the given outcome labels.  Each label comes with the step
     that produced it so a conditioning link records the dependence and the
     implied ordering.  Returns None when the restriction is contradictory
-    or would create an ordering cycle."""
+    or would create an ordering cycle, and ``plan`` itself when every label
+    is already there."""
+    grown: dict[str, Step] = {}  # step id -> the step with its grown context
+    links, after = plan.links, plan.after
     queue: list[tuple[str, tuple[tuple[Label, str], ...]]] = [
         (sid, tuple(label_pairs))]
     while queue:
         cur, pairs = queue.pop()
-        step = plan.steps[cur]
+        step = grown.get(cur) or plan.steps[cur]
         fresh = [(lab, prod) for lab, prod in pairs if lab not in step.context]
         if not fresh:
             continue
-        merged = step.context | {lab for lab, _p in fresh}
-        if not context_consistent(merged):
+        grown[cur] = step.grown(frozenset(lab for lab, _p in fresh))
+        if not context_consistent(grown[cur].context):
             return None
-        plan = plan.with_context(cur, frozenset(merged))
         for lab, prod in fresh:
-            if prod != cur:
+            link = Link("conditioning", prod, cur, lab)
+            if prod != cur and link not in links:
                 try:
-                    plan = add_link(plan, Link("conditioning", prod, cur, lab))
+                    after = _with_order(after, prod, cur)
                 except WouldCreateCycle:
                     return None
-        consumers = {l.consumer for l in plan.links
+                links = links | {link}
+        consumers = {l.consumer for l in links
                      if l.kind in ("causal", "conditioning")
                      and l.producer == cur and l.consumer != cur}
         for c in sorted(consumers):
             queue.append((c, tuple(fresh)))
-    return plan
+    if not grown:
+        return plan
+    return plan._derive(new_links=links - plan.links, links=links,
+                        after=after, steps={**plan.steps, **grown})
 
 
 # ---------------------------------------------------------------------------
@@ -505,18 +504,20 @@ def dag_add_step(plan: PlanGraph, op: GroundOperator,
     preconditions and influences."""
     index = plan.next_index
     sid = f"s{index}"
-    step = Step(sid, index, op, frozenset(), source)
-    plan = plan.with_step(step)
-    plan = add_link(plan, Link("ordering", START_ID, sid))
+    first = Link("ordering", START_ID, sid)
+    plan = plan._derive(
+        new_steps=frozenset({sid}), new_links=frozenset({first}),
+        steps={**plan.steps, sid: Step(sid, index, op, frozenset(), source)},
+        links=plan.links | {first}, after=_after_start(plan.after, [sid]),
+        next_index=index + 1,
+        open_goals=plan.open_goals | {(sid, p) for p in op.preconditions},
+        open_influences=plan.open_influences | {(sid, v) for v in influences})
     pairs = list(context_pairs)
     if pairs:
         out = condition_step(plan, sid, pairs)
         if out is None:
             raise PlanGraphError("new step context is contradictory")
         plan = out
-    plan = plan._derive(
-        open_goals=plan.open_goals | {(sid, p) for p in op.preconditions},
-        open_influences=plan.open_influences | {(sid, v) for v in influences})
     return plan, sid
 
 
@@ -540,44 +541,39 @@ def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
     assert plan.tree is not None and plan.tree[child][0] == parent
     index = plan.next_index
     sid = f"s{index}"
-    edge_out = plan.tree[child][1]
     ctx = plan.steps[child].context
-    if op.kind in ("cond", "obs"):
-        assert chosen_outcome in op.outcomes
-    plan2 = plan.with_step(Step(sid, index, op, ctx, source))
+    steps = dict(plan.steps)
+    steps[sid] = Step(sid, index, op, ctx, source)
     tree = dict(plan.tree)
-    tree[sid] = (parent, edge_out)
+    tree[sid] = (parent, tree[child][1])
     tree[child] = (sid, chosen_outcome)  # parent -> child still holds
-    plan2 = plan2._derive(
-        tree=tree,
-        after=_with_order(_with_order(plan2.after, parent, sid), sid, child),
-        open_goals=plan.open_goals | {(sid, p) for p in op.preconditions},
-        open_influences=plan.open_influences | {(sid, v) for v in influences})
+    open_goals = plan.open_goals | {(sid, p) for p in op.preconditions}
     new_goals: list[str] = []
     if op.kind in ("cond", "obs"):
+        assert chosen_outcome in op.outcomes
         lab = Label(source, chosen_outcome)
-        for below in plan2.subtree_ids(child):
-            st = plan2.steps[below]
-            plan2 = plan2.with_context(below, st.context | {lab})
+        for below in plan.subtree_ids(child):
+            steps[below] = steps[below].grown(frozenset({lab}))
         for o in op.outcomes:
-            if o == chosen_outcome:
-                continue
             leaf_ctx = ctx | {Label(source, o)}
-            if not context_consistent(leaf_ctx):
+            if o == chosen_outcome or not context_consistent(leaf_ctx):
                 continue
-            gidx = plan2.next_index
+            gidx = index + 1 + len(new_goals)
             gid = f"s{gidx}"
-            leaf = Step(gid, gidx, _goal_operator(plan2.goal_literals),
-                        frozenset(leaf_ctx))
-            plan2 = plan2.with_step(leaf)
-            t2 = dict(plan2.tree)
-            t2[gid] = (sid, o)
-            plan2 = plan2._derive(
-                tree=t2, after=_with_order(plan2.after, sid, gid),
-                open_goals=plan2.open_goals | {(gid, g)
-                                               for g in plan2.goal_literals})
+            steps[gid] = Step(gid, gidx, _goal_operator(plan.goal_literals),
+                              frozenset(leaf_ctx))
+            tree[gid] = (sid, o)
+            open_goals |= {(gid, g) for g in plan.goal_literals}
             new_goals.append(gid)
-    return plan2, sid, new_goals
+    new_ids = [sid, *new_goals]
+    after = _after_start(plan.after, new_ids)
+    for a, b in [(parent, sid), (sid, child), *((sid, g) for g in new_goals)]:
+        after = _with_order(after, a, b)
+    plan = plan._derive(
+        new_steps=frozenset(new_ids), steps=steps, tree=tree, after=after,
+        next_index=index + len(new_ids), open_goals=open_goals,
+        open_influences=plan.open_influences | {(sid, v) for v in influences})
+    return plan, sid, new_goals
 
 
 # ---------------------------------------------------------------------------

@@ -472,10 +472,6 @@ class SuccessBound:
     def accepted(self) -> bool:
         return self.achieved_mass >= (1.0 - self.epsilon) - MASS_TOL
 
-    @property
-    def viable(self) -> bool:
-        return self.potential_mass >= (1.0 - self.epsilon) - MASS_TOL
-
 
 def success_bound(plan: PlanGraph, model, epsilon: float) -> SuccessBound:
     goals = plan.goal_steps()

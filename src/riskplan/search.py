@@ -3,14 +3,13 @@
 A planner supplies the root of its plan shape and an ``expand`` function
 with its refinement moves; everything else is shared.  The frontier is
 ordered by workload (steps plus unresolved flaws, so lean plans come before
-padded ones), then newest first.  Potential mass is not part of the order:
-while nothing gives mass up it is exactly 1 in exact arithmetic, and a
-float sum that lands an ulp low would send a node behind the whole
-frontier.  A node whose potential falls below 1 - epsilon can never be
-repaired, because refining a plan only shrinks context masses, so it is
-pruned.  Acceptance needs only the *achieved* mass: branches that still
-have flaws are abandoned as give-up leaves and reported as uncovered
-contexts.
+padded ones), then newest first.  Potential mass neither orders nor drops
+nodes: while nothing gives mass up it is exactly 1 in exact arithmetic, so
+no node could fall below 1 - epsilon, and a float sum that lands an ulp low
+would send a node behind the whole frontier.  ``stats["pruned"]`` stays 0;
+plan documents report it.  Acceptance needs only the *achieved* mass:
+branches that still have flaws are abandoned as give-up leaves and
+reported as uncovered contexts.
 
 Each node's model is looked up once, when the node is generated, to bound
 it.  It rides on the node's frontier entry to its expansion and, on
@@ -103,9 +102,6 @@ def best_first(planner: str, root: PlanGraph,
             stats["generated"] += 1
             cmodel = model_for_plan(child, problem, model, nets)
             cbound = success_bound(child, cmodel, eps)
-            if not cbound.viable:
-                stats["pruned"] += 1
-                continue
             heapq.heappush(heap, ((_workload(child), -next(counter)),
                                   child, cbound, cmodel, len(bound.completed)))
 

@@ -108,6 +108,12 @@ def test_usage_errors_exit_one(ski_files, capsys):
     with pytest.raises(SystemExit) as e:
         run(["--domain", dom, "--problem", prob, "--trials", "0"])
     assert e.value.code == 1
+    for seed in (-1, 2**64):  # planning would run, then the replay crash
+        with pytest.raises(SystemExit) as e:
+            run(["--domain", dom, "--problem", prob, "--emit", "simulate",
+                 "--seed", str(seed)])
+        assert e.value.code == 1
+    assert "plan:" not in capsys.readouterr().out
 
 
 def test_missing_file_exits_one(ski_files, capsys):

@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 
 from riskplan.domain import GroundOperator, Problem, prop_from_text
 from riskplan.errors import (IgnoranceNotFromStart, IncompletePlan,
-                             PlanGraphError, WouldCreateCycle)
-from riskplan.plangraph import (ConditionalPlan, Label, Link, START_ID, Step,
-                                _ordering_closure, add_link, canonical_key,
-                                condition_step, complete_goal_ids,
-                                context_consistent, contexts_compatible,
-                                dag_add_goal, dag_add_step,
-                                extract_conditional_plan, find_threats,
-                                linearizations, make_root_plan, to_dot,
-                                tree_insert, uncovered_outcome_contexts)
+                             WouldCreateCycle)
+from riskplan.plangraph import (ConditionalPlan, Label, Link, PlanGraph,
+                                START_ID, _ordering_closure, add_link,
+                                canonical_key, condition_step,
+                                complete_goal_ids, context_consistent,
+                                contexts_compatible, dag_add_goal,
+                                dag_add_step, extract_conditional_plan,
+                                find_threats, linearizations, make_root_plan,
+                                to_dot, tree_insert,
+                                uncovered_outcome_contexts)
 
 
 def lit(s):
@@ -228,21 +229,69 @@ def test_incremental_updates_match_from_scratch_oracles(shape, moves):
     _assert_matches_oracles(plan, True)
 
 
-def test_with_step_adds_a_new_step_after_start_only():
-    plan = make_root_plan(problem(), "dag").with_step(Step("s2", 2, det("a")))
-    assert plan.after == _ordering_closure(plan.steps, plan.links, plan.tree)
-    assert plan.ordered_before(START_ID, "s2")
-    with pytest.raises(PlanGraphError):
-        plan.with_step(Step("s2", 9, det("b")))
+def _count_derives(monkeypatch):
+    """Count the plans ``PlanGraph._derive`` builds from here on."""
+    calls = []
+    derive = PlanGraph._derive
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return derive(self, *args, **kw)
+
+    monkeypatch.setattr(PlanGraph, "_derive", counted)
+    return calls
 
 
-def test_with_context_cannot_drop_a_label():
+def test_tree_insert_derives_its_child_once(monkeypatch):
+    """A chance step inserted above a three-step subtree relabels the
+    subtree and adds two goal leaves, all in one derived plan."""
+    plan = make_root_plan(problem(), "tree")
+    plan.threats
+    plan, s2, _ = tree_insert(plan, det("a"), START_ID, "s1")
+    plan, _s3, _ = tree_insert(plan, det("b"), s2, "s1")
+    below = plan.subtree_ids(s2)
+    assert len(below) == 3
+    three = cond("roll", {o: ((), ()) for o in ("one", "two", "three")})
+    calls = _count_derives(monkeypatch)
+    plan, sid, leaves = tree_insert(plan, three, START_ID, s2,
+                                    chosen_outcome="one", source="die")
+    assert len(calls) == 1
+    assert len(leaves) == 2
+    for b in below:
+        assert Label("die", "one") in plan.steps[b].context
+    for gid, o in zip(leaves, ("two", "three")):
+        assert plan.steps[gid].context == {Label("die", o)}
+        assert plan.tree[gid] == (sid, o)
+    assert plan.next_index == int(sid[1:]) + 3
+    _assert_matches_oracles(plan, True)
+
+
+def test_condition_step_derives_its_child_once(monkeypatch):
+    """Conditioning the head of a three-step causal chain labels the whole
+    chain and links each step to the chance step, in one derived plan."""
     plan = make_root_plan(problem(), "dag")
-    plan, sid = dag_add_step(plan, det("a"), ())
-    heads, tails = Label("c", "heads"), Label("d", "tails")
-    plan = plan.with_context(sid, frozenset({heads, tails}))
-    with pytest.raises(PlanGraphError):
-        plan.with_context(sid, frozenset({heads}))
+    plan, flip = dag_add_step(plan, cond("flip", {"heads": ((), ()),
+                                                  "tails": ((), ())}), (),
+                              source="coin")
+    chain = []
+    for name, pre, add in (("a", (), "(p)"), ("b", ("(p)",), "(q)"),
+                           ("c", ("(q)",), "(r)")):
+        plan, sid = dag_add_step(plan, det(name, pre=pre, add=[add]), ())
+        if chain:
+            plan = add_link(plan, Link("causal", chain[-1], sid,
+                                       lit(pre[0])))
+        chain.append(sid)
+    plan.threats
+    heads = Label("coin", "heads")
+    calls = _count_derives(monkeypatch)
+    out = condition_step(plan, chain[0], [(heads, flip)])
+    assert len(calls) == 1
+    for sid in chain:
+        assert out.steps[sid].context == {heads}
+        assert Link("conditioning", flip, sid, heads) in out.links
+    _assert_matches_oracles(out, True)
+    assert condition_step(out, chain[0], [(heads, flip)]) is out
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -335,9 +335,9 @@ def test_success_bound_counts_completed_and_open():
     # the tails continuation is uncovered but still open
     assert b.potential_mass == pytest.approx(1.0, abs=1e-12)
     assert b.completed == ("s1",)
-    assert b.accepted and b.viable
+    assert b.accepted
     tight = success_bound(plan, "simple", epsilon=0.05)
-    assert not tight.accepted and tight.viable
+    assert not tight.accepted
 
 
 def test_success_bound_epsilon_one_accepts_anything():
