@@ -183,6 +183,12 @@ class GroundOperator:
     _effects: Mapping = field(init=False, repr=False, compare=False)
     # outcome (None = det) -> frozenset; see effective_deletes
     _deletes: Mapping = field(init=False, repr=False, compare=False)
+    # (variable id, wanted value) of each precondition, in declared order
+    precondition_values: tuple[tuple[str, str], ...] = field(
+        init=False, repr=False, compare=False)
+    # influence row -> cumulative outcome probabilities; see
+    # outcome_thresholds
+    _thresholds: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.outcome_adds is None:
@@ -197,6 +203,16 @@ class GroundOperator:
             o: frozenset(self.deletes_for(o))
             | frozenset(p.negate() for p in self.adds_for(o))
             for o in variants})
+        object.__setattr__(self, "precondition_values", tuple(
+            (var_id(p.positive), "false" if p.negated else "true")
+            for p in self.preconditions))
+        if self.cpt is not None:
+            table = self.cpt
+        else:
+            table = {(o,): p for o, p in
+                     (self.simple_distribution or {}).items()}
+        object.__setattr__(self, "_thresholds",
+                           _cumulative_rows(table, self.outcomes))
 
     def adds_for(self, outcome: str | None) -> tuple[Proposition, ...]:
         if outcome is None:
@@ -218,6 +234,17 @@ class GroundOperator:
         writes takes when it runs under ``outcome`` (None = det).  The
         mapping is shared: read it, do not change it."""
         return self._effects.get(outcome, {})
+
+    def outcome_thresholds(self, values: Mapping[str, str]
+                           ) -> list[float] | None:
+        """The running sums of the outcome probabilities, in declared
+        order, given the current ``values`` of the influences; None when
+        no complete row covers them.  A ``(prob ...)`` map ignores the
+        influences."""
+        if self.cpt is None:
+            return self._thresholds.get(())
+        return self._thresholds.get(
+            tuple(values.get(v, "") for v in self.influences))
 
     def establishing_outcomes(self, lit: Proposition) -> list[str | None]:
         """Outcomes under which this operator makes ``lit`` hold (None =
@@ -245,12 +272,42 @@ def _effect_values(adds: Iterable[Proposition],
     return values
 
 
+def _cumulative_rows(table: Mapping[tuple[str, ...], float],
+                    outcomes: Sequence[str]) -> dict[tuple, list[float]]:
+    """For each tail of ``table``'s rows, the running sums ``acc += p`` of
+    ``table[(o,) + tail]`` over ``outcomes`` in order; a tail lacking some
+    outcome's row is left out.  Probabilities are never negative, so each
+    list is non-decreasing and the outcome a uniform ``u`` picks is
+    ``min(bisect_right(sums, u), len(sums) - 1)``: the first whose sum
+    exceeds ``u``, else the last."""
+    out: dict[tuple, list[float]] = {}
+    for tail in {key[1:] for key in table}:
+        acc, sums = 0.0, []
+        for o in outcomes:
+            p = table.get((o,) + tail)
+            if p is None:
+                break
+            acc += p
+            sums.append(acc)
+        else:
+            out[tail] = sums
+    return out
+
+
 @dataclass(frozen=True, eq=True)
 class GroundClause:
     var: str
     space: tuple[str, ...]
     parents: tuple[str, ...] = ()
     cpt: Mapping[tuple[str, ...], float] = None  # type: ignore[assignment]
+    # parent assignment -> cumulative probabilities over ``space``; see
+    # _cumulative_rows
+    thresholds: Mapping[tuple[str, ...], list[float]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "thresholds",
+                           _cumulative_rows(self.cpt or {}, self.space))
 
 
 @dataclass(frozen=True, eq=True)

@@ -133,10 +133,9 @@ def _insert_producer(plan: PlanGraph, op: GroundOperator, outcome: str | None,
 def _link_establisher(plan: PlanGraph, producer: str, prop: Proposition,
                       consumer: str) -> PlanGraph | None:
     try:
-        plan2 = add_link(plan, Link("causal", producer, consumer, prop))
+        return add_link(plan, Link("causal", producer, consumer, prop))
     except WouldCreateCycle:
         return None
-    return plan2.without_open_goal((consumer, prop))
 
 
 def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,

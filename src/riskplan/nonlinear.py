@@ -212,7 +212,7 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
                 p2 = add_link(p2, Link("causal", w.id, sid, prop))
             except WouldCreateCycle:
                 continue
-            out.append(p2.without_open_goal((sid, prop)))
+            out.append(p2)
 
     for op in gdomain.operators:  # fresh producer
         for o in op.establishing_outcomes(prop):
@@ -230,7 +230,7 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
                 p2 = add_link(p2, Link("causal", nid, sid, prop))
             except WouldCreateCycle:
                 continue
-            out.append(p2.without_open_goal((sid, prop)))
+            out.append(p2)
     return out
 
 

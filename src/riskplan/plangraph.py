@@ -35,6 +35,7 @@ far as links require.  All queries here work on either shape.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -101,7 +102,9 @@ def context_consistent(ctx: Iterable[Label]) -> bool:
 def contexts_compatible(a: Iterable[Label], b: Iterable[Label]) -> bool:
     """True when the union of the two label sets is consistent.  The empty
     context is compatible with everything."""
-    return context_consistent(set(a) | set(b))
+    if not a or not b:
+        return True
+    return context_consistent(itertools.chain(a, b))
 
 
 def _ctx_text(ctx: frozenset) -> str:
@@ -256,9 +259,6 @@ class PlanGraph:
             basis = None
         return replace(self, _basis=basis, **kw)
 
-    def without_open_goal(self, item) -> "PlanGraph":
-        return self._derive(open_goals=self.open_goals - {item})
-
     def without_open_influence(self, item) -> "PlanGraph":
         return self._derive(open_influences=self.open_influences - {item})
 
@@ -350,6 +350,8 @@ def make_root_plan(problem: Problem, shape: str) -> PlanGraph:
 
 
 def add_link(plan: PlanGraph, link: Link) -> PlanGraph:
+    """``plan`` with ``link`` added.  A causal link discharges its
+    consumer's open precondition."""
     if link.producer not in plan.steps or link.consumer not in plan.steps:
         raise PlanGraphError(f"link endpoints missing: {link.text()}")
     if link.kind == "ignorance" and link.producer != START_ID:
@@ -359,8 +361,12 @@ def add_link(plan: PlanGraph, link: Link) -> PlanGraph:
     if link in plan.links:
         return plan
     after = _with_order(plan.after, link.producer, link.consumer)
+    open_goals = plan.open_goals
+    if link.kind == "causal":
+        open_goals = open_goals - {(link.consumer, link.payload)}
     return plan._derive(new_links=frozenset({link}),
-                        links=plan.links | {link}, after=after)
+                        links=plan.links | {link}, after=after,
+                        open_goals=open_goals)
 
 
 # ---------------------------------------------------------------------------
@@ -656,17 +662,17 @@ class ConditionalPlan:
         return _leaves(self.root)
 
     def steps_used(self) -> dict[str, GroundOperator]:
+        """The steps on the tree, in depth-first preorder."""
         out: dict[str, GroundOperator] = {}
-
-        def walk(node):
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if isinstance(node, ActionNode):
                 out[node.step_id] = node.op
-                walk(node.child)
+                stack.append(node.child)
             elif isinstance(node, BranchNode):
                 out[node.step_id] = node.op
-                for ch in node.children.values():
-                    walk(ch)
-        walk(self.root)
+                stack.extend(reversed(node.children.values()))
         return out
 
     # -- serialization ----------------------------------------------------

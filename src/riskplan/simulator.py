@@ -11,11 +11,19 @@ any violation is failure.
 
 Trials are reproducible: trial ``t`` of seed ``s`` uses a Philox stream
 keyed by ``(s, t)``, independent of how many trials run or in what order.
+The stream is the one ``np.random.Generator(np.random.Philox(key=[s, t]))``
+gives, but no generator is built per trial: Philox4x64-10 is counter-based
+(Salmon et al., SC 2011), so ``estimate_success`` evaluates it for a chunk
+of trials at once in numpy and hands each trial its row of uniforms.  A
+trial takes one uniform per prior clause and one per chance step it runs,
+and picks an outcome by bisecting the clause's or the operator's running
+sums, which are computed once when the clause or operator is made.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import sqrt
 from typing import Iterable, Mapping, Sequence
@@ -50,9 +58,70 @@ class TrialResult:
     outcomes: tuple[tuple[str, str], ...] = ()  # (step id, outcome) draws
 
 
-def _rng_for(seed: int, trial: int) -> np.random.Generator:
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+# Philox4x64-10: round multipliers and Weyl key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_TRIAL_CHUNK = 512  # trials whose uniforms are held at once
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of the 128-bit products ``m * x``, from
+    32-bit halves (numpy ``uint64`` products wrap)."""
+    m1, m0 = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    x1, x0 = x >> _SHIFT32, x & _LOW32
+    p01, p10 = m0 * x1, m1 * x0
+    mid = ((m0 * x0) >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = m1 * x1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, x * np.uint64(m)
+
+
+def _philox_uniforms(seed: int, first: int, trials: int, k: int) -> np.ndarray:
+    """Row ``i`` holds the first ``k`` draws of
+    ``np.random.Generator(np.random.Philox(key=[seed, first + i])).random()``
+    for each of ``trials`` trials, bit for bit: counter blocks 1, 2, ...
+    give four 64-bit words each, and a word ``x`` gives the double
+    ``(x >> 11) * 2**-53``.  Raises OverflowError, as the generator does,
+    for a seed outside [0, 2**64)."""
+    seed = int(np.uint64(seed))
+    blocks = -(-k // 4)
+    shape = (trials, blocks)
+    t = np.arange(first, first + trials, dtype=np.uint64)[:, None]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        k1 = t + np.uint64(r * _PHILOX_W[1] % 2**64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(trials, 4 * blocks)
+    return (words[:, :k] >> np.uint64(11)) * 2.0 ** -53
+
+
+class _Draws:
+    """A trial's uniforms behind the ``random()`` that ``sample_world`` and
+    ``execute_plan`` call on a generator."""
+
+    __slots__ = ("random",)
+
+
+def _chance_depth(root) -> int:
+    """The most chance (non-observation) steps on any root-to-leaf path:
+    the outcome draws one trial can take."""
+    deepest = 0
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, ActionNode):
+            stack.append((node.child, depth))
+        elif isinstance(node, BranchNode):
+            depth += node.op.kind != "obs"
+            stack.extend((ch, depth) for ch in node.children.values())
+        else:
+            deepest = max(deepest, depth)
+    return deepest
 
 
 def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
@@ -78,19 +147,10 @@ def sample_world(priors: Sequence[GroundClause],
         except KeyError as e:
             raise MalformedPlan(f"prior clause {c.var} comes before its "
                                 f"parent {e.args[0]}") from None
-        probs = [c.cpt[(o,) + tail] for o in c.space]
-        world[c.var] = c.space[_draw(rng, probs)]
+        sums = c.thresholds[tail]
+        world[c.var] = c.space[min(bisect_right(sums, rng.random()),
+                                   len(sums) - 1)]
     return world
-
-
-def _draw(rng: np.random.Generator, probs: Sequence[float]) -> int:
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
 
 
 def _init_values(world: Mapping[str, str],
@@ -128,6 +188,10 @@ def _outcome_distribution(op: GroundOperator, values: Mapping[str, str]
     return None
 
 
+def _aborted(text: str, outcomes: list) -> TrialResult:
+    return TrialResult(False, "aborted", (text,), tuple(outcomes))
+
+
 def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
                  known_true: Iterable[Proposition] = (),
                  known_false: Iterable[Proposition] = (),
@@ -135,19 +199,17 @@ def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
     """One execution of the plan in the given world.  ``rng`` supplies the
     outcome draws of conditional steps (and must be given if any exist)."""
     values = _init_values(world, known_true, known_false)
-    violations: list[str] = []
     outcomes: list[tuple[str, str]] = []
     node = conditional.root
     while True:
         if isinstance(node, (ActionNode, BranchNode)):
             op = node.op
-            for pre in op.preconditions:
-                if not _holds(values, pre):
-                    violations.append(
-                        f"step {node.step_id} ({op.name}) requires {pre}")
-            if violations:
-                return TrialResult(False, "aborted", tuple(violations),
-                                   tuple(outcomes))
+            for var, want in op.precondition_values:
+                if values.get(var) != want:
+                    return TrialResult(False, "aborted", tuple(
+                        f"step {node.step_id} ({op.name}) requires {pre}"
+                        for pre in op.preconditions
+                        if not _holds(values, pre)), tuple(outcomes))
         if isinstance(node, ActionNode):
             values.update(node.op.effect_values(None))
             node = node.child
@@ -156,38 +218,31 @@ def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
             if op.kind == "obs":
                 got = values.get(op.observes)
                 if got is None:
-                    violations.append(
-                        f"step {node.step_id} observes {op.observes}, "
-                        "which has no value")
-                    return TrialResult(False, "aborted", tuple(violations),
-                                       tuple(outcomes))
+                    return _aborted(f"step {node.step_id} observes "
+                                    f"{op.observes}, which has no value",
+                                    outcomes)
             else:
-                probs = _outcome_distribution(op, values)
-                if probs is None:
-                    violations.append(
-                        f"step {node.step_id} ({op.name}) has no "
-                        "distribution for the current state")
-                    return TrialResult(False, "aborted", tuple(violations),
-                                       tuple(outcomes))
+                sums = op.outcome_thresholds(values)
+                if sums is None:
+                    return _aborted(f"step {node.step_id} ({op.name}) has no "
+                                    "distribution for the current state",
+                                    outcomes)
                 if rng is None:
                     raise ValueError("conditional steps need an rng")
-                got = op.outcomes[_draw(rng, probs)]
+                got = op.outcomes[min(bisect_right(sums, rng.random()),
+                                      len(sums) - 1)]
             outcomes.append((node.step_id, got))
             values.update(op.effect_values(got))
             nxt = node.children.get(got)
             if nxt is None:
-                violations.append(
-                    f"step {node.step_id} came out {got!r}, which the plan "
-                    "never anticipated")
-                return TrialResult(False, "aborted", tuple(violations),
-                                   tuple(outcomes))
+                return _aborted(f"step {node.step_id} came out {got!r}, "
+                                "which the plan never anticipated", outcomes)
             node = nxt
         elif isinstance(node, GoalLeaf):
-            for g in node.goals:
-                if not _holds(values, g):
-                    violations.append(f"goal {g} does not hold at the end")
-            ok = not violations
-            return TrialResult(ok, "goal", tuple(violations), tuple(outcomes))
+            violations = tuple(f"goal {g} does not hold at the end"
+                               for g in node.goals if not _holds(values, g))
+            return TrialResult(not violations, "goal", violations,
+                               tuple(outcomes))
         elif isinstance(node, GiveUpLeaf):
             return TrialResult(False, "giveup", (), tuple(outcomes))
         else:
@@ -200,21 +255,26 @@ def estimate_success(conditional: ConditionalPlan,
                      known_false: Iterable[Proposition] = (),
                      trials: int = 10000, seed: int = 0) -> dict:
     """Monte Carlo success frequency with its binomial standard error."""
-    kt, kf = tuple(known_true), tuple(known_false)
+    known = _init_values({}, known_true, known_false)
     priors = _topo_clauses(priors)
+    draws = len(priors) + _chance_depth(conditional.root)
+    source = _Draws()
     successes = 0
     giveups = 0
     violation_count = 0
     samples: list[str] = []
-    for t in range(trials):
-        rng = _rng_for(seed, t)
-        world = sample_world(priors, rng)
-        r = execute_plan(conditional, world, kt, kf, rng)
-        successes += r.success
-        giveups += r.leaf == "giveup"
-        violation_count += len(r.violations)
-        if r.violations and len(samples) < 5:
-            samples.extend(r.violations[:5 - len(samples)])
+    for first in range(0, trials, _TRIAL_CHUNK):
+        n = min(_TRIAL_CHUNK, trials - first)
+        for row in _philox_uniforms(seed, first, n, draws).tolist():
+            source.random = iter(row).__next__
+            world = sample_world(priors, source)
+            world.update(known)
+            r = execute_plan(conditional, world, (), (), source)
+            successes += r.success
+            giveups += r.leaf == "giveup"
+            violation_count += len(r.violations)
+            if r.violations and len(samples) < 5:
+                samples.extend(r.violations[:5 - len(samples)])
     est = successes / trials if trials else 0.0
     se = sqrt(est * (1.0 - est) / trials) if trials else 0.0
     return {"trials": trials, "seed": seed, "successes": successes,
@@ -237,43 +297,6 @@ def exhaustive_success(conditional: ConditionalPlan,
             f"{combos} worlds exceed the exhaustive limit "
             f"({EXHAUSTIVE_WORLD_LIMIT})")
     kt, kf = tuple(known_true), tuple(known_false)
-
-    def walk(node, values: dict[str, str], weight: float) -> float:
-        if weight <= 0.0:
-            return 0.0
-        if isinstance(node, ActionNode):
-            if not all(_holds(values, p) for p in node.op.preconditions):
-                return 0.0
-            values.update(node.op.effect_values(None))
-            return walk(node.child, values, weight)
-        if isinstance(node, BranchNode):
-            op = node.op
-            if not all(_holds(values, p) for p in op.preconditions):
-                return 0.0
-            if op.kind == "obs":
-                got = values.get(op.observes)
-                child = node.children.get(got)
-                if child is None:
-                    return 0.0
-                v2 = dict(values)
-                v2.update(op.effect_values(got))
-                return walk(child, v2, weight)
-            probs = _outcome_distribution(op, values)
-            if probs is None:
-                return 0.0
-            total = 0.0
-            for o, p in zip(op.outcomes, probs):
-                child = node.children.get(o)
-                if child is None or p == 0.0:
-                    continue
-                v2 = dict(values)
-                v2.update(op.effect_values(o))
-                total += walk(child, v2, weight * p)
-            return total
-        if isinstance(node, GoalLeaf):
-            return weight if all(_holds(values, g) for g in node.goals) else 0.0
-        return 0.0  # give up
-
     total = 0.0
     spaces = [c.space for c in clauses]
     for combo in itertools.product(*spaces):
@@ -283,9 +306,52 @@ def exhaustive_success(conditional: ConditionalPlan,
             w *= c.cpt[(world[c.var],) + tuple(world[p] for p in c.parents)]
         if w == 0.0:
             continue
-        total += walk(conditional.root,
-                      _init_values(world, kt, kf), w)
+        total += _exact_mass(conditional.root,
+                             _init_values(world, kt, kf), w)
     return total
+
+
+def _met(op: GroundOperator, values: Mapping[str, str]) -> bool:
+    return all(values.get(v) == want for v, want in op.precondition_values)
+
+
+def _exact_mass(node, values: dict[str, str], weight: float) -> float:
+    """The success mass ``weight`` carries from ``node`` on, every chance
+    outcome weighted by its probability; ``values`` may be changed."""
+    if weight <= 0.0:
+        return 0.0
+    if isinstance(node, ActionNode):
+        if not _met(node.op, values):
+            return 0.0
+        values.update(node.op.effect_values(None))
+        return _exact_mass(node.child, values, weight)
+    if isinstance(node, BranchNode):
+        op = node.op
+        if not _met(op, values):
+            return 0.0
+        if op.kind == "obs":
+            got = values.get(op.observes)
+            child = node.children.get(got)
+            if child is None:
+                return 0.0
+            v2 = dict(values)
+            v2.update(op.effect_values(got))
+            return _exact_mass(child, v2, weight)
+        probs = _outcome_distribution(op, values)
+        if probs is None:
+            return 0.0
+        total = 0.0
+        for o, p in zip(op.outcomes, probs):
+            child = node.children.get(o)
+            if child is None or p == 0.0:
+                continue
+            v2 = dict(values)
+            v2.update(op.effect_values(o))
+            total += _exact_mass(child, v2, weight * p)
+        return total
+    if isinstance(node, GoalLeaf):
+        return weight if all(_holds(values, g) for g in node.goals) else 0.0
+    return 0.0  # give up
 
 
 def simulate_document(doc: dict, trials: int = 10000, seed: int = 0) -> dict:

@@ -1,4 +1,5 @@
-"""Random nets, random domains, and an independent execution oracle.
+"""Random nets, random domains, an independent execution oracle, and the
+reference Monte Carlo estimator.
 
 Everything here is deliberately written against public data shapes only
 (no planner or simulator internals), so the property suites check the
@@ -9,6 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import sqrt
+
+import numpy as np
 
 from riskplan.domain import var_id
 from riskplan.plangraph import (ActionNode, BranchNode, GiveUpLeaf, GoalLeaf,
@@ -329,6 +333,109 @@ def exhaustive_check(conditional, priors, known_true=(), known_false=()):
         values.update({var_id(p): "false" for p in known_false})
         mass += walk(conditional.root, values, w)
     return mass, violations
+
+
+# ---------------------------------------------------------------------------
+# reference Monte Carlo estimator
+
+
+def _draw(rng, probs) -> int:
+    u = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return len(probs) - 1
+
+
+def _holds(values, prop) -> bool:
+    want = "false" if prop.negated else "true"
+    return values.get(var_id(prop.positive)) == want
+
+
+def _outcome_probs(op, values):
+    if op.cpt is not None:
+        tail = tuple(values.get(v, "") for v in op.influences)
+        probs = [op.cpt.get((o,) + tail) for o in op.outcomes]
+        return None if None in probs else probs
+    if op.simple_distribution is not None:
+        return [op.simple_distribution[o] for o in op.outcomes]
+    return None
+
+
+def _reference_trial(conditional, clauses, kt, kf, rng):
+    """``(success, leaf, violations)`` of one trial: the world by ancestral
+    sampling, then the plan walked with one draw per chance step."""
+    values = {}
+    for c in clauses:
+        tail = tuple(values[p] for p in c.parents)
+        values[c.var] = c.space[_draw(rng, [c.cpt[(o,) + tail]
+                                            for o in c.space])]
+    values.update({var_id(p): "true" for p in kt})
+    values.update({var_id(p): "false" for p in kf})
+    node = conditional.root
+    while True:
+        if isinstance(node, GoalLeaf):
+            bad = tuple(f"goal {g} does not hold at the end"
+                        for g in node.goals if not _holds(values, g))
+            return not bad, "goal", bad
+        if isinstance(node, GiveUpLeaf):
+            return False, "giveup", ()
+        op = node.op
+        bad = tuple(f"step {node.step_id} ({op.name}) requires {pre}"
+                    for pre in op.preconditions if not _holds(values, pre))
+        if bad:
+            return False, "aborted", bad
+        if isinstance(node, ActionNode):
+            values.update(op.effect_values(None))
+            node = node.child
+            continue
+        if op.kind == "obs":
+            got = values.get(op.observes)
+            if got is None:
+                return False, "aborted", (
+                    f"step {node.step_id} observes {op.observes}, "
+                    "which has no value",)
+        else:
+            probs = _outcome_probs(op, values)
+            if probs is None:
+                return False, "aborted", (
+                    f"step {node.step_id} ({op.name}) has no "
+                    "distribution for the current state",)
+            got = op.outcomes[_draw(rng, probs)]
+        values.update(op.effect_values(got))
+        if got not in node.children:
+            return False, "aborted", (
+                f"step {node.step_id} came out {got!r}, which the plan "
+                "never anticipated",)
+        node = node.children[got]
+
+
+def reference_estimate(conditional, priors, known_true=(), known_false=(),
+                       trials=10000, seed=0) -> dict:
+    """Monte Carlo as the simulator ran it with one generator per trial:
+    trial ``t`` draws from ``np.random.Generator(np.random.Philox(key=[seed,
+    t]))``, and each outcome is the first whose running sum exceeds the
+    draw.  ``estimate_success`` must return this report exactly."""
+    clauses = _topo(priors)
+    kt, kf = tuple(known_true), tuple(known_false)
+    successes = giveups = violation_count = 0
+    samples: list[str] = []
+    for t in range(trials):
+        key = np.array([seed, t], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        ok, leaf, bad = _reference_trial(conditional, clauses, kt, kf, rng)
+        successes += ok
+        giveups += leaf == "giveup"
+        violation_count += len(bad)
+        if bad and len(samples) < 5:
+            samples.extend(bad[:5 - len(samples)])
+    est = successes / trials if trials else 0.0
+    se = sqrt(est * (1.0 - est) / trials) if trials else 0.0
+    return {"trials": trials, "seed": seed, "successes": successes,
+            "giveups": giveups, "estimate": est, "stderr": se,
+            "violations": violation_count, "violationSamples": samples}
 
 
 def ignorance_breaches(graph) -> list[tuple[str, str, str]]:

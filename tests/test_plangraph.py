@@ -294,6 +294,21 @@ def test_condition_step_derives_its_child_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_causal_link_discharges_its_open_goal(monkeypatch):
+    """The refinement that links a producer to an open precondition is one
+    derived plan, with the precondition no longer open."""
+    plan = make_root_plan(problem(), "dag")
+    plan, pid = dag_add_step(plan, det("make", add=["(g)"]), ())
+    goal = ("s1", lit("(g)"))
+    assert goal in plan.open_goals
+    assert add_link(plan, Link("ordering", pid, "s1")).open_goals \
+        == plan.open_goals
+    calls = _count_derives(monkeypatch)
+    linked = add_link(plan, Link("causal", pid, "s1", lit("(g)")))
+    assert len(calls) == 1
+    assert linked.open_goals == plan.open_goals - {goal}
+
+
 # ---------------------------------------------------------------------------
 # threats, against a permutation oracle
 
@@ -513,7 +528,6 @@ def _covered_flip_plan():
                              source=f"s{plan.next_index}")
     plan = condition_step(plan, "s1", [(Label(cid, "heads"), cid)])
     plan = add_link(plan, Link("causal", cid, "s1", lit("(g)")))
-    plan = plan.without_open_goal(("s1", lit("(g)")))
     return plan, cid
 
 

@@ -312,7 +312,6 @@ def _flip_plan_with_goal():
     plan, cid = dag_add_step(plan, flip, (), source=f"s{plan.next_index}")
     plan = condition_step(plan, "s1", [(Label(cid, "h"), cid)])
     plan = add_link(plan, Link("causal", cid, "s1", lit("(g)")))
-    plan = plan.without_open_goal(("s1", lit("(g)")))
     return plan, cid
 
 

@@ -1,23 +1,29 @@
 """Execution harness: single trials, Monte Carlo, exhaustive enumeration."""
 
+import dataclasses
 import gc
 import json
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from riskplan import simulator
 from riskplan.errors import MalformedPlan
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
 from riskplan.probmodel import plan_document
-from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, estimate_success,
-                                execute_plan, exhaustive_success,
-                                sample_world, simulate_document)
-from riskplan.worlds import (det_chain, load_texts, press_button, ski_world,
-                             slippery_walk, sussman)
+from riskplan.plangraph import BranchNode
+from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, _TRIAL_CHUNK,
+                                _philox_uniforms, estimate_success,
+                                execute_plan,
+                                exhaustive_success, sample_world,
+                                simulate_document)
+from riskplan.worlds import (det_chain, load_texts, nroad_world,
+                             press_button, ski_world, slippery_walk, sussman)
 
-from .gen import exhaustive_check
+from .gen import exhaustive_check, reference_estimate, solvable_domain
 
 WORLDS = {
     "det_chain": det_chain(3),
@@ -174,6 +180,9 @@ def test_solves_leave_no_cyclic_garbage():
         res = plan_linear(gdom, prob)
         estimate_success(res.conditional, prob.priors, prob.known_true,
                          prob.known_false, trials=200, seed=0)
+        exhaustive_success(res.conditional, prob.priors, prob.known_true,
+                           prob.known_false)
+        res.conditional.steps_used()
     finally:
         garbage = gc.collect()
         gc.enable()
@@ -266,3 +275,110 @@ def test_mutated_documents_raise_malformed_plan():
                 simulate_document(doc, trials=20, seed=0)
             except MalformedPlan:
                 pass
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2026, 2**32 - 1, 2**32, 2**63,
+                                  2**64 - 1])
+def test_vectorized_philox_equals_numpy_philox(seed):
+    for k in (1, 4, 5, 13):
+        rows = _philox_uniforms(seed, 3, 5, k)
+        for i, row in enumerate(rows):
+            gen = np.random.Generator(np.random.Philox(
+                key=np.array([seed, 3 + i], dtype=np.uint64)))
+            assert (row == gen.random(k)).all(), (seed, k, 3 + i)
+
+
+def _same_report(conditional, priors, kt=(), kf=(), trials=300, seed=0):
+    got = estimate_success(conditional, priors, kt, kf, trials, seed)
+    want = reference_estimate(conditional, priors, kt, kf, trials, seed)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS))
+@pytest.mark.parametrize("planner", [plan_linear, plan_nonlinear])
+def test_estimate_equals_reference_estimator(name, planner):
+    gdom, prob = load_texts(*WORLDS[name])
+    res = planner(gdom, prob)
+    for seed in (0, 7, 2**64 - 1):
+        _same_report(res.conditional, prob.priors, prob.known_true,
+                     prob.known_false, seed=seed)
+
+
+def test_estimate_equals_reference_on_generated_domains():
+    for i in range(12):
+        gdom, prob = load_texts(*solvable_domain(random.Random(9000 + i)))
+        for planner in (plan_linear, plan_nonlinear):
+            res = planner(gdom, prob, node_budget=10_000)
+            _same_report(res.conditional, prob.priors, prob.known_true,
+                         prob.known_false, trials=200, seed=i)
+    # uniforms come in chunks of trials: cross two chunk boundaries
+    gdom, prob = load_texts(*nroad_world(3))
+    res = plan_nonlinear(gdom, prob)
+    _same_report(res.conditional, prob.priors, prob.known_true,
+                 prob.known_false, trials=2 * _TRIAL_CHUNK + 3, seed=5)
+
+
+def test_each_trial_samples_its_own_stream(monkeypatch):
+    """Trial t of seed s samples its world from Philox keyed (s, t), also
+    past the first chunk of trials."""
+    gdom, prob = load_texts(*nroad_world(3))
+    res = plan_nonlinear(gdom, prob)
+    worlds = []
+
+    def recorded(priors, rng):
+        world = sample_world(priors, rng)
+        worlds.append(dict(world))
+        return world
+
+    monkeypatch.setattr(simulator, "sample_world", recorded)
+    trials = 2 * _TRIAL_CHUNK + 3
+    estimate_success(res.conditional, prob.priors, prob.known_true,
+                     prob.known_false, trials=trials, seed=5)
+    assert len(worlds) == trials
+    for t, world in enumerate(worlds):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([5, t], dtype=np.uint64)))
+        assert world == sample_world(prob.priors, rng), t
+
+
+def _drop_outcome(node):
+    """``node`` with all but one outcome of its first branch unplanned."""
+    if isinstance(node, BranchNode):
+        first = sorted(node.children)[0]
+        return dataclasses.replace(node,
+                                   children={first: node.children[first]})
+    return dataclasses.replace(node, child=_drop_outcome(node.child))
+
+
+def test_estimate_equals_reference_when_trials_break():
+    # unmet preconditions, some only after chance draws: the violation
+    # count and the first five samples, in order
+    det_prob, det = _planned("det_chain")
+    ski_prob, ski = _planned("ski_world")
+    for plan, priors, kf in ((det.conditional, (), det_prob.known_false),
+                             (ski.conditional, ski_prob.priors, ())):
+        r = _same_report(plan, priors, (), kf)
+        assert r["violations"] > 5 and len(r["violationSamples"]) == 5
+    # an outcome the plan never anticipated
+    cut = dataclasses.replace(ski.conditional,
+                              root=_drop_outcome(ski.conditional.root))
+    r = _same_report(cut, ski_prob.priors, ski_prob.known_true,
+                     ski_prob.known_false)
+    assert any("never anticipated" in v for v in r["violationSamples"])
+    # a variable with no value: rain has no prior here
+    walk_prob, walk = _planned("slippery_walk")
+    r = _same_report(walk.conditional, (), walk_prob.known_true,
+                     walk_prob.known_false)
+    assert r["violations"] == 300
+    # no trials: no draws, so no seed check either
+    r = _same_report(ski.conditional, ski_prob.priors, trials=0, seed=-1)
+    assert r["trials"] == 0 and r["estimate"] == 0.0
+
+
+def test_estimate_rejects_seeds_outside_philox_keys():
+    prob, res = _planned("ski_world")
+    for seed in (-1, 2**64):
+        with pytest.raises(OverflowError):
+            estimate_success(res.conditional, prob.priors, prob.known_true,
+                             prob.known_false, trials=1, seed=seed)
