@@ -106,6 +106,12 @@ def var_id(prop: Proposition | tuple[str, tuple[str, ...]]) -> str:
     return f"{name}({','.join(args)})" if args else name
 
 
+def literal_values(lits: Iterable[Proposition]) -> tuple[tuple[str, str], ...]:
+    """The (variable id, wanted value) each literal asks for, in order."""
+    return tuple((var_id(p.positive), "false" if p.negated else "true")
+                 for p in lits)
+
+
 # ---------------------------------------------------------------------------
 # schema-level types
 
@@ -183,6 +189,9 @@ class GroundOperator:
     _effects: Mapping = field(init=False, repr=False, compare=False)
     # outcome (None = det) -> frozenset; see effective_deletes
     _deletes: Mapping = field(init=False, repr=False, compare=False)
+    # every literal some run of this operator deletes: the union of
+    # effective_deletes over the outcomes it can take (None for det/start)
+    clobbers: frozenset = field(init=False, repr=False, compare=False)
     # (variable id, wanted value) of each precondition, in declared order
     precondition_values: tuple[tuple[str, str], ...] = field(
         init=False, repr=False, compare=False)
@@ -203,9 +212,11 @@ class GroundOperator:
             o: frozenset(self.deletes_for(o))
             | frozenset(p.negate() for p in self.adds_for(o))
             for o in variants})
-        object.__setattr__(self, "precondition_values", tuple(
-            (var_id(p.positive), "false" if p.negated else "true")
-            for p in self.preconditions))
+        runs = (None,) if self.kind in ("det", "start") else self.outcomes
+        object.__setattr__(self, "clobbers", frozenset().union(
+            *(self._deletes[o] for o in runs)))
+        object.__setattr__(self, "precondition_values",
+                           literal_values(self.preconditions))
         if self.cpt is not None:
             table = self.cpt
         else:
@@ -315,6 +326,21 @@ class GroundDomain:
     operators: tuple[GroundOperator, ...]  # sorted by name
     # in dependency order over sorted variable names: parents first
     clauses: tuple[GroundClause, ...]
+    # literal -> its producers; see producers
+    _producers: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    def producers(self, lit: Proposition
+                  ) -> tuple[tuple[GroundOperator, str | None], ...]:
+        """Each (operator, outcome) under which an operator makes ``lit``
+        hold (None = det), in operator order: ``establishing_outcomes`` of
+        every operator, worked out on first use per literal."""
+        found = self._producers.get(lit)
+        if found is None:
+            found = self._producers[lit] = tuple(
+                (op, o) for op in self.operators
+                for o in op.establishing_outcomes(lit))
+        return found
 
     def operator(self, name: str) -> GroundOperator:
         for op in self.operators:

@@ -153,14 +153,13 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
             out.extend(_safe(_link_establisher(plan, wid, prop, sid)))
 
     # or insert a fresh producer anywhere on the path
-    for op in gdomain.operators:
-        for o in op.establishing_outcomes(prop):
-            for parent, child in _path_edges(plan, sid):
-                made = _insert_producer(plan, op, o, parent, child, model)
-                if made is None:
-                    continue
-                plan2, new_id = made
-                out.extend(_safe(_link_establisher(plan2, new_id, prop, sid)))
+    for op, o in gdomain.producers(prop):
+        for parent, child in _path_edges(plan, sid):
+            made = _insert_producer(plan, op, o, parent, child, model)
+            if made is None:
+                continue
+            plan2, new_id = made
+            out.extend(_safe(_link_establisher(plan2, new_id, prop, sid)))
     return out
 
 

@@ -214,23 +214,22 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
                 continue
             out.append(p2)
 
-    for op in gdomain.operators:  # fresh producer
-        for o in op.establishing_outcomes(prop):
-            made = _add_step_for(plan, op, sid, model)
-            if made is None:
+    for op, o in gdomain.producers(prop):  # fresh producer
+        made = _add_step_for(plan, op, sid, model)
+        if made is None:
+            continue
+        p2, nid = made
+        if o is not None:
+            p2x = condition_step(
+                p2, sid, [(Label(p2.steps[nid].source, o), nid)])
+            if p2x is None:
                 continue
-            p2, nid = made
-            if o is not None:
-                p2x = condition_step(
-                    p2, sid, [(Label(p2.steps[nid].source, o), nid)])
-                if p2x is None:
-                    continue
-                p2 = p2x
-            try:
-                p2 = add_link(p2, Link("causal", nid, sid, prop))
-            except WouldCreateCycle:
-                continue
-            out.append(p2)
+            p2 = p2x
+        try:
+            p2 = add_link(p2, Link("causal", nid, sid, prop))
+        except WouldCreateCycle:
+            continue
+        out.append(p2)
     return out
 
 

@@ -23,9 +23,12 @@ gives ``{b} | after[b]`` to a and to every step ordered before a.  Threats
 are derived once per graph (``PlanGraph.threats``): a graph derived from
 one whose threats are known keeps those threats that still hold and checks
 only its new links against every step and its old links against its new
-steps, as UCPOP does (Penberthy & Weld, KR 1992).  ``_ordering_closure``
-and ``find_threats`` are the from-scratch paths: roots use them, and the
-tests hold every shortcut to them.
+steps, as UCPOP does (Penberthy & Weld, KR 1992).  In a tree plan a new
+link is checked only against the steps on the tree path down to its
+consumer, and a causal link skips at once every step whose operator's
+``clobbers`` lacks the link's proposition.  ``_ordering_closure`` and
+``find_threats`` are the from-scratch paths: roots use them, and the tests
+hold every shortcut to them.
 
 Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 (each step has one parent; conditional steps fan out per outcome), which
@@ -41,7 +44,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .domain import (DependencyCycle, GroundOperator, Problem, Proposition,
-                     _check_row_groups, dependency_order, prop_from_text)
+                     _check_row_groups, dependency_order, literal_values,
+                     prop_from_text)
 from .errors import (DomainSyntaxError, DomainValidationError,
                      IgnoranceNotFromStart, IncompletePlan, MalformedPlan,
                      OverlappingGoalContexts, PlanGraphError, WouldCreateCycle)
@@ -400,7 +404,8 @@ def _link_threats(plan: PlanGraph, link: Link,
         sctx = plan.steps[s].context
         wctx = plan.steps[w].context
         for v in steps:
-            if not plan.possibly_between(v.id, s, w):
+            if prop not in v.operator.clobbers or \
+                    not plan.possibly_between(v.id, s, w):
                 continue
             if v.kind in ("det", "start"):
                 variants: Sequence[str | None] = (None,)
@@ -433,12 +438,21 @@ def _derived_threats(plan: PlanGraph, basis: _ThreatBasis) -> list[Threat]:
     and orderings, so a step that did not threaten a link there does not
     threaten it here: it is enough to keep the old threats that still
     hold, check the new links against every step, and check the old links
-    against the new steps."""
+    against the new steps.
+
+    In a tree plan a new link need only be checked against the tree path
+    down to its consumer.  Below the consumer every step runs after it.
+    Any other step parted from that path at a chance step, under another
+    of its outcomes, so its context and the consumer's give that step's
+    labels two outcomes and cannot be compatible."""
     found = [t for t in basis.threats
              if t in _link_threats(plan, t.link, (plan.steps[t.step],))]
-    every = plan.step_list()
     for link in basis.links:
-        found.extend(_link_threats(plan, link, every))
+        if plan.tree is None:
+            steps = plan.step_list()
+        else:
+            steps = [plan.steps[sid] for sid in plan.tree_path(link.consumer)]
+        found.extend(_link_threats(plan, link, steps))
     if basis.steps:
         fresh = [plan.steps[sid] for sid in basis.steps]
         for link in plan.links - basis.links:
@@ -642,6 +656,11 @@ class GoalLeaf:
     step_id: str
     context: frozenset
     goals: tuple
+    # (variable id, wanted value) of each goal, in order
+    goal_values: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "goal_values", literal_values(self.goals))
 
 
 @dataclass(frozen=True)
@@ -678,25 +697,10 @@ class ConditionalPlan:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def node_json(node) -> dict:
-            if isinstance(node, ActionNode):
-                return {"type": "action", "step": node.step_id,
-                        "next": node_json(node.child)}
-            if isinstance(node, BranchNode):
-                return {"type": "branch", "step": node.step_id,
-                        "source": node.source,
-                        "children": {o: node_json(c)
-                                     for o, c in sorted(node.children.items())}}
-            if isinstance(node, GoalLeaf):
-                return {"type": "goal", "step": node.step_id,
-                        "context": _ctx_json(node.context),
-                        "goals": [g.text() for g in node.goals]}
-            return {"type": "giveup", "context": _ctx_json(node.context)}
-
         return {
             "steps": [dict(_op_json(op), id=sid)
                       for sid, op in sorted(self.steps_used().items())],
-            "branches": node_json(self.root),
+            "branches": _node_json(self.root),
             "contexts": [_ctx_json(c) for c in self.goal_contexts],
             "uncoveredContexts": [_ctx_json(c) for c in self.uncovered],
         }
@@ -705,32 +709,48 @@ class ConditionalPlan:
     def from_json_dict(cls, data: dict) -> "ConditionalPlan":
         try:
             ops = {rec["id"]: _op_from_json(rec) for rec in data["steps"]}
-
-            def node(rec) -> object:
-                t = rec["type"]
-                if t == "action":
-                    return ActionNode(rec["step"], ops[rec["step"]],
-                                      node(rec["next"]))
-                if t == "branch":
-                    return BranchNode(rec["step"], ops[rec["step"]],
-                                      rec["source"],
-                                      {o: node(c)
-                                       for o, c in rec["children"].items()})
-                if t == "goal":
-                    return GoalLeaf(rec["step"], _ctx_from_json(rec["context"]),
-                                    tuple(prop_from_text(g)
-                                          for g in rec["goals"]))
-                if t == "giveup":
-                    return GiveUpLeaf(_ctx_from_json(rec["context"]))
-                raise KeyError(t)
-
-            return cls(node(data["branches"]),
+            return cls(_node_from_json(data["branches"], ops),
                        tuple(_ctx_from_json(c) for c in data["contexts"]),
                        tuple(_ctx_from_json(c)
                              for c in data["uncoveredContexts"]))
         except (AttributeError, KeyError, TypeError, ValueError,
                 DomainSyntaxError, DomainValidationError) as e:
             raise MalformedPlan(f"cannot decode plan: {e}") from e
+
+
+def _node_json(node) -> dict:
+    if isinstance(node, ActionNode):
+        return {"type": "action", "step": node.step_id,
+                "next": _node_json(node.child)}
+    if isinstance(node, BranchNode):
+        return {"type": "branch", "step": node.step_id,
+                "source": node.source,
+                "children": {o: _node_json(c)
+                             for o, c in sorted(node.children.items())}}
+    if isinstance(node, GoalLeaf):
+        return {"type": "goal", "step": node.step_id,
+                "context": _ctx_json(node.context),
+                "goals": [g.text() for g in node.goals]}
+    return {"type": "giveup", "context": _ctx_json(node.context)}
+
+
+def _node_from_json(rec, ops: Mapping[str, GroundOperator]) -> object:
+    """The plan node ``rec`` encodes; ``ops`` maps step ids to their
+    decoded operators."""
+    t = rec["type"]
+    if t == "action":
+        return ActionNode(rec["step"], ops[rec["step"]],
+                          _node_from_json(rec["next"], ops))
+    if t == "branch":
+        return BranchNode(rec["step"], ops[rec["step"]], rec["source"],
+                          {o: _node_from_json(c, ops)
+                           for o, c in rec["children"].items()})
+    if t == "goal":
+        return GoalLeaf(rec["step"], _ctx_from_json(rec["context"]),
+                        tuple(prop_from_text(g) for g in rec["goals"]))
+    if t == "giveup":
+        return GiveUpLeaf(_ctx_from_json(rec["context"]))
+    raise KeyError(t)
 
 
 def _leaves(node) -> Iterator[object]:

@@ -11,12 +11,14 @@ plan documents report it.  Acceptance needs only the *achieved* mass:
 branches that still have flaws are abandoned as give-up leaves and
 reported as uncovered contexts.
 
-Each node's model is looked up once, when the node is generated, to bound
-it.  It rides on the node's frontier entry to its expansion and, on
-acceptance, to the result.  Under the network model the search keeps one
-net object per distinct net (``net_for_plan``'s cache, which lives as long
-as the search), so nodes that denote the same net share it, and with it
-the joints already computed on it.
+A node is priced when it is popped: its model is looked up and its
+success bound computed then, once, and both go on to its expansion and,
+on acceptance, to the result.  The frontier order never reads a bound,
+so nodes still on the frontier when the search ends are never priced.
+Under the network model the search keeps one net object per distinct net
+(``net_for_plan``'s cache, which lives as long as the search), so nodes
+that denote the same net share it, and with it the joints already
+computed on it.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ def best_first(planner: str, root: PlanGraph,
     nets: dict = {}  # signature -> belief net, for this search only
     m = model_for_plan(root, problem, model, nets)
     root_bound = success_bound(root, m, eps)
-    # (key, plan, its bound, its model, goals its parent had completed)
-    heap: list[tuple[tuple, PlanGraph, SuccessBound, object, int]] = []
+    # (key, plan, its bound, its model, goals its parent had completed);
+    # a child goes on unpriced, with no bound and no model
+    heap: list[tuple[tuple, PlanGraph, SuccessBound | None, object, int]] = []
     counter = itertools.count()
     seen = {canonical_key(root)}
     heapq.heappush(heap, ((_workload(root), -next(counter)),
@@ -67,6 +70,9 @@ def best_first(planner: str, root: PlanGraph,
 
     while heap:
         _key, plan, bound, m, parent_done = heapq.heappop(heap)
+        if bound is None:
+            m = model_for_plan(plan, problem, model, nets)
+            bound = success_bound(plan, m, eps)
         if trace:
             trace({"event": "node-expanded", "n": stats["expanded"],
                    "achieved": bound.achieved_mass,
@@ -100,10 +106,8 @@ def best_first(planner: str, root: PlanGraph,
                 continue
             seen.add(key)
             stats["generated"] += 1
-            cmodel = model_for_plan(child, problem, model, nets)
-            cbound = success_bound(child, cmodel, eps)
             heapq.heappush(heap, ((_workload(child), -next(counter)),
-                                  child, cbound, cmodel, len(bound.completed)))
+                                  child, None, None, len(bound.completed)))
 
     stats["elapsed"] = time.monotonic() - started
     reason = ("node budget exhausted" if heap else "search space exhausted")

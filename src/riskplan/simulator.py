@@ -239,10 +239,12 @@ def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
                                 "which the plan never anticipated", outcomes)
             node = nxt
         elif isinstance(node, GoalLeaf):
-            violations = tuple(f"goal {g} does not hold at the end"
-                               for g in node.goals if not _holds(values, g))
-            return TrialResult(not violations, "goal", violations,
-                               tuple(outcomes))
+            if _met(node.goal_values, values):
+                return TrialResult(True, "goal", (), tuple(outcomes))
+            return TrialResult(False, "goal", tuple(
+                f"goal {g} does not hold at the end"
+                for g in node.goals if not _holds(values, g)),
+                tuple(outcomes))
         elif isinstance(node, GiveUpLeaf):
             return TrialResult(False, "giveup", (), tuple(outcomes))
         else:
@@ -311,8 +313,10 @@ def exhaustive_success(conditional: ConditionalPlan,
     return total
 
 
-def _met(op: GroundOperator, values: Mapping[str, str]) -> bool:
-    return all(values.get(v) == want for v, want in op.precondition_values)
+def _met(wanted: Iterable[tuple[str, str]], values: Mapping[str, str]
+         ) -> bool:
+    """Each (variable, value) pair of ``wanted`` holds in ``values``."""
+    return all(values.get(v) == want for v, want in wanted)
 
 
 def _exact_mass(node, values: dict[str, str], weight: float) -> float:
@@ -321,13 +325,13 @@ def _exact_mass(node, values: dict[str, str], weight: float) -> float:
     if weight <= 0.0:
         return 0.0
     if isinstance(node, ActionNode):
-        if not _met(node.op, values):
+        if not _met(node.op.precondition_values, values):
             return 0.0
         values.update(node.op.effect_values(None))
         return _exact_mass(node.child, values, weight)
     if isinstance(node, BranchNode):
         op = node.op
-        if not _met(op, values):
+        if not _met(op.precondition_values, values):
             return 0.0
         if op.kind == "obs":
             got = values.get(op.observes)
@@ -350,7 +354,7 @@ def _exact_mass(node, values: dict[str, str], weight: float) -> float:
             total += _exact_mass(child, v2, weight * p)
         return total
     if isinstance(node, GoalLeaf):
-        return weight if all(_holds(values, g) for g in node.goals) else 0.0
+        return weight if _met(node.goal_values, values) else 0.0
     return 0.0  # give up
 
 

@@ -16,6 +16,8 @@ from riskplan.errors import (DomainSyntaxError, DomainValidationError,
 from riskplan.worlds import (load_texts, nroad_world, ski_world,
                              slippery_walk, sussman)
 
+from .test_simulator import WORLDS
+
 SKI_DOMAIN, SKI_PROBLEM = ski_world()
 
 
@@ -197,6 +199,15 @@ def test_effective_deletes_are_computed_once_per_outcome(world):
             want = frozenset(dels) | {p.negate() for p in adds}
             assert op.effective_deletes(o) == want
             assert op.effective_deletes(o) is op.effective_deletes(o)
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS))
+def test_clobbers_are_the_union_of_effective_deletes(name):
+    gdom, _ = load_texts(*WORLDS[name])
+    for op in gdom.operators:
+        runs = (None,) if op.kind in ("det", "start") else op.outcomes
+        want = frozenset().union(*(op.effective_deletes(o) for o in runs))
+        assert op.clobbers == want
 
 
 def test_touches_variable():

@@ -4,11 +4,12 @@ threats and ordering closure, derived from its parent's, equal the
 from-scratch oracles; and the frontier order does not hang on the last bit
 of a float mass."""
 
+import sys
 from collections import Counter
 
 import pytest
 
-from riskplan import probmodel, search
+from riskplan import probmodel
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
 from riskplan.plangraph import _ordering_closure, find_threats
@@ -59,7 +60,8 @@ def test_nodes_share_one_net_per_distinct_net(monkeypatch, planner, world):
     monkeypatch.undo()
 
     assert initial_builds == 1
-    assert len(shared) == res.stats["generated"]
+    # priced when popped: every expanded node and the accepted one
+    assert len(shared) == res.stats["expanded"] + 1
     assert solved
     assert [k for k, n in solved.items() if n > 1] == []
     distinct = {id(net) for _plan, net in shared}
@@ -95,14 +97,18 @@ def test_every_node_matches_the_from_scratch_plan_graph(monkeypatch, planner,
         "relay": (*det_chain(20), None),
         "nroad": (*nroad_world(4), None)}[world]
     gdom, prob = load_texts(domain_text, problem_text)
-    generated = []
-    model_for_plan = search.model_for_plan
+    module = sys.modules[planner.__module__]
+    generated = []  # the root, then every child, priced or not
+    expand = module._expand
 
     def recorded(plan, *args):
-        generated.append(plan)
-        return model_for_plan(plan, *args)
+        if not generated:
+            generated.append(plan)
+        children = list(expand(plan, *args))
+        generated.extend(children)
+        return children
 
-    monkeypatch.setattr(search, "model_for_plan", recorded)
+    monkeypatch.setattr(module, "_expand", recorded)
     res = planner(gdom, prob, model="kbmc", epsilon=epsilon)
     monkeypatch.undo()
 

@@ -14,7 +14,7 @@ from riskplan.errors import MalformedPlan
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
 from riskplan.probmodel import plan_document
-from riskplan.plangraph import BranchNode
+from riskplan.plangraph import ActionNode, BranchNode, GoalLeaf
 from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, _TRIAL_CHUNK,
                                 _philox_uniforms, estimate_success,
                                 execute_plan,
@@ -183,6 +183,7 @@ def test_solves_leave_no_cyclic_garbage():
         exhaustive_success(res.conditional, prob.priors, prob.known_true,
                            prob.known_false)
         res.conditional.steps_used()
+        simulate_document(plan_document(res, prob, "kbmc"), trials=200)
     finally:
         garbage = gc.collect()
         gc.enable()
@@ -351,6 +352,18 @@ def _drop_outcome(node):
     return dataclasses.replace(node, child=_drop_outcome(node.child))
 
 
+def _more_goals(node, extra):
+    """``node`` with the goals ``extra`` added to each goal leaf."""
+    if isinstance(node, GoalLeaf):
+        return dataclasses.replace(node, goals=node.goals + extra)
+    if isinstance(node, BranchNode):
+        return dataclasses.replace(node, children={
+            o: _more_goals(c, extra) for o, c in node.children.items()})
+    if isinstance(node, ActionNode):
+        return dataclasses.replace(node, child=_more_goals(node.child, extra))
+    return node
+
+
 def test_estimate_equals_reference_when_trials_break():
     # unmet preconditions, some only after chance draws: the violation
     # count and the first five samples, in order
@@ -366,6 +379,15 @@ def test_estimate_equals_reference_when_trials_break():
     r = _same_report(cut, ski_prob.priors, ski_prob.known_true,
                      ski_prob.known_false)
     assert any("never anticipated" in v for v in r["violationSamples"])
+    # a goal leaf whose later goal fails where its first goal holds
+    extra = (ski_prob.goals[0].negate(),)
+    greedy = dataclasses.replace(
+        ski.conditional, root=_more_goals(ski.conditional.root, extra))
+    r = _same_report(greedy, ski_prob.priors, ski_prob.known_true,
+                     ski_prob.known_false)
+    assert r["successes"] == 0 and r["violations"] > 0
+    assert exhaustive_success(greedy, ski_prob.priors, ski_prob.known_true,
+                              ski_prob.known_false) == 0.0
     # a variable with no value: rain has no prior here
     walk_prob, walk = _planned("slippery_walk")
     r = _same_report(walk.conditional, (), walk_prob.known_true,
