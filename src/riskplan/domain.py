@@ -189,8 +189,10 @@ class GroundOperator:
     _effects: Mapping = field(init=False, repr=False, compare=False)
     # outcome (None = det) -> frozenset; see effective_deletes
     _deletes: Mapping = field(init=False, repr=False, compare=False)
-    # every literal some run of this operator deletes: the union of
-    # effective_deletes over the outcomes it can take (None for det/start)
+    # the outcomes a run can take: (None,) for det and start steps, which
+    # have none, else the declared outcomes
+    runs: tuple = field(init=False, repr=False, compare=False)
+    # every literal some run deletes: effective_deletes over ``runs``
     clobbers: frozenset = field(init=False, repr=False, compare=False)
     # (variable id, wanted value) of each precondition, in declared order
     precondition_values: tuple[tuple[str, str], ...] = field(
@@ -212,9 +214,10 @@ class GroundOperator:
             o: frozenset(self.deletes_for(o))
             | frozenset(p.negate() for p in self.adds_for(o))
             for o in variants})
-        runs = (None,) if self.kind in ("det", "start") else self.outcomes
+        object.__setattr__(self, "runs", (None,) if self.kind in (
+            "det", "start") else self.outcomes)
         object.__setattr__(self, "clobbers", frozenset().union(
-            *(self._deletes[o] for o in runs)))
+            *(self._deletes[o] for o in self.runs)))
         object.__setattr__(self, "precondition_values",
                            literal_values(self.preconditions))
         if self.cpt is not None:
@@ -262,8 +265,7 @@ class GroundOperator:
         det)."""
         var = var_id(lit.positive)
         want = "false" if lit.negated else "true"
-        variants = [None] if self.kind in ("det", "start") else self.outcomes
-        return [o for o in variants if self._effects[o].get(var) == want]
+        return [o for o in self.runs if self._effects[o].get(var) == want]
 
     def touches_variable(self, var: str) -> bool:
         """True if executing this operator reveals or forces the value of

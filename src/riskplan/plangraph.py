@@ -407,11 +407,7 @@ def _link_threats(plan: PlanGraph, link: Link,
             if prop not in v.operator.clobbers or \
                     not plan.possibly_between(v.id, s, w):
                 continue
-            if v.kind in ("det", "start"):
-                variants: Sequence[str | None] = (None,)
-            else:
-                variants = v.operator.outcomes
-            for o in variants:
+            for o in v.operator.runs:
                 if prop not in v.operator.effective_deletes(o):
                     continue
                 vctx = set(v.context)
@@ -442,9 +438,9 @@ def _derived_threats(plan: PlanGraph, basis: _ThreatBasis) -> list[Threat]:
 
     In a tree plan a new link need only be checked against the tree path
     down to its consumer.  Below the consumer every step runs after it.
-    Any other step parted from that path at a chance step, under another
-    of its outcomes, so its context and the consumer's give that step's
-    labels two outcomes and cannot be compatible."""
+    Any other step left that path at a chance step, under another of its
+    outcomes, so its context and the consumer's hold two different labels
+    of that chance step and cannot be compatible."""
     found = [t for t in basis.threats
              if t in _link_threats(plan, t.link, (plan.steps[t.step],))]
     for link in basis.links:

@@ -206,6 +206,7 @@ def test_clobbers_are_the_union_of_effective_deletes(name):
     gdom, _ = load_texts(*WORLDS[name])
     for op in gdom.operators:
         runs = (None,) if op.kind in ("det", "start") else op.outcomes
+        assert op.runs == runs
         want = frozenset().union(*(op.effective_deletes(o) for o in runs))
         assert op.clobbers == want
 
