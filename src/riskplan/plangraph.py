@@ -26,7 +26,9 @@ only its new links against every step and its old links against its new
 steps, as UCPOP does (Penberthy & Weld, KR 1992).  In a tree plan a new
 link is checked only against the steps on the tree path down to its
 consumer, and a causal link skips at once every step whose operator's
-``clobbers`` lacks the link's proposition.  ``_ordering_closure`` and
+``clobbers`` lacks the link's proposition.  For the same reason, which
+goal branches are free of flaws and which chance outcomes no goal serves
+is asked of a tree plan only along tree paths.  ``_ordering_closure`` and
 ``find_threats`` are the from-scratch paths: roots use them, and the tests
 hold every shortcut to them.
 
@@ -131,6 +133,18 @@ class Step:
         """Canonical order: fewer labels first, then insertion order."""
         return (len(self.context), self.index)
 
+    @cached_property
+    def outcome_contexts(self) -> tuple[frozenset, ...]:
+        """This step's context with each outcome's label, in declared
+        order, for the outcomes whose label fits the context; empty for a
+        step without outcome labels.  Kept with the step, which the plans
+        derived from this one share until its context grows."""
+        if self.kind not in ("cond", "obs") or self.source is None:
+            return ()
+        ctxs = (self.context | {Label(self.source, o)}
+                for o in self.operator.outcomes)
+        return tuple(ctx for ctx in ctxs if context_consistent(ctx))
+
     def grown(self, labels: frozenset) -> "Step":
         """This step with ``labels`` added to its context; a context only
         grows."""
@@ -184,7 +198,7 @@ class PlanGraph:
     links: frozenset
     open_goals: frozenset  # of (step id, Proposition)
     open_influences: frozenset  # of (step id, variable id)
-    goal_literals: tuple
+    goal_op: GroundOperator  # every goal step's operator: the problem goals
     next_index: int
     tree: Mapping[str, tuple] | None  # child id -> (parent id, edge outcome)
     after: Mapping[str, frozenset]  # derived: strict ordering closure
@@ -231,16 +245,16 @@ class PlanGraph:
         path.reverse()
         return path
 
-    def tree_children(self, sid: str) -> list[tuple[str, str | None]]:
-        assert self.tree is not None
-        return sorted((c, o) for c, (p, o) in self.tree.items() if p == sid)
-
     def subtree_ids(self, root: str) -> set[str]:
+        """``root`` and every step below it (tree plans only)."""
+        assert self.tree is not None
+        children: dict[str, list[str]] = {}
+        for c, (p, _o) in self.tree.items():
+            children.setdefault(p, []).append(c)
         out = {root}
         frontier = [root]
         while frontier:
-            cur = frontier.pop()
-            for c, _o in self.tree_children(cur):
+            for c in children.get(frontier.pop(), ()):
                 out.add(c)
                 frontier.append(c)
         return out
@@ -327,15 +341,13 @@ def _start_operator(problem: Problem) -> GroundOperator:
     return GroundOperator(name="start", kind="start", add=adds)
 
 
-def _goal_operator(goals: Sequence[Proposition]) -> GroundOperator:
-    return GroundOperator(name="goal", kind="goal", preconditions=tuple(goals))
-
-
 def make_root_plan(problem: Problem, shape: str) -> PlanGraph:
     """Start step plus a single universal-context goal step whose
-    preconditions are the problem goals."""
+    preconditions are the problem goals.  Every goal step the plan's
+    descendants add shares the root goal's operator."""
     start = Step(START_ID, 0, _start_operator(problem))
-    goal = Step("s1", 1, _goal_operator(problem.goals))
+    goal = Step("s1", 1, GroundOperator(name="goal", kind="goal",
+                                        preconditions=tuple(problem.goals)))
     steps = {start.id: start, goal.id: goal}
     tree = {goal.id: (START_ID, None)} if shape == "tree" else None
     links = frozenset() if shape == "tree" else frozenset(
@@ -343,7 +355,7 @@ def make_root_plan(problem: Problem, shape: str) -> PlanGraph:
     plan = PlanGraph(
         shape=shape, steps=steps, links=links,
         open_goals=frozenset((goal.id, g) for g in problem.goals),
-        open_influences=frozenset(), goal_literals=tuple(problem.goals),
+        open_influences=frozenset(), goal_op=goal.operator,
         next_index=2, tree=tree,
         after=_ordering_closure(steps, links, tree))
     return plan
@@ -539,8 +551,7 @@ def dag_add_step(plan: PlanGraph, op: GroundOperator,
 
 def dag_add_goal(plan: PlanGraph,
                  context_pairs: Iterable[tuple[Label, str]]) -> tuple[PlanGraph, str]:
-    op = _goal_operator(plan.goal_literals)
-    return dag_add_step(plan, op, context_pairs)
+    return dag_add_step(plan, plan.goal_op, context_pairs)
 
 
 def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
@@ -576,10 +587,9 @@ def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
                 continue
             gidx = index + 1 + len(new_goals)
             gid = f"s{gidx}"
-            steps[gid] = Step(gid, gidx, _goal_operator(plan.goal_literals),
-                              frozenset(leaf_ctx))
+            steps[gid] = Step(gid, gidx, plan.goal_op, frozenset(leaf_ctx))
             tree[gid] = (sid, o)
-            open_goals |= {(gid, g) for g in plan.goal_literals}
+            open_goals |= {(gid, g) for g in plan.goal_op.preconditions}
             new_goals.append(gid)
     new_ids = [sid, *new_goals]
     after = _after_start(plan.after, new_ids)
@@ -830,19 +840,36 @@ def _op_from_json(rec: dict) -> GroundOperator:
 
 
 def complete_goal_ids(plan: PlanGraph) -> list[str]:
-    """Goal steps whose branch no remaining flaw can touch."""
-    flaws = [plan.steps[sid].context for sid, _p in plan.open_goals]
-    flaws += [plan.steps[sid].context for sid, _v in plan.open_influences]
+    """Goal steps whose branch no remaining flaw can touch.
+
+    In a tree plan an open goal or influence can touch a goal step only
+    from the goal's own tree path, so only flaws at the goal and at steps
+    ordered before it are tested.  A tree forks only at chance steps, each
+    branch under its own outcome of that step, and contexts only grow: a
+    step off the path left it at a chance step under another outcome, so
+    its context and the goal's hold two different labels of that step.
+    The flaws that remain, threats included, are tested with
+    ``contexts_compatible``."""
+    flawed = {sid for sid, _p in plan.open_goals}
+    flawed.update(sid for sid, _v in plan.open_influences)
+    flaws = [(sid, plan.steps[sid].context) for sid in flawed]
+    threatened = []
     for t in plan.threats:
         vctx = plan.steps[t.step].context
         wctx = plan.steps[t.link.consumer].context
         if t.outcome is not None and plan.steps[t.step].source:
             vctx = vctx | {Label(plan.steps[t.step].source, t.outcome)}
-        flaws.append(frozenset(vctx | wctx))
+        threatened.append(vctx | wctx)
+    before = plan.after if plan.tree is not None else None
     out = []
     for g in plan.goal_steps():
-        if all(not contexts_compatible(f, g.context) for f in flaws):
-            out.append(g.id)
+        for sid, ctx in flaws:
+            if (before is None or sid == g.id or g.id in before[sid]) and \
+                    contexts_compatible(ctx, g.context):
+                break
+        else:
+            if not any(contexts_compatible(f, g.context) for f in threatened):
+                out.append(g.id)
     return out
 
 
@@ -850,25 +877,28 @@ def uncovered_outcome_contexts(plan: PlanGraph,
                                covered: Iterable[str] | None = None
                                ) -> list[frozenset]:
     """Outcome continuations of conditional steps that no (covered) goal
-    step can serve."""
-    goal_ctxs = [plan.steps[g].context for g in
-                 (covered if covered is not None
-                  else [s.id for s in plan.goal_steps()])]
+    step can serve.
+
+    With every goal step covered, in a tree plan only the goal steps
+    ordered after chance step ``c`` can serve one of its outcomes: any
+    other goal step holds another label of a chance step above ``c`` (see
+    ``complete_goal_ids``).  Those are tested with
+    ``contexts_compatible``."""
+    goals = [plan.steps[g] for g in covered] if covered is not None \
+        else plan.goal_steps()
+    below = covered is None and plan.tree is not None
     seen: set[frozenset] = set()
     out: list[frozenset] = []
     for st in plan.step_list():
-        if st.kind not in ("cond", "obs") or st.source is None:
+        if not st.outcome_contexts:
             continue
-        for o in st.operator.outcomes:
-            ctx = st.context | {Label(st.source, o)}
-            if not context_consistent(ctx):
-                continue
-            if any(contexts_compatible(ctx, g) for g in goal_ctxs):
-                continue
-            fz = frozenset(ctx)
-            if fz not in seen:
-                seen.add(fz)
-                out.append(fz)
+        servers = [g.context for g in goals
+                   if not below or g.id in plan.after[st.id]]
+        for ctx in st.outcome_contexts:
+            if ctx not in seen and not any(contexts_compatible(ctx, g)
+                                           for g in servers):
+                seen.add(ctx)
+                out.append(ctx)
     return out
 
 
@@ -955,20 +985,20 @@ def _build_branch(plan: PlanGraph, order: Sequence[str],
 # canonical form & export
 
 
-def canonical_key(plan: PlanGraph) -> str:
-    parts = []
-    for st in sorted(plan.steps.values(), key=lambda s: s.index):
-        parts.append(f"{st.id}={st.operator.name}"
-                     f"@{_ctx_text(st.context)}")
-    parts.append("L:" + ";".join(sorted(l.text() for l in plan.links)))
-    if plan.tree:
-        parts.append("T:" + ";".join(
-            f"{p}>{c}:{o}" for c, (p, o) in sorted(plan.tree.items())))
-    parts.append("G:" + ";".join(sorted(f"{sid}|{p.text()}"
-                                        for sid, p in plan.open_goals)))
-    parts.append("I:" + ";".join(sorted(f"{sid}|{v}"
-                                        for sid, v in plan.open_influences)))
-    return "\n".join(parts)
+def canonical_key(plan: PlanGraph) -> tuple:
+    """The search's duplicate key: each step's (id, operator name, context)
+    in index order, the links, the tree edges (child, (parent, outcome))
+    by child, the open goals and the open influences.
+
+    It holds the plan's own frozensets, so it costs a tuple per step and no
+    text.  Two plans share a key only if they are the same plan.  No search
+    has yet met a duplicate (``deduplicated`` stays 0); the key stays until
+    that check is deleted together with the benchmark's trace of it."""
+    steps = sorted(plan.steps.values(), key=lambda s: s.index)
+    return (tuple((st.id, st.operator.name, st.context) for st in steps),
+            plan.links,
+            () if plan.tree is None else tuple(sorted(plan.tree.items())),
+            plan.open_goals, plan.open_influences)
 
 
 _EDGE_STYLE = {

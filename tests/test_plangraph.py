@@ -6,6 +6,7 @@ the raw links, so the closure logic is exercised from the outside.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -176,10 +177,45 @@ def _random_link(plan, a, b, c):
                 _PROPS[a % len(_PROPS)] if kind == "causal" else None)
 
 
+def complete_goal_ids_oracle(plan):
+    """The general context algebra ``complete_goal_ids`` narrows for tree
+    plans: every flaw tested against every goal step."""
+    flaws = [plan.steps[sid].context for sid, _p in plan.open_goals]
+    flaws += [plan.steps[sid].context for sid, _v in plan.open_influences]
+    for t in find_threats(plan):
+        v = plan.steps[t.step]
+        vctx = set(v.context)
+        if t.outcome is not None and v.source:
+            vctx.add(Label(v.source, t.outcome))
+        flaws.append(frozenset(vctx) | plan.steps[t.link.consumer].context)
+    return [g.id for g in plan.goal_steps()
+            if all(not contexts_compatible(f, g.context) for f in flaws)]
+
+
+def uncovered_oracle(plan):
+    """The general context algebra ``uncovered_outcome_contexts`` narrows
+    for tree plans: every chance outcome tested against every goal step."""
+    goal_ctxs = [g.context for g in plan.goal_steps()]
+    out = []
+    for st in plan.step_list():
+        if st.kind not in ("cond", "obs") or st.source is None:
+            continue
+        for o in st.operator.outcomes:
+            ctx = st.context | {Label(st.source, o)}
+            if context_consistent(ctx) and ctx not in out and not any(
+                    contexts_compatible(ctx, g) for g in goal_ctxs):
+                out.append(ctx)
+    return out
+
+
 def _assert_matches_oracles(plan, look):
     assert plan.after == _ordering_closure(plan.steps, plan.links, plan.tree)
     if look:  # else the next plan derives its threats across two updates
         assert plan.threats == find_threats(plan)
+    # a copy, so that the plan's own threats stay unknown when not looked at
+    probe = replace(plan)
+    assert complete_goal_ids(probe) == complete_goal_ids_oracle(plan)
+    assert uncovered_outcome_contexts(plan) == uncovered_oracle(plan)
 
 
 @pytest.mark.parametrize("shape", ["dag", "tree"])
@@ -188,10 +224,13 @@ def _assert_matches_oracles(plan, look):
 def test_incremental_updates_match_from_scratch_oracles(shape, moves):
     """After every update, the ordering closure and the threat list derived
     from the parent equal ``_ordering_closure`` and ``find_threats`` run
-    from scratch, and a link raises WouldCreateCycle exactly when the
-    from-scratch closure does."""
+    from scratch, the complete goals and uncovered contexts equal the
+    general context algebra, and a link raises WouldCreateCycle exactly
+    when the from-scratch closure does.  Two plans on the way share a
+    canonical key exactly when they share a text key."""
     plan = make_root_plan(problem(goals=("(p)", "(q)")), shape)
     plan.threats  # searches know the root's threats before refining it
+    plans = [plan]
     for move, a, b, c, look in moves:
         if move == "step":
             op = _OPS[a % len(_OPS)]
@@ -226,6 +265,28 @@ def test_incremental_updates_match_from_scratch_oracles(shape, moves):
                 continue
             plan = conditioned
         _assert_matches_oracles(plan, look)
+        plans.append(plan)
+    _assert_matches_oracles(plan, True)
+    assert_keys_agree(plans)
+
+
+def test_tree_narrowing_still_tests_contexts():
+    """A tree plan whose steps were conditioned (the linear planner never
+    conditions; the random moves above do): a flaw on a goal's tree path
+    need not touch the goal, and a goal below an outcome need not serve
+    it.  Only the context test tells."""
+    plan = make_root_plan(problem(goals=()), "tree")
+    flip = cond("flip", {"heads": ((), ()), "tails": ((), ())}, pre=["(p)"])
+    plan, c, (tails,) = tree_insert(plan, flip, START_ID, "s1",
+                                    chosen_outcome="heads", source="coin")
+    plan, _look, (tails_false,) = tree_insert(
+        plan, _obs("look", "x"), c, tails, chosen_outcome="true", source="x")
+    plan = condition_step(plan, c, [(Label("x", "true"), START_ID)])
+    plan = condition_step(plan, "s1", [(Label("x", "false"), START_ID)])
+    # c's open precondition lies on every goal's path
+    assert complete_goal_ids(plan) == ["s1", tails_false]
+    assert uncovered_outcome_contexts(plan) == [
+        frozenset({Label("x", "true"), Label("coin", "heads")})]
     _assert_matches_oracles(plan, True)
 
 
@@ -557,6 +618,32 @@ def test_json_roundtrip():
     assert again.to_json_dict() == doc
     assert again.goal_contexts == cp.goal_contexts
     assert again.uncovered == cp.uncovered
+
+
+def text_key(plan):
+    """The canonical key as it was first written, rendered to text: the
+    oracle ``canonical_key`` must partition plans as this does."""
+    def ctx_text(ctx):
+        return "{" + ", ".join(lab.text() for lab in sorted(ctx)) + "}"
+    parts = [f"{st.id}={st.operator.name}@{ctx_text(st.context)}"
+             for st in sorted(plan.steps.values(), key=lambda s: s.index)]
+    parts.append("L:" + ";".join(sorted(l.text() for l in plan.links)))
+    if plan.tree:
+        parts.append("T:" + ";".join(
+            f"{p}>{c}:{o}" for c, (p, o) in sorted(plan.tree.items())))
+    parts.append("G:" + ";".join(sorted(f"{sid}|{p.text()}"
+                                        for sid, p in plan.open_goals)))
+    parts.append("I:" + ";".join(sorted(f"{sid}|{v}"
+                                        for sid, v in plan.open_influences)))
+    return "\n".join(parts)
+
+
+def assert_keys_agree(plans):
+    """Two of ``plans`` share a canonical key exactly when they share a
+    text key."""
+    pairs = {(text_key(p), canonical_key(p)) for p in plans}
+    assert len(pairs) == len({t for t, _k in pairs}) \
+        == len({k for _t, k in pairs})
 
 
 def test_canonical_key_distinguishes_orderings():

@@ -1,9 +1,11 @@
 """The shared best-first search: nodes that denote the same belief net share
 one net object, and with it every joint already computed; every node's
 threats and ordering closure, derived from its parent's, equal the
-from-scratch oracles; and the frontier order does not hang on the last bit
-of a float mass."""
+from-scratch oracles, and so do its complete goals and uncovered contexts;
+canonical keys tell nodes apart exactly as text keys do; and the frontier
+order does not hang on the last bit of a float mass."""
 
+import random
 import sys
 from collections import Counter
 
@@ -12,11 +14,15 @@ import pytest
 from riskplan import probmodel
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
-from riskplan.plangraph import _ordering_closure, find_threats
+from riskplan.plangraph import (_ordering_closure, complete_goal_ids,
+                                find_threats, uncovered_outcome_contexts)
 from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
                              sussman)
 
+from .gen import solvable_domain
 from .test_bench_targets import load_bench_module
+from .test_plangraph import (assert_keys_agree, complete_goal_ids_oracle,
+                             uncovered_oracle)
 from .test_probmodel import _assert_masses_priced
 
 
@@ -97,8 +103,27 @@ def test_every_node_matches_the_from_scratch_plan_graph(monkeypatch, planner,
         "relay": (*det_chain(20), None),
         "nroad": (*nroad_world(4), None)}[world]
     gdom, prob = load_texts(domain_text, problem_text)
+    res, generated = _search_recording_nodes(monkeypatch, planner, gdom, prob,
+                                             model="kbmc", epsilon=epsilon)
+
+    assert (res.stats["expanded"], res.stats["generated"]) == \
+        _EFFORT[world, planner]
+    assert res.stats["deduplicated"] == 0
+    assert len(generated) == res.stats["generated"]
+    for plan in generated:
+        assert plan.after == _ordering_closure(plan.steps, plan.links,
+                                               plan.tree)
+        assert plan.threats == find_threats(plan)
+        assert complete_goal_ids(plan) == complete_goal_ids_oracle(plan)
+        assert uncovered_outcome_contexts(plan) == uncovered_oracle(plan)
+    assert_keys_agree(generated)
+
+
+def _search_recording_nodes(monkeypatch, planner, gdom, prob, **kw):
+    """Run ``planner`` and return its result and the root followed by every
+    child it generated, priced or not."""
     module = sys.modules[planner.__module__]
-    generated = []  # the root, then every child, priced or not
+    generated = []
     expand = module._expand
 
     def recorded(plan, *args):
@@ -109,16 +134,26 @@ def test_every_node_matches_the_from_scratch_plan_graph(monkeypatch, planner,
         return children
 
     monkeypatch.setattr(module, "_expand", recorded)
-    res = planner(gdom, prob, model="kbmc", epsilon=epsilon)
-    monkeypatch.undo()
+    try:
+        res = planner(gdom, prob, **kw)
+    finally:
+        monkeypatch.undo()
+    return res, generated
 
-    assert (res.stats["expanded"], res.stats["generated"]) == \
-        _EFFORT[world, planner]
-    assert len(generated) == res.stats["generated"]
-    for plan in generated:
-        assert plan.after == _ordering_closure(plan.steps, plan.links,
-                                               plan.tree)
-        assert plan.threats == find_threats(plan)
+
+@pytest.mark.parametrize("planner", [plan_linear, plan_nonlinear])
+def test_canonical_keys_agree_with_text_keys_on_random_domains(monkeypatch,
+                                                               planner):
+    """Over the random solvable domains of acceptance criterion 6, no
+    search meets a duplicate, and canonical keys tell generated nodes apart
+    exactly as text keys do."""
+    for i in range(50):
+        gdom, prob = load_texts(*solvable_domain(random.Random(9000 + i)))
+        res, generated = _search_recording_nodes(monkeypatch, planner, gdom,
+                                                 prob, node_budget=10_000)
+        assert res.stats["deduplicated"] == 0
+        assert len(generated) == res.stats["generated"]
+        assert_keys_agree(generated)
 
 
 # P(blizzard), P(clear | blizzard), P(clear | no blizzard), epsilon.  Under
