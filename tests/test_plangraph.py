@@ -621,8 +621,8 @@ def test_json_roundtrip():
 
 
 def text_key(plan):
-    """The canonical key as it was first written, rendered to text: the
-    oracle ``canonical_key`` must partition plans as this does."""
+    """A plan's steps, links, tree edges and open flaws rendered to text:
+    ``canonical_key`` must tell plans apart exactly as this oracle does."""
     def ctx_text(ctx):
         return "{" + ", ".join(lab.text() for lab in sorted(ctx)) + "}"
     parts = [f"{st.id}={st.operator.name}@{ctx_text(st.context)}"
