@@ -26,9 +26,7 @@ only its new links against every step and its old links against its new
 steps, as UCPOP does (Penberthy & Weld, KR 1992).  In a tree plan a new
 link is checked only against the steps on the tree path down to its
 consumer, and a causal link skips at once every step whose operator's
-``clobbers`` lacks the link's proposition.  For the same reason, which
-goal branches are free of flaws and which chance outcomes no goal serves
-is asked of a tree plan only along tree paths.  ``_ordering_closure`` and
+``clobbers`` lacks the link's proposition.  ``_ordering_closure`` and
 ``find_threats`` are the from-scratch paths: roots use them, and the tests
 hold every shortcut to them.
 
@@ -132,18 +130,6 @@ class Step:
     def sort_key(self) -> tuple[int, int]:
         """Canonical order: fewer labels first, then insertion order."""
         return (len(self.context), self.index)
-
-    @cached_property
-    def outcome_contexts(self) -> tuple[frozenset, ...]:
-        """This step's context with each outcome's label, in declared
-        order, for the outcomes whose label fits the context; empty for a
-        step without outcome labels.  Kept with the step, which the plans
-        derived from this one share until its context grows."""
-        if self.kind not in ("cond", "obs") or self.source is None:
-            return ()
-        ctxs = (self.context | {Label(self.source, o)}
-                for o in self.operator.outcomes)
-        return tuple(ctx for ctx in ctxs if context_consistent(ctx))
 
     def grown(self, labels: frozenset) -> "Step":
         """This step with ``labels`` added to its context; a context only
@@ -840,36 +826,19 @@ def _op_from_json(rec: dict) -> GroundOperator:
 
 
 def complete_goal_ids(plan: PlanGraph) -> list[str]:
-    """Goal steps whose branch no remaining flaw can touch.
-
-    In a tree plan an open goal or influence can touch a goal step only
-    from the goal's own tree path, so only flaws at the goal and at steps
-    ordered before it are tested.  A tree forks only at chance steps, each
-    branch under its own outcome of that step, and contexts only grow: a
-    step off the path left it at a chance step under another outcome, so
-    its context and the goal's hold two different labels of that step.
-    The flaws that remain, threats included, are tested with
-    ``contexts_compatible``."""
-    flawed = {sid for sid, _p in plan.open_goals}
-    flawed.update(sid for sid, _v in plan.open_influences)
-    flaws = [(sid, plan.steps[sid].context) for sid in flawed]
-    threatened = []
+    """Goal steps whose branch no remaining flaw can touch."""
+    flaws = [plan.steps[sid].context for sid, _p in plan.open_goals]
+    flaws += [plan.steps[sid].context for sid, _v in plan.open_influences]
     for t in plan.threats:
         vctx = plan.steps[t.step].context
         wctx = plan.steps[t.link.consumer].context
         if t.outcome is not None and plan.steps[t.step].source:
             vctx = vctx | {Label(plan.steps[t.step].source, t.outcome)}
-        threatened.append(vctx | wctx)
-    before = plan.after if plan.tree is not None else None
+        flaws.append(frozenset(vctx | wctx))
     out = []
     for g in plan.goal_steps():
-        for sid, ctx in flaws:
-            if (before is None or sid == g.id or g.id in before[sid]) and \
-                    contexts_compatible(ctx, g.context):
-                break
-        else:
-            if not any(contexts_compatible(f, g.context) for f in threatened):
-                out.append(g.id)
+        if all(not contexts_compatible(f, g.context) for f in flaws):
+            out.append(g.id)
     return out
 
 
@@ -877,28 +846,25 @@ def uncovered_outcome_contexts(plan: PlanGraph,
                                covered: Iterable[str] | None = None
                                ) -> list[frozenset]:
     """Outcome continuations of conditional steps that no (covered) goal
-    step can serve.
-
-    With every goal step covered, in a tree plan only the goal steps
-    ordered after chance step ``c`` can serve one of its outcomes: any
-    other goal step holds another label of a chance step above ``c`` (see
-    ``complete_goal_ids``).  Those are tested with
-    ``contexts_compatible``."""
-    goals = [plan.steps[g] for g in covered] if covered is not None \
-        else plan.goal_steps()
-    below = covered is None and plan.tree is not None
+    step can serve."""
+    goal_ctxs = [plan.steps[g].context for g in
+                 (covered if covered is not None
+                  else [s.id for s in plan.goal_steps()])]
     seen: set[frozenset] = set()
     out: list[frozenset] = []
     for st in plan.step_list():
-        if not st.outcome_contexts:
+        if st.kind not in ("cond", "obs") or st.source is None:
             continue
-        servers = [g.context for g in goals
-                   if not below or g.id in plan.after[st.id]]
-        for ctx in st.outcome_contexts:
-            if ctx not in seen and not any(contexts_compatible(ctx, g)
-                                           for g in servers):
-                seen.add(ctx)
-                out.append(ctx)
+        for o in st.operator.outcomes:
+            ctx = st.context | {Label(st.source, o)}
+            if not context_consistent(ctx):
+                continue
+            if any(contexts_compatible(ctx, g) for g in goal_ctxs):
+                continue
+            fz = frozenset(ctx)
+            if fz not in seen:
+                seen.add(fz)
+                out.append(fz)
     return out
 
 

@@ -63,7 +63,7 @@ def best_first(planner: str, root: PlanGraph,
     # a child goes on unpriced, with no bound and no model
     heap: list[tuple[tuple, PlanGraph, SuccessBound | None, object, int]] = []
     counter = itertools.count()
-    seen = {canonical_key(root)}  # structural keys; no search has met a repeat
+    seen = {canonical_key(root)}
     heapq.heappush(heap, ((_workload(root), -next(counter)),
                           root, root_bound, m, len(root_bound.completed)))
     best = root_bound
