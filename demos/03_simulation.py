@@ -4,9 +4,9 @@ Checking a plan by actually running it
 
 The planner claims a success mass for every plan it returns.  Trust but
 verify: the simulator samples worlds from the priors, walks the branching
-plan against each one, and reports how often the goal really held.  For
-small joints it can enumerate every world instead and reproduce the mass
-exactly.
+plan against each one, and reports how often the goal really held.  It
+can also sum over every chance outcome and every value of the prior
+variables the plan reads, and so reproduce the mass exactly.
 """
 
 import numpy as np
@@ -20,8 +20,8 @@ res = plan_linear(gdom, problem, epsilon=0.085)
 plan = res.conditional
 print(f"analytic success mass: {res.bound.achieved_mass:.7f}")
 
-# exhaustive replay: every assignment of the three chance variables, each
-# weighted by its prior probability
+# exhaustive replay: every assignment of the chance variables the plan
+# reads, each weighted by its prior probability
 exact = exhaustive_success(plan, problem.priors,
                            problem.known_true, problem.known_false)
 print(f"exhaustive replay:     {exact:.7f}")

@@ -210,8 +210,13 @@ class PlanGraph:
         per plan."""
         return self._step_order
 
-    def goal_steps(self) -> list[Step]:
-        return [s for s in self.step_list() if s.kind == "goal"]
+    @cached_property
+    def _goal_order(self) -> tuple[Step, ...]:
+        return tuple(s for s in self._step_order if s.kind == "goal")
+
+    def goal_steps(self) -> tuple[Step, ...]:
+        """The goal steps in canonical order, found once per plan."""
+        return self._goal_order
 
     def ordered_before(self, a: str, b: str) -> bool:
         return b in self.after.get(a, frozenset())
@@ -842,14 +847,10 @@ def complete_goal_ids(plan: PlanGraph) -> list[str]:
     return out
 
 
-def uncovered_outcome_contexts(plan: PlanGraph,
-                               covered: Iterable[str] | None = None
-                               ) -> list[frozenset]:
-    """Outcome continuations of conditional steps that no (covered) goal
-    step can serve."""
-    goal_ctxs = [plan.steps[g].context for g in
-                 (covered if covered is not None
-                  else [s.id for s in plan.goal_steps()])]
+def uncovered_outcome_contexts(plan: PlanGraph) -> list[frozenset]:
+    """Outcome continuations of conditional steps that no goal step can
+    serve."""
+    goal_ctxs = [g.context for g in plan.goal_steps()]
     seen: set[frozenset] = set()
     out: list[frozenset] = []
     for st in plan.step_list():

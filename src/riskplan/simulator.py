@@ -18,11 +18,18 @@ of trials at once in numpy and hands each trial its row of uniforms.  A
 trial takes one uniform per prior clause and one per chance step it runs,
 and picks an outcome by bisecting the clause's or the operator's running
 sums, which are computed once when the clause or operator is made.
+
+``exhaustive_success`` is the exact check.  It walks the plan tree once
+and branches on a prior variable only where a step or a goal reads it
+and no known fact or effect has set it, drawing its unset ancestors first.
+A prior variable that nothing reads, and that no read variable depends on,
+sums out to 1 (the barren-node rule of Shachter, Operations Research
+1986), so the cost follows the variables a plan reads, not the size of
+the prior net.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import sqrt
@@ -47,7 +54,7 @@ __all__ = [
     "EXHAUSTIVE_WORLD_LIMIT",
 ]
 
-EXHAUSTIVE_WORLD_LIMIT = 4096  # 12 binary variables
+EXHAUSTIVE_WORLD_LIMIT = 4096  # prior assignments an exact walk may take
 
 
 @dataclass(frozen=True)
@@ -288,29 +295,15 @@ def exhaustive_success(conditional: ConditionalPlan,
                        priors: Sequence[GroundClause],
                        known_true: Iterable[Proposition] = (),
                        known_false: Iterable[Proposition] = ()) -> float:
-    """Exact success probability by enumerating every world and every
-    chance-step outcome.  Refuses joints larger than 2^12."""
-    clauses = _topo_clauses(priors)
-    combos = 1
-    for c in clauses:
-        combos *= len(c.space)
-    if combos > EXHAUSTIVE_WORLD_LIMIT:
-        raise ValueError(
-            f"{combos} worlds exceed the exhaustive limit "
-            f"({EXHAUSTIVE_WORLD_LIMIT})")
-    kt, kf = tuple(known_true), tuple(known_false)
-    total = 0.0
-    spaces = [c.space for c in clauses]
-    for combo in itertools.product(*spaces):
-        world = {c.var: o for c, o in zip(clauses, combo)}
-        w = 1.0
-        for c in clauses:
-            w *= c.cpt[(world[c.var],) + tuple(world[p] for p in c.parents)]
-        if w == 0.0:
-            continue
-        total += _exact_mass(conditional.root,
-                             _init_values(world, kt, kf), w)
-    return total
+    """Exact success probability: one walk of the plan tree that sums every
+    chance-step outcome and every assignment to the prior variables the
+    plan reads, each weighted by its probability.  Prior variables that
+    nothing reads, and that no read variable depends on, sum out to 1 and
+    are never branched on.  Raises ValueError once the walk has branched
+    into more than ``EXHAUSTIVE_WORLD_LIMIT`` prior assignments."""
+    walk = _Walk({c.var: c for c in _topo_clauses(priors)})
+    return _exact_mass(conditional.root, {},
+                       _init_values({}, known_true, known_false), 1.0, walk)
 
 
 def _met(wanted: Iterable[tuple[str, str]], values: Mapping[str, str]
@@ -319,28 +312,51 @@ def _met(wanted: Iterable[tuple[str, str]], values: Mapping[str, str]
     return all(values.get(v) == want for v, want in wanted)
 
 
-def _exact_mass(node, values: dict[str, str], weight: float) -> float:
+class _Walk:
+    """What one exact walk shares: the prior clauses by variable, and the
+    number of prior assignments it has branched into."""
+
+    __slots__ = ("clauses", "branches")
+
+    def __init__(self, clauses: dict[str, GroundClause]):
+        self.clauses = clauses
+        self.branches = 0
+
+
+def _exact_mass(node, world: dict[str, str], values: dict[str, str],
+                weight: float, walk: _Walk) -> float:
     """The success mass ``weight`` carries from ``node`` on, every chance
-    outcome weighted by its probability; ``values`` may be changed."""
-    if weight <= 0.0:
-        return 0.0
-    if isinstance(node, ActionNode):
-        if not _met(node.op.precondition_values, values):
-            return 0.0
-        values.update(node.op.effect_values(None))
-        return _exact_mass(node.child, values, weight)
-    if isinstance(node, BranchNode):
+    outcome and every prior assignment read on the way weighted by its
+    probability.  ``world`` holds the prior draws made so far, which pick
+    the prior clauses' rows; ``values`` is the current state, which known
+    facts and effects overwrite, and may be changed."""
+    clauses = walk.clauses
+    while True:
+        if clauses:
+            var = _unset_read(node, values, clauses)
+            if var is not None:
+                return _branch(node, var, world, values, weight, walk)
+        if isinstance(node, ActionNode):
+            op = node.op
+            if not _met(op.precondition_values, values):
+                return 0.0
+            values.update(op.effect_values(None))
+            node = node.child
+            continue
+        if isinstance(node, GoalLeaf):
+            return weight if _met(node.goal_values, values) else 0.0
+        if not isinstance(node, BranchNode):
+            return 0.0  # give up
         op = node.op
         if not _met(op.precondition_values, values):
             return 0.0
         if op.kind == "obs":
             got = values.get(op.observes)
-            child = node.children.get(got)
-            if child is None:
+            node = node.children.get(got)
+            if node is None:
                 return 0.0
-            v2 = dict(values)
-            v2.update(op.effect_values(got))
-            return _exact_mass(child, v2, weight)
+            values.update(op.effect_values(got))
+            continue
         probs = _outcome_distribution(op, values)
         if probs is None:
             return 0.0
@@ -351,11 +367,68 @@ def _exact_mass(node, values: dict[str, str], weight: float) -> float:
                 continue
             v2 = dict(values)
             v2.update(op.effect_values(o))
-            total += _exact_mass(child, v2, weight * p)
+            total += _exact_mass(child, world, v2, weight * p, walk)
         return total
+
+
+def _unset_read(node, values: Mapping[str, str],
+                clauses: Mapping[str, GroundClause]) -> str | None:
+    """A prior variable that ``node`` reads and ``values`` has no value
+    for, else None.  A step reads its preconditions, its observed variable
+    and its influences; a goal leaf reads its goals."""
     if isinstance(node, GoalLeaf):
-        return weight if _met(node.goal_values, values) else 0.0
-    return 0.0  # give up
+        pairs, extra = node.goal_values, ()
+    elif isinstance(node, (ActionNode, BranchNode)):
+        op = node.op
+        pairs = op.precondition_values
+        extra = op.influences if op.observes is None else (op.observes,)
+    else:
+        return None
+    for v, _want in pairs:
+        if v not in values and v in clauses:
+            return v
+    for v in extra:
+        if v not in values and v in clauses:
+            return v
+    return None
+
+
+def _branch(node, var: str, world: dict[str, str], values: dict[str, str],
+            weight: float, walk: _Walk) -> float:
+    """The mass from ``node`` on, split over the outcomes of ``var`` or of
+    the first of its ancestors that has no draw in ``world`` yet, each
+    weighted by its clause's row at the parents' drawn values.  A draw
+    becomes the current value unless a known fact or an effect has already
+    set one."""
+    c = walk.clauses[_undrawn_ancestor(var, world, walk.clauses)]
+    tail = tuple(world[p] for p in c.parents)
+    total = 0.0
+    for o in c.space:
+        p = c.cpt[(o,) + tail]
+        if p == 0.0:
+            continue
+        walk.branches += 1
+        if walk.branches > EXHAUSTIVE_WORLD_LIMIT:
+            raise ValueError(
+                f"{walk.branches} prior assignments exceed the exhaustive "
+                f"limit ({EXHAUSTIVE_WORLD_LIMIT})")
+        w2 = dict(world)
+        w2[c.var] = o
+        v2 = dict(values)
+        v2.setdefault(c.var, o)
+        total += _exact_mass(node, w2, v2, weight * p, walk)
+    return total
+
+
+def _undrawn_ancestor(var: str, world: Mapping[str, str],
+                      clauses: Mapping[str, GroundClause]) -> str:
+    """``var`` if all its parents have draws in ``world``, else the same
+    for its first parent without one: an undrawn variable whose parents
+    are all drawn, so every draw is made after its parents'."""
+    for p in clauses[var].parents:
+        if p not in world:
+            return _undrawn_ancestor(p, world, clauses)
+    return var
 
 
 def simulate_document(doc: dict, trials: int = 10000, seed: int = 0) -> dict:

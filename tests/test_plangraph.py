@@ -564,8 +564,6 @@ def test_extract_raises_while_flawed():
 def test_extract_covered_branch_with_giveup():
     plan, cid = _covered_flip_plan()
     assert complete_goal_ids(plan) == ["s1"]
-    uncov = uncovered_outcome_contexts(plan, covered=["s1"])
-    assert uncov == [frozenset({Label(cid, "tails")})]
     cp = extract_conditional_plan(plan, covered=["s1"])
     assert cp.uncovered == (frozenset({Label(cid, "tails")}),)
     leaves = list(cp.leaves())

@@ -1,6 +1,7 @@
 """Execution harness: single trials, Monte Carlo, exhaustive enumeration."""
 
 import dataclasses
+import functools
 import gc
 import json
 import random
@@ -122,7 +123,11 @@ def test_execute_plan_requires_rng_for_chance():
                      rng=None)
 
 
-def test_exhaustive_refuses_huge_joint():
+def test_exhaustive_refuses_huge_joint(monkeypatch):
+    """Priors the plan never reads are summed out, not branched on: 13 of
+    them (8,192 worlds, more than the limit) give the oracle's mass.  A
+    walk that branches into more prior assignments than the limit still
+    raises."""
     from riskplan.domain import GroundClause
     priors = tuple(
         GroundClause(f"v{i}", ("true", "false"), (),
@@ -130,8 +135,96 @@ def test_exhaustive_refuses_huge_joint():
         for i in range(13))
     assert 2 ** 13 > EXHAUSTIVE_WORLD_LIMIT
     prob, res = _planned("det_chain")
-    with pytest.raises(ValueError):
-        exhaustive_success(res.conditional, priors)
+    args = (res.conditional, priors, prob.known_true, prob.known_false)
+    assert exhaustive_success(*args) == pytest.approx(
+        exhaustive_check(*args)[0], abs=1e-12)
+    gdom, prob = load_texts(*nroad_world(3))
+    res = plan_nonlinear(gdom, prob)
+    monkeypatch.setattr(simulator, "EXHAUSTIVE_WORLD_LIMIT", 2)
+    with pytest.raises(ValueError, match=r"exceed the exhaustive limit \(2\)"):
+        exhaustive_success(res.conditional, prob.priors, prob.known_true,
+                           prob.known_false)
+
+
+def _walk_and_oracle(res, prob):
+    args = (res.conditional, prob.priors, prob.known_true, prob.known_false)
+    return exhaustive_success(*args), exhaustive_check(*args)[0]
+
+
+def test_exact_walk_matches_oracle_on_worlds_and_random_domains():
+    """Every ``WORLDS`` plan and the plans of 100 random solvable domains,
+    under both planners."""
+    problems = [load_texts(*WORLDS[name]) for name in sorted(WORLDS)]
+    problems += [load_texts(*solvable_domain(random.Random(13000 + i)))
+                 for i in range(100)]
+    for gdom, prob in problems:
+        for planner in (plan_linear, plan_nonlinear):
+            walk, oracle = _walk_and_oracle(
+                planner(gdom, prob, node_budget=10_000), prob)
+            assert abs(walk - oracle) <= 1e-12, planner.__name__
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_exact_walk_matches_oracle_on_nroad(n):
+    gdom, prob = load_texts(*nroad_world(n))
+    walk, oracle = _walk_and_oracle(plan_nonlinear(gdom, prob), prob)
+    assert abs(walk - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(12, 21))
+def test_exact_walk_scales_past_the_old_limit_on_nroad(n):
+    """N-road with 13 to 21 prior variables, which the oracle cannot
+    enumerate: checking three roads fails only when all three are closed.
+    Every N-road plan from N=10 on checks roads r0, r8 and r9, so the plan
+    found at N=12 stands for the larger sizes too (planning N=20 takes
+    seconds)."""
+    plan = _nroad_plan_12()
+    _gdom, prob = load_texts(*nroad_world(n))
+    got = exhaustive_success(plan, prob.priors, prob.known_true,
+                             prob.known_false)
+    assert abs(got - (0.1 * (1 - 0.7 ** 3) + 0.9 * (1 - 0.1 ** 3))) <= 1e-12
+
+
+@functools.cache
+def _nroad_plan_12():
+    gdom, prob = load_texts(*nroad_world(12))
+    return plan_nonlinear(gdom, prob).conditional
+
+
+def test_exact_walk_keeps_prior_draws_apart_from_current_values():
+    """A step sets the prior ``x`` before anything reads it.  The chance
+    step reads the current ``x``, but the prior ``y`` keeps the row of
+    ``x``'s draw, as a sampled world does; a known fact on ``x`` acts the
+    same way."""
+    from riskplan.domain import GroundClause, GroundOperator, Proposition
+    from riskplan.plangraph import ConditionalPlan
+    x, y, won = Proposition("x", ()), Proposition("y", ()), Proposition(
+        "won", ())
+    priors = (
+        GroundClause("x", ("true", "false"), (),
+                     {("true",): 0.3, ("false",): 0.7}),
+        GroundClause("y", ("true", "false"), ("x",),
+                     {("true", "true"): 0.9, ("false", "true"): 0.1,
+                      ("true", "false"): 0.2, ("false", "false"): 0.8}))
+    set_x = GroundOperator("set-x", "det", add=(x,))
+    look = GroundOperator("look-y", "obs", outcomes=("true", "false"),
+                          observes="y", outcome_adds={"true": (y,)},
+                          outcome_dels={"false": (y,)})
+    gamble = GroundOperator(
+        "gamble", "cond", outcomes=("win", "lose"), influences=("x",),
+        cpt={("win", "true"): 0.5, ("lose", "true"): 0.5,
+             ("win", "false"): 0.1, ("lose", "false"): 0.9},
+        outcome_adds={"win": (won,)})
+    goal = GoalLeaf("s9", frozenset(), (won, y))
+    root = ActionNode("s1", set_x, BranchNode("s2", look, "s2", {
+        "true": BranchNode("s3", gamble, "s3", {"win": goal})}))
+    plan = ConditionalPlan(root, (frozenset(),), ())
+    want = (0.3 * 0.9 + 0.7 * 0.2) * 0.5
+    for known in ((), (x,)):
+        got = exhaustive_success(plan, priors, known)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(exhaustive_check(plan, priors, known)[0],
+                                    abs=1e-12)
 
 
 def test_simulate_document_roundtrip():
