@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainSyntaxError, DomainValidationError, GroundingError
@@ -83,11 +84,11 @@ class Proposition:
     negated: bool = False
 
     def negate(self) -> "Proposition":
-        return replace(self, negated=not self.negated)
+        return Proposition(self.name, self.args, not self.negated)
 
     @property
     def positive(self) -> "Proposition":
-        return replace(self, negated=False) if self.negated else self
+        return Proposition(self.name, self.args) if self.negated else self
 
     def text(self) -> str:
         inner = "(" + " ".join((self.name,) + self.args) + ")"
@@ -328,21 +329,26 @@ class GroundDomain:
     operators: tuple[GroundOperator, ...]  # sorted by name
     # in dependency order over sorted variable names: parents first
     clauses: tuple[GroundClause, ...]
-    # literal -> its producers; see producers
-    _producers: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+
+    @cached_property
+    def _producers(self) -> dict[tuple[str, str], tuple]:
+        """(variable id, value) -> each (operator, outcome) whose run sets
+        the variable to the value, in operator order, then in ``runs``
+        order; built in one pass over the operators on first use."""
+        index: dict[tuple[str, str], list] = {}
+        for op in self.operators:
+            for o in op.runs:
+                for item in op.effect_values(o).items():
+                    index.setdefault(item, []).append((op, o))
+        return {item: tuple(pairs) for item, pairs in index.items()}
 
     def producers(self, lit: Proposition
                   ) -> tuple[tuple[GroundOperator, str | None], ...]:
         """Each (operator, outcome) under which an operator makes ``lit``
         hold (None = det), in operator order: ``establishing_outcomes`` of
-        every operator, worked out on first use per literal."""
-        found = self._producers.get(lit)
-        if found is None:
-            found = self._producers[lit] = tuple(
-                (op, o) for op in self.operators
-                for o in op.establishing_outcomes(lit))
-        return found
+        every operator, read from an index of the domain's effects."""
+        return self._producers.get(
+            (var_id(lit.positive), "false" if lit.negated else "true"), ())
 
     def operator(self, name: str) -> GroundOperator:
         for op in self.operators:

@@ -20,7 +20,7 @@ from typing import Iterable
 from .domain import GroundDomain, GroundOperator, Problem, Proposition
 from .errors import WouldCreateCycle
 from .plangraph import (Label, Link, PlanGraph, START_ID, add_link,
-                        make_root_plan, tree_insert)
+                        has_threat, make_root_plan, tree_insert)
 # unused here since plans carry their threats, but bench/test_bench.py
 # expects the name bound in this module
 from .plangraph import find_threats  # noqa: F401
@@ -71,8 +71,8 @@ def _expand(plan: PlanGraph, bound: SuccessBound, m, gdomain: GroundDomain,
 def _safe(plan: PlanGraph | None) -> list[PlanGraph]:
     """Keep a candidate only if it is internally consistent: tree plans
     cannot reorder steps, so any threat is fatal and the candidate is
-    dropped here."""
-    if plan is None or plan.threats:
+    dropped here, at its first threat."""
+    if plan is None or has_threat(plan):
         return []
     return [plan]
 

@@ -26,9 +26,12 @@ only its new links against every step and its old links against its new
 steps, as UCPOP does (Penberthy & Weld, KR 1992).  In a tree plan a new
 link is checked only against the steps on the tree path down to its
 consumer, and a causal link skips at once every step whose operator's
-``clobbers`` lacks the link's proposition.  ``_ordering_closure`` and
-``find_threats`` are the from-scratch paths: roots use them, and the tests
-hold every shortcut to them.
+``clobbers`` lacks the link's proposition; an old causal link whose
+proposition no new step clobbers is not visited at all.  ``has_threat``
+runs the same check but stops at the first threat, and a plan it clears
+keeps ``[]`` as its threats.  ``_ordering_closure`` and ``find_threats``
+are the from-scratch paths: roots use them, and the tests hold every
+shortcut to them.
 
 Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 (each step has one parent; conditional steps fan out per outcome), which
@@ -38,8 +41,9 @@ far as links require.  All queries here work on either shape.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -60,6 +64,7 @@ __all__ = [
     "context_consistent",
     "add_link",
     "find_threats",
+    "has_threat",
     "linearizations",
     "extract_conditional_plan",
     "uncovered_outcome_contexts",
@@ -257,7 +262,9 @@ class PlanGraph:
         """A copy with ``kw`` replaced that adds the steps ``new_steps`` and
         the links ``new_links``.  Its threats start from this plan's, if
         they are known (a cached property lives in the instance dict), or
-        from this plan's own basis."""
+        from this plan's own basis.  The copy takes the declared fields
+        straight from this plan's instance dict, so it inherits none of
+        this plan's cached properties."""
         if "threats" in self.__dict__:
             basis = _ThreatBasis(tuple(self.threats), new_steps, new_links)
         elif self._basis is not None:
@@ -266,10 +273,20 @@ class PlanGraph:
                                  b.links | new_links)
         else:
             basis = None
-        return replace(self, _basis=basis, **kw)
+        child = object.__new__(PlanGraph)
+        state, mine = child.__dict__, self.__dict__
+        for name in _PLAN_FIELDS:
+            state[name] = mine[name]
+        state.update(kw)
+        state["_basis"] = basis
+        return child
 
     def without_open_influence(self, item) -> "PlanGraph":
         return self._derive(open_influences=self.open_influences - {item})
+
+
+# the fields ``PlanGraph._derive`` copies: all but ``_basis``
+_PLAN_FIELDS = tuple(f.name for f in fields(PlanGraph) if f.name != "_basis")
 
 
 def _ordering_closure(steps, links, tree) -> dict[str, frozenset]:
@@ -431,39 +448,59 @@ def _link_threats(plan: PlanGraph, link: Link,
                 yield Threat(v.id, link, None)
 
 
-def _derived_threats(plan: PlanGraph, basis: _ThreatBasis) -> list[Threat]:
-    """``find_threats(plan)`` from the threats of a plan it was derived
-    from.  Derived plans only add steps and links and only grow contexts
-    and orderings, so a step that did not threaten a link there does not
-    threaten it here: it is enough to keep the old threats that still
-    hold, check the new links against every step, and check the old links
-    against the new steps.
+def _threat_candidates(plan: PlanGraph, basis: _ThreatBasis
+                       ) -> Iterator[Threat]:
+    """``find_threats(plan)``, unordered, from the threats of a plan it was
+    derived from.  Derived plans only add steps and links and only grow
+    contexts and orderings, so a step that did not threaten a link there
+    does not threaten it here: it is enough to keep the old threats that
+    still hold, check the new links against every step, and check the old
+    links against the new steps.
 
     In a tree plan a new link need only be checked against the tree path
     down to its consumer.  Below the consumer every step runs after it.
     Any other step left that path at a chance step, under another of its
     outcomes, so its context and the consumer's hold two different labels
-    of that chance step and cannot be compatible."""
-    found = [t for t in basis.threats
-             if t in _link_threats(plan, t.link, (plan.steps[t.step],))]
+    of that chance step and cannot be compatible.  An old causal link
+    whose proposition no new step clobbers is skipped, as
+    ``_link_threats`` would skip each new step."""
+    for t in basis.threats:
+        if t in _link_threats(plan, t.link, (plan.steps[t.step],)):
+            yield t
     for link in basis.links:
         if plan.tree is None:
             steps = plan.step_list()
         else:
             steps = [plan.steps[sid] for sid in plan.tree_path(link.consumer)]
-        found.extend(_link_threats(plan, link, steps))
+        yield from _link_threats(plan, link, steps)
     if basis.steps:
         fresh = [plan.steps[sid] for sid in basis.steps]
+        clobbered = frozenset().union(*(v.operator.clobbers for v in fresh))
         for link in plan.links - basis.links:
-            found.extend(_link_threats(plan, link, fresh))
+            if link.kind != "causal" or link.payload in clobbered:
+                yield from _link_threats(plan, link, fresh)
+
+
+def _derived_threats(plan: PlanGraph, basis: _ThreatBasis) -> list[Threat]:
+    """``_threat_candidates`` in ``find_threats`` order."""
 
     def order(t: Threat):
         v = plan.steps[t.step]
         pos = -1 if t.outcome is None else v.operator.outcomes.index(t.outcome)
         return (t.link.text(), v.sort_key(), pos)
 
-    found.sort(key=order)
-    return found
+    return sorted(_threat_candidates(plan, basis), key=order)
+
+
+def has_threat(plan: PlanGraph) -> bool:
+    """``bool(plan.threats)``, stopping at the first threat a derived plan
+    meets.  A plan found to have none keeps ``[]`` as its threats."""
+    if "threats" in plan.__dict__ or plan._basis is None:
+        return bool(plan.threats)
+    for _t in _threat_candidates(plan, plan._basis):
+        return True
+    plan.__dict__["threats"] = []
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -870,15 +907,26 @@ def uncovered_outcome_contexts(plan: PlanGraph) -> list[frozenset]:
 
 
 def _canonical_topo(plan: PlanGraph, ids: Iterable[str]) -> list[str]:
+    """``ids`` in an order the ordering closure allows, taking at each
+    point the ready step that is least by ``Step.sort_key`` (Kahn's
+    algorithm with a heap)."""
     idset = set(ids)
-    preds = {i: {p for p in idset if plan.ordered_before(p, i)} for i in idset}
+    succ = {i: plan.after[i] & idset for i in idset}
+    waiting = dict.fromkeys(idset, 0)  # step id -> its unplaced predecessors
+    for later in succ.values():
+        for s in later:
+            waiting[s] += 1
+    ready = [(plan.steps[i].sort_key(), i) for i, n in waiting.items()
+             if n == 0]
+    heapq.heapify(ready)
     order: list[str] = []
-    placed: set[str] = set()
-    while len(order) < len(idset):
-        ready = [i for i in idset - placed if preds[i] <= placed]
-        nxt = min(ready, key=lambda i: plan.steps[i].sort_key())
+    while ready:
+        _key, nxt = heapq.heappop(ready)
         order.append(nxt)
-        placed.add(nxt)
+        for s in succ[nxt]:
+            waiting[s] -= 1
+            if waiting[s] == 0:
+                heapq.heappush(ready, (plan.steps[s].sort_key(), s))
     return order
 
 

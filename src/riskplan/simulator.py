@@ -132,6 +132,9 @@ def _chance_depth(root) -> int:
 
 
 def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
+    """``priors`` in dependency order, parents first.  Raises MalformedPlan
+    when a clause names a parent that has no clause, or the clauses are
+    cyclic."""
     by_var = {c.var: c for c in priors}
     try:
         order = dependency_order(sorted(by_var),
@@ -139,7 +142,13 @@ def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
     except DependencyCycle as e:
         raise MalformedPlan("prior clauses are cyclic: "
                             + " -> ".join(e.args[0])) from None
-    return [by_var[v] for v in order]
+    try:
+        return [by_var[v] for v in order]
+    except KeyError as e:  # a parent that has no clause
+        p = e.args[0]
+        c = next(c for c in priors if p in c.parents)
+        raise MalformedPlan(f"prior {c.var} depends on undeclared {p}") \
+            from None
 
 
 def sample_world(priors: Sequence[GroundClause],
@@ -470,9 +479,6 @@ def _document_priors(records) -> list[GroundClause]:
         if not c.space or len(set(c.space)) != len(c.space):
             raise MalformedPlan(f"prior {c.var}: outcomes must be distinct "
                                 "and at least one")
-        for p in c.parents:
-            if p not in by_var:
-                raise MalformedPlan(f"prior {c.var} depends on undeclared {p}")
     priors = _topo_clauses(priors)
     for c in priors:
         _check_row_groups(c.cpt, c.space, f"prior {c.var}")

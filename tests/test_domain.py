@@ -1,6 +1,7 @@
 """Domain language: parsing, rendering, grounding, validation."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -13,9 +14,10 @@ from riskplan.domain import (DependencyCycle, Proposition, dependency_order,
                              validate_problem, var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
                              GroundingError)
-from riskplan.worlds import (load_texts, nroad_world, ski_world,
+from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
                              slippery_walk, sussman)
 
+from .gen import solvable_domain
 from .test_simulator import WORLDS
 
 SKI_DOMAIN, SKI_PROBLEM = ski_world()
@@ -233,6 +235,29 @@ def test_delete_effects_establish_negations():
     assert gdom.operator("look").establishing_outcomes(not_x) == ["false"]
     assert gdom.operator("wipe").establishing_outcomes(not_x) == [None]
     assert gdom.operator("wipe").touches_variable("x")
+
+
+def test_producer_index_matches_the_per_operator_scan():
+    """``producers`` reads one index per domain; it must give what a scan
+    of every operator's ``establishing_outcomes`` gives, in the same
+    order, for every precondition and goal literal and its negation,
+    including literals that nothing produces."""
+    texts = [WORLDS[name] for name in sorted(WORLDS)]
+    texts += [solvable_domain(random.Random(14000 + i)) for i in range(50)]
+    texts += [det_chain(5), nroad_world(4)]
+    unproduced = 0
+    for text in texts:
+        gdom, prob = load_texts(*text)
+        lits = set(prob.goals)
+        for op in gdom.operators:
+            lits.update(op.preconditions)
+        lits |= {p.negate() for p in lits}
+        for lit in sorted(lits):
+            scan = tuple((op, o) for op in gdom.operators
+                         for o in op.establishing_outcomes(lit))
+            assert gdom.producers(lit) == scan, lit.text()
+            unproduced += not scan
+    assert unproduced  # the literals nothing produces are covered too
 
 
 def test_effect_values_apply_deletes_then_adds():

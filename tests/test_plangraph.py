@@ -15,13 +15,13 @@ from riskplan.domain import GroundOperator, Problem, prop_from_text
 from riskplan.errors import (IgnoranceNotFromStart, IncompletePlan,
                              WouldCreateCycle)
 from riskplan.plangraph import (ConditionalPlan, Label, Link, PlanGraph,
-                                START_ID, _ordering_closure, add_link,
-                                canonical_key, condition_step,
+                                START_ID, _canonical_topo, _ordering_closure,
+                                add_link, canonical_key, condition_step,
                                 complete_goal_ids, context_consistent,
                                 contexts_compatible, dag_add_goal,
                                 dag_add_step, extract_conditional_plan,
-                                find_threats, linearizations, make_root_plan,
-                                to_dot, tree_insert,
+                                find_threats, has_threat, linearizations,
+                                make_root_plan, to_dot, tree_insert,
                                 uncovered_outcome_contexts)
 
 
@@ -176,10 +176,32 @@ def _random_link(plan, a, b, c):
                 _PROPS[a % len(_PROPS)] if kind == "causal" else None)
 
 
+def _quadratic_topo(plan, ids):
+    """The canonical step order as it was first written: predecessor sets
+    from ``ordered_before`` on every pair, then the least ready step by
+    ``Step.sort_key``, rescanning every unplaced step per placement."""
+    idset = set(ids)
+    preds = {i: {p for p in idset if plan.ordered_before(p, i)}
+             for i in idset}
+    order, placed = [], set()
+    while len(order) < len(idset):
+        ready = [i for i in idset - placed if preds[i] <= placed]
+        nxt = min(ready, key=lambda i: plan.steps[i].sort_key())
+        order.append(nxt)
+        placed.add(nxt)
+    return order
+
+
 def _assert_matches_oracles(plan, look):
     assert plan.after == _ordering_closure(plan.steps, plan.links, plan.tree)
     if look:  # else the next plan derives its threats across two updates
+        # before ``plan.threats`` is read, so the early exit runs from the
+        # basis; a plan it clears keeps ``[]`` as its threats
+        assert has_threat(plan) == bool(find_threats(plan))
         assert plan.threats == find_threats(plan)
+    for ids in (plan.steps, [sid for sid, st in plan.steps.items()
+                             if st.index % 2]):
+        assert _canonical_topo(plan, ids) == _quadratic_topo(plan, ids)
 
 
 @pytest.mark.parametrize("shape", ["dag", "tree"])
@@ -189,7 +211,9 @@ def test_incremental_updates_match_from_scratch_oracles(shape, moves):
     """After every update, the ordering closure and the threat list derived
     from the parent equal ``_ordering_closure`` and ``find_threats`` run
     from scratch, and a link raises WouldCreateCycle exactly when the
-    from-scratch closure does.  Two plans on the way share a canonical key
+    from-scratch closure does.  A derived plan inherits none of its
+    parent's cached facts, and the canonical step order equals the
+    quadratic one.  Two plans on the way share a canonical key
     exactly when they share a text key."""
     plan = make_root_plan(problem(goals=("(p)", "(q)")), shape)
     plan.threats  # searches know the root's threats before refining it
@@ -227,6 +251,9 @@ def test_incremental_updates_match_from_scratch_oracles(shape, moves):
             if conditioned is None:
                 continue
             plan = conditioned
+        if plan is not plans[-1]:  # a derived copy, not a no-op's plan
+            assert not {"threats", "_step_order", "_goal_order"} \
+                & plan.__dict__.keys()
         _assert_matches_oracles(plan, look)
         plans.append(plan)
     _assert_matches_oracles(plan, True)

@@ -227,6 +227,24 @@ def test_exact_walk_keeps_prior_draws_apart_from_current_values():
                                     abs=1e-12)
 
 
+def test_prior_with_undeclared_parent_raises_malformed_plan():
+    """A clause ``y`` whose parent ``x`` has no clause is rejected with
+    the text documents get, by both checks called directly."""
+    from riskplan.domain import GroundClause, Proposition
+    from riskplan.plangraph import ConditionalPlan
+    y = Proposition("y", ())
+    priors = (GroundClause("y", ("true", "false"), ("x",),
+                           {("true", "true"): 0.9, ("false", "true"): 0.1,
+                            ("true", "false"): 0.2,
+                            ("false", "false"): 0.8}),)
+    plan = ConditionalPlan(GoalLeaf("s1", frozenset(), (y,)),
+                           (frozenset(),), ())
+    with pytest.raises(MalformedPlan, match="prior y depends on undeclared x"):
+        exhaustive_success(plan, priors)
+    with pytest.raises(MalformedPlan, match="prior y depends on undeclared x"):
+        estimate_success(plan, priors, trials=10)
+
+
 def test_simulate_document_roundtrip():
     gdom, prob = load_texts(*ski_world())
     res = plan_linear(gdom, prob)
