@@ -24,6 +24,14 @@ forms; a problem file holds a single ``problem`` form::
     LIT := (NAME ARG ...) | (not (NAME ARG ...))
     VAR := (NAME ARG ...)
 
+The reader makes one regular-expression pass over each line: a token is a
+paren or a run of characters other than whitespace, parens and ``;``, and
+a ``;`` ends the line.  Whitespace is exactly space, tab, CR and LF; any
+other character, ``\\x0b`` and ``\\xa0`` among them, belongs to an atom.
+Every list and atom keeps the 1-based ``(line, col)`` of its first
+character, counted in characters with a tab as one column, and a syntax
+error reports the position of the token at fault.
+
 A ``clause`` declares a random variable (its head) with a conditional
 probability table over its body variables; the resulting clause set must be
 acyclic.  ``obs`` operators reveal the current value of the observed
@@ -42,9 +50,11 @@ added literal holds, and so an add wins over a delete of the same variable.
 from __future__ import annotations
 
 import itertools
+import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainSyntaxError, DomainValidationError, GroundingError
 
@@ -75,9 +85,11 @@ PROB_TOL = 1e-9
 # propositions
 
 
-@dataclass(frozen=True, order=True)
-class Proposition:
-    """A ground or schematic literal: ``(name args...)`` or its negation."""
+class Proposition(NamedTuple):
+    """A ground or schematic literal: ``(name args...)`` or its negation.
+
+    A tuple of its fields: it equals, hashes and sorts as the plain tuple
+    ``(name, args, negated)``."""
 
     name: str
     args: tuple[str, ...] = ()
@@ -395,76 +407,45 @@ class Diagnostic:
 # s-expression reader
 
 
-class _Tok(str):
-    line: int
-    col: int
-
-    def __new__(cls, s: str, line: int, col: int):
-        t = super().__new__(cls, s)
-        t.line = line
-        t.col = col
-        return t
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start, scol = i, col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Tok(text[start:i], line, scol))
-    return toks
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;")
 
 
 def _read_forms(text: str) -> list:
-    """Parse text into nested lists whose leaves are position-carrying
-    atoms."""
-    toks = _tokenize(text)
+    """Parse text into nested forms.  A list is ``(items, (line, col))``
+    and an atom ``(text, (line, col))``, each at its first character."""
     forms: list = []
-    stack: list[list] = []
-    for t in toks:
-        if t == "(":
-            new: list = []
-            new_pos = (t.line, t.col)
-            if stack:
-                stack[-1].append((new, new_pos))
+    top = forms  # the list being filled
+    stack: list[list] = []  # the lists that enclose it
+    pos = None  # of the last token read
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(row):
+            tok = m[0]
+            if tok == "(":
+                pos = (line, m.start() + 1)
+                new: list = []
+                top.append((new, pos))
+                stack.append(top)
+                top = new
+            elif tok == ")":
+                pos = (line, m.start() + 1)
+                if not stack:
+                    raise DomainSyntaxError("unbalanced ')'", *pos)
+                top = stack.pop()
+            elif tok == ";":
+                break
             else:
-                forms.append((new, new_pos))
-            stack.append(new)
-        elif t == ")":
-            if not stack:
-                raise DomainSyntaxError("unbalanced ')'", t.line, t.col)
-            stack.pop()
-        else:
-            if not stack:
-                raise DomainSyntaxError(f"stray atom {t!r} outside any form", t.line, t.col)
-            stack[-1].append(t)
+                pos = (line, m.start() + 1)
+                if not stack:
+                    raise DomainSyntaxError(
+                        f"stray atom {tok!r} outside any form", *pos)
+                top.append((tok, pos))
     if stack:
-        raise DomainSyntaxError("unclosed '('", toks[-1].line, toks[-1].col)
+        raise DomainSyntaxError("unclosed '('", *pos)
     return forms
 
 
 def _is_list(node) -> bool:
-    return isinstance(node, tuple) and isinstance(node[0], list)
+    return isinstance(node[0], list)
 
 
 def _items(node) -> list:
@@ -472,16 +453,14 @@ def _items(node) -> list:
 
 
 def _pos(node) -> tuple[int, int]:
-    if _is_list(node):
-        return node[1]
-    return (node.line, node.col)
+    return node[1]
 
 
 def _atom(node, what: str) -> str:
     if _is_list(node):
         line, col = _pos(node)
         raise DomainSyntaxError(f"expected {what}, got a list", line, col)
-    return str(node)
+    return node[0]
 
 
 def _err(node, msg: str):
@@ -499,20 +478,19 @@ def _parse_number(node) -> float:
 
 def _parse_varref(node) -> Proposition:
     """VAR := (name args...), no negation allowed."""
-    if not _is_list(node) or not _items(node):
+    parts = node[0]
+    if not isinstance(parts, list) or not parts:
         _err(node, "expected a (name args...) form")
-    parts = _items(node)
     name = _atom(parts[0], "a name")
     args = tuple(_atom(a, "an argument") for a in parts[1:])
     return Proposition(name, args)
 
 
 def _parse_literal(node) -> Proposition:
-    if not _is_list(node) or not _items(node):
+    parts = node[0]
+    if not isinstance(parts, list) or not parts:
         _err(node, "expected a literal")
-    parts = _items(node)
-    head = _atom(parts[0], "a name")
-    if head == "not":
+    if _atom(parts[0], "a name") == "not":
         if len(parts) != 2:
             _err(node, "(not ...) takes exactly one literal")
         return _parse_varref(parts[1]).negate()
@@ -734,7 +712,7 @@ def _parse_types(form) -> dict[str, tuple]:
             if _is_list(m):
                 members.append(tuple(_atom(x, "a constant") for x in _items(m)))
             else:
-                members.append(str(m))
+                members.append(m[0])
         out[tname] = tuple(members)
     return out
 
@@ -757,10 +735,9 @@ def parse_domain(text: str) -> Domain:
             types.update(_parse_types(form))
         else:
             _err(form, f"unknown top-level form {head!r} in a domain file")
-    names = [op.name for op in operators]
-    for name in names:
-        if names.count(name) > 1:
-            raise DomainValidationError(f"duplicate operator name {name!r}")
+    dup = _first_duplicate([op.name for op in operators])
+    if dup is not None:
+        raise DomainValidationError(f"duplicate operator name {dup!r}")
     # keyed by each variable as written (``p(?x)`` stays so): exact for
     # parameter-free clauses, and grounding checks the rest
     deps: dict[str, list[str]] = {}
@@ -768,6 +745,12 @@ def parse_domain(text: str) -> Domain:
         deps.setdefault(var_id(c.head), []).extend(map(var_id, c.body))
     _check_clause_acyclicity(deps, DomainValidationError)
     return Domain(tuple(operators), tuple(clauses), types)
+
+
+def _first_duplicate(names: Sequence[str]) -> str | None:
+    """The first name in ``names`` that occurs more than once, or None."""
+    counts = Counter(names)
+    return next((n for n in names if counts[n] > 1), None)
 
 
 def parse_problem(text: str) -> Problem:
@@ -986,7 +969,7 @@ def _subst_args(args: tuple[str, ...], binding: Mapping[str, object],
 
 
 def _subst_prop(p: Proposition, binding, what: str) -> Proposition:
-    return replace(p, args=_subst_args(p.args, binding, what))
+    return Proposition(p.name, _subst_args(p.args, binding, what), p.negated)
 
 
 def _ground_operator(op: OperatorSchema, binding) -> GroundOperator:
@@ -1031,10 +1014,9 @@ def ground(domain: Domain, objects=None) -> GroundDomain:
     for op in domain.operators:
         for binding in _bindings(op.params, pools, f"operator {op.name!r}"):
             ops.append(_ground_operator(op, binding))
-    names = [o.name for o in ops]
-    for n in names:
-        if names.count(n) > 1:
-            raise GroundingError(f"grounding produced duplicate operator {n!r}")
+    dup = _first_duplicate([o.name for o in ops])
+    if dup is not None:
+        raise GroundingError(f"grounding produced duplicate operator {dup!r}")
     clauses: list[GroundClause] = []
     for c in domain.clauses:
         what = f"clause {c.head}"

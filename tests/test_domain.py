@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskplan.domain import (DependencyCycle, Proposition, dependency_order,
-                             ground, parse_domain, parse_problem,
-                             prop_from_text, render_domain, render_problem,
-                             validate_problem, var_id)
+from riskplan.domain import (DependencyCycle, Proposition, _read_forms,
+                             dependency_order, ground, parse_domain,
+                             parse_problem, prop_from_text, render_domain,
+                             render_problem, validate_problem, var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
                              GroundingError)
 from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
@@ -135,6 +135,181 @@ def test_syntax_error_carries_position():
     with pytest.raises(DomainSyntaxError) as e:
         parse_domain("(operator a\n  (kind nope))")
     assert e.value.line == 2
+
+
+# The reader as it was before it became one regular-expression pass: a
+# character loop that makes a string token carrying its position.  It is
+# kept as the oracle the reader must match, forms, positions and errors.
+
+class _Tok(str):
+    line: int
+    col: int
+
+    def __new__(cls, s: str, line: int, col: int):
+        t = super().__new__(cls, s)
+        t.line = line
+        t.col = col
+        return t
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    toks: list[_Tok] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            toks.append(_Tok(ch, line, col))
+            col += 1
+            i += 1
+        else:
+            start, scol = i, col
+            while i < n and text[i] not in " \t\r\n();":
+                i += 1
+                col += 1
+            toks.append(_Tok(text[start:i], line, scol))
+    return toks
+
+
+def _oracle_read_forms(text: str) -> list:
+    toks = _tokenize(text)
+    forms: list = []
+    stack: list[list] = []
+    for t in toks:
+        if t == "(":
+            new: list = []
+            new_pos = (t.line, t.col)
+            if stack:
+                stack[-1].append((new, new_pos))
+            else:
+                forms.append((new, new_pos))
+            stack.append(new)
+        elif t == ")":
+            if not stack:
+                raise DomainSyntaxError("unbalanced ')'", t.line, t.col)
+            stack.pop()
+        else:
+            if not stack:
+                raise DomainSyntaxError(f"stray atom {t!r} outside any form", t.line, t.col)
+            stack[-1].append(t)
+    if stack:
+        raise DomainSyntaxError("unclosed '('", toks[-1].line, toks[-1].col)
+    return forms
+
+
+def _plain(node):
+    """An oracle node in the reader's shape: ``(items, pos)`` for a list,
+    ``(text, pos)`` for an atom, with plain ``str`` text."""
+    if isinstance(node, _Tok):
+        return (str(node), (node.line, node.col))
+    items, pos = node
+    return ([_plain(n) for n in items], pos)
+
+
+def _assert_reads_like_oracle(text):
+    try:
+        want = [_plain(f) for f in _oracle_read_forms(text)]
+    except DomainSyntaxError as e:
+        with pytest.raises(DomainSyntaxError) as got:
+            _read_forms(text)
+        assert (str(got.value), got.value.line, got.value.column) == \
+            (str(e), e.line, e.column)
+        return
+    got = _read_forms(text)
+    assert got == want
+    # atoms come out as plain strings, as the parser hands them on
+    stack = list(got)
+    while stack:
+        items, _pos = stack.pop()
+        if isinstance(items, list):
+            stack.extend(items)
+        else:
+            assert type(items) is str
+
+
+def test_reader_matches_the_oracle_on_every_world_and_generated_domain():
+    texts = [t for name in sorted(WORLDS) for t in WORLDS[name]]
+    texts += [t for i in range(50)
+              for t in solvable_domain(random.Random(15000 + i))]
+    for text in texts:
+        _assert_reads_like_oracle(text)
+
+
+# whitespace is exactly space, tab, CR and LF: \x0b and \x0c are atom text
+_READER_ALPHABET = list("();? \t\r\n\x0b\x0cabz09")
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.text(st.sampled_from(_READER_ALPHABET), max_size=40))
+def test_reader_matches_the_oracle_on_raw_text(text):
+    _assert_reads_like_oracle(text)
+
+
+@pytest.mark.parametrize("text,message,line,column", [
+    ("(a))", "unbalanced ')'", 1, 4),
+    ("(a)\n  x", "stray atom 'x' outside any form", 2, 3),
+    ("(a\n (b c) ; )\n", "unclosed '('", 2, 6),
+    ("(a\x0bb)\n\x0c", "stray atom '\\x0c' outside any form", 2, 1),
+])
+def test_reader_errors_name_the_token_at_fault(text, message, line, column):
+    with pytest.raises(DomainSyntaxError) as e:
+        _read_forms(text)
+    assert (e.value.line, e.value.column) == (line, column)
+    assert str(e.value) == f"line {line}, col {column}: {message}"
+
+
+def test_duplicate_operator_names_the_first_repeated_in_order():
+    # b repeats first, but a comes first in the list
+    text = "".join(f"(operator {n} (kind det) (add (p)))" for n in "abba")
+    with pytest.raises(DomainValidationError,
+                       match=r"duplicate operator name 'a'$"):
+        parse_domain(text)
+
+
+def test_duplicate_ground_operator_names_the_first_repeated_in_order():
+    domain = parse_domain("(types (t x y y x))"
+                          "(operator p (params (?v t)) (kind det)"
+                          " (add (q ?v)))")
+    with pytest.raises(GroundingError,
+                       match=r"duplicate operator 'p\(x\)'$"):
+        ground(domain)
+
+
+_NAMES = st.text("abc-?", min_size=1, max_size=3)
+_PROPS = st.builds(Proposition, _NAMES,
+                   st.lists(_NAMES, max_size=3).map(tuple), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PROPS, max_size=8))
+def test_propositions_sort_by_name_then_args_then_polarity(props):
+    assert sorted(props) == sorted(
+        props, key=lambda p: (p.name, p.args, p.negated))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PROPS)
+def test_proposition_strings_and_values(p):
+    name, args, negated = p.name, p.args, p.negated
+    assert repr(p) == (f"Proposition(name={name!r}, args={args!r}, "
+                       f"negated={negated!r})")
+    inner = "(" + " ".join((name,) + args) + ")"
+    assert p.text() == str(p) == (f"(not {inner})" if negated else inner)
+    assert p.negate() == Proposition(name, args, not negated)
+    assert p.positive == Proposition(name, args)
+    assert p.negate().negate() == p
+    assert p == (name, args, negated) and hash(p) == hash((name, args, negated))
+    assert Proposition(name) == Proposition(name, (), False)
 
 
 def test_outcome_probabilities_must_sum_to_one():

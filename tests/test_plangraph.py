@@ -15,13 +15,14 @@ from riskplan.domain import GroundOperator, Problem, prop_from_text
 from riskplan.errors import (IgnoranceNotFromStart, IncompletePlan,
                              WouldCreateCycle)
 from riskplan.plangraph import (ConditionalPlan, Label, Link, PlanGraph,
-                                START_ID, _canonical_topo, _ordering_closure,
-                                add_link, canonical_key, condition_step,
-                                complete_goal_ids, context_consistent,
-                                contexts_compatible, dag_add_goal,
-                                dag_add_step, extract_conditional_plan,
-                                find_threats, has_threat, linearizations,
-                                make_root_plan, to_dot, tree_insert,
+                                START_ID, Threat, _canonical_topo,
+                                _ordering_closure, add_link, canonical_key,
+                                condition_step, complete_goal_ids,
+                                context_consistent, contexts_compatible,
+                                dag_add_goal, dag_add_step,
+                                extract_conditional_plan, find_threats,
+                                has_threat, linearizations, make_root_plan,
+                                to_dot, tree_insert,
                                 uncovered_outcome_contexts)
 
 
@@ -649,3 +650,45 @@ def test_to_dot_mentions_steps_and_links():
     dot = to_dot(plan)
     assert '"start"' in dot and f'"{cid}"' in dot
     assert "digraph" in dot and dot.endswith("}\n")
+
+
+_WORDS = st.text("ab-=?", min_size=1, max_size=3)
+_LABELS = st.builds(Label, _WORDS, _WORDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LABELS, max_size=8))
+def test_labels_sort_by_source_then_outcome(labels):
+    assert sorted(labels) == sorted(
+        labels, key=lambda lab: (lab.source, lab.outcome))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LABELS, _WORDS, _WORDS, _WORDS, st.booleans(),
+       st.one_of(st.none(), _WORDS))
+def test_label_link_and_threat_strings_and_values(lab, a, b, name, negated,
+                                                  outcome):
+    s, o = lab.source, lab.outcome
+    assert repr(lab) == f"Label(source={s!r}, outcome={o!r})"
+    assert lab.text() == f"{s}={o}"
+    assert lab == (s, o) and hash(lab) == hash((s, o))
+    prop = lit(f"({name} {a})")
+    if negated:
+        prop = prop.negate()
+    # a Label payload prints as source=outcome, a Proposition as its text
+    cases = [(Link("conditioning", a, b, lab), lab.text()),
+             (Link("causal", a, b, prop), prop.text()),
+             (Link("influence", a, b, name), name),
+             (Link("ordering", a, b), "")]
+    for link, payload in cases:
+        body = f"{link.kind} {payload}" if payload else link.kind
+        assert link.text() == f"{a} -[{body}]-> {b}"
+        assert repr(link) == (
+            f"Link(kind={link.kind!r}, producer={a!r}, consumer={b!r}, "
+            f"payload={link.payload!r})")
+        assert link == (link.kind, a, b, link.payload)
+        threat = Threat(name, link, outcome)
+        assert repr(threat) == (f"Threat(step={name!r}, link={link!r}, "
+                                f"outcome={outcome!r})")
+        assert threat == (name, link, outcome)
+        assert Threat(name, link) == Threat(name, link, None)
