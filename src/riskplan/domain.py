@@ -420,21 +420,19 @@ def _read_forms(text: str) -> list:
     for line, row in enumerate(text.split("\n"), 1):
         for m in _TOKEN.finditer(row):
             tok = m[0]
+            if tok == ";":
+                break
+            pos = (line, m.start() + 1)
             if tok == "(":
-                pos = (line, m.start() + 1)
                 new: list = []
                 top.append((new, pos))
                 stack.append(top)
                 top = new
             elif tok == ")":
-                pos = (line, m.start() + 1)
                 if not stack:
                     raise DomainSyntaxError("unbalanced ')'", *pos)
                 top = stack.pop()
-            elif tok == ";":
-                break
             else:
-                pos = (line, m.start() + 1)
                 if not stack:
                     raise DomainSyntaxError(
                         f"stray atom {tok!r} outside any form", *pos)
