@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .domain import (DomainSyntaxError, DomainValidationError, GroundingError,
@@ -29,24 +28,10 @@ from .probmodel import net_to_dot, plan_document
 from .search import DEFAULT_NODE_BUDGET
 from .simulator import simulate_document
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "run", "main"]
 
 OUTPUT_DIR_ENV = "RISKPLAN_OUTPUT_DIR"
 EMISSIONS = ("plan-json", "dot", "trace", "simulate")
-
-
-@dataclass
-class RunConfig:
-    domain: Path
-    problem: Path
-    planner: str = "linear"
-    model: str = "kbmc"
-    epsilon: float | None = None
-    seed: int = 0
-    trials: int = 10000
-    node_budget: int = DEFAULT_NODE_BUDGET
-    emit: tuple[str, ...] = ()
-    out_dir: Path = field(default_factory=Path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,17 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args) -> RunConfig:
-    out = args.out
-    if out is None:
-        out = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    return RunConfig(domain=args.domain, problem=args.problem,
-                     planner=args.planner, model=args.model,
-                     epsilon=args.epsilon, seed=args.seed,
-                     trials=args.trials, node_budget=args.node_budget,
-                     emit=tuple(args.emit), out_dir=out)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -106,13 +80,15 @@ def main(argv=None) -> int:
         parser.error("--trials and --node-budget must be positive")
     if not 0 <= args.seed < 2**64:  # a Philox key word
         parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
-    return run(_config_from_args(args))
+    return run(args)
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Run the command line ``build_parser`` parsed; returns the exit
+    status."""
     try:
-        domain = parse_domain(config.domain.read_text())
-        problem = parse_problem(config.problem.read_text())
+        domain = parse_domain(args.domain.read_text())
+        problem = parse_problem(args.problem.read_text())
         gdomain = ground(domain)
         problem = problem.with_priors(gdomain.clauses)
     except (OSError, DomainSyntaxError, DomainValidationError,
@@ -127,12 +103,12 @@ def run(config: RunConfig) -> int:
         return 1
 
     events: list[dict] = []
-    trace = events.append if "trace" in config.emit else None
-    planner = plan_linear if config.planner == "linear" else plan_nonlinear
+    trace = events.append if "trace" in args.emit else None
+    planner = plan_linear if args.planner == "linear" else plan_nonlinear
     try:
-        result = planner(gdomain, problem, model=config.model,
-                         epsilon=config.epsilon,
-                         node_budget=config.node_budget, trace=trace)
+        result = planner(gdomain, problem, model=args.model,
+                         epsilon=args.epsilon,
+                         node_budget=args.node_budget, trace=trace)
     except PlanningFailure as e:
         b = e.best_bound
         print(f"no plan: {e}", file=sys.stderr)
@@ -146,7 +122,7 @@ def run(config: RunConfig) -> int:
         return 1
 
     bound = result.bound
-    doc = plan_document(result, problem, config.model)
+    doc = plan_document(result, problem, args.model)
     branches = sum(1 for s in result.conditional.steps_used().values()
                    if s.kind in ("cond", "obs"))
     print(f"plan: achieved {bound.achieved_mass:.6g} "
@@ -156,17 +132,17 @@ def run(config: RunConfig) -> int:
           f"uncovered contexts: {len(result.conditional.uncovered)}  "
           f"expanded: {result.stats['expanded']}")
 
-    written = _emit(config, result, doc, events)
+    written = _emit(args, result, doc, events)
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
-def _emit(config: RunConfig, result, doc: dict,
+def _emit(args: argparse.Namespace, result, doc: dict,
           events: list[dict]) -> list[Path]:
-    if not config.emit:
+    if not args.emit:
         return []
-    out = config.out_dir
+    out = args.out or Path(os.environ.get(OUTPUT_DIR_ENV, "."))
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
@@ -175,18 +151,17 @@ def _emit(config: RunConfig, result, doc: dict,
         path.write_text(text)
         written.append(path)
 
-    if "plan-json" in config.emit:
+    if "plan-json" in args.emit:
         write("plan.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    if "dot" in config.emit:
+    if "dot" in args.emit:
         write("plan.dot", to_dot(result.graph))
-        if config.model == "kbmc":
+        if args.model == "kbmc":
             write("net.dot", net_to_dot(result.model))
-    if "trace" in config.emit:
+    if "trace" in args.emit:
         write("trace.jsonl",
               "".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
-    if "simulate" in config.emit:
-        report = simulate_document(doc, trials=config.trials,
-                                   seed=config.seed)
+    if "simulate" in args.emit:
+        report = simulate_document(doc, trials=args.trials, seed=args.seed)
         write("simulate.json",
               json.dumps(report, sort_keys=True, indent=2) + "\n")
     return written

@@ -72,8 +72,6 @@ __all__ = [
     "Diagnostic",
     "parse_domain",
     "parse_problem",
-    "render_domain",
-    "render_problem",
     "ground",
     "validate_problem",
     "var_id",
@@ -110,19 +108,20 @@ class Proposition(NamedTuple):
         return self.text()
 
 
-def var_id(prop: Proposition | tuple[str, tuple[str, ...]]) -> str:
+def var_id(prop: Proposition) -> str:
     """Display/handle form of a proposition-shaped variable: ``clear(b,s)``."""
-    if isinstance(prop, Proposition):
-        name, args = prop.name, prop.args
-    else:
-        name, args = prop
-    return f"{name}({','.join(args)})" if args else name
+    args = prop.args
+    return f"{prop.name}({','.join(args)})" if args else prop.name
+
+
+def literal_value(lit: Proposition) -> tuple[str, str]:
+    """The (variable id, value) that makes ``lit`` hold."""
+    return var_id(lit.positive), "false" if lit.negated else "true"
 
 
 def literal_values(lits: Iterable[Proposition]) -> tuple[tuple[str, str], ...]:
     """The (variable id, wanted value) each literal asks for, in order."""
-    return tuple((var_id(p.positive), "false" if p.negated else "true")
-                 for p in lits)
+    return tuple(map(literal_value, lits))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +275,7 @@ class GroundOperator:
     def establishing_outcomes(self, lit: Proposition) -> list[str | None]:
         """Outcomes under which this operator makes ``lit`` hold (None =
         det)."""
-        var = var_id(lit.positive)
-        want = "false" if lit.negated else "true"
+        var, want = literal_value(lit)
         return [o for o in self.runs if self._effects[o].get(var) == want]
 
     def touches_variable(self, var: str) -> bool:
@@ -359,18 +357,13 @@ class GroundDomain:
         """Each (operator, outcome) under which an operator makes ``lit``
         hold (None = det), in operator order: ``establishing_outcomes`` of
         every operator, read from an index of the domain's effects."""
-        return self._producers.get(
-            (var_id(lit.positive), "false" if lit.negated else "true"), ())
+        return self._producers.get(literal_value(lit), ())
 
     def operator(self, name: str) -> GroundOperator:
         for op in self.operators:
             if op.name == name:
                 return op
         raise KeyError(name)
-
-    @property
-    def clause_by_var(self) -> dict[str, GroundClause]:
-        return {c.var: c for c in self.clauses}
 
 
 @dataclass(frozen=True, eq=True)
@@ -836,106 +829,7 @@ def _check_clause_acyclicity(deps: Mapping[str, Sequence[str]],
 
 
 # ---------------------------------------------------------------------------
-# rendering (canonical, round-trips through the parser)
-
-
-def _fmt_num(x: float) -> str:
-    return repr(float(x))
-
-
-def _render_lits(tag: str, lits: Sequence[Proposition]) -> str:
-    return "(" + tag + " " + " ".join(l.text() for l in lits) + ")"
-
-
-def _render_cpt(cpt: Mapping[tuple[str, ...], float]) -> str:
-    rows = " ".join(
-        f"(({' '.join(key)}) {_fmt_num(p)})" for key, p in sorted(cpt.items()))
-    return f"(cpt {rows})"
-
-
-def _render_operator(op: OperatorSchema) -> str:
-    parts = [f"(operator {op.name}"]
-    if op.params:
-        parts.append("  (params " + " ".join(f"({v} {t})" for v, t in op.params) + ")")
-    if op.preconditions:
-        parts.append("  " + _render_lits("pre", op.preconditions))
-    parts.append(f"  (kind {op.kind})")
-    if op.kind == "det":
-        if op.add:
-            parts.append("  " + _render_lits("add", op.add))
-        if op.delete:
-            parts.append("  " + _render_lits("del", op.delete))
-    else:
-        fam = op.outcomes
-        olines = []
-        for o in fam.outcomes:
-            sects = []
-            if op.simple_distribution is not None:
-                sects.append(f"(prob {_fmt_num(op.simple_distribution[o])})")
-            if fam.adds.get(o):
-                sects.append(_render_lits("add", fam.adds[o]))
-            if fam.deletes.get(o):
-                sects.append(_render_lits("del", fam.deletes[o]))
-            olines.append("(" + " ".join([o] + sects) + ")")
-        parts.append("  (outcomes " + "\n            ".join(olines) + ")")
-        if op.observes is not None:
-            parts.append(f"  (observes {op.observes.text()})")
-        if op.influences:
-            parts.append("  (influences " + " ".join(v.text() for v in op.influences) + ")")
-        if op.cpt is not None:
-            parts.append("  " + _render_cpt(op.cpt))
-    return "\n".join(parts) + ")"
-
-
-def _render_clause(c: KbmcClause) -> str:
-    parts = ["(clause"]
-    if c.params:
-        parts.append(" (params " + " ".join(f"({v} {t})" for v, t in c.params) + ")")
-    parts.append(f" (head {c.head.text()} ({' '.join(c.space)}))")
-    if c.body:
-        parts.append(" (body " + " ".join(b.text() for b in c.body) + ")")
-    parts.append(" " + _render_cpt(c.cpt))
-    return "".join(parts) + ")"
-
-
-def render_domain(domain: Domain) -> str:
-    chunks = []
-    if domain.types:
-        tys = []
-        for tname, members in domain.types.items():
-            ms = " ".join(
-                "(" + " ".join(m) + ")" if isinstance(m, tuple) else m
-                for m in members)
-            tys.append(f"({tname} {ms})")
-        chunks.append("(types " + " ".join(tys) + ")")
-    chunks.extend(_render_operator(op) for op in domain.operators)
-    chunks.extend(_render_clause(c) for c in domain.clauses)
-    return "\n\n".join(chunks) + "\n"
-
-
-def render_problem(problem: Problem) -> str:
-    lits = [p.text() for p in sorted(problem.known_true)]
-    lits += [p.negate().text() for p in sorted(problem.known_false)]
-    lines = ["(problem",
-             "  (init " + " ".join(lits) + ")",
-             "  " + _render_lits("goal", problem.goals),
-             f"  (epsilon {_fmt_num(problem.epsilon)}))"]
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # grounding
-
-
-def _normalize_objects(domain: Domain, objects) -> dict[str, tuple]:
-    pools: dict[str, tuple] = dict(domain.types)
-    if objects is None:
-        return pools
-    if isinstance(objects, Mapping):
-        pools.update({k: tuple(v) for k, v in objects.items()})
-    else:
-        pools["*"] = tuple(sorted(objects))
-    return pools
 
 
 def _bindings(params, pools: Mapping[str, tuple], what: str):
@@ -944,7 +838,7 @@ def _bindings(params, pools: Mapping[str, tuple], what: str):
         return
     per_param = []
     for v, t in params:
-        members = pools.get(t, pools.get("*"))
+        members = pools.get(t)
         if not members:
             raise GroundingError(f"{what}: no constants for type {t!r}")
         per_param.append([(v, m) for m in members])
@@ -1000,17 +894,15 @@ def _ground_operator(op: OperatorSchema, binding) -> GroundOperator:
     return GroundOperator(**fields)
 
 
-def ground(domain: Domain, objects=None) -> GroundDomain:
-    """Instantiate every schema over the declared (or given) constants.
-
-    ``objects`` may be a mapping ``type -> members`` (members may be tuples,
-    spliced into argument lists) or a plain set of constants shared by all
-    types.  Instances come out in a deterministic canonical order.
+def ground(domain: Domain) -> GroundDomain:
+    """Instantiate every schema over the members of its parameters'
+    declared types; a tuple member is spliced into the argument list.  An
+    undeclared or empty type raises GroundingError.  Instances come out in a
+    deterministic canonical order.
     """
-    pools = _normalize_objects(domain, objects)
     ops: list[GroundOperator] = []
     for op in domain.operators:
-        for binding in _bindings(op.params, pools, f"operator {op.name!r}"):
+        for binding in _bindings(op.params, domain.types, f"operator {op.name!r}"):
             ops.append(_ground_operator(op, binding))
     dup = _first_duplicate([o.name for o in ops])
     if dup is not None:
@@ -1018,7 +910,7 @@ def ground(domain: Domain, objects=None) -> GroundDomain:
     clauses: list[GroundClause] = []
     for c in domain.clauses:
         what = f"clause {c.head}"
-        for binding in _bindings(c.params, pools, what):
+        for binding in _bindings(c.params, domain.types, what):
             head = _subst_prop(c.head, binding, what)
             parents = tuple(var_id(_subst_prop(b, binding, what)) for b in c.body)
             clauses.append(GroundClause(var_id(head), c.space, parents, c.cpt))
@@ -1139,9 +1031,10 @@ def validate_problem(problem: Problem, gdomain: GroundDomain) -> list[Diagnostic
                             "nothing governs"))
                         ok = False
                 if ok:
-                    want = {tuple(t) for t in itertools.product(*spaces)} if spaces else {()}
-                    have = {k[1:] for k in op.cpt}
-                    missing = want - have
+                    # _check_row_groups made each tail in the cpt cover
+                    # every outcome, so the rows missing are whole tails
+                    missing = {row[1:] for row in missing_cpt_rows(
+                        op.cpt, op.outcomes, spaces)}
                     if missing:
                         diags.append(Diagnostic(
                             "error", "missing-cpt-row",

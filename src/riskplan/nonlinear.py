@@ -24,7 +24,7 @@ from __future__ import annotations
 from .domain import GroundDomain, GroundOperator, Problem, Proposition
 from .errors import WouldCreateCycle
 from .plangraph import (Label, Link, PlanGraph, START_ID, Threat, add_link,
-                        condition_step, dag_add_goal, dag_add_step,
+                        condition_step, dag_add_step,
                         make_root_plan, uncovered_outcome_contexts)
 from .probmodel import (PlanResult, SuccessBound, context_probability,
                         d_connected)
@@ -294,7 +294,7 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
 def _cover_context(plan: PlanGraph, ctx) -> PlanGraph | None:
     pairs = _context_pairs(plan, ctx)
     try:
-        p2, _gid = dag_add_goal(plan, pairs)
+        p2, _gid = dag_add_step(plan, plan.goal_op, pairs)
     except WouldCreateCycle:
         return None
     return p2

@@ -35,8 +35,9 @@ shortcut to them.
 
 Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 (each step has one parent; conditional steps fan out per outcome), which
-is what the linear planner maintains.  ``dag`` plans order steps only as
-far as links require.  All queries here work on either shape.
+is what the linear planner maintains.  ``dag`` plans (``tree`` is None)
+order steps only as far as links require.  All queries here work on
+either shape.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ __all__ = [
     "make_root_plan",
     "tree_insert",
     "dag_add_step",
-    "dag_add_goal",
     "condition_step",
     "canonical_key",
     "to_dot",
@@ -194,7 +194,6 @@ class _ThreatBasis:
 
 @dataclass(frozen=True, eq=True)
 class PlanGraph:
-    shape: str  # tree | dag
     steps: Mapping[str, Step]
     links: frozenset
     open_goals: frozenset  # of (step id, Proposition)
@@ -371,7 +370,7 @@ def make_root_plan(problem: Problem, shape: str) -> PlanGraph:
     links = frozenset() if shape == "tree" else frozenset(
         {Link("ordering", START_ID, goal.id)})
     plan = PlanGraph(
-        shape=shape, steps=steps, links=links,
+        steps=steps, links=links,
         open_goals=frozenset((goal.id, g) for g in problem.goals),
         open_influences=frozenset(), goal_op=goal.operator,
         next_index=2, tree=tree,
@@ -585,11 +584,6 @@ def dag_add_step(plan: PlanGraph, op: GroundOperator,
             raise PlanGraphError("new step context is contradictory")
         plan = out
     return plan, sid
-
-
-def dag_add_goal(plan: PlanGraph,
-                 context_pairs: Iterable[tuple[Label, str]]) -> tuple[PlanGraph, str]:
-    return dag_add_step(plan, plan.goal_op, context_pairs)
 
 
 def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,

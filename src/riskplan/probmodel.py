@@ -305,15 +305,14 @@ def _joint_ve(net: BeliefNet, ev: Mapping[str, str]) -> float:
 
 
 def conditional_outcome_probability(net: BeliefNet, outcome: Label,
-                                    context: Iterable[Label],
-                                    method: str = "ve") -> float:
+                                    context: Iterable[Label]) -> float:
     """P(outcome | context) as a ratio of joints; the context must have
     positive probability."""
-    base = joint_probability(net, context, method)
+    base = joint_probability(net, context)
     if base <= 0.0:
         raise ZeroProbabilityContext(
             "conditioning on a zero-probability context")
-    return joint_probability(net, list(context) + [outcome], method) / base
+    return joint_probability(net, list(context) + [outcome]) / base
 
 
 def d_connected(net: BeliefNet, x: str, y: str,

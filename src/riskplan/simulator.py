@@ -39,7 +39,7 @@ import numpy as np
 
 from .domain import (DependencyCycle, GroundClause, GroundOperator,
                      Proposition, _check_row_groups, dependency_order,
-                     missing_cpt_rows, prop_from_text, var_id)
+                     literal_value, missing_cpt_rows, prop_from_text, var_id)
 from .errors import DomainSyntaxError, DomainValidationError, MalformedPlan
 from .plangraph import (ActionNode, BranchNode, ConditionalPlan, GiveUpLeaf,
                         GoalLeaf)
@@ -181,9 +181,8 @@ def _init_values(world: Mapping[str, str],
 
 
 def _holds(values: Mapping[str, str], prop: Proposition) -> bool:
-    v = values.get(var_id(prop.positive))
-    want = "false" if prop.negated else "true"
-    return v == want
+    var, want = literal_value(prop)
+    return values.get(var) == want
 
 
 def _outcome_distribution(op: GroundOperator, values: Mapping[str, str]

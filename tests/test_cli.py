@@ -84,6 +84,18 @@ def test_output_dir_env_var(ski_files, tmp_path, monkeypatch):
     assert (target / "plan.json").exists()
 
 
+def test_out_beats_output_dir_env_var(ski_files, tmp_path, monkeypatch):
+    dom, prob = ski_files
+    env, out = tmp_path / "from-env", tmp_path / "from-out"
+    monkeypatch.setenv("RISKPLAN_OUTPUT_DIR", str(env))
+    assert run(["--domain", dom, "--problem", prob]) == 0
+    assert not env.exists()  # nothing to emit, so no directory
+    assert run(["--domain", dom, "--problem", prob,
+                "--emit", "plan-json", "--out", out]) == 0
+    assert [p.name for p in out.iterdir()] == ["plan.json"]
+    assert not env.exists()
+
+
 def test_simple_model_skips_net_dot(ski_files, tmp_path):
     d, p = sussman()
     dom = tmp_path / "blocks.sexp"

@@ -3,15 +3,17 @@
 import itertools
 import random
 import re
+from typing import Mapping, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskplan.domain import (DependencyCycle, Proposition, _read_forms,
-                             dependency_order, ground, parse_domain,
-                             parse_problem, prop_from_text, render_domain,
-                             render_problem, validate_problem, var_id)
+from riskplan.domain import (DependencyCycle, Domain, KbmcClause,
+                             OperatorSchema, Problem, Proposition,
+                             _read_forms, dependency_order, ground,
+                             parse_domain, parse_problem, prop_from_text,
+                             validate_problem, var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
                              GroundingError)
 from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
@@ -55,6 +57,92 @@ def test_parse_problem():
     assert prop_from_text("(at b)") in p.known_true
     assert prop_from_text("(at c)") in p.known_false
     assert p.goals == (prop_from_text("(at-resort)"),)
+
+
+# A canonical renderer, the inverse of the parser: the round-trip tests
+# below parse what it writes and expect the same domain or problem back.
+def _fmt_num(x: float) -> str:
+    return repr(float(x))
+
+
+def _render_lits(tag: str, lits: Sequence[Proposition]) -> str:
+    return "(" + tag + " " + " ".join(l.text() for l in lits) + ")"
+
+
+def _render_cpt(cpt: Mapping[tuple[str, ...], float]) -> str:
+    rows = " ".join(
+        f"(({' '.join(key)}) {_fmt_num(p)})" for key, p in sorted(cpt.items()))
+    return f"(cpt {rows})"
+
+
+def _render_operator(op: OperatorSchema) -> str:
+    parts = [f"(operator {op.name}"]
+    if op.params:
+        parts.append("  (params " + " ".join(f"({v} {t})" for v, t in op.params) + ")")
+    if op.preconditions:
+        parts.append("  " + _render_lits("pre", op.preconditions))
+    parts.append(f"  (kind {op.kind})")
+    if op.kind == "det":
+        if op.add:
+            parts.append("  " + _render_lits("add", op.add))
+        if op.delete:
+            parts.append("  " + _render_lits("del", op.delete))
+    else:
+        fam = op.outcomes
+        olines = []
+        for o in fam.outcomes:
+            sects = []
+            if op.simple_distribution is not None:
+                sects.append(f"(prob {_fmt_num(op.simple_distribution[o])})")
+            if fam.adds.get(o):
+                sects.append(_render_lits("add", fam.adds[o]))
+            if fam.deletes.get(o):
+                sects.append(_render_lits("del", fam.deletes[o]))
+            olines.append("(" + " ".join([o] + sects) + ")")
+        parts.append("  (outcomes " + "\n            ".join(olines) + ")")
+        if op.observes is not None:
+            parts.append(f"  (observes {op.observes.text()})")
+        if op.influences:
+            parts.append("  (influences " + " ".join(v.text() for v in op.influences) + ")")
+        if op.cpt is not None:
+            parts.append("  " + _render_cpt(op.cpt))
+    return "\n".join(parts) + ")"
+
+
+def _render_clause(c: KbmcClause) -> str:
+    parts = ["(clause"]
+    if c.params:
+        parts.append(" (params " + " ".join(f"({v} {t})" for v, t in c.params) + ")")
+    parts.append(f" (head {c.head.text()} ({' '.join(c.space)}))")
+    if c.body:
+        parts.append(" (body " + " ".join(b.text() for b in c.body) + ")")
+    parts.append(" " + _render_cpt(c.cpt))
+    return "".join(parts) + ")"
+
+
+def render_domain(domain: Domain) -> str:
+    chunks = []
+    if domain.types:
+        tys = []
+        for tname, members in domain.types.items():
+            ms = " ".join(
+                "(" + " ".join(m) + ")" if isinstance(m, tuple) else m
+                for m in members)
+            tys.append(f"({tname} {ms})")
+        chunks.append("(types " + " ".join(tys) + ")")
+    chunks.extend(_render_operator(op) for op in domain.operators)
+    chunks.extend(_render_clause(c) for c in domain.clauses)
+    return "\n\n".join(chunks) + "\n"
+
+
+def render_problem(problem: Problem) -> str:
+    lits = [p.text() for p in sorted(problem.known_true)]
+    lits += [p.negate().text() for p in sorted(problem.known_false)]
+    lines = ["(problem",
+             "  (init " + " ".join(lits) + ")",
+             "  " + _render_lits("goal", problem.goals),
+             f"  (epsilon {_fmt_num(problem.epsilon)}))"]
+    return "\n".join(lines) + "\n"
 
 
 def test_render_roundtrip():
@@ -352,7 +440,7 @@ def test_ground_clauses_attach_to_problem():
     gdom, problem = load_texts(SKI_DOMAIN, SKI_PROBLEM)
     assert {c.var for c in problem.priors} == {
         "blizzard", "clear(b,snowbird)", "clear(c,parkcity)"}
-    cbs = gdom.clause_by_var["clear(b,snowbird)"]
+    cbs = {c.var: c for c in gdom.clauses}["clear(b,snowbird)"]
     assert cbs.parents == ("blizzard",)
     assert cbs.cpt[("true", "true")] == 0.1
     assert cbs.cpt[("true", "false")] == 0.999

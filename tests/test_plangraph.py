@@ -19,10 +19,9 @@ from riskplan.plangraph import (ConditionalPlan, Label, Link, PlanGraph,
                                 _ordering_closure, add_link, canonical_key,
                                 condition_step, complete_goal_ids,
                                 context_consistent, contexts_compatible,
-                                dag_add_goal, dag_add_step,
-                                extract_conditional_plan, find_threats,
-                                has_threat, linearizations, make_root_plan,
-                                to_dot, tree_insert,
+                                dag_add_step, extract_conditional_plan,
+                                find_threats, has_threat, linearizations,
+                                make_root_plan, to_dot, tree_insert,
                                 uncovered_outcome_contexts)
 
 
