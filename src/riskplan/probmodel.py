@@ -308,11 +308,12 @@ def conditional_outcome_probability(net: BeliefNet, outcome: Label,
                                     context: Iterable[Label]) -> float:
     """P(outcome | context) as a ratio of joints; the context must have
     positive probability."""
+    context = tuple(context)  # read twice
     base = joint_probability(net, context)
     if base <= 0.0:
         raise ZeroProbabilityContext(
             "conditioning on a zero-probability context")
-    return joint_probability(net, list(context) + [outcome]) / base
+    return joint_probability(net, context + (outcome,)) / base
 
 
 def d_connected(net: BeliefNet, x: str, y: str,

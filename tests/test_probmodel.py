@@ -86,6 +86,9 @@ def test_ski_conditional_probability(ski):
         net, Label(CCP, "true"), [Label(CBS, "false")])
     assert got == pytest.approx(0.0098991 / 0.0909, abs=1e-12)
     assert got == pytest.approx(0.10890099, abs=1e-8)
+    # a one-shot iterator as the context gives the same answer
+    assert conditional_outcome_probability(
+        net, Label(CCP, "true"), iter([Label(CBS, "false")])) == got
 
 
 def test_zero_probability_context_raises():
