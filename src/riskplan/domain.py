@@ -214,31 +214,56 @@ class GroundOperator:
     _thresholds: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.outcome_adds is None:
-            object.__setattr__(self, "outcome_adds", {})
-        if self.outcome_dels is None:
-            object.__setattr__(self, "outcome_dels", {})
-        variants = (None,) + tuple(self.outcomes)
-        object.__setattr__(self, "_effects", {
-            o: _effect_values(self.adds_for(o), self.deletes_for(o))
-            for o in variants})
-        object.__setattr__(self, "_deletes", {
-            o: frozenset(self.deletes_for(o))
-            | frozenset(p.negate() for p in self.adds_for(o))
-            for o in variants})
-        object.__setattr__(self, "runs", (None,) if self.kind in (
-            "det", "start") else self.outcomes)
-        object.__setattr__(self, "clobbers", frozenset().union(
-            *(self._deletes[o] for o in self.runs)))
-        object.__setattr__(self, "precondition_values",
-                           literal_values(self.preconditions))
-        if self.cpt is not None:
-            table = self.cpt
+        # one pass over (None,) + outcomes builds each outcome's effect
+        # values and effective deletes
+        adds = {} if self.outcome_adds is None else self.outcome_adds
+        dels = {} if self.outcome_dels is None else self.outcome_dels
+        effects: dict = {}
+        deletes: dict = {}
+        for o in (None, *self.outcomes):
+            if o is None:
+                added, deleted = self.add, self.delete
+            else:
+                added, deleted = adds.get(o, ()), dels.get(o, ())
+            values: dict[str, str] = {}
+            gone = set(deleted)
+            for p in deleted:
+                values[var_id(p)] = "true" if p.negated else "false"
+            for p in added:
+                values[var_id(p)] = "false" if p.negated else "true"
+                gone.add(p.negate())
+            effects[o] = values
+            deletes[o] = frozenset(gone)
+        if self.kind in ("det", "start"):
+            runs = (None,)
+            clobbers = deletes[None]
         else:
-            table = {(o,): p for o, p in
-                     (self.simple_distribution or {}).items()}
-        object.__setattr__(self, "_thresholds",
-                           _cumulative_rows(table, self.outcomes))
+            runs = self.outcomes
+            clobbers = frozenset().union(*(deletes[o] for o in runs))
+        if self.cpt is not None:
+            thresholds = _cumulative_rows(self.cpt, self.outcomes)
+        elif self.simple_distribution:
+            thresholds = _cumulative_rows(
+                {(o,): p for o, p in self.simple_distribution.items()},
+                self.outcomes)
+        else:
+            thresholds = {}
+        # Fields go in through object.__setattr__, as the frozen __init__
+        # sets them.  Touching self.__dict__ would turn the instance's
+        # inline attribute values into a dict, and every later read of an
+        # operator field (search reads clobbers on each threat check)
+        # would be about four times slower.
+        put = object.__setattr__
+        put(self, "outcome_adds", adds)
+        put(self, "outcome_dels", dels)
+        put(self, "_effects", effects)
+        put(self, "_deletes", deletes)
+        put(self, "runs", runs)
+        put(self, "clobbers", clobbers)
+        put(self, "precondition_values", tuple(
+            (var_id(p), "false" if p.negated else "true")
+            for p in self.preconditions))
+        put(self, "_thresholds", thresholds)
 
     def adds_for(self, outcome: str | None) -> tuple[Proposition, ...]:
         if outcome is None:
@@ -284,16 +309,6 @@ class GroundOperator:
         polarity of its underlying proposition)."""
         return self.observes == var or any(
             var in values for values in self._effects.values())
-
-
-def _effect_values(adds: Iterable[Proposition],
-                   dels: Iterable[Proposition]) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for p in dels:
-        values[var_id(p.positive)] = "true" if p.negated else "false"
-    for p in adds:
-        values[var_id(p.positive)] = "false" if p.negated else "true"
-    return values
 
 
 def _cumulative_rows(table: Mapping[tuple[str, ...], float],
@@ -935,6 +950,20 @@ def prop_from_text(s: str) -> Proposition:
     if len(forms) != 1:
         raise DomainSyntaxError("expected a single literal", 1, 1)
     return _parse_literal(forms[0])
+
+
+class _Literals(dict):
+    """Literal text -> Proposition for one plan document: ``table[text]``
+    reads a text through ``prop_from_text`` the first time it is asked for,
+    and returns that Proposition again after.  A decoder makes one per
+    document and drops it with the document; an unhashable text raises
+    TypeError."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> Proposition:
+        lit = self[text] = prop_from_text(text)
+        return lit
 
 
 # ---------------------------------------------------------------------------

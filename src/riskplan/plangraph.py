@@ -49,8 +49,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .domain import (DependencyCycle, GroundOperator, Problem, Proposition,
-                     _check_row_groups, dependency_order, literal_values,
-                     prop_from_text)
+                     _check_row_groups, _Literals, dependency_order,
+                     literal_values)
 from .errors import (DomainSyntaxError, DomainValidationError,
                      IgnoranceNotFromStart, IncompletePlan, MalformedPlan,
                      OverlappingGoalContexts, PlanGraphError, WouldCreateCycle)
@@ -745,15 +745,28 @@ class ConditionalPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConditionalPlan":
-        try:
-            ops = {rec["id"]: _op_from_json(rec) for rec in data["steps"]}
-            return cls(_node_from_json(data["branches"], ops),
-                       tuple(_ctx_from_json(c) for c in data["contexts"]),
-                       tuple(_ctx_from_json(c)
-                             for c in data["uncoveredContexts"]))
-        except (AttributeError, KeyError, TypeError, ValueError,
-                DomainSyntaxError, DomainValidationError) as e:
-            raise MalformedPlan(f"cannot decode plan: {e}") from e
+        """The plan a ``to_json_dict`` record encodes; MalformedPlan when it
+        cannot be decoded.  Literal texts are read through one table local
+        to this call, so each distinct text runs the s-expression reader
+        once however many steps and goal leaves repeat it, and each step's
+        operator is built once."""
+        return _plan_from_json(data, _Literals())
+
+
+def _plan_from_json(data: dict, literals: _Literals) -> ConditionalPlan:
+    """``ConditionalPlan.from_json_dict`` with its literal table given, so
+    that a caller decoding the rest of the document (its ``init`` facts)
+    reads every literal through the same table."""
+    try:
+        ops = {rec["id"]: _op_from_json(rec, literals)
+               for rec in data["steps"]}
+        return ConditionalPlan(
+            _node_from_json(data["branches"], ops, literals),
+            tuple(_ctx_from_json(c) for c in data["contexts"]),
+            tuple(_ctx_from_json(c) for c in data["uncoveredContexts"]))
+    except (AttributeError, KeyError, TypeError, ValueError,
+            DomainSyntaxError, DomainValidationError) as e:
+        raise MalformedPlan(f"cannot decode plan: {e}") from e
 
 
 def _node_json(node) -> dict:
@@ -772,20 +785,21 @@ def _node_json(node) -> dict:
     return {"type": "giveup", "context": _ctx_json(node.context)}
 
 
-def _node_from_json(rec, ops: Mapping[str, GroundOperator]) -> object:
+def _node_from_json(rec, ops: Mapping[str, GroundOperator],
+                    literals: _Literals) -> object:
     """The plan node ``rec`` encodes; ``ops`` maps step ids to their
-    decoded operators."""
+    decoded operators, and ``literals`` reads goal texts."""
     t = rec["type"]
     if t == "action":
         return ActionNode(rec["step"], ops[rec["step"]],
-                          _node_from_json(rec["next"], ops))
+                          _node_from_json(rec["next"], ops, literals))
     if t == "branch":
         return BranchNode(rec["step"], ops[rec["step"]], rec["source"],
-                          {o: _node_from_json(c, ops)
+                          {o: _node_from_json(c, ops, literals)
                            for o, c in rec["children"].items()})
     if t == "goal":
         return GoalLeaf(rec["step"], _ctx_from_json(rec["context"]),
-                        tuple(prop_from_text(g) for g in rec["goals"]))
+                        tuple(map(literals.__getitem__, rec["goals"])))
     if t == "giveup":
         return GiveUpLeaf(_ctx_from_json(rec["context"]))
     raise KeyError(t)
@@ -835,8 +849,8 @@ def _op_json(op: GroundOperator) -> dict:
     return out
 
 
-def _op_from_json(rec: dict) -> GroundOperator:
-    lits = lambda xs: tuple(prop_from_text(x) for x in xs)
+def _op_from_json(rec: dict, literals: _Literals) -> GroundOperator:
+    lits = lambda xs: tuple(map(literals.__getitem__, xs))
     kw: dict = dict(name=rec["name"], kind=rec["kind"],
                     preconditions=lits(rec.get("pre", ())))
     if rec["kind"] in ("det", "start"):

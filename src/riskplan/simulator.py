@@ -17,7 +17,10 @@ gives, but no generator is built per trial: Philox4x64-10 is counter-based
 of trials at once in numpy and hands each trial its row of uniforms.  A
 trial takes one uniform per prior clause and one per chance step it runs,
 and picks an outcome by bisecting the clause's or the operator's running
-sums, which are computed once when the clause or operator is made.
+sums, which are computed once when the clause or operator is made.  A plan
+with no prior clause and no chance step draws nothing, so its trials read
+no stream and no uniforms are built; the seed is still checked as the
+generator would check it.
 
 ``exhaustive_success`` is the exact check.  It walks the plan tree once
 and branches on a prior variable only where a step or a goal reads it
@@ -38,11 +41,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .domain import (DependencyCycle, GroundClause, GroundOperator,
-                     Proposition, _check_row_groups, dependency_order,
-                     literal_value, missing_cpt_rows, prop_from_text, var_id)
+                     Proposition, _check_row_groups, _Literals,
+                     dependency_order, literal_value, missing_cpt_rows,
+                     var_id)
 from .errors import DomainSyntaxError, DomainValidationError, MalformedPlan
 from .plangraph import (ActionNode, BranchNode, ConditionalPlan, GiveUpLeaf,
-                        GoalLeaf)
+                        GoalLeaf, _plan_from_json)
 
 __all__ = [
     "TrialResult",
@@ -84,14 +88,19 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * np.uint64(m)
 
 
+def _philox_key(seed: int) -> int:
+    """``seed`` as Philox's first key word.  Raises OverflowError, as the
+    generator does, for a seed outside [0, 2**64)."""
+    return int(np.uint64(seed))
+
+
 def _philox_uniforms(seed: int, first: int, trials: int, k: int) -> np.ndarray:
     """Row ``i`` holds the first ``k`` draws of
     ``np.random.Generator(np.random.Philox(key=[seed, first + i])).random()``
     for each of ``trials`` trials, bit for bit: counter blocks 1, 2, ...
     give four 64-bit words each, and a word ``x`` gives the double
-    ``(x >> 11) * 2**-53``.  Raises OverflowError, as the generator does,
-    for a seed outside [0, 2**64)."""
-    seed = int(np.uint64(seed))
+    ``(x >> 11) * 2**-53``.  The seed is checked by ``_philox_key``."""
+    seed = _philox_key(seed)
     blocks = -(-k // 4)
     shape = (trials, blocks)
     t = np.arange(first, first + trials, dtype=np.uint64)[:, None]
@@ -275,6 +284,8 @@ def estimate_success(conditional: ConditionalPlan,
     known = _init_values({}, known_true, known_false)
     priors = _topo_clauses(priors)
     draws = len(priors) + _chance_depth(conditional.root)
+    if trials > 0 and not draws:
+        _philox_key(seed)  # no stream is read, but its seed is checked
     source = _Draws()
     successes = 0
     giveups = 0
@@ -282,7 +293,9 @@ def estimate_success(conditional: ConditionalPlan,
     samples: list[str] = []
     for first in range(0, trials, _TRIAL_CHUNK):
         n = min(_TRIAL_CHUNK, trials - first)
-        for row in _philox_uniforms(seed, first, n, draws).tolist():
+        rows = (_philox_uniforms(seed, first, n, draws).tolist() if draws
+                else [()] * n)
+        for row in rows:
             source.random = iter(row).__next__
             world = sample_world(priors, source)
             world.update(known)
@@ -441,13 +454,16 @@ def _undrawn_ancestor(var: str, world: Mapping[str, str],
 
 def simulate_document(doc: dict, trials: int = 10000, seed: int = 0) -> dict:
     """Run Monte Carlo on a self-contained plan document (the plan-json
-    emission), without the original domain files."""
-    conditional = ConditionalPlan.from_json_dict(doc)
+    emission), without the original domain files.  The steps, goal leaves
+    and ``init`` facts read their literal texts through one table local to
+    this call, so each distinct text is parsed once."""
+    literals = _Literals()
+    conditional = _plan_from_json(doc, literals)
     try:
         priors = _document_priors(doc.get("priors", ()))
         init = doc.get("init", {})
-        kt = [prop_from_text(s) for s in init.get("true", ())]
-        kf = [prop_from_text(s) for s in init.get("false", ())]
+        kt = [literals[s] for s in init.get("true", ())]
+        kf = [literals[s] for s in init.get("false", ())]
     except (AttributeError, KeyError, TypeError, ValueError,
             DomainSyntaxError, DomainValidationError) as e:
         raise MalformedPlan(f"cannot decode plan document: {e}") from e

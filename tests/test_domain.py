@@ -1,6 +1,8 @@
 """Domain language: parsing, rendering, grounding, validation."""
 
+import dataclasses
 import itertools
+import json
 import random
 import re
 from typing import Mapping, Sequence
@@ -9,13 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskplan.domain import (DependencyCycle, Domain, KbmcClause,
-                             OperatorSchema, Problem, Proposition,
-                             _read_forms, dependency_order, ground,
-                             parse_domain, parse_problem, prop_from_text,
-                             validate_problem, var_id)
+from riskplan.domain import (DependencyCycle, Domain, GroundOperator,
+                             KbmcClause, OperatorSchema, Problem, Proposition,
+                             _cumulative_rows, _read_forms, dependency_order,
+                             ground, literal_values, parse_domain,
+                             parse_problem, prop_from_text, validate_problem,
+                             var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
                              GroundingError)
+from riskplan.linear import plan_linear
+from riskplan.nonlinear import plan_nonlinear
+from riskplan.plangraph import ConditionalPlan, make_root_plan
+from riskplan.probmodel import plan_document
 from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
                              slippery_walk, sussman)
 
@@ -534,6 +541,134 @@ def test_effect_values_apply_deletes_then_adds():
     assert dry.establishing_outcomes(prop_from_text("(not (x))")) == []
     assert both.effect_values(None) == {"x": "true", "y": "false"}
     assert both.establishing_outcomes(prop_from_text("(not (x))")) == []
+
+
+# The operator constructor as it was before it built its derived fields in
+# one pass: each field by its own expression over (None,) + outcomes, set
+# one at a time.  The constructor must give the same fields.
+
+_DERIVED = ("outcome_adds", "outcome_dels", "_effects", "_deletes", "runs",
+            "clobbers", "precondition_values", "_thresholds")
+
+
+def _oracle_effect_values(adds, dels) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for p in dels:
+        values[var_id(p.positive)] = "true" if p.negated else "false"
+    for p in adds:
+        values[var_id(p.positive)] = "false" if p.negated else "true"
+    return values
+
+
+def _oracle_operator(**kw) -> GroundOperator:
+    """``GroundOperator(**kw)`` with its derived fields set by the oracle."""
+    self = object.__new__(GroundOperator)
+    for f in dataclasses.fields(GroundOperator):
+        if f.init:
+            object.__setattr__(self, f.name, kw.get(f.name, f.default))
+    if self.outcome_adds is None:
+        object.__setattr__(self, "outcome_adds", {})
+    if self.outcome_dels is None:
+        object.__setattr__(self, "outcome_dels", {})
+    variants = (None,) + tuple(self.outcomes)
+    object.__setattr__(self, "_effects", {
+        o: _oracle_effect_values(self.adds_for(o), self.deletes_for(o))
+        for o in variants})
+    object.__setattr__(self, "_deletes", {
+        o: frozenset(self.deletes_for(o))
+        | frozenset(p.negate() for p in self.adds_for(o))
+        for o in variants})
+    object.__setattr__(self, "runs", (None,) if self.kind in (
+        "det", "start") else self.outcomes)
+    object.__setattr__(self, "clobbers", frozenset().union(
+        *(self._deletes[o] for o in self.runs)))
+    object.__setattr__(self, "precondition_values",
+                       literal_values(self.preconditions))
+    if self.cpt is not None:
+        table = self.cpt
+    else:
+        table = {(o,): p for o, p in
+                 (self.simple_distribution or {}).items()}
+    object.__setattr__(self, "_thresholds",
+                       _cumulative_rows(table, self.outcomes))
+    return self
+
+
+def _hash_or_error(op):
+    try:
+        return hash(op)
+    except TypeError as e:  # its outcome maps are dicts
+        return repr(e)
+
+
+def _assert_built_like_oracle(op: GroundOperator, **kw):
+    """``op`` has the oracle's derived fields, the effect maps in the same
+    order, and compares and hashes as the oracle's operator does.  ``kw``
+    are the arguments ``op`` was made with, else its declared fields."""
+    if not kw:
+        kw = {f.name: getattr(op, f.name)
+              for f in dataclasses.fields(op) if f.init}
+    ref = _oracle_operator(**kw)
+    for name in _DERIVED:
+        assert getattr(op, name) == getattr(ref, name), (op.name, name)
+    for o, values in ref._effects.items():
+        assert list(op._effects[o].items()) == list(values.items())
+    assert op == ref and ref == op
+    assert _hash_or_error(op) == _hash_or_error(ref)
+
+
+def test_operators_are_built_as_the_oracle_builds_them():
+    texts = [WORLDS[name] for name in sorted(WORLDS)]
+    texts += [solvable_domain(random.Random(16000 + i)) for i in range(50)]
+    texts += [det_chain(5), nroad_world(4)]
+    kinds = set()
+    for text in texts:
+        gdom, prob = load_texts(*text)
+        root = make_root_plan(prob, "tree")
+        for op in gdom.operators + tuple(s.operator
+                                         for s in root.steps.values()):
+            _assert_built_like_oracle(op)
+            kinds.add(op.kind)
+    assert kinds == {"det", "cond", "obs", "start", "goal"}
+
+
+@pytest.mark.parametrize("kw", [
+    dict(name="noop", kind="det"),
+    dict(name="goal", kind="goal", preconditions=(
+        Proposition("x"), Proposition("y", ("a",), True))),
+    dict(name="both", kind="det", add=(Proposition("x"),),
+         delete=(Proposition("x"), Proposition("y", (), True))),
+    dict(name="look", kind="obs", outcomes=("true", "false"), observes="y",
+         outcome_adds={"true": (Proposition("y"),)},
+         outcome_dels={"false": (Proposition("y"),)}),
+    dict(name="flip", kind="cond", outcomes=("h", "t"),
+         simple_distribution={"h": 0.25, "t": 0.75},
+         outcome_adds={"h": (Proposition("won"),)}),
+    dict(name="mute", kind="cond", outcomes=("a", "b")),
+    dict(name="walk", kind="cond", outcomes=("ok", "slip"),
+         influences=("rain",), add=(Proposition("z"),),
+         cpt={("ok", "true"): 0.4, ("slip", "true"): 0.6,
+              ("ok", "false"): 0.9},
+         outcome_dels={"slip": (Proposition("up", (), True),)}),
+], ids=lambda kw: kw["name"])
+def test_operator_arguments_are_built_as_the_oracle_builds_them(kw):
+    _assert_built_like_oracle(GroundOperator(**kw), **kw)
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS) + ["det_chain5",
+                                                   "nroad4"])
+@pytest.mark.parametrize("planner", [plan_linear, plan_nonlinear])
+def test_decoded_operators_are_built_as_the_oracle_builds_them(name,
+                                                               planner):
+    text = {"det_chain5": det_chain(5), "nroad4": nroad_world(4)}.get(
+        name) or WORLDS[name]
+    gdom, prob = load_texts(*text)
+    res = planner(gdom, prob)
+    doc = json.loads(json.dumps(plan_document(res, prob, "kbmc")))
+    ops = ConditionalPlan.from_json_dict(doc).steps_used()
+    assert ops
+    for op in ops.values():
+        _assert_built_like_oracle(op)
 
 
 def test_cyclic_clauses_rejected():

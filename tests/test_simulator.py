@@ -10,12 +10,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from riskplan import simulator
+from riskplan import domain, simulator
 from riskplan.errors import MalformedPlan
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
 from riskplan.probmodel import plan_document
-from riskplan.plangraph import ActionNode, BranchNode, GoalLeaf
+from riskplan.plangraph import (ActionNode, BranchNode, ConditionalPlan,
+                                GoalLeaf)
 from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, _TRIAL_CHUNK,
                                 _philox_uniforms, estimate_success,
                                 execute_plan,
@@ -515,3 +516,92 @@ def test_estimate_rejects_seeds_outside_philox_keys():
         with pytest.raises(OverflowError):
             estimate_success(res.conditional, prob.priors, prob.known_true,
                              prob.known_false, trials=1, seed=seed)
+
+
+def test_plans_that_draw_nothing_read_no_stream(monkeypatch):
+    """det_chain has no prior and no chance step, so its trials build no
+    uniforms; the report is still the reference's, for a plan that succeeds
+    in every trial and for one that aborts in every trial, and its
+    violation samples keep their order."""
+    prob, res = _planned("det_chain")
+
+    def no_stream(*args):
+        raise AssertionError("a plan that draws nothing read the stream")
+
+    monkeypatch.setattr(simulator, "_philox_uniforms", no_stream)
+    ok = _same_report(res.conditional, prob.priors, prob.known_true,
+                      prob.known_false, trials=2 * _TRIAL_CHUNK + 3, seed=3)
+    assert ok["successes"] == ok["trials"]
+    broken = _same_report(res.conditional, (), (), prob.known_false, seed=3)
+    assert broken["successes"] == 0
+    assert broken["violations"] > 5 and len(broken["violationSamples"]) == 5
+
+
+def test_plans_that_draw_nothing_still_check_the_seed():
+    prob, res = _planned("det_chain")
+    for seed in (-1, 2**64):
+        with pytest.raises(OverflowError):
+            estimate_success(res.conditional, prob.priors, prob.known_true,
+                             prob.known_false, trials=1, seed=seed)
+    # no trials: no seed check, as for a plan that draws
+    r = estimate_success(res.conditional, prob.priors, prob.known_true,
+                         prob.known_false, trials=0, seed=-1)
+    assert r["trials"] == 0 and r["estimate"] == 0.0
+
+
+def _literal_texts(doc) -> list[str]:
+    """Every literal text in the steps and goal leaves of a plan document."""
+    texts = []
+    for rec in doc["steps"]:
+        for key in ("pre", "add", "del"):
+            texts += rec.get(key, ())
+        for eff in rec.get("outcomes", {}).values():
+            texts += eff["add"] + eff["del"]
+    stack = [doc["branches"]]
+    while stack:
+        node = stack.pop()
+        texts += node.get("goals", ())
+        stack += node.get("children", {}).values()
+        stack += [node["next"]] if "next" in node else []
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS))
+@pytest.mark.parametrize("planner", [plan_linear, plan_nonlinear])
+def test_documents_read_each_literal_text_once(name, planner, monkeypatch):
+    """Decoding a plan document runs the literal reader once per distinct
+    text, and the ``init`` facts of a replay share the steps' table; the
+    decoded plan has the planned plan's steps and leaves."""
+    gdom, prob = load_texts(*WORLDS[name])
+    res = planner(gdom, prob)
+    doc = json.loads(json.dumps(plan_document(res, prob, "kbmc")))
+    reads = Counter()
+    read = domain.prop_from_text
+
+    def counted(text):
+        reads[text] += 1
+        return read(text)
+
+    monkeypatch.setattr(domain, "prop_from_text", counted)
+    plan = ConditionalPlan.from_json_dict(doc)
+    texts = _literal_texts(doc)
+    assert reads == Counter(set(texts))
+    assert len(texts) > len(reads)  # some text is repeated
+    assert plan.steps_used() == res.conditional.steps_used()
+    assert list(plan.leaves()) == list(res.conditional.leaves())
+    reads.clear()
+    simulate_document(doc, trials=20)
+    assert reads == Counter(set(texts + doc["init"]["true"]
+                                + doc["init"]["false"]))
+
+
+@pytest.mark.parametrize("bad", [[["(at b)"]], [{}], [None], [5], ["(at"],
+                                 ["(at b) (at c)"], 7])
+@pytest.mark.parametrize("side", ["true", "false"])
+def test_bad_init_literals_raise_malformed_plan(bad, side):
+    gdom, prob = load_texts(*ski_world())
+    doc = json.loads(json.dumps(plan_document(plan_linear(gdom, prob), prob,
+                                              "kbmc")))
+    doc["init"][side] = bad
+    with pytest.raises(MalformedPlan, match="^cannot decode plan document"):
+        simulate_document(doc, trials=10, seed=0)
