@@ -265,16 +265,6 @@ class GroundOperator:
             for p in self.preconditions))
         put(self, "_thresholds", thresholds)
 
-    def adds_for(self, outcome: str | None) -> tuple[Proposition, ...]:
-        if outcome is None:
-            return self.add
-        return self.outcome_adds.get(outcome, ())
-
-    def deletes_for(self, outcome: str | None) -> tuple[Proposition, ...]:
-        if outcome is None:
-            return self.delete
-        return self.outcome_dels.get(outcome, ())
-
     def effective_deletes(self, outcome: str | None) -> frozenset[Proposition]:
         """Declared deletes plus the negation of every added literal,
         computed once per outcome when the operator is made."""
@@ -373,12 +363,6 @@ class GroundDomain:
         hold (None = det), in operator order: ``establishing_outcomes`` of
         every operator, read from an index of the domain's effects."""
         return self._producers.get(literal_value(lit), ())
-
-    def operator(self, name: str) -> GroundOperator:
-        for op in self.operators:
-            if op.name == name:
-                return op
-        raise KeyError(name)
 
 
 @dataclass(frozen=True, eq=True)

@@ -8,6 +8,12 @@ may link it to start, to an existing ancestor, or to a new step inserted on
 matters: interleaved goals (stack a on b, b on c) have no solution if new
 steps may only appear directly above their consumer.
 
+No move can close an ordering cycle: a new step goes on an existing edge,
+every causal link runs from a step on its consumer's tree path, and an
+ignorance pledge runs from start.  A candidate is dropped only when the
+model cannot price its new step, the step observes what its branch
+already settles, or the candidate carries a threat (``_safe``).
+
 The best-first search itself (frontier order, acceptance, node budget) lives
 in :mod:`riskplan.search`; this module supplies the tree-shaped root and
 the refinement moves.
@@ -18,7 +24,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .domain import GroundDomain, GroundOperator, Problem, Proposition
-from .errors import WouldCreateCycle
 from .plangraph import (Label, Link, PlanGraph, START_ID, add_link,
                         has_threat, make_root_plan, tree_insert)
 # unused here since plans carry their threats, but bench/test_bench.py
@@ -68,11 +73,11 @@ def _expand(plan: PlanGraph, bound: SuccessBound, m, gdomain: GroundDomain,
     return _resolve_precondition(plan, gdomain, model, *goals[0])
 
 
-def _safe(plan: PlanGraph | None) -> list[PlanGraph]:
+def _safe(plan: PlanGraph) -> list[PlanGraph]:
     """Keep a candidate only if it is internally consistent: tree plans
     cannot reorder steps, so any threat is fatal and the candidate is
     dropped here, at its first threat."""
-    if plan is None or has_threat(plan):
+    if has_threat(plan):
         return []
     return [plan]
 
@@ -120,22 +125,10 @@ def _insert_producer(plan: PlanGraph, op: GroundOperator, outcome: str | None,
         return None
     source = _step_source(plan, op, model)
     influences = op.influences if op.kind == "cond" else ()
-    try:
-        plan2, sid, _leaves = tree_insert(plan, op, parent, child,
-                                          chosen_outcome=outcome,
-                                          source=source,
-                                          influences=influences)
-    except WouldCreateCycle:
-        return None
+    plan2, sid, _leaves = tree_insert(plan, op, parent, child,
+                                      chosen_outcome=outcome, source=source,
+                                      influences=influences)
     return plan2, sid
-
-
-def _link_establisher(plan: PlanGraph, producer: str, prop: Proposition,
-                      consumer: str) -> PlanGraph | None:
-    try:
-        return add_link(plan, Link("causal", producer, consumer, prop))
-    except WouldCreateCycle:
-        return None
 
 
 def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
@@ -150,7 +143,7 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
         for o in w.operator.establishing_outcomes(prop):
             if o is not None and Label(w.source, o) not in ctx:
                 continue
-            out.extend(_safe(_link_establisher(plan, wid, prop, sid)))
+            out.extend(_safe(add_link(plan, Link("causal", wid, sid, prop))))
 
     # or insert a fresh producer anywhere on the path
     for op, o in gdomain.producers(prop):
@@ -159,7 +152,8 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
             if made is None:
                 continue
             plan2, new_id = made
-            out.extend(_safe(_link_establisher(plan2, new_id, prop, sid)))
+            out.extend(_safe(add_link(plan2, Link("causal", new_id, sid,
+                                                  prop))))
     return out
 
 
@@ -171,12 +165,8 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
     if _determined_value(plan, sid, var) is not None:
         return [plan.without_open_influence((sid, var))]
 
-    out: list[PlanGraph] = []
-    try:
-        pledged = add_link(plan, Link("ignorance", START_ID, sid, var))
-        out.extend(_safe(pledged.without_open_influence((sid, var))))
-    except WouldCreateCycle:
-        pass
+    pledged = add_link(plan, Link("ignorance", START_ID, sid, var))
+    out = _safe(pledged.without_open_influence((sid, var)))
 
     for op in gdomain.operators:
         observes = (op.kind == "obs" and op.observes == var

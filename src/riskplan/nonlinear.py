@@ -17,6 +17,13 @@ once flawless may grow a new goal step for an uncovered outcome context, or
 insert an observation of a variable d-connected to one they are acting in
 ignorance of, refining branch masses.  The best-first search around these
 moves is the one in :mod:`riskplan.search`.
+
+``condition_step`` orders each label's source step before every step that
+takes the label, so a new step follows only start and steps that run
+before its consumer.  A link from a new step, from a step not after its
+consumer, or from start therefore never closes a cycle, and only two
+moves can meet one: a threat's demotion or promotion, which is then not
+offered, and ``condition_step``, which then returns None.
 """
 
 from __future__ import annotations
@@ -24,8 +31,7 @@ from __future__ import annotations
 from .domain import GroundDomain, GroundOperator, Problem, Proposition
 from .errors import WouldCreateCycle
 from .plangraph import (Label, Link, PlanGraph, START_ID, Threat, add_link,
-                        condition_step, dag_add_step,
-                        make_root_plan, uncovered_outcome_contexts)
+                        condition_step, dag_add_step, make_root_plan)
 from .probmodel import (PlanResult, SuccessBound, context_probability,
                         d_connected)
 from .search import (DEFAULT_NODE_BUDGET, _det_sets, _priceable,
@@ -81,12 +87,9 @@ def _expand(plan: PlanGraph, bound: SuccessBound, m, gdomain: GroundDomain,
         sid, var = min(plan.open_influences, key=ikey)
         return _resolve_influence(plan, gdomain, model, sid, var)
 
-    out: list[PlanGraph] = []
-    for ctx in sorted(uncovered_outcome_contexts(plan),
-                      key=lambda c: (-mass(c), sorted(c))):
-        made = _cover_context(plan, ctx)
-        if made is not None:
-            out.append(made)
+    out = [dag_add_step(plan, plan.goal_op, _context_pairs(plan, ctx))[0]
+           for ctx in sorted(bound.uncovered,
+                             key=lambda c: (-mass(c), sorted(c)))]
     out.extend(_collect_information(plan, m, gdomain, model))
     return out
 
@@ -190,11 +193,7 @@ def _add_step_for(plan: PlanGraph, op: GroundOperator, sid: str,
     source = _step_source(plan, op, model)
     influences = op.influences if op.kind == "cond" else ()
     pairs = _context_pairs(plan, plan.steps[sid].context)
-    try:
-        return dag_add_step(plan, op, pairs, source=source,
-                            influences=influences)
-    except WouldCreateCycle:
-        return None
+    return dag_add_step(plan, op, pairs, source=source, influences=influences)
 
 
 def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
@@ -206,13 +205,8 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
             continue
         for o in w.operator.establishing_outcomes(prop):
             p2 = _join_branch(plan, sid, w.id, o)
-            if p2 is None:
-                continue
-            try:
-                p2 = add_link(p2, Link("causal", w.id, sid, prop))
-            except WouldCreateCycle:
-                continue
-            out.append(p2)
+            if p2 is not None:
+                out.append(add_link(p2, Link("causal", w.id, sid, prop)))
 
     for op, o in gdomain.producers(prop):  # fresh producer
         made = _add_step_for(plan, op, sid, model)
@@ -225,11 +219,7 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
             if p2x is None:
                 continue
             p2 = p2x
-        try:
-            p2 = add_link(p2, Link("causal", nid, sid, prop))
-        except WouldCreateCycle:
-            continue
-        out.append(p2)
+        out.append(add_link(p2, Link("causal", nid, sid, prop)))
     return out
 
 
@@ -244,12 +234,9 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
             p2 = add_link(plan, Link("influence", w.id, sid, var))
             return [p2.without_open_influence((sid, var))]
 
-    out: list[PlanGraph] = []
-    try:  # act in ignorance
-        pledged = add_link(plan, Link("ignorance", START_ID, sid, var))
-        out.append(pledged.without_open_influence((sid, var)))
-    except WouldCreateCycle:
-        pass
+    # act in ignorance
+    pledged = add_link(plan, Link("ignorance", START_ID, sid, var))
+    out = [pledged.without_open_influence((sid, var))]
 
     # settle the variable first: an observation (each outcome is its own
     # commitment) or a forcing action
@@ -270,10 +257,7 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
                 p2 = condition_step(base, sid, [(Label(var, o), oid)])
                 if p2 is None:
                     continue
-                try:
-                    p2 = add_link(p2, Link("influence", oid, sid, var))
-                except WouldCreateCycle:
-                    continue
+                p2 = add_link(p2, Link("influence", oid, sid, var))
                 out.append(p2.without_open_influence((sid, var)))
 
     for op in gdomain.operators:  # force it
@@ -283,21 +267,9 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
         if made is None:
             continue
         p2, nid = made
-        try:
-            p2 = add_link(p2, Link("influence", nid, sid, var))
-        except WouldCreateCycle:
-            continue
+        p2 = add_link(p2, Link("influence", nid, sid, var))
         out.append(p2.without_open_influence((sid, var)))
     return out
-
-
-def _cover_context(plan: PlanGraph, ctx) -> PlanGraph | None:
-    pairs = _context_pairs(plan, ctx)
-    try:
-        p2, _gid = dag_add_step(plan, plan.goal_op, pairs)
-    except WouldCreateCycle:
-        return None
-    return p2
 
 
 def _collect_information(plan: PlanGraph, net, gdomain: GroundDomain,
@@ -330,11 +302,7 @@ def _collect_information(plan: PlanGraph, net, gdomain: GroundDomain,
             p2, nid = made
             for o in op.outcomes:
                 p3 = condition_step(p2, sid, [(Label(p_var, o), nid)])
-                if p3 is None:
-                    continue
-                try:
-                    p3 = add_link(p3, Link("influence", nid, sid, p_var))
-                except WouldCreateCycle:
-                    continue
-                out.append(p3)
+                if p3 is not None:
+                    out.append(add_link(
+                        p3, Link("influence", nid, sid, p_var)))
     return out

@@ -199,13 +199,18 @@ class PlanGraph:
     open_goals: frozenset  # of (step id, Proposition)
     open_influences: frozenset  # of (step id, variable id)
     goal_op: GroundOperator  # every goal step's operator: the problem goals
-    next_index: int
     tree: Mapping[str, tuple] | None  # child id -> (parent id, edge outcome)
     after: Mapping[str, frozenset]  # derived: strict ordering closure
     _basis: _ThreatBasis | None = field(default=None, compare=False,
                                         repr=False)
 
     # -- queries ----------------------------------------------------------
+
+    @property
+    def next_index(self) -> int:
+        """The index of the next step added: steps are never removed, and
+        each takes the next index in turn."""
+        return len(self.steps)
 
     @cached_property
     def threats(self) -> list[Threat]:
@@ -372,8 +377,7 @@ def make_root_plan(problem: Problem, shape: str) -> PlanGraph:
     plan = PlanGraph(
         steps=steps, links=links,
         open_goals=frozenset((goal.id, g) for g in problem.goals),
-        open_influences=frozenset(), goal_op=goal.operator,
-        next_index=2, tree=tree,
+        open_influences=frozenset(), goal_op=goal.operator, tree=tree,
         after=_ordering_closure(steps, links, tree))
     return plan
 
@@ -574,7 +578,6 @@ def dag_add_step(plan: PlanGraph, op: GroundOperator,
         new_steps=frozenset({sid}), new_links=frozenset({first}),
         steps={**plan.steps, sid: Step(sid, index, op, frozenset(), source)},
         links=plan.links | {first}, after=_after_start(plan.after, [sid]),
-        next_index=index + 1,
         open_goals=plan.open_goals | {(sid, p) for p in op.preconditions},
         open_influences=plan.open_influences | {(sid, v) for v in influences})
     pairs = list(context_pairs)
@@ -629,7 +632,7 @@ def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
         after = _with_order(after, a, b)
     plan = plan._derive(
         new_steps=frozenset(new_ids), steps=steps, tree=tree, after=after,
-        next_index=index + len(new_ids), open_goals=open_goals,
+        open_goals=open_goals,
         open_influences=plan.open_influences | {(sid, v) for v in influences})
     return plan, sid, new_goals
 

@@ -33,9 +33,9 @@ from .errors import (InconsistentLabels, LabelWithoutDistribution,
                      MissingCptRow, MissingInfluenceVariable,
                      OutcomeSpaceMismatch, OverlappingGoalContexts,
                      UnknownVariable, ZeroProbabilityContext)
-from .plangraph import (ConditionalPlan, Label, PlanGraph, complete_goal_ids,
-                        context_consistent, contexts_compatible,
-                        uncovered_outcome_contexts)
+from .plangraph import (ConditionalPlan, Label, PlanGraph, _canonical_topo,
+                        complete_goal_ids, context_consistent,
+                        contexts_compatible, uncovered_outcome_contexts)
 
 __all__ = [
     "NetVariable",
@@ -400,9 +400,12 @@ def net_for_plan(plan: PlanGraph, problem: Problem,
     """The belief net a plan graph denotes: the problem's priors plus one
     node per conditional step.  Observation steps add nothing; their labels
     bind to the observed variable.  An influence whose value the plan has
-    pinned down before the step runs (known initially, which is what the
-    start step sets, or set deterministically by an earlier step of the
-    same branch) selects CPT rows instead of drawing an arc.
+    pinned down before the step runs selects CPT rows instead of drawing an
+    arc.  The pinned values come from the steps ordered before the step in
+    its branch, applied in the order ``_canonical_topo`` runs them: the
+    start step's initial facts, each det step's effects, and a chance
+    step's effects under the outcome the step's context names (a chance
+    step whose outcome the context leaves open pins nothing).
 
     For fixed priors the net depends only on the plan's *signature*: its
     conditional steps in ``step_list`` order, each as (step id, operator
@@ -419,14 +422,17 @@ def net_for_plan(plan: PlanGraph, problem: Problem,
     if net is None:
         net = nets[()] = build_initial_net(problem)
     key: tuple = ()  # the signature of the steps taken so far
-    steps = plan.step_list()  # start first; chance steps set nothing det
+    steps = plan.step_list()
     for st in steps:
         if st.kind != "cond":
             continue
         kv: dict[str, str] = {}
-        for w in steps:
-            if plan.ordered_before(w.id, st.id) and w.context <= st.context:
-                kv.update(w.operator.effect_values(None))
+        before = [w.id for w in steps
+                  if plan.ordered_before(w.id, st.id) and w.context <= st.context]
+        for w in map(plan.steps.get, _canonical_topo(plan, before)):
+            for o in w.operator.runs:  # None alone for det and start steps
+                if o is None or Label(w.source, o) in st.context:
+                    kv.update(w.operator.effect_values(o))
         op = st.operator
         pinned = tuple((v, kv[v]) for v in op.influences if v in kv)
         # ground operator names are unique, so a name stands for its operator
@@ -460,13 +466,16 @@ class SuccessBound:
     """achieved_mass counts branches that are finished end to end;
     potential_mass adds every still-open branch at its full context mass
     (an optimistic ceiling, clamped to 1).  ``masses`` maps every goal-step
-    and uncovered outcome context to its mass, priced once for the node."""
+    and uncovered outcome context to its mass, priced once for the node;
+    ``uncovered`` holds the uncovered outcome contexts in
+    ``uncovered_outcome_contexts`` order."""
 
     achieved_mass: float
     potential_mass: float
     epsilon: float
     completed: tuple = ()  # goal step ids
     masses: Mapping = field(default_factory=dict, compare=False)
+    uncovered: tuple = field(default=(), compare=False)
 
     @property
     def accepted(self) -> bool:
@@ -481,8 +490,9 @@ def success_bound(plan: PlanGraph, model, epsilon: float) -> SuccessBound:
                 f"goal steps {a.id} and {b.id} overlap")
     complete = set(complete_goal_ids(plan))
     done = [g.context for g in goals if g.id in complete]
+    uncovered = tuple(uncovered_outcome_contexts(plan))
     still_open = [g.context for g in goals if g.id not in complete]
-    still_open += uncovered_outcome_contexts(plan)
+    still_open += uncovered
     # all distinct: goals do not overlap, and uncovered contexts meet no goal
     masses = {ctx: context_probability(plan, ctx, model)
               for ctx in done + still_open}
@@ -493,7 +503,7 @@ def success_bound(plan: PlanGraph, model, epsilon: float) -> SuccessBound:
     for ctx in still_open:
         potential += masses[ctx]
     return SuccessBound(achieved, min(1.0, potential), epsilon,
-                        tuple(sorted(complete)), masses)
+                        tuple(sorted(complete)), masses, uncovered)
 
 
 def select_goal_node(plan: PlanGraph, bound: SuccessBound) -> str | None:

@@ -1,5 +1,6 @@
-"""Random nets, random domains, an independent execution oracle, and the
-reference Monte Carlo estimator.
+"""Random nets, random domains, an independent execution oracle, the
+reference Monte Carlo estimator, and lookups on ground operators and
+domains that only the tests need.
 
 Everything here is deliberately written against public data shapes only
 (no planner or simulator internals), so the property suites check the
@@ -20,6 +21,23 @@ from riskplan.plangraph import (ActionNode, BranchNode, GiveUpLeaf, GoalLeaf,
 from riskplan.probmodel import BeliefNet, NetVariable
 
 JOINT_LIMIT = 8192  # keep brute-force enumeration of a random net cheap
+
+
+def adds_for(op, outcome):
+    """The literals a ground operator adds when it runs under ``outcome``
+    (None = det), as declared."""
+    return op.add if outcome is None else op.outcome_adds.get(outcome, ())
+
+
+def deletes_for(op, outcome):
+    """The literals a ground operator deletes under ``outcome``, as
+    declared."""
+    return op.delete if outcome is None else op.outcome_dels.get(outcome, ())
+
+
+def operator_named(gdomain, name: str):
+    """The ground operator called ``name``."""
+    return next(op for op in gdomain.operators if op.name == name)
 
 
 def random_net(rng: random.Random, max_vars: int = 12) -> BeliefNet:

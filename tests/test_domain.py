@@ -26,7 +26,7 @@ from riskplan.probmodel import plan_document
 from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
                              slippery_walk, sussman)
 
-from .gen import solvable_domain
+from .gen import adds_for, deletes_for, operator_named, solvable_domain
 from .test_simulator import WORLDS
 
 SKI_DOMAIN, SKI_PROBLEM = ski_world()
@@ -455,7 +455,7 @@ def test_ground_clauses_attach_to_problem():
 
 def test_effective_deletes_include_negated_adds():
     gdom, _ = load_texts(SKI_DOMAIN, SKI_PROBLEM)
-    drive = gdom.operator("drive-b-snowbird")
+    drive = operator_named(gdom, "drive-b-snowbird")
     assert prop_from_text("(not (at snowbird))") in drive.effective_deletes(None)
     assert prop_from_text("(at b)") in drive.effective_deletes(None)
 
@@ -485,10 +485,10 @@ def test_clobbers_are_the_union_of_effective_deletes(name):
 
 def test_touches_variable():
     gdom, _ = load_texts(SKI_DOMAIN, SKI_PROBLEM)
-    check = gdom.operator("check-road-b-snowbird")
+    check = operator_named(gdom, "check-road-b-snowbird")
     assert check.touches_variable("clear(b,snowbird)")
     assert not check.touches_variable("clear(c,parkcity)")
-    assert gdom.operator("drive-b-c").touches_variable("at(c)")
+    assert operator_named(gdom, "drive-b-c").touches_variable("at(c)")
 
 
 def test_delete_effects_establish_negations():
@@ -502,9 +502,10 @@ def test_delete_effects_establish_negations():
     """
     gdom = ground(parse_domain(text))
     not_x = prop_from_text("(not (x))")
-    assert gdom.operator("look").establishing_outcomes(not_x) == ["false"]
-    assert gdom.operator("wipe").establishing_outcomes(not_x) == [None]
-    assert gdom.operator("wipe").touches_variable("x")
+    look, wipe = operator_named(gdom, "look"), operator_named(gdom, "wipe")
+    assert look.establishing_outcomes(not_x) == ["false"]
+    assert wipe.establishing_outcomes(not_x) == [None]
+    assert wipe.touches_variable("x")
 
 
 def test_producer_index_matches_the_per_operator_scan():
@@ -535,7 +536,7 @@ def test_effect_values_apply_deletes_then_adds():
     (operator dry (kind det) (del (not (x))))
     (operator both (kind det) (add (x)) (del (x) (y)))
     """))
-    dry, both = gdom.operator("dry"), gdom.operator("both")
+    dry, both = operator_named(gdom, "dry"), operator_named(gdom, "both")
     assert dry.effect_values(None) == {"x": "true"}
     assert dry.establishing_outcomes(prop_from_text("(x)")) == [None]
     assert dry.establishing_outcomes(prop_from_text("(not (x))")) == []
@@ -572,11 +573,11 @@ def _oracle_operator(**kw) -> GroundOperator:
         object.__setattr__(self, "outcome_dels", {})
     variants = (None,) + tuple(self.outcomes)
     object.__setattr__(self, "_effects", {
-        o: _oracle_effect_values(self.adds_for(o), self.deletes_for(o))
+        o: _oracle_effect_values(adds_for(self, o), deletes_for(self, o))
         for o in variants})
     object.__setattr__(self, "_deletes", {
-        o: frozenset(self.deletes_for(o))
-        | frozenset(p.negate() for p in self.adds_for(o))
+        o: frozenset(deletes_for(self, o))
+        | frozenset(p.negate() for p in adds_for(self, o))
         for o in variants})
     object.__setattr__(self, "runs", (None,) if self.kind in (
         "det", "start") else self.outcomes)
@@ -863,7 +864,7 @@ def test_epsilon_range_checked():
 
 def test_slippery_walk_parses():
     gdom, problem = load_texts(*slippery_walk())
-    walk = gdom.operator("walk")
+    walk = operator_named(gdom, "walk")
     assert walk.influences == ("rain",)
     assert walk.cpt[("arrive", "true")] == 0.6
     assert validate_problem(problem, gdom) == []

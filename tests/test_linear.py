@@ -10,6 +10,7 @@ from riskplan.worlds import (det_chain, load_texts, press_button, ski_world,
                              slippery_walk, sussman)
 
 from .gen import exhaustive_check
+from .test_probmodel import ARM_DOMAIN
 
 CBS = "clear(b,snowbird)"
 CCP = "clear(c,parkcity)"
@@ -55,6 +56,20 @@ def test_slippery_walk_acts_in_ignorance():
                                         prob.known_true, prob.known_false)
     assert violations == 0
     assert mass == pytest.approx(res.bound.achieved_mass, abs=1e-9)
+
+
+def test_influence_pinned_by_a_chance_outcome():
+    """fly runs only under arm's ok outcome, which sets x, so its branch is
+    priced at P(ok | x): 0.5 * 0.9 meets epsilon 0.6."""
+    gdom, prob = load_texts(ARM_DOMAIN, "(problem (init (not (x)) "
+                            "(not (done))) (goal (done)) (epsilon 0.6))")
+    res = plan_linear(gdom, prob)
+    assert names(res.conditional) == ["arm", "fly"]
+    assert res.bound.achieved_mass == pytest.approx(0.45, abs=1e-12)
+    mass, violations = exhaustive_check(res.conditional, prob.priors,
+                                        prob.known_true, prob.known_false)
+    assert violations == 0
+    assert mass == pytest.approx(res.bound.achieved_mass, abs=1e-12)
 
 
 def test_ski_default_epsilon_takes_one_road():

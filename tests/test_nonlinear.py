@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+from riskplan.domain import prop_from_text
 from riskplan.errors import PlanningFailure
-from riskplan.nonlinear import plan_nonlinear
-from riskplan.plangraph import (BranchNode, GiveUpLeaf, GoalLeaf, Label,
-                                find_threats, linearizations)
+from riskplan.nonlinear import (_resolve_influence, _resolve_threat,
+                                plan_nonlinear)
+from riskplan.plangraph import (BranchNode, GiveUpLeaf, GoalLeaf, Label, Link,
+                                START_ID, Threat, add_link, dag_add_step,
+                                find_threats, linearizations, make_root_plan)
 from riskplan.worlds import (det_chain, load_texts, press_button, ski_world,
                              slippery_walk, sussman)
 
-from .gen import exhaustive_check, ignorance_breaches, solvable_domain
+from .gen import (exhaustive_check, ignorance_breaches, operator_named,
+                  solvable_domain)
 
 CBS = "clear(b,snowbird)"
 CCP = "clear(c,parkcity)"
@@ -155,3 +159,116 @@ def test_agreement_with_linear_on_ski():
         a = plan_linear(gdom, prob, epsilon=eps).bound.achieved_mass
         b = plan_nonlinear(gdom, prob, epsilon=eps).bound.achieved_mass
         assert a == pytest.approx(b, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# single moves on hand-built dag plans
+
+_MOVES_DOMAIN = """
+(operator make-p (kind det) (add (p)))
+(operator use-p (kind det) (pre (p)) (add (g)))
+(operator wreck (kind det) (del (p)))
+(operator look (kind obs) (observes (x)) (outcomes (true) (false)))
+(operator walk (kind cond) (outcomes (arrive (add (g))) (slip))
+  (influences (x))
+  (cpt ((arrive true) 0.6) ((slip true) 0.4)
+       ((arrive false) 0.99) ((slip false) 0.01)))
+(operator setx (kind det) (add (x)))
+(clause (head (x) (true false)) (cpt ((true) 0.4) ((false) 0.6)))
+"""
+
+
+def _moves_world():
+    return load_texts(_MOVES_DOMAIN,
+                      "(problem (init (not (p)) (not (g))) (goal (g)) "
+                      "(epsilon 0.1))")
+
+
+def _new_links(parent, child):
+    return child.links - parent.links
+
+
+def test_threat_to_a_causal_link_is_demoted_or_promoted():
+    gdom, prob = _moves_world()
+    plan = make_root_plan(prob, "dag")
+    plan, make = dag_add_step(plan, operator_named(gdom, "make-p"), ())
+    plan, use = dag_add_step(plan, operator_named(gdom, "use-p"), ())
+    plan, wreck = dag_add_step(plan, operator_named(gdom, "wreck"), ())
+    link = Link("causal", make, use, prop_from_text("(p)"))
+    plan = add_link(plan, link)
+    assert plan.threats == [Threat(wreck, link)]
+    demoted, promoted = _resolve_threat(plan, plan.threats[0])
+    assert _new_links(plan, demoted) == {Link("ordering", wreck, make)}
+    assert demoted.ordered_before(wreck, use)
+    assert _new_links(plan, promoted) == {Link("ordering", use, wreck)}
+    assert demoted.threats == promoted.threats == []
+
+
+def test_threat_to_an_ignorance_pledge_is_promoted():
+    """An observer of x that could run before a step pledged ignorant of x
+    is ordered after it; no chance step could separate the two."""
+    gdom, prob = _moves_world()
+    plan = make_root_plan(prob, "dag")
+    plan, walk = dag_add_step(plan, operator_named(gdom, "walk"), (),
+                              source="s2", influences=("x",))
+    plan, look = dag_add_step(plan, operator_named(gdom, "look"), (),
+                              source="x")
+    pledge = Link("ignorance", START_ID, walk, "x")
+    plan = add_link(plan, pledge)
+    assert plan.threats == [Threat(look, pledge)]
+    (promoted,) = _resolve_threat(plan, plan.threats[0])
+    assert _new_links(plan, promoted) == {Link("ordering", walk, look)}
+    assert promoted.threats == []
+
+
+def test_influence_settled_by_a_label_is_discharged():
+    gdom, prob = _moves_world()
+    plan = make_root_plan(prob, "dag")
+    plan, look = dag_add_step(plan, operator_named(gdom, "look"), (),
+                              source="x")
+    plan, walk = dag_add_step(plan, operator_named(gdom, "walk"),
+                              [(Label("x", "true"), look)], source="s3",
+                              influences=("x",))
+    (child,) = _resolve_influence(plan, gdom, "kbmc", walk, "x")
+    assert child.open_influences == frozenset()
+    assert child.links == plan.links and child.steps == plan.steps
+
+
+def test_influence_reuses_the_existing_observer():
+    """With an observer of x already in the plan, the influence is pledged
+    ignorant or conditioned on each of that observer's outcomes; no second
+    observer is added, and setx forces x as a new step."""
+    gdom, prob = _moves_world()
+    plan = make_root_plan(prob, "dag")
+    plan, look = dag_add_step(plan, operator_named(gdom, "look"), (),
+                              source="x")
+    plan, walk = dag_add_step(plan, operator_named(gdom, "walk"), (),
+                              source="s3", influences=("x",))
+    children = _resolve_influence(plan, gdom, "kbmc", walk, "x")
+    assert len(children) == 4
+    pledged, *observed, forced = children
+    assert _new_links(plan, pledged) == {Link("ignorance", START_ID, walk, "x")}
+    for child, o in zip(observed, ("true", "false")):
+        assert set(child.steps) == set(plan.steps)
+        assert child.steps[walk].context == {Label("x", o)}
+        assert _new_links(plan, child) == {
+            Link("conditioning", look, walk, Label("x", o)),
+            Link("influence", look, walk, "x")}
+    assert all(c.open_influences == frozenset() for c in children)
+    assert forced.steps.keys() - plan.steps.keys() == {"s4"}
+
+
+def test_influence_forced_by_a_det_step():
+    """With no observer to use, x is pledged unknown or forced by a fresh
+    setx step that feeds the influence."""
+    gdom, prob = _moves_world()
+    plan = make_root_plan(prob, "dag")
+    plan, walk = dag_add_step(plan, operator_named(gdom, "walk"), (),
+                              source="s2", influences=("x",))
+    pledged, forced = _resolve_influence(plan, gdom, "simple", walk, "x")
+    assert _new_links(plan, pledged) == {Link("ignorance", START_ID, walk, "x")}
+    (setx,) = forced.steps.keys() - plan.steps.keys()
+    assert forced.steps[setx].operator.name == "setx"
+    assert _new_links(plan, forced) == {Link("ordering", START_ID, setx),
+                                        Link("influence", setx, walk, "x")}
+    assert forced.open_influences == frozenset()

@@ -24,6 +24,8 @@ from riskplan.plangraph import (ConditionalPlan, Label, Link, PlanGraph,
                                 make_root_plan, to_dot, tree_insert,
                                 uncovered_outcome_contexts)
 
+from .gen import adds_for, deletes_for
+
 
 def lit(s):
     return prop_from_text(s)
@@ -392,8 +394,8 @@ def _oracle_causal_threats(plan):
             variants = [None] if v.kind in ("det", "start") \
                 else list(v.operator.outcomes)
             for o in variants:
-                dels = set(v.operator.deletes_for(o)) | {
-                    p.negate() for p in v.operator.adds_for(o)}
+                dels = set(deletes_for(v.operator, o)) | {
+                    p.negate() for p in adds_for(v.operator, o)}
                 if prop not in dels:
                     continue
                 vctx = set(v.context)
@@ -459,6 +461,23 @@ def test_conditioned_apart_clobberer_is_safe():
     assert plan2 is not None
     assert find_threats(plan2) == []
     assert _oracle_causal_threats(plan2) == set()
+
+
+def test_outcome_threat_leaves_only_its_own_branch_unfinished():
+    """A clobbering outcome's threat is a flaw in that outcome's branch
+    alone: the goal under the other outcome is complete."""
+    plan = make_root_plan(problem(goals=()), "dag")
+    chancy = cond("maybe-wreck", {"boom": ((), ["(p)"]), "fizzle": ((), ())})
+    plan, cid = dag_add_step(plan, chancy, (), source="sX")
+    plan = condition_step(plan, "s1", [(Label("sX", "fizzle"), cid)])
+    plan, _boom_goal = dag_add_step(plan, plan.goal_op,
+                                    [(Label("sX", "boom"), cid)])
+    plan, prod = dag_add_step(plan, det("make-p", add=["(p)"]), ())
+    plan, cons = dag_add_step(plan, det("use-p", pre=["(p)"]), ())
+    link = Link("causal", prod, cons, lit("(p)"))
+    plan = add_link(plan, link)
+    assert plan.threats == [Threat(cid, link, "boom")]
+    assert complete_goal_ids(plan) == ["s1"]
 
 
 def test_ignorance_threats():

@@ -17,9 +17,10 @@ from riskplan.errors import (InconsistentLabels, LabelWithoutDistribution,
                              MissingCptRow, MissingInfluenceVariable,
                              OutcomeSpaceMismatch, OverlappingGoalContexts,
                              UnknownVariable, ZeroProbabilityContext)
-from riskplan.plangraph import (Label, Link, add_link, condition_step,
-                                dag_add_step, make_root_plan,
-                                uncovered_outcome_contexts)
+from riskplan.plangraph import (Label, Link, add_link, complete_goal_ids,
+                                condition_step, dag_add_step,
+                                extract_conditional_plan, make_root_plan,
+                                tree_insert, uncovered_outcome_contexts)
 from riskplan.probmodel import (BeliefNet, NetVariable, _joint_ve,
                                 add_conditional_node,
                                 build_initial_net,
@@ -28,9 +29,10 @@ from riskplan.probmodel import (BeliefNet, NetVariable, _joint_ve,
                                 joint_probability, net_for_plan,
                                 select_goal_node, simple_context_probability,
                                 success_bound)
+from riskplan.simulator import exhaustive_success
 from riskplan.worlds import load_texts, ski_world
 
-from .gen import random_evidence, random_net
+from .gen import operator_named, random_evidence, random_net
 from .test_plangraph import cond, det, lit, problem
 
 CBS = "clear(b,snowbird)"
@@ -287,8 +289,8 @@ def test_net_for_plan_uses_deterministic_establishment():
         """,
         "(problem (init (not (x)) (not (g))) (goal (g)) (epsilon 1))")
     plan = make_root_plan(prob, "dag")
-    plan, mid = dag_add_step(plan, gdom.operator("make-rain"), ())
-    plan, wid = dag_add_step(plan, gdom.operator("walk"), (),
+    plan, mid = dag_add_step(plan, operator_named(gdom, "make-rain"), ())
+    plan, wid = dag_add_step(plan, operator_named(gdom, "walk"), (),
                              source=f"s{plan.next_index}")
     plan = add_link(plan, Link("ordering", mid, wid))
     net = net_for_plan(plan, prob)
@@ -297,11 +299,97 @@ def test_net_for_plan_uses_deterministic_establishment():
         pytest.approx(0.6, abs=1e-12)
     # without the establisher ordered first, x stays known-false from init
     plan2 = make_root_plan(prob, "dag")
-    plan2, wid2 = dag_add_step(plan2, gdom.operator("walk"), (),
+    plan2, wid2 = dag_add_step(plan2, operator_named(gdom, "walk"), (),
                                source=f"s{plan2.next_index}")
     net2 = net_for_plan(plan2, prob)
     assert joint_probability(net2, [Label(wid2, "arrive")]) == \
         pytest.approx(0.99, abs=1e-12)
+
+
+# fly's odds hang on x; setx and unsetx pin x before fly runs
+_PIN_DOMAIN = """
+(operator fly (kind cond) (outcomes (ok (add (done))) (fail))
+  (influences (x))
+  (cpt ((ok true) 0.9) ((fail true) 0.1) ((ok false) 0.1) ((fail false) 0.9)))
+(operator setx (kind det) (add (x)))
+(operator unsetx (kind det) (del (x)))
+"""
+_PIN_PROBLEM = "(problem (init (not (x)) (not (done))) (goal (done)) " \
+    "(epsilon 1))"
+# arm's ok outcome sets x, which fly needs
+ARM_DOMAIN = """
+(operator fly (kind cond) (pre (x)) (outcomes (ok (add (done))) (fail))
+  (influences (x))
+  (cpt ((ok true) 0.9) ((fail true) 0.1) ((ok false) 0.2) ((fail false) 0.8)))
+(operator arm (kind cond)
+  (outcomes (ok (prob 0.5) (add (x))) (fail (prob 0.5))))
+"""
+
+
+def _analytic_and_exact(plan, prob):
+    """The plan's achieved mass under its net, and the exact success mass
+    of the branches it completes."""
+    bound = success_bound(plan, net_for_plan(plan, prob), prob.epsilon)
+    conditional = extract_conditional_plan(plan, complete_goal_ids(plan))
+    return bound.achieved_mass, exhaustive_success(
+        conditional, prob.priors, prob.known_true, prob.known_false)
+
+
+def _tree_fly(gdom, prob):
+    """A tree plan start -> fly, fly's ok outcome supporting the goal and
+    its influence on x settled."""
+    plan = make_root_plan(prob, "tree")
+    plan, fly, _leaves = tree_insert(plan, operator_named(gdom, "fly"),
+                                     "start", "s1", "ok", source="s2",
+                                     influences=("x",))
+    plan = add_link(plan, Link("causal", fly, "s1", lit("(done)")))
+    return plan.without_open_influence((fly, "x")), fly
+
+
+def test_pinned_influence_follows_tree_execution_order():
+    """start -> setx -> unsetx -> fly: x is false when fly runs, although
+    unsetx (s4) comes before setx (s5) in step order."""
+    gdom, prob = load_texts(_PIN_DOMAIN, _PIN_PROBLEM)
+    plan, fly = _tree_fly(gdom, prob)
+    plan, unset, _ = tree_insert(plan, operator_named(gdom, "unsetx"),
+                                 "start", fly)
+    plan, _set, _ = tree_insert(plan, operator_named(gdom, "setx"),
+                                "start", unset)
+    analytic, exact = _analytic_and_exact(plan, prob)
+    assert exact == pytest.approx(0.1, abs=1e-12)
+    assert analytic == pytest.approx(exact, abs=1e-12)
+
+
+def test_pinned_influence_follows_dag_ordering():
+    """unsetx ordered before setx, both before fly: x is true when fly
+    runs, although setx has the lower index."""
+    gdom, prob = load_texts(_PIN_DOMAIN, _PIN_PROBLEM)
+    plan = make_root_plan(prob, "dag")
+    plan, fly = dag_add_step(plan, operator_named(gdom, "fly"), (),
+                             source="s2", influences=("x",))
+    plan = condition_step(plan, "s1", [(Label(fly, "ok"), fly)])
+    plan = add_link(plan, Link("causal", fly, "s1", lit("(done)")))
+    plan = plan.without_open_influence((fly, "x"))
+    plan, setx = dag_add_step(plan, operator_named(gdom, "setx"), ())
+    plan, unsetx = dag_add_step(plan, operator_named(gdom, "unsetx"), ())
+    plan = add_link(plan, Link("ordering", unsetx, setx))
+    plan = add_link(plan, Link("ordering", setx, fly))
+    analytic, exact = _analytic_and_exact(plan, prob)
+    assert exact == pytest.approx(0.9, abs=1e-12)
+    assert analytic == pytest.approx(exact, abs=1e-12)
+
+
+def test_pinned_influence_reads_a_chance_outcome_in_context():
+    """arm's ok outcome sets x, and fly (which needs x) runs only there,
+    so fly draws at P(ok | x) = 0.9: 0.5 * 0.9 in all."""
+    gdom, prob = load_texts(ARM_DOMAIN, _PIN_PROBLEM)
+    plan, fly = _tree_fly(gdom, prob)
+    plan, arm, _ = tree_insert(plan, operator_named(gdom, "arm"), "start",
+                               fly, "ok", source="s4")
+    plan = add_link(plan, Link("causal", arm, fly, lit("(x)")))
+    analytic, exact = _analytic_and_exact(plan, prob)
+    assert exact == pytest.approx(0.45, abs=1e-12)
+    assert analytic == pytest.approx(exact, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
