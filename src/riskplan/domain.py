@@ -209,9 +209,10 @@ class GroundOperator:
     # (variable id, wanted value) of each precondition, in declared order
     precondition_values: tuple[tuple[str, str], ...] = field(
         init=False, repr=False, compare=False)
-    # influence row -> cumulative outcome probabilities; see
-    # outcome_thresholds
-    _thresholds: Mapping = field(init=False, repr=False, compare=False)
+    # influence row -> cut row over ``outcomes``; see _cumulative_rows.  A
+    # ``(prob ...)`` map ignores the influences and is keyed by ``()``.
+    outcome_cuts: Mapping[tuple[str, ...], list[float]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # one pass over (None,) + outcomes builds each outcome's effect
@@ -241,13 +242,13 @@ class GroundOperator:
             runs = self.outcomes
             clobbers = frozenset().union(*(deletes[o] for o in runs))
         if self.cpt is not None:
-            thresholds = _cumulative_rows(self.cpt, self.outcomes)
+            cuts = _cumulative_rows(self.cpt, self.outcomes)
         elif self.simple_distribution:
-            thresholds = _cumulative_rows(
+            cuts = _cumulative_rows(
                 {(o,): p for o, p in self.simple_distribution.items()},
                 self.outcomes)
         else:
-            thresholds = {}
+            cuts = {}
         # Fields go in through object.__setattr__, as the frozen __init__
         # sets them.  Touching self.__dict__ would turn the instance's
         # inline attribute values into a dict, and every later read of an
@@ -263,7 +264,7 @@ class GroundOperator:
         put(self, "precondition_values", tuple(
             (var_id(p), "false" if p.negated else "true")
             for p in self.preconditions))
-        put(self, "_thresholds", thresholds)
+        put(self, "outcome_cuts", cuts)
 
     def effective_deletes(self, outcome: str | None) -> frozenset[Proposition]:
         """Declared deletes plus the negation of every added literal,
@@ -275,17 +276,6 @@ class GroundOperator:
         writes takes when it runs under ``outcome`` (None = det).  The
         mapping is shared: read it, do not change it."""
         return self._effects.get(outcome, {})
-
-    def outcome_thresholds(self, values: Mapping[str, str]
-                           ) -> list[float] | None:
-        """The running sums of the outcome probabilities, in declared
-        order, given the current ``values`` of the influences; None when
-        no complete row covers them.  A ``(prob ...)`` map ignores the
-        influences."""
-        if self.cpt is None:
-            return self._thresholds.get(())
-        return self._thresholds.get(
-            tuple(values.get(v, "") for v in self.influences))
 
     def establishing_outcomes(self, lit: Proposition) -> list[str | None]:
         """Outcomes under which this operator makes ``lit`` hold (None =
@@ -303,12 +293,15 @@ class GroundOperator:
 
 def _cumulative_rows(table: Mapping[tuple[str, ...], float],
                     outcomes: Sequence[str]) -> dict[tuple, list[float]]:
-    """For each tail of ``table``'s rows, the running sums ``acc += p`` of
-    ``table[(o,) + tail]`` over ``outcomes`` in order; a tail lacking some
-    outcome's row is left out.  Probabilities are never negative, so each
-    list is non-decreasing and the outcome a uniform ``u`` picks is
-    ``min(bisect_right(sums, u), len(sums) - 1)``: the first whose sum
-    exceeds ``u``, else the last."""
+    """For each tail of ``table``'s rows, its cut row: the running sums
+    ``acc += p`` of ``table[(o,) + tail]`` over ``outcomes`` in order,
+    without the last; a tail lacking some outcome's row is left out.
+    Probabilities are never negative, so each row is non-decreasing, and
+    the outcome a uniform ``u`` picks is ``outcomes[bisect_right(cuts,
+    u)]``: the first whose running sum exceeds ``u``, else the last.  That
+    is the pick ``min(bisect_right(sums, u), len(sums) - 1)`` over the
+    full running sums, whose last entry may round below or above 1, with
+    the clamp built into the row."""
     out: dict[tuple, list[float]] = {}
     for tail in {key[1:] for key in table}:
         acc, sums = 0.0, []
@@ -319,7 +312,7 @@ def _cumulative_rows(table: Mapping[tuple[str, ...], float],
             acc += p
             sums.append(acc)
         else:
-            out[tail] = sums
+            out[tail] = sums[:-1]
     return out
 
 
@@ -329,13 +322,12 @@ class GroundClause:
     space: tuple[str, ...]
     parents: tuple[str, ...] = ()
     cpt: Mapping[tuple[str, ...], float] = None  # type: ignore[assignment]
-    # parent assignment -> cumulative probabilities over ``space``; see
-    # _cumulative_rows
-    thresholds: Mapping[tuple[str, ...], list[float]] = field(
+    # parent assignment -> cut row over ``space``; see _cumulative_rows
+    cuts: Mapping[tuple[str, ...], list[float]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds",
+        object.__setattr__(self, "cuts",
                            _cumulative_rows(self.cpt or {}, self.space))
 
 

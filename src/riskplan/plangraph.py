@@ -38,6 +38,11 @@ Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 is what the linear planner maintains.  ``dag`` plans (``tree`` is None)
 order steps only as far as links require.  All queries here work on
 either shape.
+
+A ``ConditionalPlan`` is the executable tree extracted from a plan.  Its
+``replay`` program, built on first use, is what the simulator runs: one
+``ReplayBlock`` per maximal run of action steps and the node that ends
+it, with the run's preconditions and effects merged ahead of time.
 """
 
 from __future__ import annotations
@@ -81,6 +86,9 @@ __all__ = [
     "BranchNode",
     "GoalLeaf",
     "GiveUpLeaf",
+    "ReplayBlock",
+    "ReplayProgram",
+    "TrialResult",
 ]
 
 START_ID = "start"
@@ -721,6 +729,13 @@ class ConditionalPlan:
     def leaves(self) -> Iterator[object]:
         return _leaves(self.root)
 
+    @cached_property
+    def replay(self) -> "ReplayProgram":
+        """The plan compiled for replay, built on first use; see
+        ``ReplayBlock``."""
+        start, depth = _compile_block(self.root)
+        return ReplayProgram(start, depth)
+
     def steps_used(self) -> dict[str, GroundOperator]:
         """The steps on the tree, in depth-first preorder."""
         out: dict[str, GroundOperator] = {}
@@ -754,6 +769,134 @@ class ConditionalPlan:
         once however many steps and goal leaves repeat it, and each step's
         operator is built once."""
         return _plan_from_json(data, _Literals())
+
+
+@dataclass(frozen=True)
+class TrialResult:
+    """What one replay of a plan in one world ends with."""
+
+    success: bool
+    leaf: str  # goal | giveup | aborted
+    violations: tuple[str, ...] = ()
+    outcomes: tuple[tuple[str, str], ...] = ()  # (step id, outcome) draws
+
+
+class ReplayBlock(NamedTuple):
+    """One block of a plan's replay program: a run of action steps and the
+    node that ends it, with what a trial reads there worked out ahead.
+    Every trial that reaches a block took the same branch outcomes on the
+    way, its ``path``.
+
+    ``kind`` says what a trial does once the block's ``check`` holds and
+    its ``effects`` are applied:
+
+    * ``"obs"``: look up the value of the variable ``read`` in ``arms``,
+      value -> next block;
+    * ``"chance"``: draw an outcome by bisecting the cut row that ``rows``
+      gives for the values of the influences ``read``, and take that
+      outcome's block in ``arms``, one per outcome in declared order (None
+      for an outcome the plan does not cover);
+    * ``"goal"``, ``"giveup"``: return ``verdict``, the success at a goal
+      leaf or the failure at a give-up leaf;
+    * ``"unknown"``: the run ends at a node of no plan type.
+    """
+
+    kind: str
+    # The (variable, value) pairs the state must hold on entry for every
+    # precondition of the run and of a branch end, or every goal of a goal
+    # end, to hold in its turn: those on variables that nothing earlier in
+    # the block writes (the others are decided when the block is built).
+    # ``_UNMET`` when the block writes a value a later step does not want.
+    check: frozenset
+    # the effects of the outcome that led here, then of the run, merged
+    effects: Mapping[str, str]
+    read: object
+    rows: Mapping | None
+    arms: Mapping | tuple | None
+    verdict: TrialResult | None
+    # (ActionNode, its precondition pairs, its effects) of each run step,
+    # the outcome that led here first as (None, frozenset(), effects):
+    # walked one at a time only to find what fails ``check``
+    run: tuple
+    end: object
+    path: tuple  # the (step id, outcome) draws made on the way here
+
+
+class ReplayProgram(NamedTuple):
+    start: ReplayBlock
+    chance_depth: int  # the most chance steps on any path of the plan
+
+
+# a pair no state holds: no state has the key
+_UNMET = frozenset({(object(), None)})
+
+
+def _require(pairs, written: Mapping[str, str], check: set) -> bool:
+    """Adds to ``check`` each pair whose variable ``written`` lacks; False
+    when ``written`` gives one of them another value."""
+    met = True
+    for pair in pairs:
+        var, want = pair
+        if var in written:
+            met = met and written[var] == want
+        else:
+            check.add(pair)
+    return met
+
+
+def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
+                   = None) -> tuple[ReplayBlock, int]:
+    """The replay block that starts at ``node``, reached by the draws
+    ``path`` whose last outcome wrote ``entry``, and the most chance steps
+    on a path from ``node`` on (a chance step counts once whether or not
+    the plan covers the outcome it draws)."""
+    written = dict(entry or {})
+    run = [(None, frozenset(), entry)] if entry else []
+    check: set = set()
+    met = True
+    while isinstance(node, ActionNode):
+        op = node.op
+        met = _require(op.precondition_values, written, check) and met
+        effects = op.effect_values(None)
+        run.append((node, frozenset(op.precondition_values), effects))
+        written.update(effects)
+        node = node.child
+    read = rows = arms = verdict = None
+    depth = 0
+    if isinstance(node, BranchNode):
+        op = node.op
+        met = _require(op.precondition_values, written, check) and met
+        if op.kind == "obs":
+            kind, read, arms = "obs", op.observes, {}
+            for o, child in node.children.items():
+                if child is not None:
+                    arms[o], d = _compile_block(
+                        child, path + ((node.step_id, o),),
+                        op.effect_values(o))
+                    depth = max(depth, d)
+        else:
+            kind, rows, arms = "chance", op.outcome_cuts, []
+            read = () if op.cpt is None else op.influences
+            for o in op.outcomes:
+                block = child = node.children.get(o)
+                if child is not None:
+                    block, d = _compile_block(
+                        child, path + ((node.step_id, o),),
+                        op.effect_values(o))
+                    depth = max(depth, d)
+                arms.append(block)
+            arms = tuple(arms)
+            depth += 1
+    elif isinstance(node, GoalLeaf):
+        kind, verdict = "goal", TrialResult(True, "goal", (), path)
+        met = _require(node.goal_values, written, check) and met
+    elif isinstance(node, GiveUpLeaf):
+        kind, verdict = "giveup", TrialResult(False, "giveup", (), path)
+    else:
+        kind = "unknown"
+    return ReplayBlock(kind, frozenset(check) if met else _UNMET, written,
+                       read, rows, arms, verdict, tuple(run), node,
+                       path), depth
 
 
 def _plan_from_json(data: dict, literals: _Literals) -> ConditionalPlan:

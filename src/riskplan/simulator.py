@@ -9,18 +9,31 @@ influences, and deterministic steps just rewrite state.  Reaching a goal
 leaf with all goals true is success; a give-up leaf, a missing branch, or
 any violation is failure.
 
+``execute_plan`` interprets the plan's replay program
+(``ConditionalPlan.replay``), compiled once per plan.  A block of it
+stands for a run of action steps and the branch or leaf that ends it: a
+trial tests the block's preconditions, and a goal leaf's goals, as one
+set of (variable, value) pairs against the state, applies the run's
+merged effects in one update, then reads the observed variable or draws
+the outcome that picks the next block.  A leaf block holds the result
+every trial reaching it returns, since the draws on the way to a block
+are the same in every trial.  Only a trial whose block check fails walks
+the block's steps one at a time, to name the step that fails.
+
 Trials are reproducible: trial ``t`` of seed ``s`` uses a Philox stream
 keyed by ``(s, t)``, independent of how many trials run or in what order.
 The stream is the one ``np.random.Generator(np.random.Philox(key=[s, t]))``
 gives, but no generator is built per trial: Philox4x64-10 is counter-based
 (Salmon et al., SC 2011), so ``estimate_success`` evaluates it for a chunk
 of trials at once in numpy and hands each trial its row of uniforms.  A
-trial takes one uniform per prior clause and one per chance step it runs,
-and picks an outcome by bisecting the clause's or the operator's running
-sums, which are computed once when the clause or operator is made.  A plan
-with no prior clause and no chance step draws nothing, so its trials read
-no stream and no uniforms are built; the seed is still checked as the
-generator would check it.
+trial takes one uniform per prior clause and one per chance step it runs.
+The outcome a uniform ``u`` picks is ``bisect_right(cuts, u)`` over the
+clause's or the operator's cut row (its running sums without the last,
+computed once when the clause or operator is made): the first outcome
+whose running sum exceeds ``u``, else the last.  A plan with no prior
+clause and no chance step draws nothing, so its trials read no stream and
+no uniforms are built; the seed is still checked as the generator would
+check it.
 
 ``exhaustive_success`` is the exact check.  It walks the plan tree once
 and branches on a prior variable only where a step or a goal reads it
@@ -34,7 +47,6 @@ the prior net.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import sqrt
 from typing import Iterable, Mapping, Sequence
 
@@ -45,8 +57,8 @@ from .domain import (DependencyCycle, GroundClause, GroundOperator,
                      dependency_order, literal_value, missing_cpt_rows,
                      var_id)
 from .errors import DomainSyntaxError, DomainValidationError, MalformedPlan
-from .plangraph import (ActionNode, BranchNode, ConditionalPlan, GiveUpLeaf,
-                        GoalLeaf, _plan_from_json)
+from .plangraph import (ActionNode, BranchNode, ConditionalPlan, GoalLeaf,
+                        ReplayBlock, TrialResult, _plan_from_json)
 
 __all__ = [
     "TrialResult",
@@ -59,14 +71,6 @@ __all__ = [
 ]
 
 EXHAUSTIVE_WORLD_LIMIT = 4096  # prior assignments an exact walk may take
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    success: bool
-    leaf: str  # goal | giveup | aborted
-    violations: tuple[str, ...] = ()
-    outcomes: tuple[tuple[str, str], ...] = ()  # (step id, outcome) draws
 
 
 # Philox4x64-10: round multipliers and Weyl key increments
@@ -123,23 +127,6 @@ class _Draws:
     __slots__ = ("random",)
 
 
-def _chance_depth(root) -> int:
-    """The most chance (non-observation) steps on any root-to-leaf path:
-    the outcome draws one trial can take."""
-    deepest = 0
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, ActionNode):
-            stack.append((node.child, depth))
-        elif isinstance(node, BranchNode):
-            depth += node.op.kind != "obs"
-            stack.extend((ch, depth) for ch in node.children.values())
-        else:
-            deepest = max(deepest, depth)
-    return deepest
-
-
 def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
     """``priors`` in dependency order, parents first.  Raises MalformedPlan
     when a clause names a parent that has no clause, or the clauses are
@@ -166,15 +153,15 @@ def sample_world(priors: Sequence[GroundClause],
     given: each must come after its parents, as ``GroundDomain.clauses``
     do."""
     world: dict[str, str] = {}
+    drawn = world.__getitem__
+    random = rng.random
     for c in priors:
         try:
-            tail = tuple(world[p] for p in c.parents)
+            tail = tuple(map(drawn, c.parents))
         except KeyError as e:
             raise MalformedPlan(f"prior clause {c.var} comes before its "
                                 f"parent {e.args[0]}") from None
-        sums = c.thresholds[tail]
-        world[c.var] = c.space[min(bisect_right(sums, rng.random()),
-                                   len(sums) - 1)]
+        world[c.var] = c.space[bisect_right(c.cuts[tail], random())]
     return world
 
 
@@ -212,8 +199,13 @@ def _outcome_distribution(op: GroundOperator, values: Mapping[str, str]
     return None
 
 
-def _aborted(text: str, outcomes: list) -> TrialResult:
-    return TrialResult(False, "aborted", (text,), tuple(outcomes))
+def _aborted(text: str, outcomes: tuple) -> TrialResult:
+    return TrialResult(False, "aborted", (text,), outcomes)
+
+
+def _unanticipated(node, got: str, path: tuple) -> TrialResult:
+    return _aborted(f"step {node.step_id} came out {got!r}, which the plan "
+                    "never anticipated", path + ((node.step_id, got),))
 
 
 def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
@@ -223,56 +215,62 @@ def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
     """One execution of the plan in the given world.  ``rng`` supplies the
     outcome draws of conditional steps (and must be given if any exist)."""
     values = _init_values(world, known_true, known_false)
-    outcomes: list[tuple[str, str]] = []
-    node = conditional.root
+    state = values.items()  # a live view of ``values``
+    update = values.update
+    block = conditional.replay.start
     while True:
-        if isinstance(node, (ActionNode, BranchNode)):
-            op = node.op
-            for var, want in op.precondition_values:
-                if values.get(var) != want:
-                    return TrialResult(False, "aborted", tuple(
-                        f"step {node.step_id} ({op.name}) requires {pre}"
-                        for pre in op.preconditions
-                        if not _holds(values, pre)), tuple(outcomes))
-        if isinstance(node, ActionNode):
-            values.update(node.op.effect_values(None))
-            node = node.child
-        elif isinstance(node, BranchNode):
-            op = node.op
-            if op.kind == "obs":
-                got = values.get(op.observes)
-                if got is None:
-                    return _aborted(f"step {node.step_id} observes "
-                                    f"{op.observes}, which has no value",
-                                    outcomes)
-            else:
-                sums = op.outcome_thresholds(values)
-                if sums is None:
-                    return _aborted(f"step {node.step_id} ({op.name}) has no "
-                                    "distribution for the current state",
-                                    outcomes)
-                if rng is None:
-                    raise ValueError("conditional steps need an rng")
-                got = op.outcomes[min(bisect_right(sums, rng.random()),
-                                      len(sums) - 1)]
-            outcomes.append((node.step_id, got))
-            values.update(op.effect_values(got))
-            nxt = node.children.get(got)
+        kind, check, effects, read, rows, arms, verdict, _, end, path = block
+        if not state >= check:
+            return _failure(block, values)
+        update(effects)
+        if kind == "obs":
+            got = values.get(read)
+            nxt = arms.get(got)
             if nxt is None:
-                return _aborted(f"step {node.step_id} came out {got!r}, "
-                                "which the plan never anticipated", outcomes)
-            node = nxt
-        elif isinstance(node, GoalLeaf):
-            if _met(node.goal_values, values):
-                return TrialResult(True, "goal", (), tuple(outcomes))
-            return TrialResult(False, "goal", tuple(
-                f"goal {g} does not hold at the end"
-                for g in node.goals if not _holds(values, g)),
-                tuple(outcomes))
-        elif isinstance(node, GiveUpLeaf):
-            return TrialResult(False, "giveup", (), tuple(outcomes))
+                if got is None:
+                    return _aborted(f"step {end.step_id} observes {read}, "
+                                    "which has no value", path)
+                return _unanticipated(end, got, path)
+            block = nxt
+        elif kind == "chance":
+            cuts = rows.get(tuple([values.get(v, "") for v in read]))
+            if cuts is None:
+                return _aborted(f"step {end.step_id} ({end.op.name}) has no "
+                                "distribution for the current state", path)
+            if rng is None:
+                raise ValueError("conditional steps need an rng")
+            i = bisect_right(cuts, rng.random())
+            if arms[i] is None:
+                return _unanticipated(end, end.op.outcomes[i], path)
+            block = arms[i]
+        elif kind == "unknown":
+            raise MalformedPlan(f"unknown node {end!r}")
         else:
-            raise MalformedPlan(f"unknown node {node!r}")
+            return verdict
+
+
+def _failure(block: ReplayBlock, values: dict[str, str]) -> TrialResult:
+    """The result of a trial that fails ``block``'s check: the run's steps
+    taken one at a time up to the first whose preconditions do not hold,
+    else the end's, or the goals that do not hold at a goal end."""
+    state = values.items()
+    for node, pres, effects in block.run:
+        if not state >= pres:
+            return _unmet(node, values, block.path)
+        values.update(effects)
+    end = block.end
+    if block.kind == "goal":
+        return TrialResult(False, "goal", tuple(
+            f"goal {g} does not hold at the end"
+            for g in end.goals if not _holds(values, g)), block.path)
+    return _unmet(end, values, block.path)
+
+
+def _unmet(node, values: Mapping[str, str], path: tuple) -> TrialResult:
+    op = node.op
+    return TrialResult(False, "aborted", tuple(
+        f"step {node.step_id} ({op.name}) requires {pre}"
+        for pre in op.preconditions if not _holds(values, pre)), path)
 
 
 def estimate_success(conditional: ConditionalPlan,
@@ -280,10 +278,13 @@ def estimate_success(conditional: ConditionalPlan,
                      known_true: Iterable[Proposition] = (),
                      known_false: Iterable[Proposition] = (),
                      trials: int = 10000, seed: int = 0) -> dict:
-    """Monte Carlo success frequency with its binomial standard error."""
+    """Monte Carlo success frequency with its binomial standard error.
+    Raises ValueError for a negative number of trials."""
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, not {trials}")
     known = _init_values({}, known_true, known_false)
     priors = _topo_clauses(priors)
-    draws = len(priors) + _chance_depth(conditional.root)
+    draws = len(priors) + conditional.replay.chance_depth
     if trials > 0 and not draws:
         _philox_key(seed)  # no stream is read, but its seed is checked
     source = _Draws()

@@ -549,7 +549,7 @@ def test_effect_values_apply_deletes_then_adds():
 # one at a time.  The constructor must give the same fields.
 
 _DERIVED = ("outcome_adds", "outcome_dels", "_effects", "_deletes", "runs",
-            "clobbers", "precondition_values", "_thresholds")
+            "clobbers", "precondition_values", "outcome_cuts")
 
 
 def _oracle_effect_values(adds, dels) -> dict[str, str]:
@@ -590,7 +590,7 @@ def _oracle_operator(**kw) -> GroundOperator:
     else:
         table = {(o,): p for o, p in
                  (self.simple_distribution or {}).items()}
-    object.__setattr__(self, "_thresholds",
+    object.__setattr__(self, "outcome_cuts",
                        _cumulative_rows(table, self.outcomes))
     return self
 

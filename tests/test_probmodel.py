@@ -29,10 +29,12 @@ from riskplan.probmodel import (BeliefNet, NetVariable, _joint_ve,
                                 joint_probability, net_for_plan,
                                 select_goal_node, simple_context_probability,
                                 success_bound)
-from riskplan.simulator import exhaustive_success
+from riskplan.simulator import (_TRIAL_CHUNK, estimate_success,
+                                exhaustive_success)
 from riskplan.worlds import load_texts, ski_world
 
-from .gen import operator_named, random_evidence, random_net
+from .gen import (operator_named, random_evidence, random_net,
+                  reference_estimate)
 from .test_plangraph import cond, det, lit, problem
 
 CBS = "clear(b,snowbird)"
@@ -346,7 +348,7 @@ def _tree_fly(gdom, prob):
     return plan.without_open_influence((fly, "x")), fly
 
 
-def test_pinned_influence_follows_tree_execution_order():
+def _tree_pin_plan():
     """start -> setx -> unsetx -> fly: x is false when fly runs, although
     unsetx (s4) comes before setx (s5) in step order."""
     gdom, prob = load_texts(_PIN_DOMAIN, _PIN_PROBLEM)
@@ -355,12 +357,10 @@ def test_pinned_influence_follows_tree_execution_order():
                                  "start", fly)
     plan, _set, _ = tree_insert(plan, operator_named(gdom, "setx"),
                                 "start", unset)
-    analytic, exact = _analytic_and_exact(plan, prob)
-    assert exact == pytest.approx(0.1, abs=1e-12)
-    assert analytic == pytest.approx(exact, abs=1e-12)
+    return plan, prob
 
 
-def test_pinned_influence_follows_dag_ordering():
+def _dag_pin_plan():
     """unsetx ordered before setx, both before fly: x is true when fly
     runs, although setx has the lower index."""
     gdom, prob = load_texts(_PIN_DOMAIN, _PIN_PROBLEM)
@@ -374,12 +374,10 @@ def test_pinned_influence_follows_dag_ordering():
     plan, unsetx = dag_add_step(plan, operator_named(gdom, "unsetx"), ())
     plan = add_link(plan, Link("ordering", unsetx, setx))
     plan = add_link(plan, Link("ordering", setx, fly))
-    analytic, exact = _analytic_and_exact(plan, prob)
-    assert exact == pytest.approx(0.9, abs=1e-12)
-    assert analytic == pytest.approx(exact, abs=1e-12)
+    return plan, prob
 
 
-def test_pinned_influence_reads_a_chance_outcome_in_context():
+def _arm_plan():
     """arm's ok outcome sets x, and fly (which needs x) runs only there,
     so fly draws at P(ok | x) = 0.9: 0.5 * 0.9 in all."""
     gdom, prob = load_texts(ARM_DOMAIN, _PIN_PROBLEM)
@@ -387,9 +385,40 @@ def test_pinned_influence_reads_a_chance_outcome_in_context():
     plan, arm, _ = tree_insert(plan, operator_named(gdom, "arm"), "start",
                                fly, "ok", source="s4")
     plan = add_link(plan, Link("causal", arm, fly, lit("(x)")))
-    analytic, exact = _analytic_and_exact(plan, prob)
+    return plan, prob
+
+
+def test_pinned_influence_follows_tree_execution_order():
+    analytic, exact = _analytic_and_exact(*_tree_pin_plan())
+    assert exact == pytest.approx(0.1, abs=1e-12)
+    assert analytic == pytest.approx(exact, abs=1e-12)
+
+
+def test_pinned_influence_follows_dag_ordering():
+    analytic, exact = _analytic_and_exact(*_dag_pin_plan())
+    assert exact == pytest.approx(0.9, abs=1e-12)
+    assert analytic == pytest.approx(exact, abs=1e-12)
+
+
+def test_pinned_influence_reads_a_chance_outcome_in_context():
+    analytic, exact = _analytic_and_exact(*_arm_plan())
     assert exact == pytest.approx(0.45, abs=1e-12)
     assert analytic == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [_tree_pin_plan, _dag_pin_plan, _arm_plan])
+def test_pinned_influence_plans_replay_as_the_reference(build):
+    """Monte Carlo over chance steps whose odds hang on a pinned influence
+    reports what the reference estimator does, across two chunks of
+    trials."""
+    plan, prob = build()
+    conditional = extract_conditional_plan(plan, complete_goal_ids(plan))
+    assert conditional.replay.chance_depth >= 1
+    args = (conditional, prob.priors, prob.known_true, prob.known_false,
+            2 * _TRIAL_CHUNK + 3, 5)
+    report = estimate_success(*args)
+    assert report == reference_estimate(*args)
+    assert 0 < report["successes"] < report["trials"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Execution harness: single trials, Monte Carlo, exhaustive enumeration."""
 
+import bisect
 import dataclasses
 import functools
 import gc
@@ -16,8 +17,9 @@ from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
 from riskplan.probmodel import plan_document
 from riskplan.plangraph import (ActionNode, BranchNode, ConditionalPlan,
-                                GoalLeaf)
+                                GiveUpLeaf, GoalLeaf)
 from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, _TRIAL_CHUNK,
+                                TrialResult,
                                 _philox_uniforms, estimate_success,
                                 execute_plan,
                                 exhaustive_success, sample_world,
@@ -605,3 +607,299 @@ def test_bad_init_literals_raise_malformed_plan(bad, side):
     doc["init"][side] = bad
     with pytest.raises(MalformedPlan, match="^cannot decode plan document"):
         simulate_document(doc, trials=10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The node-walking replay that ``execute_plan`` and ``sample_world`` ran
+# before plans were compiled to replay programs and clauses to cut rows:
+# every isinstance dispatch, precondition loop and clamped pick as it was.
+# The compiled replay must return equal results.
+
+
+def _oracle_sums(table, outcomes, tail):
+    """The running sums of ``table[(o,) + tail]`` over ``outcomes``, or
+    None when some outcome lacks a row."""
+    acc, sums = 0.0, []
+    for o in outcomes:
+        p = table.get((o,) + tail)
+        if p is None:
+            return None
+        acc += p
+        sums.append(acc)
+    return sums
+
+
+def _oracle_pick(sums, u) -> int:
+    return min(bisect.bisect_right(sums, u), len(sums) - 1)
+
+
+def _oracle_sample_world(priors, rng):
+    world = {}
+    for c in priors:
+        try:
+            tail = tuple(world[p] for p in c.parents)
+        except KeyError as e:
+            raise MalformedPlan(f"prior clause {c.var} comes before its "
+                                f"parent {e.args[0]}") from None
+        sums = _oracle_sums(c.cpt, c.space, tail)
+        if sums is None:
+            raise KeyError(tail)
+        world[c.var] = c.space[_oracle_pick(sums, rng.random())]
+    return world
+
+
+def _oracle_thresholds(op, values):
+    if op.cpt is not None:
+        return _oracle_sums(op.cpt, op.outcomes, tuple(
+            values.get(v, "") for v in op.influences))
+    if op.simple_distribution:
+        return _oracle_sums({(o,): p for o, p in
+                             op.simple_distribution.items()},
+                            op.outcomes, ())
+    return None
+
+
+def _oracle_holds(values, prop):
+    var, want = domain.literal_value(prop)
+    return values.get(var) == want
+
+
+def _oracle_aborted(text, outcomes):
+    return TrialResult(False, "aborted", (text,), tuple(outcomes))
+
+
+def _oracle_execute_plan(conditional, world, known_true=(), known_false=(),
+                         rng=None):
+    values = simulator._init_values(world, known_true, known_false)
+    outcomes = []
+    node = conditional.root
+    while True:
+        if isinstance(node, (ActionNode, BranchNode)):
+            op = node.op
+            for var, want in op.precondition_values:
+                if values.get(var) != want:
+                    return TrialResult(False, "aborted", tuple(
+                        f"step {node.step_id} ({op.name}) requires {pre}"
+                        for pre in op.preconditions
+                        if not _oracle_holds(values, pre)), tuple(outcomes))
+        if isinstance(node, ActionNode):
+            values.update(node.op.effect_values(None))
+            node = node.child
+        elif isinstance(node, BranchNode):
+            op = node.op
+            if op.kind == "obs":
+                got = values.get(op.observes)
+                if got is None:
+                    return _oracle_aborted(
+                        f"step {node.step_id} observes {op.observes}, "
+                        "which has no value", outcomes)
+            else:
+                sums = _oracle_thresholds(op, values)
+                if sums is None:
+                    return _oracle_aborted(
+                        f"step {node.step_id} ({op.name}) has no "
+                        "distribution for the current state", outcomes)
+                if rng is None:
+                    raise ValueError("conditional steps need an rng")
+                got = op.outcomes[_oracle_pick(sums, rng.random())]
+            outcomes.append((node.step_id, got))
+            values.update(op.effect_values(got))
+            nxt = node.children.get(got)
+            if nxt is None:
+                return _oracle_aborted(
+                    f"step {node.step_id} came out {got!r}, which the plan "
+                    "never anticipated", outcomes)
+            node = nxt
+        elif isinstance(node, GoalLeaf):
+            if all(values.get(v) == want for v, want in node.goal_values):
+                return TrialResult(True, "goal", (), tuple(outcomes))
+            return TrialResult(False, "goal", tuple(
+                f"goal {g} does not hold at the end"
+                for g in node.goals if not _oracle_holds(values, g)),
+                tuple(outcomes))
+        elif isinstance(node, GiveUpLeaf):
+            return TrialResult(False, "giveup", (), tuple(outcomes))
+        else:
+            raise MalformedPlan(f"unknown node {node!r}")
+
+
+def _philox(seed, t):
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, t], dtype=np.uint64)))
+
+
+def _assert_replays_like_oracle(conditional, priors=(), kt=(), kf=(),
+                                trials=60, seed=0):
+    """Trials 0.. of ``seed`` sample the oracle's worlds and end with the
+    oracle's results; returns the results."""
+    priors = simulator._topo_clauses(priors)
+    results = []
+    for t in range(trials):
+        ours, theirs = _philox(seed, t), _philox(seed, t)
+        world = sample_world(priors, ours)
+        assert world == _oracle_sample_world(priors, theirs), t
+        r = execute_plan(conditional, world, kt, kf, ours)
+        assert r == _oracle_execute_plan(conditional, world, kt, kf,
+                                         theirs), t
+        assert ours.random() == theirs.random()  # as many draws taken
+        results.append(r)
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS))
+@pytest.mark.parametrize("planner", [plan_linear, plan_nonlinear])
+def test_replay_equals_node_walk_on_worlds(name, planner):
+    gdom, prob = load_texts(*WORLDS[name])
+    plan = planner(gdom, prob).conditional
+    args = (prob.priors, prob.known_true, prob.known_false)
+    _assert_replays_like_oracle(plan, *args)
+    if any(isinstance(n, BranchNode) for n in _nodes(plan.root)):
+        cut = dataclasses.replace(plan, root=_drop_outcome(plan.root))
+        results = _assert_replays_like_oracle(cut, *args)
+        assert any("never anticipated" in v for r in results
+                   for v in r.violations)
+    # a goal that does not hold where the plan's goals do
+    extra = (prob.goals[0].negate(),)
+    greedy = dataclasses.replace(plan, root=_more_goals(plan.root, extra))
+    results = _assert_replays_like_oracle(greedy, *args)
+    assert any(r.leaf == "goal" and r.violations for r in results)
+
+
+def _nodes(node):
+    yield node
+    if isinstance(node, ActionNode):
+        yield from _nodes(node.child)
+    elif isinstance(node, BranchNode):
+        for child in node.children.values():
+            yield from _nodes(child)
+
+
+def test_replay_equals_node_walk_on_generated_domains():
+    for i in range(12):
+        gdom, prob = load_texts(*solvable_domain(random.Random(9000 + i)))
+        for planner in (plan_linear, plan_nonlinear):
+            plan = planner(gdom, prob, node_budget=10_000).conditional
+            _assert_replays_like_oracle(plan, prob.priors, prob.known_true,
+                                        prob.known_false, trials=40, seed=i)
+
+
+def test_replay_equals_node_walk_where_trials_break():
+    det_prob, det = _planned("det_chain")
+    results = _assert_replays_like_oracle(det.conditional, (), (),
+                                          det_prob.known_false)
+    assert all("requires" in r.violations[0] for r in results)
+    ski_prob, ski = _planned("ski_world")
+    kt, kf = ski_prob.known_true, ski_prob.known_false
+    blocked = {"blizzard": "true", "clear(b,snowbird)": "false",
+               "clear(c,parkcity)": "false"}
+    assert execute_plan(ski.conditional, blocked, kt, kf) == \
+        _oracle_execute_plan(ski.conditional, blocked, kt, kf) == \
+        TrialResult(False, "giveup", (), (("s3", "false"),))
+    # the observed variable has no value: rain has no prior here
+    walk_prob, walk = _planned("slippery_walk")
+    results = _assert_replays_like_oracle(walk.conditional, (),
+                                          walk_prob.known_true,
+                                          walk_prob.known_false)
+    assert all(r.leaf == "aborted" for r in results)
+    x = domain.Proposition("x", ())
+    gamble = domain.GroundOperator(
+        "gamble", "cond", outcomes=("win", "lose"), influences=("x",),
+        cpt={("win", "true"): 0.5, ("lose", "true"): 0.5})
+    look = domain.GroundOperator(
+        "look", "obs", outcomes=("true", "false"), observes="x",
+        outcome_adds={"true": (x,)}, outcome_dels={"false": (x,)})
+    win = GoalLeaf("s9", frozenset(), ())
+    # no CPT row for x=false, nor for x unset
+    plan = ConditionalPlan(BranchNode("s1", gamble, "s1", {"win": win}),
+                           (frozenset(),), ())
+    for kt, kf in (((), ()), ((), (x,)), ((x,), ())):
+        _assert_replays_like_oracle(plan, (), kt, kf, trials=20)
+    # an observation with no branch for the value it reads
+    plan = ConditionalPlan(BranchNode("s1", look, "s1", {"true": win}),
+                           (frozenset(),), ())
+    for kt, kf in (((), ()), ((), (x,)), ((x,), ())):
+        _assert_replays_like_oracle(plan, (), kt, kf, trials=3)
+
+
+def test_replay_raises_as_node_walk_does():
+    prob, res = _planned("press_button")
+    for execute in (execute_plan, _oracle_execute_plan):
+        with pytest.raises(ValueError, match="conditional steps need an rng"):
+            execute(res.conditional, {}, prob.known_true, prob.known_false)
+    prob, res = _planned("det_chain")
+    root = res.conditional.root
+    odd = dataclasses.replace(res.conditional, root=dataclasses.replace(
+        root, child="not a node"))
+    for execute in (execute_plan, _oracle_execute_plan):
+        with pytest.raises(MalformedPlan, match="unknown node 'not a node'"):
+            execute(odd, {}, prob.known_true, prob.known_false)
+
+
+def test_chance_step_with_no_planned_outcome_aborts():
+    """A chance step whose every outcome is unplanned still takes its
+    draw: the trials abort, as the reference's do, where uniforms sized
+    by the planned outcomes alone would run out."""
+    flip = domain.GroundOperator("flip", "cond", outcomes=("h", "t"),
+                                 simple_distribution={"h": 0.5, "t": 0.5})
+    plan = ConditionalPlan(BranchNode("s1", flip, "s1", {}), (), ())
+    assert plan.replay.chance_depth == 1
+    r = _same_report(plan, (), trials=40, seed=2)
+    assert r["violations"] == 40
+    _assert_replays_like_oracle(plan, trials=40)
+
+
+class _Fixed:
+    """A generator whose every draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+_EDGE_ROWS = {
+    "exact": (0.25, 0.25, 0.5),  # sums 0.25, 0.5, 1.0
+    "below": (0.1,) * 10,  # the last sum is 1 - 2**-53
+    "short": (0.7, 0.2, 0.1),  # the last sum is 1 - 2**-53
+    "above": (0.2, 0.4, 0.3, 0.1),  # the last sum is 1 + 2**-52
+    "one": (1.0,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_ROWS))
+def test_cut_rows_pick_as_the_clamped_running_sums(name):
+    probs = _EDGE_ROWS[name]
+    space = tuple(f"o{i}" for i in range(len(probs)))
+    table = {(o,): p for o, p in zip(space, probs)}
+    sums = _oracle_sums(table, space, ())
+    assert domain._cumulative_rows(table, space) == {(): sums[:-1]}
+    if name == "below" or name == "short":
+        assert sums[-1] == 1 - 2 ** -53
+    if name == "above":
+        assert sums[-1] == 1 + 2 ** -52
+    edges = {0.0, 1 - 2 ** -53, *sums, *(np.nextafter(s, 0) for s in sums)}
+    clause = domain.GroundClause("v", space, (), table)
+    flip = domain.GroundOperator("flip", "cond", outcomes=space,
+                                 simple_distribution=dict(zip(space, probs)))
+    plan = ConditionalPlan(BranchNode("s1", flip, "s1", {
+        o: GoalLeaf(f"g{o}", frozenset(), ()) for o in space}), (), ())
+    for u in sorted(u for u in edges if 0.0 <= u < 1.0):
+        want = space[_oracle_pick(sums, u)]
+        assert sample_world([clause], _Fixed(u)) == {"v": want}, u
+        assert execute_plan(plan, {}, rng=_Fixed(u)).outcomes == \
+            (("s1", want),), u
+    # u on a running sum picks the outcome after it
+    if name == "exact":
+        assert sample_world([clause], _Fixed(0.25)) == {"v": "o1"}
+        assert sample_world([clause], _Fixed(0.5)) == {"v": "o2"}
+
+
+def test_negative_trials_are_refused():
+    prob, res = _planned("ski_world")
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        estimate_success(res.conditional, prob.priors, prob.known_true,
+                         prob.known_false, trials=-3)
+    doc = plan_document(res, prob, "kbmc")
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        simulate_document(doc, trials=-3)
