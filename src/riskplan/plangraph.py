@@ -40,9 +40,10 @@ order steps only as far as links require.  All queries here work on
 either shape.
 
 A ``ConditionalPlan`` is the executable tree extracted from a plan.  Its
-``replay`` program, built on first use, is what the simulator runs: one
-``ReplayBlock`` per maximal run of action steps and the node that ends
-it, with the run's preconditions and effects merged ahead of time.
+``replay`` program, built on first use, is the only form of it the
+simulator reads, for Monte Carlo trials and for the exact check alike:
+one ``ReplayBlock`` per maximal run of action steps and the node that
+ends it, with the run's preconditions and effects merged ahead of time.
 """
 
 from __future__ import annotations
@@ -705,11 +706,6 @@ class GoalLeaf:
     step_id: str
     context: frozenset
     goals: tuple
-    # (variable id, wanted value) of each goal, in order
-    goal_values: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "goal_values", literal_values(self.goals))
 
 
 @dataclass(frozen=True)
@@ -785,7 +781,9 @@ class ReplayBlock(NamedTuple):
     """One block of a plan's replay program: a run of action steps and the
     node that ends it, with what a trial reads there worked out ahead.
     Every trial that reaches a block took the same branch outcomes on the
-    way, its ``path``.
+    way, its ``path``.  The exact check walks the same blocks: it first
+    branches on the prior variables in ``reads`` that have no value yet,
+    then does what a trial does, summing over a chance block's arms.
 
     ``kind`` says what a trial does once the block's ``check`` holds and
     its ``effects`` are applied:
@@ -816,8 +814,16 @@ class ReplayBlock(NamedTuple):
     verdict: TrialResult | None
     # (ActionNode, its precondition pairs, its effects) of each run step,
     # the outcome that led here first as (None, frozenset(), effects):
-    # walked one at a time only to find what fails ``check``
+    # walked one at a time only to find what fails ``check``, or what holds
+    # before a read
     run: tuple
+    # (variable, k) for each variable the block reads before it writes it,
+    # in the order a walk of the steps reads them: each run step's
+    # preconditions, then the end's, then its observed variable or its
+    # influences, or a goal end's goals.  ``k`` counts the ``run`` entries
+    # before the reader; the exact check branches on such a variable of the
+    # prior net only once those entries hold.
+    reads: tuple
     end: object
     path: tuple  # the (step id, outcome) draws made on the way here
 
@@ -831,9 +837,11 @@ class ReplayProgram(NamedTuple):
 _UNMET = frozenset({(object(), None)})
 
 
-def _require(pairs, written: Mapping[str, str], check: set) -> bool:
-    """Adds to ``check`` each pair whose variable ``written`` lacks; False
-    when ``written`` gives one of them another value."""
+def _require(pairs, written: Mapping[str, str], check: set, reads: list,
+             k: int) -> bool:
+    """Adds to ``check`` each pair whose variable ``written`` lacks, and
+    that variable to ``reads`` as read at ``k``; False when ``written``
+    gives one of them another value."""
     met = True
     for pair in pairs:
         var, want = pair
@@ -841,6 +849,7 @@ def _require(pairs, written: Mapping[str, str], check: set) -> bool:
             met = met and written[var] == want
         else:
             check.add(pair)
+            reads.append((var, k))
     return met
 
 
@@ -853,10 +862,12 @@ def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
     written = dict(entry or {})
     run = [(None, frozenset(), entry)] if entry else []
     check: set = set()
+    reads: list = []
     met = True
     while isinstance(node, ActionNode):
         op = node.op
-        met = _require(op.precondition_values, written, check) and met
+        met = _require(op.precondition_values, written, check, reads,
+                       len(run)) and met
         effects = op.effect_values(None)
         run.append((node, frozenset(op.precondition_values), effects))
         written.update(effects)
@@ -865,7 +876,11 @@ def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
     depth = 0
     if isinstance(node, BranchNode):
         op = node.op
-        met = _require(op.precondition_values, written, check) and met
+        k = len(run)
+        met = _require(op.precondition_values, written, check, reads,
+                       k) and met
+        reads += [(v, k) for v in (op.influences if op.observes is None
+                                   else (op.observes,)) if v not in written]
         if op.kind == "obs":
             kind, read, arms = "obs", op.observes, {}
             for o, child in node.children.items():
@@ -889,14 +904,15 @@ def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
             depth += 1
     elif isinstance(node, GoalLeaf):
         kind, verdict = "goal", TrialResult(True, "goal", (), path)
-        met = _require(node.goal_values, written, check) and met
+        met = _require(literal_values(node.goals), written, check, reads,
+                       len(run)) and met
     elif isinstance(node, GiveUpLeaf):
         kind, verdict = "giveup", TrialResult(False, "giveup", (), path)
     else:
         kind = "unknown"
     return ReplayBlock(kind, frozenset(check) if met else _UNMET, written,
-                       read, rows, arms, verdict, tuple(run), node,
-                       path), depth
+                       read, rows, arms, verdict, tuple(run), tuple(reads),
+                       node, path), depth
 
 
 def _plan_from_json(data: dict, literals: _Literals) -> ConditionalPlan:

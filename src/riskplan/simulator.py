@@ -35,13 +35,15 @@ clause and no chance step draws nothing, so its trials read no stream and
 no uniforms are built; the seed is still checked as the generator would
 check it.
 
-``exhaustive_success`` is the exact check.  It walks the plan tree once
-and branches on a prior variable only where a step or a goal reads it
-and no known fact or effect has set it, drawing its unset ancestors first.
-A prior variable that nothing reads, and that no read variable depends on,
-sums out to 1 (the barren-node rule of Shachter, Operations Research
-1986), so the cost follows the variables a plan reads, not the size of
-the prior net.
+``exhaustive_success`` is the exact check.  It walks the same replay
+program once, summing over a chance block's arms where a trial draws
+one.  It branches on a prior variable only where a block reads it before
+writing it (``ReplayBlock.reads``), no known fact or earlier effect has
+set it, and the block's steps before that read hold; it draws the
+variable's unset ancestors first.  A prior variable that nothing reads,
+and that no read variable depends on, sums out to 1 (the barren-node
+rule of Shachter, Operations Research 1986), so the cost follows the
+variables a plan reads, not the size of the prior net.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from .domain import (DependencyCycle, GroundClause, GroundOperator,
                      dependency_order, literal_value, missing_cpt_rows,
                      var_id)
 from .errors import DomainSyntaxError, DomainValidationError, MalformedPlan
-from .plangraph import (ActionNode, BranchNode, ConditionalPlan, GoalLeaf,
-                        ReplayBlock, TrialResult, _plan_from_json)
+from .plangraph import (ConditionalPlan, ReplayBlock, TrialResult,
+                        _plan_from_json)
 
 __all__ = [
     "TrialResult",
@@ -129,9 +131,11 @@ class _Draws:
 
 def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
     """``priors`` in dependency order, parents first.  Raises MalformedPlan
-    when a clause names a parent that has no clause, or the clauses are
-    cyclic."""
+    when two clauses govern one variable, a clause names a parent that has
+    no clause, or the clauses are cyclic."""
     by_var = {c.var: c for c in priors}
+    if len(by_var) != len(priors):
+        raise MalformedPlan("two prior clauses govern one variable")
     try:
         order = dependency_order(sorted(by_var),
                                  {v: c.parents for v, c in by_var.items()})
@@ -219,7 +223,8 @@ def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
     update = values.update
     block = conditional.replay.start
     while True:
-        kind, check, effects, read, rows, arms, verdict, _, end, path = block
+        kind, check, effects, read, rows, arms, verdict, _, _, end, path = \
+            block
         if not state >= check:
             return _failure(block, values)
         update(effects)
@@ -253,17 +258,27 @@ def _failure(block: ReplayBlock, values: dict[str, str]) -> TrialResult:
     """The result of a trial that fails ``block``'s check: the run's steps
     taken one at a time up to the first whose preconditions do not hold,
     else the end's, or the goals that do not hold at a goal end."""
-    state = values.items()
-    for node, pres, effects in block.run:
-        if not state >= pres:
-            return _unmet(node, values, block.path)
-        values.update(effects)
+    node = _first_unmet(block.run, values)
+    if node is not None:
+        return _unmet(node, values, block.path)
     end = block.end
     if block.kind == "goal":
         return TrialResult(False, "goal", tuple(
             f"goal {g} does not hold at the end"
             for g in end.goals if not _holds(values, g)), block.path)
     return _unmet(end, values, block.path)
+
+
+def _first_unmet(run: Sequence[tuple], values: dict[str, str]):
+    """Takes the steps of ``run`` in turn, applying each one's effects to
+    ``values``, up to the first whose preconditions do not hold, and
+    returns that step's node; None when every step holds."""
+    state = values.items()
+    for node, pres, effects in run:
+        if not state >= pres:
+            return node
+        values.update(effects)
+    return None
 
 
 def _unmet(node, values: Mapping[str, str], path: tuple) -> TrialResult:
@@ -317,21 +332,16 @@ def exhaustive_success(conditional: ConditionalPlan,
                        priors: Sequence[GroundClause],
                        known_true: Iterable[Proposition] = (),
                        known_false: Iterable[Proposition] = ()) -> float:
-    """Exact success probability: one walk of the plan tree that sums every
-    chance-step outcome and every assignment to the prior variables the
-    plan reads, each weighted by its probability.  Prior variables that
-    nothing reads, and that no read variable depends on, sum out to 1 and
-    are never branched on.  Raises ValueError once the walk has branched
-    into more than ``EXHAUSTIVE_WORLD_LIMIT`` prior assignments."""
+    """Exact success probability: one walk of the plan's replay program
+    that sums every chance-step outcome and every assignment to the prior
+    variables the plan reads, each weighted by its probability.  Prior
+    variables that nothing reads, and that no read variable depends on,
+    sum out to 1 and are never branched on.  Raises ValueError once the
+    walk has branched into more than ``EXHAUSTIVE_WORLD_LIMIT`` prior
+    assignments."""
     walk = _Walk({c.var: c for c in _topo_clauses(priors)})
-    return _exact_mass(conditional.root, {},
+    return _exact_mass(conditional.replay.start, {},
                        _init_values({}, known_true, known_false), 1.0, walk)
-
-
-def _met(wanted: Iterable[tuple[str, str]], values: Mapping[str, str]
-         ) -> bool:
-    """Each (variable, value) pair of ``wanted`` holds in ``values``."""
-    return all(values.get(v) == want for v, want in wanted)
 
 
 class _Walk:
@@ -345,83 +355,56 @@ class _Walk:
         self.branches = 0
 
 
-def _exact_mass(node, world: dict[str, str], values: dict[str, str],
-                weight: float, walk: _Walk) -> float:
-    """The success mass ``weight`` carries from ``node`` on, every chance
-    outcome and every prior assignment read on the way weighted by its
-    probability.  ``world`` holds the prior draws made so far, which pick
-    the prior clauses' rows; ``values`` is the current state, which known
-    facts and effects overwrite, and may be changed."""
+def _exact_mass(block: ReplayBlock, world: dict[str, str],
+                values: dict[str, str], weight: float, walk: _Walk) -> float:
+    """The success mass ``weight`` carries from entering ``block`` on,
+    every chance outcome and every prior assignment read on the way
+    weighted by its probability.  ``world`` holds the prior draws made so
+    far, which pick the prior clauses' rows; ``values`` is the current
+    state, which known facts and effects overwrite, and may be changed.
+
+    The walk branches on the first prior variable in ``block.reads`` that
+    has no value, but only if the run steps before its read hold (tested on
+    a copy, as the entry values pick ``check``); where one fails, the mass
+    is 0.  So it branches into the prior assignments a walk of the steps
+    one at a time would."""
     clauses = walk.clauses
     while True:
         if clauses:
-            var = _unset_read(node, values, clauses)
-            if var is not None:
-                return _branch(node, var, world, values, weight, walk)
-        if isinstance(node, ActionNode):
-            op = node.op
-            if not _met(op.precondition_values, values):
-                return 0.0
-            values.update(op.effect_values(None))
-            node = node.child
-            continue
-        if isinstance(node, GoalLeaf):
-            return weight if _met(node.goal_values, values) else 0.0
-        if not isinstance(node, BranchNode):
-            return 0.0  # give up
-        op = node.op
-        if not _met(op.precondition_values, values):
+            for var, k in block.reads:
+                if var not in values and var in clauses:
+                    if _first_unmet(block.run[:k], dict(values)) is not None:
+                        return 0.0
+                    return _branch(block, var, world, values, weight, walk)
+        if not values.items() >= block.check:
             return 0.0
-        if op.kind == "obs":
-            got = values.get(op.observes)
-            node = node.children.get(got)
-            if node is None:
+        values.update(block.effects)
+        kind = block.kind
+        if kind == "obs":
+            block = block.arms.get(values.get(block.read))
+            if block is None:
                 return 0.0
-            values.update(op.effect_values(got))
-            continue
-        probs = _outcome_distribution(op, values)
-        if probs is None:
-            return 0.0
-        total = 0.0
-        for o, p in zip(op.outcomes, probs):
-            child = node.children.get(o)
-            if child is None or p == 0.0:
-                continue
-            v2 = dict(values)
-            v2.update(op.effect_values(o))
-            total += _exact_mass(child, world, v2, weight * p, walk)
-        return total
+        elif kind == "chance":
+            probs = _outcome_distribution(block.end.op, values)
+            if probs is None:
+                return 0.0
+            total = 0.0
+            for arm, p in zip(block.arms, probs):
+                if arm is not None and p != 0.0:
+                    total += _exact_mass(arm, world, dict(values),
+                                         weight * p, walk)
+            return total
+        else:
+            return weight if kind == "goal" else 0.0
 
 
-def _unset_read(node, values: Mapping[str, str],
-                clauses: Mapping[str, GroundClause]) -> str | None:
-    """A prior variable that ``node`` reads and ``values`` has no value
-    for, else None.  A step reads its preconditions, its observed variable
-    and its influences; a goal leaf reads its goals."""
-    if isinstance(node, GoalLeaf):
-        pairs, extra = node.goal_values, ()
-    elif isinstance(node, (ActionNode, BranchNode)):
-        op = node.op
-        pairs = op.precondition_values
-        extra = op.influences if op.observes is None else (op.observes,)
-    else:
-        return None
-    for v, _want in pairs:
-        if v not in values and v in clauses:
-            return v
-    for v in extra:
-        if v not in values and v in clauses:
-            return v
-    return None
-
-
-def _branch(node, var: str, world: dict[str, str], values: dict[str, str],
-            weight: float, walk: _Walk) -> float:
-    """The mass from ``node`` on, split over the outcomes of ``var`` or of
-    the first of its ancestors that has no draw in ``world`` yet, each
-    weighted by its clause's row at the parents' drawn values.  A draw
-    becomes the current value unless a known fact or an effect has already
-    set one."""
+def _branch(block: ReplayBlock, var: str, world: dict[str, str],
+            values: dict[str, str], weight: float, walk: _Walk) -> float:
+    """The mass from entering ``block`` on, split over the outcomes of
+    ``var`` or of the first of its ancestors that has no draw in ``world``
+    yet, each weighted by its clause's row at the parents' drawn values.  A
+    draw becomes the current value unless a known fact or an effect has
+    already set one."""
     c = walk.clauses[_undrawn_ancestor(var, world, walk.clauses)]
     tail = tuple(world[p] for p in c.parents)
     total = 0.0
@@ -438,7 +421,7 @@ def _branch(node, var: str, world: dict[str, str], values: dict[str, str],
         w2[c.var] = o
         v2 = dict(values)
         v2.setdefault(c.var, o)
-        total += _exact_mass(node, w2, v2, weight * p, walk)
+        total += _exact_mass(block, w2, v2, weight * p, walk)
     return total
 
 
@@ -488,14 +471,12 @@ def _document_priors(records) -> list[GroundClause]:
         priors.append(GroundClause(r["var"], tuple(r["space"]),
                                    tuple(r["parents"]),
                                    {tuple(k): p for k, p in r["cpt"]}))
-    by_var = {c.var: c for c in priors}
-    if len(by_var) != len(priors):
-        raise MalformedPlan("two prior clauses govern one variable")
     for c in priors:
         if not c.space or len(set(c.space)) != len(c.space):
             raise MalformedPlan(f"prior {c.var}: outcomes must be distinct "
                                 "and at least one")
     priors = _topo_clauses(priors)
+    by_var = {c.var: c for c in priors}
     for c in priors:
         _check_row_groups(c.cpt, c.space, f"prior {c.var}")
         missing = missing_cpt_rows(c.cpt, c.space,

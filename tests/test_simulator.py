@@ -150,8 +150,154 @@ def test_exhaustive_refuses_huge_joint(monkeypatch):
 
 
 def _walk_and_oracle(res, prob):
+    """The exact check's mass and ``exhaustive_check``'s, after holding
+    the check to the node walk on the plan and its variants."""
+    _assert_exact_like_node_walk(res.conditional, prob)
     args = (res.conditional, prob.priors, prob.known_true, prob.known_false)
     return exhaustive_success(*args), exhaustive_check(*args)[0]
+
+
+# ---------------------------------------------------------------------------
+# The node walk ``exhaustive_success`` ran before the exact check read the
+# replay program: every isinstance dispatch and precondition loop as it
+# was.  The block walk must return the same mass bit for bit, after
+# branching into as many prior assignments.
+
+
+def _oracle_exact(conditional, priors, known_true=(), known_false=()):
+    """The node walk's success mass, and the number of prior assignments
+    it branched into; it has no limit."""
+    walk = simulator._Walk({c.var: c
+                            for c in simulator._topo_clauses(priors)})
+    mass = _oracle_exact_mass(
+        conditional.root, {},
+        simulator._init_values({}, known_true, known_false), 1.0, walk)
+    return mass, walk.branches
+
+
+def _oracle_met(wanted, values):
+    return all(values.get(v) == want for v, want in wanted)
+
+
+def _oracle_exact_mass(node, world, values, weight, walk):
+    clauses = walk.clauses
+    while True:
+        if clauses:
+            var = _oracle_unset_read(node, values, clauses)
+            if var is not None:
+                return _oracle_branch(node, var, world, values, weight, walk)
+        if isinstance(node, ActionNode):
+            op = node.op
+            if not _oracle_met(op.precondition_values, values):
+                return 0.0
+            values.update(op.effect_values(None))
+            node = node.child
+            continue
+        if isinstance(node, GoalLeaf):
+            return weight if _oracle_met(domain.literal_values(node.goals),
+                                         values) else 0.0
+        if not isinstance(node, BranchNode):
+            return 0.0  # give up
+        op = node.op
+        if not _oracle_met(op.precondition_values, values):
+            return 0.0
+        if op.kind == "obs":
+            got = values.get(op.observes)
+            node = node.children.get(got)
+            if node is None:
+                return 0.0
+            values.update(op.effect_values(got))
+            continue
+        probs = simulator._outcome_distribution(op, values)
+        if probs is None:
+            return 0.0
+        total = 0.0
+        for o, p in zip(op.outcomes, probs):
+            child = node.children.get(o)
+            if child is None or p == 0.0:
+                continue
+            v2 = dict(values)
+            v2.update(op.effect_values(o))
+            total += _oracle_exact_mass(child, world, v2, weight * p, walk)
+        return total
+
+
+def _oracle_unset_read(node, values, clauses):
+    """A prior variable that ``node`` reads and ``values`` has no value
+    for, else None.  A step reads its preconditions, its observed variable
+    and its influences; a goal leaf reads its goals."""
+    if isinstance(node, GoalLeaf):
+        pairs, extra = domain.literal_values(node.goals), ()
+    elif isinstance(node, (ActionNode, BranchNode)):
+        op = node.op
+        pairs = op.precondition_values
+        extra = op.influences if op.observes is None else (op.observes,)
+    else:
+        return None
+    for v, _want in pairs:
+        if v not in values and v in clauses:
+            return v
+    for v in extra:
+        if v not in values and v in clauses:
+            return v
+    return None
+
+
+def _oracle_branch(node, var, world, values, weight, walk):
+    c = walk.clauses[simulator._undrawn_ancestor(var, world, walk.clauses)]
+    tail = tuple(world[p] for p in c.parents)
+    total = 0.0
+    for o in c.space:
+        p = c.cpt[(o,) + tail]
+        if p == 0.0:
+            continue
+        walk.branches += 1
+        w2 = dict(world)
+        w2[c.var] = o
+        v2 = dict(values)
+        v2.setdefault(c.var, o)
+        total += _oracle_exact_mass(node, w2, v2, weight * p, walk)
+    return total
+
+
+def _exact_and_branches(conditional, priors, known_true=(), known_false=()):
+    """``exhaustive_success`` and the number of prior assignments its walk
+    branched into."""
+    walks = []
+
+    def recorded(clauses):
+        walks.append(_Walk(clauses))
+        return walks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_Walk", recorded)
+        mass = exhaustive_success(conditional, priors, known_true, known_false)
+    return mass, walks[0].branches
+
+
+_Walk = simulator._Walk
+
+
+def _assert_exact_like_node_walk(conditional, prob):
+    """Equal masses and branch counts on the plan, on the plan with all
+    but one outcome of its first branch unplanned, and on the plan with a
+    negated goal added to each goal leaf; each with the problem's priors
+    and known facts, and with each of those dropped in turn."""
+    plans = [conditional]
+    if any(isinstance(n, BranchNode) for n in _nodes(conditional.root)):
+        plans.append(dataclasses.replace(
+            conditional, root=_drop_outcome(conditional.root)))
+    if prob.goals:
+        extra = (prob.goals[0].negate(),)
+        plans.append(dataclasses.replace(
+            conditional, root=_more_goals(conditional.root, extra)))
+    kt, kf = prob.known_true, prob.known_false
+    facts = ((prob.priors, kt, kf), (prob.priors, (), kf),
+             (prob.priors, kt, ()), ((), kt, kf))
+    for plan in plans:
+        for args in facts:
+            assert _exact_and_branches(plan, *args) == \
+                _oracle_exact(plan, *args)
 
 
 def test_exact_walk_matches_oracle_on_worlds_and_random_domains():
@@ -230,6 +376,63 @@ def test_exact_walk_keeps_prior_draws_apart_from_current_values():
                                     abs=1e-12)
 
 
+_X, _Y, _Z, _DONE = (domain.Proposition(v) for v in ("x", "y", "z", "done"))
+_XYZ = tuple(domain.GroundClause(v, ("true", "false"), (),
+                                 {("true",): 0.3, ("false",): 0.7})
+             for v in "xyz")
+
+
+def _det(name, pre=(), add=()):
+    return domain.GroundOperator(name, "det", preconditions=pre, add=add)
+
+
+def _run_plan(*ops, goals=()):
+    """One run of the steps ``ops``, then a goal leaf on ``goals``."""
+    node = GoalLeaf("g", frozenset(), goals)
+    for i in reversed(range(len(ops))):
+        node = ActionNode(f"s{i}", ops[i], node)
+    return ConditionalPlan(node, (frozenset(),), ())
+
+
+# plan, its block's reads, the node walk's mass and branch count
+_GUARDED = {
+    # branching on every read up front would take 2 + 4 + 8 = 14 branches
+    "early_failure": (
+        _run_plan(_det("a", (_X,)), _det("b", (_Y,), (_DONE,)),
+                  goals=(_DONE, _Z)),
+        (("x", 0), ("y", 1), ("z", 2)), 0.3 * 0.3 * 0.3, 6),
+    # the second step's x is written in the block: it is read only once
+    "written": (
+        _run_plan(_det("a", (_X.negate(),), (_X,)), _det("b", (_X,)),
+                  _det("c", (_Y,))),
+        (("x", 0), ("y", 2)), 0.7 * 0.3, 4),
+    # the third step wants the x the second wrote false: the block's check
+    # cannot hold, and z is never reached
+    "unmet": (
+        _run_plan(_det("a", (_Y,)), _det("b", (), (_X,)),
+                  _det("c", (_X.negate(),)), _det("d", (_Z,))),
+        (("y", 0), ("z", 3)), 0.0, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_exact_walk_branches_only_past_steps_that_hold(name, monkeypatch):
+    """A read is branched on only where the run steps before it hold, as
+    in the node walk; the limit refuses the plan exactly when the node
+    walk's branch count exceeds it."""
+    plan, reads, mass, branches = _GUARDED[name]
+    assert plan.replay.start.reads == reads
+    want = _oracle_exact(plan, _XYZ)
+    assert want == (pytest.approx(mass, abs=1e-15), branches)
+    assert _exact_and_branches(plan, _XYZ) == want
+    monkeypatch.setattr(simulator, "EXHAUSTIVE_WORLD_LIMIT", branches)
+    assert exhaustive_success(plan, _XYZ) == want[0]
+    monkeypatch.setattr(simulator, "EXHAUSTIVE_WORLD_LIMIT", branches - 1)
+    with pytest.raises(ValueError, match=rf"^{branches} prior assignments "
+                       rf"exceed the exhaustive limit \({branches - 1}\)$"):
+        exhaustive_success(plan, _XYZ)
+
+
 def test_prior_with_undeclared_parent_raises_malformed_plan():
     """A clause ``y`` whose parent ``x`` has no clause is rejected with
     the text documents get, by both checks called directly."""
@@ -246,6 +449,28 @@ def test_prior_with_undeclared_parent_raises_malformed_plan():
         exhaustive_success(plan, priors)
     with pytest.raises(MalformedPlan, match="prior y depends on undeclared x"):
         estimate_success(plan, priors, trials=10)
+
+
+def test_duplicate_prior_clauses_raise_malformed_plan():
+    """Two clauses for one variable are refused with one text by the exact
+    check, the estimate and a plan document, in either order."""
+    from riskplan.domain import GroundClause
+    a, b = (GroundClause("x", ("true", "false"), (),
+                         {("true",): p, ("false",): 1 - p})
+            for p in (0.2, 0.9))
+    plan = _run_plan(goals=(_X,))
+    text = "^two prior clauses govern one variable$"
+    for priors in ((a, b), (b, a)):
+        with pytest.raises(MalformedPlan, match=text):
+            exhaustive_success(plan, priors)
+        with pytest.raises(MalformedPlan, match=text):
+            estimate_success(plan, priors, trials=10)
+    gdom, prob = load_texts(*ski_world())
+    doc = json.loads(json.dumps(plan_document(plan_linear(gdom, prob), prob,
+                                              "kbmc")))
+    doc["priors"].append(doc["priors"][0])
+    with pytest.raises(MalformedPlan, match=text):
+        simulate_document(doc, trials=10, seed=0)
 
 
 def test_simulate_document_roundtrip():
@@ -711,7 +936,8 @@ def _oracle_execute_plan(conditional, world, known_true=(), known_false=(),
                     "never anticipated", outcomes)
             node = nxt
         elif isinstance(node, GoalLeaf):
-            if all(values.get(v) == want for v, want in node.goal_values):
+            if all(values.get(v) == want
+                   for v, want in domain.literal_values(node.goals)):
                 return TrialResult(True, "goal", (), tuple(outcomes))
             return TrialResult(False, "goal", tuple(
                 f"goal {g} does not hold at the end"
