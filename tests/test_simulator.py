@@ -264,18 +264,16 @@ def _exact_and_branches(conditional, priors, known_true=(), known_false=()):
     """``exhaustive_success`` and the number of prior assignments its walk
     branched into."""
     walks = []
+    make = simulator._Walk
 
     def recorded(clauses):
-        walks.append(_Walk(clauses))
+        walks.append(make(clauses))
         return walks[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_Walk", recorded)
         mass = exhaustive_success(conditional, priors, known_true, known_false)
     return mass, walks[0].branches
-
-
-_Walk = simulator._Walk
 
 
 def _assert_exact_like_node_walk(conditional, prob):
