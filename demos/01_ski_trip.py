@@ -9,7 +9,7 @@ wasting the day and ask the planner for a conditional plan.
 """
 
 from riskplan import plan_linear, plan_nonlinear
-from riskplan.plangraph import ActionNode, BranchNode, GiveUpLeaf, GoalLeaf
+from riskplan.conditional import ActionNode, BranchNode, GiveUpLeaf, GoalLeaf
 from riskplan.worlds import load_texts, ski_world
 
 gdom, problem = load_texts(*ski_world())

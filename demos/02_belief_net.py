@@ -8,7 +8,7 @@ boils down to joint queries against this net, so here we poke at it
 directly.
 """
 
-from riskplan.plangraph import Label
+from riskplan.conditional import Label
 from riskplan.probmodel import (build_initial_net, conditional_outcome_probability,
                                 d_connected, joint_probability, net_to_dot)
 from riskplan.worlds import load_texts, ski_world

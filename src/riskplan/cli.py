@@ -18,13 +18,14 @@ import os
 import sys
 from pathlib import Path
 
+from .conditional import plan_document
 from .domain import (DomainSyntaxError, DomainValidationError, GroundingError,
                      ground, parse_domain, parse_problem, validate_problem)
 from .errors import PlanningFailure, RiskplanError
 from .linear import plan_linear
 from .nonlinear import plan_nonlinear
 from .plangraph import to_dot
-from .probmodel import net_to_dot, plan_document
+from .probmodel import net_to_dot
 from .search import DEFAULT_NODE_BUDGET
 from .simulator import simulate_document
 

@@ -56,7 +56,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DomainSyntaxError, DomainValidationError, GroundingError
+from .errors import (DomainSyntaxError, DomainValidationError, GroundingError,
+                     MalformedPlan)
 
 __all__ = [
     "PROB_TOL",
@@ -450,6 +451,22 @@ def _err(node, msg: str):
     raise DomainSyntaxError(msg, line, col)
 
 
+def _sections(nodes, what: str, merged: str = "") -> Iterator[tuple]:
+    """(section, head, body) for each of ``nodes``: a nonempty list headed
+    by an atom, or a syntax error that expects ``what`` ("an operator
+    section").  A head seen before raises DomainSyntaxError at its
+    section, unless it is ``merged``, whose repeats merge."""
+    seen: set[str] = set()
+    for sec in nodes:
+        if not _is_list(sec) or not _items(sec):
+            _err(sec, f"expected {what}")
+        head = _atom(_items(sec)[0], "a section name")
+        if head in seen and head != merged:
+            _err(sec, f"repeated {what.split(' ', 1)[1]} {head!r}")
+        seen.add(head)
+        yield sec, head, _items(sec)[1:]
+
+
 def _parse_number(node) -> float:
     s = _atom(node, "a number")
     try:
@@ -556,11 +573,8 @@ def _parse_operator(form) -> OperatorSchema:
     probs: dict[tuple[str], float] = {}  # (prob ...) rows, keyed (outcome,)
     saw_prob = False
     present: set[str] = set()  # section names; an empty section counts
-    for sec in parts[2:]:
-        if not _is_list(sec) or not _items(sec):
-            _err(sec, "expected an operator section")
-        head = _atom(_items(sec)[0], "a section name")
-        body = _items(sec)[1:]
+    for sec, head, body in _sections(parts[2:], "an operator section",
+                                     "outcomes"):
         present.add(head)
         if head == "params":
             fields["params"] = _parse_params(sec)
@@ -585,11 +599,8 @@ def _parse_operator(form) -> OperatorSchema:
                 outcomes.append(oname)
                 adds[oname] = ()
                 dels[oname] = ()
-                for osec in _items(onode)[1:]:
-                    if not _is_list(osec) or not _items(osec):
-                        _err(osec, "expected an outcome section")
-                    ohead = _atom(_items(osec)[0], "an outcome section")
-                    obody = _items(osec)[1:]
+                for osec, ohead, obody in _sections(_items(onode)[1:],
+                                                    "an outcome section"):
                     if ohead == "prob":
                         if len(obody) != 1:
                             _err(osec, "(prob ...) takes exactly one number")
@@ -653,11 +664,7 @@ def _parse_clause(form) -> KbmcClause:
     body: tuple[Proposition, ...] = ()
     cpt: dict | None = None
     params: tuple = ()
-    for sec in _items(form)[1:]:
-        if not _is_list(sec) or not _items(sec):
-            _err(sec, "expected a clause section")
-        shead = _atom(_items(sec)[0], "a section name")
-        sbody = _items(sec)[1:]
+    for sec, shead, sbody in _sections(_items(form)[1:], "a clause section"):
         if shead == "params":
             params = _parse_params(sec)
         elif shead == "head":
@@ -747,11 +754,8 @@ def parse_problem(text: str) -> Problem:
     known_false: set[Proposition] = set()
     goals: tuple[Proposition, ...] = ()
     epsilon: float | None = None
-    for sec in _items(form)[1:]:
-        if not _is_list(sec) or not _items(sec):
-            _err(sec, "expected a problem section")
-        head = _atom(_items(sec)[0], "a section name")
-        body = _items(sec)[1:]
+    for sec, head, body in _sections(_items(form)[1:], "a problem section",
+                                     "init"):
         if head == "init":
             for lnode in body:
                 lit = _parse_literal(lnode)
@@ -817,6 +821,28 @@ def _check_clause_acyclicity(deps: Mapping[str, Sequence[str]],
         return dependency_order(deps, deps)
     except DependencyCycle as e:
         raise error("clause set is cyclic: " + " -> ".join(e.args[0])) from None
+
+
+def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
+    """``priors`` in dependency order, parents first.  Raises MalformedPlan
+    when two clauses govern one variable, a clause names a parent that has
+    no clause, or the clauses are cyclic."""
+    by_var = {c.var: c for c in priors}
+    if len(by_var) != len(priors):
+        raise MalformedPlan("two prior clauses govern one variable")
+    try:
+        order = dependency_order(sorted(by_var),
+                                 {v: c.parents for v, c in by_var.items()})
+    except DependencyCycle as e:
+        raise MalformedPlan("prior clauses are cyclic: "
+                            + " -> ".join(e.args[0])) from None
+    try:
+        return [by_var[v] for v in order]
+    except KeyError as e:  # a parent that has no clause
+        p = e.args[0]
+        c = next(c for c in priors if p in c.parents)
+        raise MalformedPlan(f"prior {c.var} depends on undeclared {p}") \
+            from None
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .conditional import Label
 from .domain import GroundDomain, GroundOperator, Problem, Proposition
-from .plangraph import (Label, Link, PlanGraph, START_ID, add_link,
-                        has_threat, make_root_plan, tree_insert)
+from .plangraph import (Link, PlanGraph, START_ID, add_link, has_threat,
+                        make_root_plan, tree_insert)
 # unused here since plans carry their threats, but bench/test_bench.py
 # expects the name bound in this module
 from .plangraph import find_threats  # noqa: F401

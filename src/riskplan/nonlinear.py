@@ -28,9 +28,10 @@ offered, and ``condition_step``, which then returns None.
 
 from __future__ import annotations
 
+from .conditional import Label
 from .domain import GroundDomain, GroundOperator, Problem, Proposition
 from .errors import WouldCreateCycle
-from .plangraph import (Label, Link, PlanGraph, START_ID, Threat, add_link,
+from .plangraph import (Link, PlanGraph, START_ID, Threat, add_link,
                         condition_step, dag_add_step, make_root_plan)
 from .probmodel import (PlanResult, SuccessBound, context_probability,
                         d_connected)

@@ -38,12 +38,6 @@ Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 is what the linear planner maintains.  ``dag`` plans (``tree`` is None)
 order steps only as far as links require.  All queries here work on
 either shape.
-
-A ``ConditionalPlan`` is the executable tree extracted from a plan.  Its
-``replay`` program, built on first use, is the only form of it the
-simulator reads, for Monte Carlo trials and for the exact check alike:
-one ``ReplayBlock`` per maximal run of action steps and the node that
-ends it, with the run's preconditions and effects merged ahead of time.
 """
 
 from __future__ import annotations
@@ -54,15 +48,14 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .conditional import (ActionNode, BranchNode, ConditionalPlan, GiveUpLeaf,
+                          GoalLeaf, Label, _leaves)
 from .domain import (DependencyCycle, GroundOperator, Problem, Proposition,
-                     _check_row_groups, _Literals, dependency_order,
-                     literal_values)
-from .errors import (DomainSyntaxError, DomainValidationError,
-                     IgnoranceNotFromStart, IncompletePlan, MalformedPlan,
+                     dependency_order)
+from .errors import (IgnoranceNotFromStart, IncompletePlan,
                      OverlappingGoalContexts, PlanGraphError, WouldCreateCycle)
 
 __all__ = [
-    "Label",
     "Step",
     "Link",
     "PlanGraph",
@@ -82,33 +75,9 @@ __all__ = [
     "condition_step",
     "canonical_key",
     "to_dot",
-    "ConditionalPlan",
-    "ActionNode",
-    "BranchNode",
-    "GoalLeaf",
-    "GiveUpLeaf",
-    "ReplayBlock",
-    "ReplayProgram",
-    "TrialResult",
 ]
 
 START_ID = "start"
-
-
-class Label(NamedTuple):
-    """One outcome of one variable (or of one conditional step's family).
-
-    A tuple of its fields: it equals, hashes and sorts as the plain tuple
-    ``(source, outcome)``."""
-
-    source: str  # net variable id
-    outcome: str
-
-    def text(self) -> str:
-        return f"{self.source}={self.outcome}"
-
-
-Context = frozenset  # of Label
 
 
 def context_consistent(ctx: Iterable[Label]) -> bool:
@@ -680,367 +649,6 @@ def linearizations(plan: PlanGraph, context: frozenset | None = None
             yield from rec(placed + (i,), remaining - {i})
 
     yield from rec((), idset)
-
-
-# ---------------------------------------------------------------------------
-# executable plans
-
-
-@dataclass(frozen=True)
-class ActionNode:
-    step_id: str
-    op: GroundOperator
-    child: object
-
-
-@dataclass(frozen=True)
-class BranchNode:
-    step_id: str
-    op: GroundOperator
-    source: str
-    children: Mapping[str, object]  # outcome -> node
-
-
-@dataclass(frozen=True)
-class GoalLeaf:
-    step_id: str
-    context: frozenset
-    goals: tuple
-
-
-@dataclass(frozen=True)
-class GiveUpLeaf:
-    context: frozenset
-
-
-@dataclass(frozen=True)
-class ConditionalPlan:
-    """The executable shape of a plan: a chain of actions branching at each
-    conditional/observation step, ending in goal or give-up leaves."""
-
-    root: object
-    goal_contexts: tuple  # of frozenset[Label]
-    uncovered: tuple  # of frozenset[Label]
-
-    def leaves(self) -> Iterator[object]:
-        return _leaves(self.root)
-
-    @cached_property
-    def replay(self) -> "ReplayProgram":
-        """The plan compiled for replay, built on first use; see
-        ``ReplayBlock``."""
-        start, depth = _compile_block(self.root)
-        return ReplayProgram(start, depth)
-
-    def steps_used(self) -> dict[str, GroundOperator]:
-        """The steps on the tree, in depth-first preorder."""
-        out: dict[str, GroundOperator] = {}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ActionNode):
-                out[node.step_id] = node.op
-                stack.append(node.child)
-            elif isinstance(node, BranchNode):
-                out[node.step_id] = node.op
-                stack.extend(reversed(node.children.values()))
-        return out
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "steps": [dict(_op_json(op), id=sid)
-                      for sid, op in sorted(self.steps_used().items())],
-            "branches": _node_json(self.root),
-            "contexts": [_ctx_json(c) for c in self.goal_contexts],
-            "uncoveredContexts": [_ctx_json(c) for c in self.uncovered],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConditionalPlan":
-        """The plan a ``to_json_dict`` record encodes; MalformedPlan when it
-        cannot be decoded.  Literal texts are read through one table local
-        to this call, so each distinct text runs the s-expression reader
-        once however many steps and goal leaves repeat it, and each step's
-        operator is built once."""
-        return _plan_from_json(data, _Literals())
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """What one replay of a plan in one world ends with."""
-
-    success: bool
-    leaf: str  # goal | giveup | aborted
-    violations: tuple[str, ...] = ()
-    outcomes: tuple[tuple[str, str], ...] = ()  # (step id, outcome) draws
-
-
-class ReplayBlock(NamedTuple):
-    """One block of a plan's replay program: a run of action steps and the
-    node that ends it, with what a trial reads there worked out ahead.
-    Every trial that reaches a block took the same branch outcomes on the
-    way, its ``path``.  The exact check walks the same blocks: it first
-    branches on the prior variables in ``reads`` that have no value yet,
-    then does what a trial does, summing over a chance block's arms.
-
-    ``kind`` says what a trial does once the block's ``check`` holds and
-    its ``effects`` are applied:
-
-    * ``"obs"``: look up the value of the variable ``read`` in ``arms``,
-      value -> next block;
-    * ``"chance"``: draw an outcome by bisecting the cut row that ``rows``
-      gives for the values of the influences ``read``, and take that
-      outcome's block in ``arms``, one per outcome in declared order (None
-      for an outcome the plan does not cover);
-    * ``"goal"``, ``"giveup"``: return ``verdict``, the success at a goal
-      leaf or the failure at a give-up leaf;
-    * ``"unknown"``: the run ends at a node of no plan type.
-    """
-
-    kind: str
-    # The (variable, value) pairs the state must hold on entry for every
-    # precondition of the run and of a branch end, or every goal of a goal
-    # end, to hold in its turn: those on variables that nothing earlier in
-    # the block writes (the others are decided when the block is built).
-    # ``_UNMET`` when the block writes a value a later step does not want.
-    check: frozenset
-    # the effects of the outcome that led here, then of the run, merged
-    effects: Mapping[str, str]
-    read: object
-    rows: Mapping | None
-    arms: Mapping | tuple | None
-    verdict: TrialResult | None
-    # (ActionNode, its precondition pairs, its effects) of each run step,
-    # the outcome that led here first as (None, frozenset(), effects):
-    # walked one at a time only to find what fails ``check``, or what holds
-    # before a read
-    run: tuple
-    # (variable, k) for each variable the block reads before it writes it,
-    # in the order a walk of the steps reads them: each run step's
-    # preconditions, then the end's, then its observed variable or its
-    # influences, or a goal end's goals.  ``k`` counts the ``run`` entries
-    # before the reader; the exact check branches on such a variable of the
-    # prior net only once those entries hold.
-    reads: tuple
-    end: object
-    path: tuple  # the (step id, outcome) draws made on the way here
-
-
-class ReplayProgram(NamedTuple):
-    start: ReplayBlock
-    chance_depth: int  # the most chance steps on any path of the plan
-
-
-# a pair no state holds: no state has the key
-_UNMET = frozenset({(object(), None)})
-
-
-def _require(pairs, written: Mapping[str, str], check: set, reads: list,
-             k: int) -> bool:
-    """Adds to ``check`` each pair whose variable ``written`` lacks, and
-    that variable to ``reads`` as read at ``k``; False when ``written``
-    gives one of them another value."""
-    met = True
-    for pair in pairs:
-        var, want = pair
-        if var in written:
-            met = met and written[var] == want
-        else:
-            check.add(pair)
-            reads.append((var, k))
-    return met
-
-
-def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
-                   = None) -> tuple[ReplayBlock, int]:
-    """The replay block that starts at ``node``, reached by the draws
-    ``path`` whose last outcome wrote ``entry``, and the most chance steps
-    on a path from ``node`` on (a chance step counts once whether or not
-    the plan covers the outcome it draws)."""
-    written = dict(entry or {})
-    run = [(None, frozenset(), entry)] if entry else []
-    check: set = set()
-    reads: list = []
-    met = True
-    while isinstance(node, ActionNode):
-        op = node.op
-        met = _require(op.precondition_values, written, check, reads,
-                       len(run)) and met
-        effects = op.effect_values(None)
-        run.append((node, frozenset(op.precondition_values), effects))
-        written.update(effects)
-        node = node.child
-    read = rows = arms = verdict = None
-    depth = 0
-    if isinstance(node, BranchNode):
-        op = node.op
-        k = len(run)
-        met = _require(op.precondition_values, written, check, reads,
-                       k) and met
-        reads += [(v, k) for v in (op.influences if op.observes is None
-                                   else (op.observes,)) if v not in written]
-        if op.kind == "obs":
-            kind, read, arms = "obs", op.observes, {}
-            for o, child in node.children.items():
-                if child is not None:
-                    arms[o], d = _compile_block(
-                        child, path + ((node.step_id, o),),
-                        op.effect_values(o))
-                    depth = max(depth, d)
-        else:
-            kind, rows, arms = "chance", op.outcome_cuts, []
-            read = () if op.cpt is None else op.influences
-            for o in op.outcomes:
-                block = child = node.children.get(o)
-                if child is not None:
-                    block, d = _compile_block(
-                        child, path + ((node.step_id, o),),
-                        op.effect_values(o))
-                    depth = max(depth, d)
-                arms.append(block)
-            arms = tuple(arms)
-            depth += 1
-    elif isinstance(node, GoalLeaf):
-        kind, verdict = "goal", TrialResult(True, "goal", (), path)
-        met = _require(literal_values(node.goals), written, check, reads,
-                       len(run)) and met
-    elif isinstance(node, GiveUpLeaf):
-        kind, verdict = "giveup", TrialResult(False, "giveup", (), path)
-    else:
-        kind = "unknown"
-    return ReplayBlock(kind, frozenset(check) if met else _UNMET, written,
-                       read, rows, arms, verdict, tuple(run), tuple(reads),
-                       node, path), depth
-
-
-def _plan_from_json(data: dict, literals: _Literals) -> ConditionalPlan:
-    """``ConditionalPlan.from_json_dict`` with its literal table given, so
-    that a caller decoding the rest of the document (its ``init`` facts)
-    reads every literal through the same table."""
-    try:
-        ops = {rec["id"]: _op_from_json(rec, literals)
-               for rec in data["steps"]}
-        return ConditionalPlan(
-            _node_from_json(data["branches"], ops, literals),
-            tuple(_ctx_from_json(c) for c in data["contexts"]),
-            tuple(_ctx_from_json(c) for c in data["uncoveredContexts"]))
-    except (AttributeError, KeyError, TypeError, ValueError,
-            DomainSyntaxError, DomainValidationError) as e:
-        raise MalformedPlan(f"cannot decode plan: {e}") from e
-
-
-def _node_json(node) -> dict:
-    if isinstance(node, ActionNode):
-        return {"type": "action", "step": node.step_id,
-                "next": _node_json(node.child)}
-    if isinstance(node, BranchNode):
-        return {"type": "branch", "step": node.step_id,
-                "source": node.source,
-                "children": {o: _node_json(c)
-                             for o, c in sorted(node.children.items())}}
-    if isinstance(node, GoalLeaf):
-        return {"type": "goal", "step": node.step_id,
-                "context": _ctx_json(node.context),
-                "goals": [g.text() for g in node.goals]}
-    return {"type": "giveup", "context": _ctx_json(node.context)}
-
-
-def _node_from_json(rec, ops: Mapping[str, GroundOperator],
-                    literals: _Literals) -> object:
-    """The plan node ``rec`` encodes; ``ops`` maps step ids to their
-    decoded operators, and ``literals`` reads goal texts."""
-    t = rec["type"]
-    if t == "action":
-        return ActionNode(rec["step"], ops[rec["step"]],
-                          _node_from_json(rec["next"], ops, literals))
-    if t == "branch":
-        return BranchNode(rec["step"], ops[rec["step"]], rec["source"],
-                          {o: _node_from_json(c, ops, literals)
-                           for o, c in rec["children"].items()})
-    if t == "goal":
-        return GoalLeaf(rec["step"], _ctx_from_json(rec["context"]),
-                        tuple(map(literals.__getitem__, rec["goals"])))
-    if t == "giveup":
-        return GiveUpLeaf(_ctx_from_json(rec["context"]))
-    raise KeyError(t)
-
-
-def _leaves(node) -> Iterator[object]:
-    """The leaves under ``node``, each branch's outcomes in declared order."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ActionNode):
-            stack.append(node.child)
-        elif isinstance(node, BranchNode):
-            stack.extend(node.children[o] for o in reversed(node.op.outcomes)
-                         if o in node.children)
-        else:
-            yield node
-
-
-def _ctx_json(ctx: frozenset) -> list[list[str]]:
-    return [[lab.source, lab.outcome] for lab in sorted(ctx)]
-
-
-def _ctx_from_json(rows) -> frozenset:
-    return frozenset(Label(src, out) for src, out in rows)
-
-
-def _op_json(op: GroundOperator) -> dict:
-    out: dict = {"name": op.name, "kind": op.kind,
-                 "pre": [p.text() for p in op.preconditions]}
-    if op.kind in ("det", "start"):
-        out["add"] = [p.text() for p in op.add]
-        out["del"] = [p.text() for p in op.delete]
-    elif op.kind in ("cond", "obs"):
-        out["outcomes"] = {
-            o: {"add": [p.text() for p in op.outcome_adds.get(o, ())],
-                "del": [p.text() for p in op.outcome_dels.get(o, ())]}
-            for o in op.outcomes}
-        if op.simple_distribution is not None:
-            out["dist"] = dict(op.simple_distribution)
-        if op.influences:
-            out["influences"] = list(op.influences)
-        if op.cpt is not None:
-            out["cpt"] = [[list(k), p] for k, p in sorted(op.cpt.items())]
-        if op.observes is not None:
-            out["observes"] = op.observes
-    return out
-
-
-def _op_from_json(rec: dict, literals: _Literals) -> GroundOperator:
-    lits = lambda xs: tuple(map(literals.__getitem__, xs))
-    kw: dict = dict(name=rec["name"], kind=rec["kind"],
-                    preconditions=lits(rec.get("pre", ())))
-    if rec["kind"] in ("det", "start"):
-        kw["add"] = lits(rec.get("add", ()))
-        kw["delete"] = lits(rec.get("del", ()))
-    else:
-        where = f"step {rec['id']}"
-        fam = rec["outcomes"]
-        if not fam:
-            raise ValueError(f"{where} has no outcomes")
-        kw["outcomes"] = tuple(fam)
-        kw["outcome_adds"] = {o: lits(v.get("add", ())) for o, v in fam.items()}
-        kw["outcome_dels"] = {o: lits(v.get("del", ())) for o, v in fam.items()}
-        kw["influences"] = tuple(rec.get("influences", ()))
-        kw["observes"] = rec.get("observes")
-        if not isinstance(kw["observes"], (str, type(None))) or not all(
-                isinstance(v, str) for v in kw["influences"]):
-            raise TypeError(f"{where}: variables are named by strings")
-        # distributions get the checks a domain's get
-        if "dist" in rec:
-            kw["simple_distribution"] = {o: rec["dist"][o] for o in fam}
-            _check_row_groups({(o,): p for o, p in
-                               kw["simple_distribution"].items()},
-                              kw["outcomes"], where)
-        if "cpt" in rec:
-            kw["cpt"] = {tuple(k): p for k, p in rec["cpt"]}
-            _check_row_groups(kw["cpt"], kw["outcomes"], where)
-    return GroundOperator(**kw)
 
 
 # ---------------------------------------------------------------------------

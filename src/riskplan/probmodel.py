@@ -33,9 +33,10 @@ from .errors import (InconsistentLabels, LabelWithoutDistribution,
                      MissingCptRow, MissingInfluenceVariable,
                      OutcomeSpaceMismatch, OverlappingGoalContexts,
                      UnknownVariable, ZeroProbabilityContext)
-from .plangraph import (ConditionalPlan, Label, PlanGraph, _canonical_topo,
-                        complete_goal_ids, context_consistent,
-                        contexts_compatible, uncovered_outcome_contexts)
+from .conditional import ConditionalPlan, Label
+from .plangraph import (PlanGraph, _canonical_topo, complete_goal_ids,
+                        context_consistent, contexts_compatible,
+                        uncovered_outcome_contexts)
 
 __all__ = [
     "NetVariable",
@@ -53,7 +54,6 @@ __all__ = [
     "model_for_plan",
     "success_bound",
     "select_goal_node",
-    "plan_document",
     "net_to_dot",
 ]
 
@@ -102,17 +102,20 @@ class BeliefNet:
 
 def build_initial_net(problem: Problem) -> BeliefNet:
     """Net over the prior-governed variables only.  Propositions known true
-    or false in the initial state are facts, not random variables."""
-    by_var = {c.var: c for c in problem.priors}
+    or false in the initial state are facts, not random variables.  Raises
+    UnknownVariable when two clauses govern one variable and
+    MissingInfluenceVariable when a clause's parent has none."""
+    parents = {c.var: c.parents for c in problem.priors}
     try:
-        order = dependency_order(sorted(by_var),
-                                 {v: c.parents for v, c in by_var.items()})
+        order = dependency_order(sorted(parents), parents)
     except DependencyCycle as e:
         v, p = e.args[0][-2:]
         raise MissingInfluenceVariable(
             f"variable {v} depends on {p}, not in the net") from None
-    return BeliefNet({v: NetVariable(by_var[v].space, by_var[v].parents,
-                                     by_var[v].cpt) for v in order})
+    net = BeliefNet({})
+    for c in sorted(problem.priors, key=lambda c: order.index(c.var)):
+        net = net.with_variable(c.var, NetVariable(c.space, c.parents, c.cpt))
+    return net
 
 
 def add_conditional_node(net: BeliefNet, node_id: str, op: GroundOperator,
@@ -531,38 +534,6 @@ class PlanResult:
     bound: SuccessBound
     model: object  # "simple" or the final BeliefNet
     stats: Mapping[str, object]
-
-
-def plan_document(result: PlanResult, problem: Problem,
-                  model_name: str) -> dict:
-    """A self-contained JSON-ready report: everything needed to inspect or
-    simulate the plan without the original domain files."""
-    doc = result.conditional.to_json_dict()
-    used = set(result.conditional.steps_used()) | {"start"}
-    links = []
-    for link in result.graph.links:
-        if link.producer in used and link.consumer in used:
-            payload = link.payload
-            if payload is not None and not isinstance(payload, str):
-                payload = payload.text()
-            links.append({"kind": link.kind, "producer": link.producer,
-                          "consumer": link.consumer, "payload": payload})
-    links.sort(key=lambda r: (r["kind"], r["producer"], r["consumer"],
-                              r["payload"] or ""))
-    doc["links"] = links
-    doc["achievedMass"] = result.bound.achieved_mass
-    doc["potentialMass"] = result.bound.potential_mass
-    doc["epsilon"] = result.bound.epsilon
-    doc["model"] = model_name
-    doc["init"] = {"true": [p.text() for p in sorted(problem.known_true)],
-                   "false": [p.text() for p in sorted(problem.known_false)]}
-    doc["priors"] = [
-        {"var": c.var, "space": list(c.space), "parents": list(c.parents),
-         "cpt": [[list(k), p] for k, p in sorted(c.cpt.items())]}
-        for c in sorted(problem.priors, key=lambda c: c.var)]
-    # wall-clock time would break byte-identical reruns
-    doc["stats"] = {k: v for k, v in result.stats.items() if k != "elapsed"}
-    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,8 @@ influences, and deterministic steps just rewrite state.  Reaching a goal
 leaf with all goals true is success; a give-up leaf, a missing branch, or
 any violation is failure.
 
-``execute_plan`` interprets the plan's replay program
-(``ConditionalPlan.replay``), compiled once per plan.  A block of it
-stands for a run of action steps and the branch or leaf that ends it: a
-trial tests the block's preconditions, and a goal leaf's goals, as one
-set of (variable, value) pairs against the state, applies the run's
-merged effects in one update, then reads the observed variable or draws
-the outcome that picks the next block.  A leaf block holds the result
-every trial reaching it returns, since the draws on the way to a block
-are the same in every trial.  Only a trial whose block check fails walks
-the block's steps one at a time, to name the step that fails.
+``execute_plan`` runs the plan's replay program (see
+``riskplan.conditional``), one block at a time.
 
 Trials are reproducible: trial ``t`` of seed ``s`` uses a Philox stream
 keyed by ``(s, t)``, independent of how many trials run or in what order.
@@ -54,13 +46,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import (DependencyCycle, GroundClause, GroundOperator,
-                     Proposition, _check_row_groups, _Literals,
-                     dependency_order, literal_value, missing_cpt_rows,
-                     var_id)
-from .errors import DomainSyntaxError, DomainValidationError, MalformedPlan
-from .plangraph import (ConditionalPlan, ReplayBlock, TrialResult,
-                        _plan_from_json)
+from .conditional import (ConditionalPlan, ReplayBlock, TrialResult,
+                          read_plan_document)
+from .domain import (GroundClause, GroundOperator, Proposition, _topo_clauses,
+                     literal_value, var_id)
+from .errors import MalformedPlan
 
 __all__ = [
     "TrialResult",
@@ -127,28 +117,6 @@ class _Draws:
     ``execute_plan`` call on a generator."""
 
     __slots__ = ("random",)
-
-
-def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
-    """``priors`` in dependency order, parents first.  Raises MalformedPlan
-    when two clauses govern one variable, a clause names a parent that has
-    no clause, or the clauses are cyclic."""
-    by_var = {c.var: c for c in priors}
-    if len(by_var) != len(priors):
-        raise MalformedPlan("two prior clauses govern one variable")
-    try:
-        order = dependency_order(sorted(by_var),
-                                 {v: c.parents for v, c in by_var.items()})
-    except DependencyCycle as e:
-        raise MalformedPlan("prior clauses are cyclic: "
-                            + " -> ".join(e.args[0])) from None
-    try:
-        return [by_var[v] for v in order]
-    except KeyError as e:  # a parent that has no clause
-        p = e.args[0]
-        c = next(c for c in priors if p in c.parents)
-        raise MalformedPlan(f"prior {c.var} depends on undeclared {p}") \
-            from None
 
 
 def sample_world(priors: Sequence[GroundClause],
@@ -248,8 +216,6 @@ def execute_plan(conditional: ConditionalPlan, world: Mapping[str, str],
             if arms[i] is None:
                 return _unanticipated(end, end.op.outcomes[i], path)
             block = arms[i]
-        elif kind == "unknown":
-            raise MalformedPlan(f"unknown node {end!r}")
         else:
             return verdict
 
@@ -437,50 +403,10 @@ def _undrawn_ancestor(var: str, world: Mapping[str, str],
 
 
 def simulate_document(doc: dict, trials: int = 10000, seed: int = 0) -> dict:
-    """Run Monte Carlo on a self-contained plan document (the plan-json
-    emission), without the original domain files.  The steps, goal leaves
-    and ``init`` facts read their literal texts through one table local to
-    this call, so each distinct text is parsed once."""
-    literals = _Literals()
-    conditional = _plan_from_json(doc, literals)
-    try:
-        priors = _document_priors(doc.get("priors", ()))
-        init = doc.get("init", {})
-        kt = [literals[s] for s in init.get("true", ())]
-        kf = [literals[s] for s in init.get("false", ())]
-    except (AttributeError, KeyError, TypeError, ValueError,
-            DomainSyntaxError, DomainValidationError) as e:
-        raise MalformedPlan(f"cannot decode plan document: {e}") from e
-    report = estimate_success(conditional, priors, kt, kf, trials, seed)
-    report["analyticMass"] = doc.get("achievedMass")
+    """``estimate_success`` on what a plan document (the plan-json
+    emission) holds, with the mass it records as ``analyticMass``."""
+    read = read_plan_document(doc)
+    report = estimate_success(read.plan, read.priors, read.known_true,
+                              read.known_false, trials, seed)
+    report["analyticMass"] = read.achieved_mass
     return report
-
-
-def _document_priors(records) -> list[GroundClause]:
-    """The prior clauses of a plan document, in dependency order, checked
-    as a domain's clauses are: variables and outcomes are strings, outcome
-    spaces are nonempty and distinct, every variable has one clause and
-    every parent a clause, and each clause's rows pass
-    ``_check_row_groups`` and cover every assignment to its parents."""
-    priors = []
-    for r in records:
-        names = [r["var"], *r["space"], *r["parents"]]
-        if not all(isinstance(x, str) for x in names):
-            raise MalformedPlan(f"prior {r['var']!r}: variables and outcomes "
-                                "must be strings")
-        priors.append(GroundClause(r["var"], tuple(r["space"]),
-                                   tuple(r["parents"]),
-                                   {tuple(k): p for k, p in r["cpt"]}))
-    for c in priors:
-        if not c.space or len(set(c.space)) != len(c.space):
-            raise MalformedPlan(f"prior {c.var}: outcomes must be distinct "
-                                "and at least one")
-    priors = _topo_clauses(priors)
-    by_var = {c.var: c for c in priors}
-    for c in priors:
-        _check_row_groups(c.cpt, c.space, f"prior {c.var}")
-        missing = missing_cpt_rows(c.cpt, c.space,
-                                   [by_var[p].space for p in c.parents])
-        if missing:
-            raise MalformedPlan(f"prior {c.var}: no row for {missing[0]}")
-    return priors

@@ -15,9 +15,10 @@ from math import sqrt
 
 import numpy as np
 
+from riskplan.conditional import (ActionNode, BranchNode, GiveUpLeaf,
+                                  GoalLeaf, Label)
 from riskplan.domain import var_id
-from riskplan.plangraph import (ActionNode, BranchNode, GiveUpLeaf, GoalLeaf,
-                                Label, START_ID, contexts_compatible)
+from riskplan.plangraph import START_ID, contexts_compatible
 from riskplan.probmodel import BeliefNet, NetVariable
 
 JOINT_LIMIT = 8192  # keep brute-force enumeration of a random net cheap

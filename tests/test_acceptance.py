@@ -19,7 +19,7 @@ from riskplan import (
     plan_nonlinear,
     success_bound,
 )
-from riskplan.plangraph import ActionNode, BranchNode, GiveUpLeaf, GoalLeaf, Label
+from riskplan.conditional import ActionNode, BranchNode, GiveUpLeaf, GoalLeaf, Label
 from riskplan.probmodel import build_initial_net, joint_probability
 from riskplan.worlds import det_chain, load_texts, ski_world, sussman
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskplan.conditional import plan_document, read_plan_document
 from riskplan.domain import (DependencyCycle, Domain, GroundOperator,
                              KbmcClause, OperatorSchema, Problem, Proposition,
                              _cumulative_rows, _read_forms, dependency_order,
@@ -21,8 +22,7 @@ from riskplan.errors import (DomainSyntaxError, DomainValidationError,
                              GroundingError)
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
-from riskplan.plangraph import ConditionalPlan, make_root_plan
-from riskplan.probmodel import plan_document
+from riskplan.plangraph import make_root_plan
 from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
                              slippery_walk, sussman)
 
@@ -208,6 +208,13 @@ def test_comments_and_whitespace_ignored():
     assert d.operators[0].name == "a"
 
 
+def _repeat(what, head, text):
+    """(text, the error it raises): the text repeats section ``head`` of
+    a ``what``, refused at the column of its second occurrence."""
+    col = text.index(f"({head} ", text.index(f"({head} ") + 1) + 1
+    return text, f"line 1, col {col}: repeated {what} section {head!r}"
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("(operator)", "operator needs a name"),
     ("(operator a (kind banana))", "kind"),
@@ -219,11 +226,60 @@ def test_comments_and_whitespace_ignored():
     ("(operator a (kind det) (add (x)) (cpt))", "add/del"),
     ("(operator a (kind obs) (observes (x)) (outcomes (t) (f)) (cpt))",
      "observed variable"),
+    # a repeated section is refused at its second occurrence
+    _repeat("operator", "params",
+            "(operator a (params (?x t)) (params (?y t)) (kind det))"),
+    _repeat("operator", "kind", "(operator a (kind det) (kind det))"),
+    _repeat("operator", "pre", "(operator a (kind det) (pre (p)) (pre (q)))"),
+    _repeat("operator", "add", "(operator setx (kind det) (add (x)) (add (a)))"),
+    _repeat("operator", "del", "(operator a (kind det) (del (x)) (del (a)))"),
+    _repeat("operator", "observes", "(operator a (kind obs) (observes (x)) "
+            "(observes (y)) (outcomes (true) (false)))"),
+    _repeat("operator", "influences", "(operator a (kind cond) (influences "
+            "(x)) (influences (y)) (outcomes (a) (b)))"),
+    _repeat("operator", "cpt", "(operator a (kind cond) (influences (x)) "
+            "(outcomes (a) (b)) (cpt ((a true) 1) ((b true) 0)) "
+            "(cpt ((a true) 1) ((b true) 0)))"),
+    _repeat("outcome", "prob",
+            "(operator a (kind cond) (outcomes (o (prob 1) (prob 1))))"),
+    _repeat("outcome", "add",
+            "(operator a (kind cond) (outcomes (o (add (x)) (add (y)))))"),
+    _repeat("outcome", "del",
+            "(operator a (kind cond) (outcomes (o (del (x)) (del (y)))))"),
+    _repeat("clause", "params", "(clause (params (?x t)) (params (?x t)) "
+            "(head (x) (t f)) (cpt ((t) 1) ((f) 0)))"),
+    _repeat("clause", "head", "(clause (head (x) (t f)) (head (y) (t f)) "
+            "(cpt ((t) 1) ((f) 0)))"),
+    _repeat("clause", "body", "(clause (head (x) (t f)) (body (y)) (body (z)) "
+            "(cpt ((t t) 1) ((f t) 0) ((t f) 1) ((f f) 0)))"),
+    _repeat("clause", "cpt", "(clause (head (x) (t f)) (cpt ((t) 1) ((f) 0)) "
+            "(cpt ((t) 1) ((f) 0)))"),
 ])
 def test_malformed_domains_rejected(text, fragment):
     with pytest.raises((DomainSyntaxError, DomainValidationError)) as e:
         parse_domain(text)
     assert fragment in str(e.value)
+
+
+@pytest.mark.parametrize("text,fragment", [
+    _repeat("problem", "goal", "(problem (goal (a)) (goal (b)) (epsilon 0.1))"),
+    _repeat("problem", "epsilon",
+            "(problem (goal (a)) (epsilon 0.1) (epsilon 0.2))"),
+])
+def test_repeated_problem_sections_rejected(text, fragment):
+    with pytest.raises(DomainSyntaxError) as e:
+        parse_problem(text)
+    assert str(e.value) == fragment
+
+
+def test_repeated_init_and_outcomes_merge():
+    prob = parse_problem("(problem (init (a)) (goal (a)) (init (not (b))) "
+                         "(epsilon 0.1))")
+    assert (prob.known_true, prob.known_false) == (
+        frozenset({prop_from_text("(a)")}), frozenset({prop_from_text("(b)")}))
+    op, = parse_domain("(operator a (kind cond) (outcomes (x (prob 0.5))) "
+                       "(outcomes (y (prob 0.5))))").operators
+    assert op.outcomes.outcomes == ("x", "y")
 
 
 def test_syntax_error_carries_position():
@@ -666,7 +722,7 @@ def test_decoded_operators_are_built_as_the_oracle_builds_them(name,
     gdom, prob = load_texts(*text)
     res = planner(gdom, prob)
     doc = json.loads(json.dumps(plan_document(res, prob, "kbmc")))
-    ops = ConditionalPlan.from_json_dict(doc).steps_used()
+    ops = read_plan_document(doc).plan.steps_used()
     assert ops
     for op in ops.values():
         _assert_built_like_oracle(op)

@@ -2,10 +2,11 @@
 
 import pytest
 
+from riskplan.conditional import (ActionNode, BranchNode, GiveUpLeaf,
+                                  GoalLeaf, Label)
 from riskplan.errors import PlanningFailure
 from riskplan.linear import plan_linear
-from riskplan.plangraph import (ActionNode, BranchNode, GiveUpLeaf, GoalLeaf,
-                                Label, find_threats)
+from riskplan.plangraph import find_threats
 from riskplan.worlds import (det_chain, load_texts, press_button, ski_world,
                              slippery_walk, sussman)
 
@@ -157,7 +158,7 @@ def test_trace_reports_expansions_and_acceptance():
 
 
 def test_document_masses_are_consistent():
-    from riskplan.probmodel import plan_document
+    from riskplan.conditional import plan_document
     gdom, prob = load_texts(*ski_world())
     res = plan_linear(gdom, prob)
     doc = plan_document(res, prob, "kbmc")

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
+from riskplan.conditional import BranchNode, GiveUpLeaf, GoalLeaf, Label
 from riskplan.domain import prop_from_text
 from riskplan.errors import PlanningFailure
 from riskplan.nonlinear import (_resolve_influence, _resolve_threat,
                                 plan_nonlinear)
-from riskplan.plangraph import (BranchNode, GiveUpLeaf, GoalLeaf, Label, Link,
-                                START_ID, Threat, add_link, dag_add_step,
-                                find_threats, linearizations, make_root_plan)
+from riskplan.plangraph import (Link, START_ID, Threat, add_link,
+                                dag_add_step, find_threats, linearizations,
+                                make_root_plan)
 from riskplan.worlds import (det_chain, load_texts, press_button, ski_world,
                              slippery_walk, sussman)
 

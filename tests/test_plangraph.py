@@ -6,25 +6,32 @@ the raw links, so the closure logic is exercised from the outside.
 """
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskplan import domain
+from riskplan.conditional import Label, plan_document, read_plan_document
 from riskplan.domain import GroundOperator, Problem, prop_from_text
 from riskplan.errors import (IgnoranceNotFromStart, IncompletePlan,
                              WouldCreateCycle)
-from riskplan.plangraph import (ConditionalPlan, Label, Link, PlanGraph,
-                                START_ID, Threat, _canonical_topo,
-                                _ordering_closure, add_link, canonical_key,
-                                condition_step, complete_goal_ids,
-                                context_consistent, contexts_compatible,
-                                dag_add_step, extract_conditional_plan,
-                                find_threats, has_threat, linearizations,
-                                make_root_plan, to_dot, tree_insert,
+from riskplan.linear import plan_linear
+from riskplan.nonlinear import plan_nonlinear
+from riskplan.plangraph import (Link, PlanGraph, START_ID, Threat,
+                                _canonical_topo, _ordering_closure, add_link,
+                                canonical_key, condition_step,
+                                complete_goal_ids, context_consistent,
+                                contexts_compatible, dag_add_step,
+                                extract_conditional_plan, find_threats,
+                                has_threat, linearizations, make_root_plan,
+                                to_dot, tree_insert,
                                 uncovered_outcome_contexts)
+from riskplan.worlds import load_texts
 
 from .gen import adds_for, deletes_for
+from .test_simulator import WORLDS
 
 
 def lit(s):
@@ -621,10 +628,28 @@ def test_json_roundtrip():
     plan, _cid = _covered_flip_plan()
     cp = extract_conditional_plan(plan, covered=["s1"])
     doc = cp.to_json_dict()
-    again = ConditionalPlan.from_json_dict(doc)
+    again = read_plan_document(doc).plan
     assert again.to_json_dict() == doc
     assert again.goal_contexts == cp.goal_contexts
     assert again.uncovered == cp.uncovered
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS))
+@pytest.mark.parametrize("planner", [plan_linear, plan_nonlinear])
+def test_plan_document_roundtrip(name, planner):
+    """A plan document read back from JSON holds the planned tree, the
+    problem's priors in dependency order and its known facts."""
+    gdom, prob = load_texts(*WORLDS[name])
+    res = planner(gdom, prob)
+    doc = json.loads(json.dumps(plan_document(res, prob, "kbmc")))
+    read = read_plan_document(doc)
+    tree = read.plan.to_json_dict()
+    assert tree == res.conditional.to_json_dict() == {k: doc[k] for k in tree}
+    assert read.priors == list(prob.priors) == domain._topo_clauses(
+        prob.priors)
+    assert read.known_true == sorted(prob.known_true)
+    assert read.known_false == sorted(prob.known_false)
+    assert read.achieved_mass == res.bound.achieved_mass
 
 
 def text_key(plan):

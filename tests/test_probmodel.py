@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskplan.domain import GroundOperator, prop_from_text
+from riskplan.conditional import Label
+from riskplan.domain import GroundClause, GroundOperator, prop_from_text
 from riskplan.errors import (InconsistentLabels, LabelWithoutDistribution,
                              MissingCptRow, MissingInfluenceVariable,
                              OutcomeSpaceMismatch, OverlappingGoalContexts,
                              UnknownVariable, ZeroProbabilityContext)
-from riskplan.plangraph import (Label, Link, add_link, complete_goal_ids,
+from riskplan.plangraph import (Link, add_link, complete_goal_ids,
                                 condition_step, dag_add_step,
                                 extract_conditional_plan, make_root_plan,
                                 tree_insert, uncovered_outcome_contexts)
@@ -172,6 +173,26 @@ def test_build_initial_net_orders_parents_first(ski):
     order = net.topological_order()
     assert order.index("blizzard") < order.index(CBS)
     assert set(net.variables) == {"blizzard", CBS, CCP}
+
+
+def test_build_initial_net_refuses_what_the_exact_check_refuses():
+    """Two clauses for one variable, or a clause whose parent has none,
+    raise as ``BeliefNet.with_variable`` does: the last clause does not
+    win, and no bare KeyError escapes."""
+    x = [GroundClause("x", ("true", "false"), (),
+                      {("true",): p, ("false",): 1 - p}) for p in (0.2, 0.9)]
+    y = GroundClause("y", ("true", "false"), ("x",),
+                     {("true", "true"): 0.9, ("false", "true"): 0.1,
+                      ("true", "false"): 0.2, ("false", "false"): 0.8})
+    for priors in (x, x[::-1], [y, *x]):
+        with pytest.raises(UnknownVariable,
+                           match="^variable x already in the net$"):
+            build_initial_net(problem().with_priors(priors))
+    with pytest.raises(MissingInfluenceVariable,
+                       match="^variable y depends on x, not in the net$"):
+        build_initial_net(problem().with_priors([y]))
+    assert list(build_initial_net(problem().with_priors([y, x[0]]))
+                .variables) == ["x", "y"]
 
 
 def test_add_conditional_node_with_open_influence():

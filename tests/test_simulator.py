@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from riskplan import domain, simulator
+from riskplan.conditional import (ActionNode, BranchNode, ConditionalPlan,
+                                  GiveUpLeaf, GoalLeaf, plan_document,
+                                  read_plan_document)
 from riskplan.errors import MalformedPlan
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
-from riskplan.probmodel import plan_document
-from riskplan.plangraph import (ActionNode, BranchNode, ConditionalPlan,
-                                GiveUpLeaf, GoalLeaf)
 from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, _TRIAL_CHUNK,
                                 TrialResult,
                                 _philox_uniforms, estimate_success,
@@ -168,7 +168,7 @@ def _oracle_exact(conditional, priors, known_true=(), known_false=()):
     """The node walk's success mass, and the number of prior assignments
     it branched into; it has no limit."""
     walk = simulator._Walk({c.var: c
-                            for c in simulator._topo_clauses(priors)})
+                            for c in domain._topo_clauses(priors)})
     mass = _oracle_exact_mass(
         conditional.root, {},
         simulator._init_values({}, known_true, known_false), 1.0, walk)
@@ -344,7 +344,6 @@ def test_exact_walk_keeps_prior_draws_apart_from_current_values():
     ``x``'s draw, as a sampled world does; a known fact on ``x`` acts the
     same way."""
     from riskplan.domain import GroundClause, GroundOperator, Proposition
-    from riskplan.plangraph import ConditionalPlan
     x, y, won = Proposition("x", ()), Proposition("y", ()), Proposition(
         "won", ())
     priors = (
@@ -435,7 +434,6 @@ def test_prior_with_undeclared_parent_raises_malformed_plan():
     """A clause ``y`` whose parent ``x`` has no clause is rejected with
     the text documents get, by both checks called directly."""
     from riskplan.domain import GroundClause, Proposition
-    from riskplan.plangraph import ConditionalPlan
     y = Proposition("y", ())
     priors = (GroundClause("y", ("true", "false"), ("x",),
                            {("true", "true"): 0.9, ("false", "true"): 0.1,
@@ -808,16 +806,16 @@ def test_documents_read_each_literal_text_once(name, planner, monkeypatch):
         return read(text)
 
     monkeypatch.setattr(domain, "prop_from_text", counted)
-    plan = ConditionalPlan.from_json_dict(doc)
+    plan = read_plan_document(doc).plan
     texts = _literal_texts(doc)
-    assert reads == Counter(set(texts))
-    assert len(texts) > len(reads)  # some text is repeated
+    once = Counter(set(texts + doc["init"]["true"] + doc["init"]["false"]))
+    assert reads == once
+    assert len(texts) > len(set(texts))  # some text is repeated
     assert plan.steps_used() == res.conditional.steps_used()
     assert list(plan.leaves()) == list(res.conditional.leaves())
     reads.clear()
     simulate_document(doc, trials=20)
-    assert reads == Counter(set(texts + doc["init"]["true"]
-                                + doc["init"]["false"]))
+    assert reads == once
 
 
 @pytest.mark.parametrize("bad", [[["(at b)"]], [{}], [None], [5], ["(at"],
@@ -956,7 +954,7 @@ def _assert_replays_like_oracle(conditional, priors=(), kt=(), kf=(),
                                 trials=60, seed=0):
     """Trials 0.. of ``seed`` sample the oracle's worlds and end with the
     oracle's results; returns the results."""
-    priors = simulator._topo_clauses(priors)
+    priors = domain._topo_clauses(priors)
     results = []
     for t in range(trials):
         ours, theirs = _philox(seed, t), _philox(seed, t)
@@ -1057,6 +1055,10 @@ def test_replay_raises_as_node_walk_does():
     for execute in (execute_plan, _oracle_execute_plan):
         with pytest.raises(MalformedPlan, match="unknown node 'not a node'"):
             execute(odd, {}, prob.known_true, prob.known_false)
+    # the exact check and the estimate refuse the plan as a trial does
+    for check in (exhaustive_success, estimate_success):
+        with pytest.raises(MalformedPlan, match="unknown node 'not a node'"):
+            check(odd, prob.priors, prob.known_true, prob.known_false)
 
 
 def test_chance_step_with_no_planned_outcome_aborts():
