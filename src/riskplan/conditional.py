@@ -26,8 +26,8 @@ from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
 
 from .domain import (GroundClause, GroundOperator, Problem, _check_row_groups,
-                     _Literals, _topo_clauses, literal_values,
-                     missing_cpt_rows)
+                     _Literals, literal_values, missing_cpt_rows,
+                     ordered_clauses)
 from .errors import DomainSyntaxError, DomainValidationError, MalformedPlan
 
 __all__ = [
@@ -120,6 +120,7 @@ class ConditionalPlan:
         return out
 
     def to_json_dict(self) -> dict:
+        """The plan as JSON data; MalformedPlan at a node of no plan type."""
         return {
             "steps": [dict(_op_json(op), id=sid)
                       for sid, op in sorted(self.steps_used().items())],
@@ -364,9 +365,9 @@ def read_plan_document(doc: dict) -> PlanDocument:
 def _document_priors(records) -> list[GroundClause]:
     """The prior clauses of a plan document, in dependency order, checked
     as a domain's clauses are: variables and outcomes are strings, outcome
-    spaces are nonempty and distinct, every variable has one clause and
-    every parent a clause, and each clause's rows pass
-    ``_check_row_groups`` and cover every assignment to its parents."""
+    spaces are nonempty and distinct, ``ordered_clauses`` accepts the set,
+    and each clause's rows pass ``_check_row_groups`` and cover every
+    assignment to its parents."""
     priors = []
     for r in records:
         names = [r["var"], *r["space"], *r["parents"]]
@@ -380,7 +381,7 @@ def _document_priors(records) -> list[GroundClause]:
         if not c.space or len(set(c.space)) != len(c.space):
             raise MalformedPlan(f"prior {c.var}: outcomes must be distinct "
                                 "and at least one")
-    priors = _topo_clauses(priors)
+    priors = ordered_clauses(priors, MalformedPlan)
     by_var = {c.var: c for c in priors}
     for c in priors:
         _check_row_groups(c.cpt, c.space, f"prior {c.var}")
@@ -404,7 +405,9 @@ def _node_json(node) -> dict:
         return {"type": "goal", "step": node.step_id,
                 "context": _ctx_json(node.context),
                 "goals": [g.text() for g in node.goals]}
-    return {"type": "giveup", "context": _ctx_json(node.context)}
+    if isinstance(node, GiveUpLeaf):
+        return {"type": "giveup", "context": _ctx_json(node.context)}
+    raise MalformedPlan(f"unknown node {node!r}")
 
 
 def _node_from_json(rec, ops: Mapping[str, GroundOperator],

@@ -56,8 +56,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import (DomainSyntaxError, DomainValidationError, GroundingError,
-                     MalformedPlan)
+from .errors import DomainSyntaxError, DomainValidationError, GroundingError
 
 __all__ = [
     "PROB_TOL",
@@ -732,7 +731,7 @@ def parse_domain(text: str) -> Domain:
     deps: dict[str, list[str]] = {}
     for c in clauses:
         deps.setdefault(var_id(c.head), []).extend(map(var_id, c.body))
-    _check_clause_acyclicity(deps, DomainValidationError)
+    _check_clause_acyclicity(deps)
     return Domain(tuple(operators), tuple(clauses), types)
 
 
@@ -813,35 +812,37 @@ def dependency_order(roots: Iterable[str],
     return order
 
 
-def _check_clause_acyclicity(deps: Mapping[str, Sequence[str]],
-                             error: type) -> list[str]:
-    """The clauses' variables in dependency order, walked from the keys of
-    ``deps`` in their order; a cycle raises ``error``."""
+def _check_clause_acyclicity(deps: Mapping[str, Sequence[str]]) -> None:
+    """Raise DomainValidationError when clause dependencies ``deps`` loop."""
     try:
-        return dependency_order(deps, deps)
+        dependency_order(deps, deps)
     except DependencyCycle as e:
-        raise error("clause set is cyclic: " + " -> ".join(e.args[0])) from None
+        raise DomainValidationError(
+            "clause set is cyclic: " + " -> ".join(e.args[0])) from None
 
 
-def _topo_clauses(priors: Sequence[GroundClause]) -> list[GroundClause]:
-    """``priors`` in dependency order, parents first.  Raises MalformedPlan
-    when two clauses govern one variable, a clause names a parent that has
-    no clause, or the clauses are cyclic."""
-    by_var = {c.var: c for c in priors}
-    if len(by_var) != len(priors):
-        raise MalformedPlan("two prior clauses govern one variable")
+def ordered_clauses(clauses: Sequence[GroundClause],
+                    error: type) -> list[GroundClause]:
+    """``clauses`` in dependency order from the sorted variable names,
+    parents first: the one check of a set of ground clauses.  Raises
+    ``error`` when two clauses govern one variable, a clause names a parent
+    that has no clause (before a cycle, if both), or the clauses loop."""
+    by_var: dict[str, GroundClause] = {}
+    for c in clauses:
+        if c.var in by_var:
+            raise error(f"two clauses govern variable {c.var}")
+        by_var[c.var] = c
     try:
-        order = dependency_order(sorted(by_var),
-                                 {v: c.parents for v, c in by_var.items()})
-    except DependencyCycle as e:
-        raise MalformedPlan("prior clauses are cyclic: "
-                            + " -> ".join(e.args[0])) from None
-    try:
-        return [by_var[v] for v in order]
-    except KeyError as e:  # a parent that has no clause
-        p = e.args[0]
-        c = next(c for c in priors if p in c.parents)
-        raise MalformedPlan(f"prior {c.var} depends on undeclared {p}") \
+        return [by_var[v] for v in dependency_order(
+            sorted(by_var), {v: c.parents for v, c in by_var.items()})]
+    except (DependencyCycle, KeyError) as e:
+        # the walk places an undeclared parent, so the lookup fails on it
+        for c in clauses:
+            for p in c.parents:
+                if p not in by_var:
+                    raise error(f"clause for {c.var} depends on undeclared "
+                                f"{p}") from None
+        raise error("clause set is cyclic: " + " -> ".join(e.args[0])) \
             from None
 
 
@@ -914,8 +915,9 @@ def _ground_operator(op: OperatorSchema, binding) -> GroundOperator:
 def ground(domain: Domain) -> GroundDomain:
     """Instantiate every schema over the members of its parameters'
     declared types; a tuple member is spliced into the argument list.  An
-    undeclared or empty type raises GroundingError.  Instances come out in a
-    deterministic canonical order.
+    undeclared or empty type raises GroundingError, as does a clause set
+    ``ordered_clauses`` refuses.  Instances come out in a deterministic
+    canonical order.
     """
     ops: list[GroundOperator] = []
     for op in domain.operators:
@@ -931,19 +933,9 @@ def ground(domain: Domain) -> GroundDomain:
             head = _subst_prop(c.head, binding, what)
             parents = tuple(var_id(_subst_prop(b, binding, what)) for b in c.body)
             clauses.append(GroundClause(var_id(head), c.space, parents, c.cpt))
-    by_var: dict[str, GroundClause] = {}
-    for c in clauses:
-        if c.var in by_var:
-            raise GroundingError(f"two clauses govern variable {c.var}")
-        by_var[c.var] = c
-    for c in clauses:
-        for p in c.parents:
-            if p not in by_var:
-                raise GroundingError(f"clause for {c.var} depends on undeclared {p}")
-    order = _check_clause_acyclicity(
-        {v: by_var[v].parents for v in sorted(by_var)}, GroundingError)
     ops.sort(key=lambda o: o.name)
-    return GroundDomain(tuple(ops), tuple(by_var[v] for v in order))
+    return GroundDomain(tuple(ops),
+                        tuple(ordered_clauses(clauses, GroundingError)))
 
 
 def prop_from_text(s: str) -> Proposition:

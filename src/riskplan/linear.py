@@ -147,8 +147,9 @@ def _resolve_precondition(plan: PlanGraph, gdomain: GroundDomain, model: str,
             out.extend(_safe(add_link(plan, Link("causal", wid, sid, prop))))
 
     # or insert a fresh producer anywhere on the path
+    edges = _path_edges(plan, sid)
     for op, o in gdomain.producers(prop):
-        for parent, child in _path_edges(plan, sid):
+        for parent, child in edges:
             made = _insert_producer(plan, op, o, parent, child, model)
             if made is None:
                 continue
@@ -169,6 +170,7 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
     pledged = add_link(plan, Link("ignorance", START_ID, sid, var))
     out = _safe(pledged.without_open_influence((sid, var)))
 
+    edges = _path_edges(plan, sid)
     for op in gdomain.operators:
         observes = (op.kind == "obs" and op.observes == var
                     and model == "kbmc")
@@ -176,7 +178,7 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
             continue
         outcomes = list(op.outcomes) if op.kind == "obs" else [None]
         for o in outcomes:
-            for parent, child in _path_edges(plan, sid):
+            for parent, child in edges:
                 made = _insert_producer(plan, op, o, parent, child, model)
                 if made is None:
                     continue

@@ -7,8 +7,10 @@ model maintains a belief net built incrementally while planning: prior
 clauses declare world variables up front, each conditional step adds a node
 whose parents are its open influences, and observation steps bind their
 outcome labels to an existing variable (no node is added, which is what
-makes re-observation consistent).  Context probabilities are then exact
-joint marginals; both an enumeration oracle and a variable-elimination fast
+makes re-observation consistent).  Every net variable is a
+``GroundClause``: a prior clause as grounded, or a conditional step's
+outcome under the step's id.  Context probabilities are then exact joint
+marginals; both an enumeration oracle and a variable-elimination fast
 path are provided and must agree.
 
 A search asks the same few nets the same questions many times.  Nets are
@@ -27,10 +29,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import (DependencyCycle, GroundOperator, Problem,
-                     dependency_order, missing_cpt_rows)
+from .domain import (GroundClause, GroundOperator, Problem, dependency_order,
+                     missing_cpt_rows, ordered_clauses)
 from .errors import (InconsistentLabels, LabelWithoutDistribution,
-                     MissingCptRow, MissingInfluenceVariable,
+                     MissingCptRow, MissingInfluenceVariable, ModelError,
                      OutcomeSpaceMismatch, OverlappingGoalContexts,
                      UnknownVariable, ZeroProbabilityContext)
 from .conditional import ConditionalPlan, Label
@@ -39,7 +41,6 @@ from .plangraph import (PlanGraph, _canonical_topo, complete_goal_ids,
                         uncovered_outcome_contexts)
 
 __all__ = [
-    "NetVariable",
     "BeliefNet",
     "SuccessBound",
     "PlanResult",
@@ -61,15 +62,10 @@ MASS_TOL = 1e-12  # numeric slack when comparing accumulated masses
 
 
 @dataclass(frozen=True)
-class NetVariable:
-    space: tuple[str, ...]
-    parents: tuple[str, ...]
-    cpt: Mapping[tuple[str, ...], float]  # keyed (own outcome, *parent outcomes)
-
-
-@dataclass(frozen=True)
 class BeliefNet:
     """A belief net over named variables, in the order they were added.
+    Each variable is a ``GroundClause``: a prior clause, or the outcome of
+    a conditional step, keyed by its ``var``.
 
     Nets are immutable: adding a variable makes a new net.  One net object
     can therefore be shared by every search node that denotes it, and it
@@ -77,22 +73,20 @@ class BeliefNet:
     compiled on first use, and the joint of each evidence set variable
     elimination has answered.  Both caches are left out of eq and repr."""
 
-    variables: Mapping[str, NetVariable]
+    variables: Mapping[str, GroundClause]
     _factors: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     _joints: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
-    def with_variable(self, name: str, nv: NetVariable) -> "BeliefNet":
-        if name in self.variables:
-            raise UnknownVariable(f"variable {name} already in the net")
-        for p in nv.parents:
+    def with_variable(self, clause: GroundClause) -> "BeliefNet":
+        if clause.var in self.variables:
+            raise UnknownVariable(f"variable {clause.var} already in the net")
+        for p in clause.parents:
             if p not in self.variables:
                 raise MissingInfluenceVariable(
-                    f"variable {name} depends on {p}, not in the net")
-        d = dict(self.variables)
-        d[name] = nv
-        return BeliefNet(d)
+                    f"variable {clause.var} depends on {p}, not in the net")
+        return BeliefNet({**self.variables, clause.var: clause})
 
     def topological_order(self) -> list[str]:
         return dependency_order(
@@ -101,52 +95,42 @@ class BeliefNet:
 
 
 def build_initial_net(problem: Problem) -> BeliefNet:
-    """Net over the prior-governed variables only.  Propositions known true
-    or false in the initial state are facts, not random variables.  Raises
-    UnknownVariable when two clauses govern one variable and
-    MissingInfluenceVariable when a clause's parent has none."""
-    parents = {c.var: c.parents for c in problem.priors}
-    try:
-        order = dependency_order(sorted(parents), parents)
-    except DependencyCycle as e:
-        v, p = e.args[0][-2:]
-        raise MissingInfluenceVariable(
-            f"variable {v} depends on {p}, not in the net") from None
-    net = BeliefNet({})
-    for c in sorted(problem.priors, key=lambda c: order.index(c.var)):
-        net = net.with_variable(c.var, NetVariable(c.space, c.parents, c.cpt))
-    return net
+    """Net over the prior-governed variables only, in ``ordered_clauses``
+    order.  Propositions known true or false in the initial state are
+    facts, not random variables.  Raises ModelError on a clause set
+    ``ordered_clauses`` refuses."""
+    return BeliefNet({c.var: c for c in ordered_clauses(problem.priors,
+                                                        ModelError)})
 
 
 def add_conditional_node(net: BeliefNet, node_id: str, op: GroundOperator,
                          known_values: Mapping[str, str] | None = None
-                         ) -> tuple[BeliefNet, tuple[str, ...]]:
+                         ) -> BeliefNet:
     """Add the outcome variable of a conditional step.
 
     Influences whose value is known in the initial state contribute no arc;
     the distribution is conditioned on the known value instead.  Every other
-    declared influence becomes a parent arc and is returned as open (the
-    planner must commit to observing it or acting in ignorance of it).
+    declared influence becomes a parent arc (an open influence: the planner
+    must commit to observing it or acting in ignorance of it).
     """
     known_values = known_values or {}
     parents: list[str] = []
-    fixed: list[tuple[int, str]] = []  # (position in op.influences, value)
+    fixed: dict[int, str] = {}  # position in op.influences -> value
     for i, v in enumerate(op.influences):
         if v in known_values:
-            fixed.append((i, known_values[v]))
+            fixed[i] = known_values[v]
         elif v in net.variables:
             parents.append(v)
         else:
             raise MissingInfluenceVariable(
                 f"step {node_id}: influence {v} is neither known nor in the net")
     if op.cpt is not None:
-        fixed_pos = {i: val for i, val in fixed}
         cpt: dict[tuple[str, ...], float] = {}
         for key, p in op.cpt.items():
             tail = key[1:]
-            if all(tail[i] == val for i, val in fixed_pos.items()):
+            if all(tail[i] == val for i, val in fixed.items()):
                 new_tail = tuple(t for i, t in enumerate(tail)
-                                 if i not in fixed_pos)
+                                 if i not in fixed)
                 cpt[(key[0],) + new_tail] = p
         missing = missing_cpt_rows(cpt, op.outcomes,
                                    [net.variables[p].space for p in parents])
@@ -157,8 +141,8 @@ def add_conditional_node(net: BeliefNet, node_id: str, op: GroundOperator,
             raise LabelWithoutDistribution(
                 f"step {node_id}: operator {op.name} has no distribution")
         cpt = {(o,): p for o, p in op.simple_distribution.items()}
-    nv = NetVariable(tuple(op.outcomes), tuple(parents), cpt)
-    return net.with_variable(node_id, nv), tuple(parents)
+    return net.with_variable(GroundClause(node_id, tuple(op.outcomes),
+                                          tuple(parents), cpt))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +426,8 @@ def net_for_plan(plan: PlanGraph, problem: Problem,
         key += ((st.id, op.name, pinned),)
         grown = nets.get(key)
         if grown is None:
-            grown, _parents = add_conditional_node(net, st.id, op,
-                                                   dict(pinned))
-            nets[key] = grown
+            grown = nets[key] = add_conditional_node(net, st.id, op,
+                                                     dict(pinned))
         net = grown
     return net
 

@@ -48,8 +48,8 @@ import numpy as np
 
 from .conditional import (ConditionalPlan, ReplayBlock, TrialResult,
                           read_plan_document)
-from .domain import (GroundClause, GroundOperator, Proposition, _topo_clauses,
-                     literal_value, var_id)
+from .domain import (GroundClause, GroundOperator, Proposition, literal_value,
+                     ordered_clauses, var_id)
 from .errors import MalformedPlan
 
 __all__ = [
@@ -264,7 +264,7 @@ def estimate_success(conditional: ConditionalPlan,
     if trials < 0:
         raise ValueError(f"trials must be at least 0, not {trials}")
     known = _init_values({}, known_true, known_false)
-    priors = _topo_clauses(priors)
+    priors = ordered_clauses(priors, MalformedPlan)
     draws = len(priors) + conditional.replay.chance_depth
     if trials > 0 and not draws:
         _philox_key(seed)  # no stream is read, but its seed is checked
@@ -305,7 +305,7 @@ def exhaustive_success(conditional: ConditionalPlan,
     sum out to 1 and are never branched on.  Raises ValueError once the
     walk has branched into more than ``EXHAUSTIVE_WORLD_LIMIT`` prior
     assignments."""
-    walk = _Walk({c.var: c for c in _topo_clauses(priors)})
+    walk = _Walk({c.var: c for c in ordered_clauses(priors, MalformedPlan)})
     return _exact_mass(conditional.replay.start, {},
                        _init_values({}, known_true, known_false), 1.0, walk)
 

@@ -19,7 +19,8 @@ from riskplan.conditional import (ActionNode, BranchNode, GiveUpLeaf,
                                   GoalLeaf, Label)
 from riskplan.domain import var_id
 from riskplan.plangraph import START_ID, contexts_compatible
-from riskplan.probmodel import BeliefNet, NetVariable
+from riskplan.domain import GroundClause
+from riskplan.probmodel import BeliefNet
 
 JOINT_LIMIT = 8192  # keep brute-force enumeration of a random net cheap
 
@@ -45,7 +46,7 @@ def random_net(rng: random.Random, max_vars: int = 12) -> BeliefNet:
     """A random belief net: parents only from earlier variables, so acyclic
     by construction; spaces of 2 or 3 outcomes; strictly positive CPTs."""
     n = rng.randint(1, max_vars)
-    variables: dict[str, NetVariable] = {}
+    variables: dict[str, GroundClause] = {}
     names = [f"v{i}" for i in range(n)]
     joint = 1
     for i, name in enumerate(names):
@@ -63,7 +64,7 @@ def random_net(rng: random.Random, max_vars: int = 12) -> BeliefNet:
             total = sum(weights)
             for o, w in zip(space, weights):
                 cpt[(o,) + tail] = w / total
-        variables[name] = NetVariable(space, parents, cpt)
+        variables[name] = GroundClause(name, space, parents, cpt)
     return BeliefNet(variables)
 
 

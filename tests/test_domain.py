@@ -12,22 +12,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskplan.conditional import plan_document, read_plan_document
-from riskplan.domain import (DependencyCycle, Domain, GroundOperator,
-                             KbmcClause, OperatorSchema, Problem, Proposition,
+from riskplan.domain import (DependencyCycle, Domain, GroundClause,
+                             GroundOperator, KbmcClause, OperatorSchema,
+                             Problem, Proposition,
                              _cumulative_rows, _read_forms, dependency_order,
                              ground, literal_values, parse_domain,
                              parse_problem, prop_from_text, validate_problem,
                              var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
-                             GroundingError)
+                             GroundingError, MalformedPlan, ModelError)
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
 from riskplan.plangraph import make_root_plan
+from riskplan.probmodel import build_initial_net
+from riskplan.simulator import estimate_success, exhaustive_success
 from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
                              slippery_walk, sussman)
 
 from .gen import adds_for, deletes_for, operator_named, solvable_domain
-from .test_simulator import WORLDS
+from .test_simulator import ALPHA, WORLDS
 
 SKI_DOMAIN, SKI_PROBLEM = ski_world()
 
@@ -782,6 +785,79 @@ def test_cycle_after_grounding_rejected():
     with pytest.raises(GroundingError,
                        match=r"^clause set is cyclic: p\(a\) -> q -> p\(a\)$"):
         ground(domain)
+
+
+def _binary_clause(var, parents=(), p=0.5):
+    """A true/false ground clause whose rows give ``true`` probability
+    ``p`` under every parent assignment."""
+    tails = itertools.product(("true", "false"), repeat=len(parents))
+    return GroundClause(var, ("true", "false"), tuple(parents),
+                        {(o,) + tail: p if o == "true" else 1 - p
+                         for tail in tails for o in ("true", "false")})
+
+
+def _schema_clause(c: GroundClause) -> KbmcClause:
+    return KbmcClause(Proposition(c.var, ()), c.space,
+                      tuple(Proposition(p, ()) for p in c.parents), c.cpt)
+
+
+BAD_CLAUSE_SETS = {
+    "duplicate": ([_binary_clause("x", p=0.2), _binary_clause("x", p=0.9)],
+                  "two clauses govern variable x"),
+    "undeclared": ([_binary_clause("y", ("x",))],
+                   "clause for y depends on undeclared x"),
+    "two-cycle": ([_binary_clause("a", ("b",)), _binary_clause("b", ("a",))],
+                  "clause set is cyclic: a -> b -> a"),
+    "self-parent": ([_binary_clause("a", ("a",))],
+                    "clause set is cyclic: a -> a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CLAUSE_SETS))
+def test_every_entry_point_refuses_a_bad_clause_set_alike(name):
+    """``ordered_clauses`` is the one check of a ground clause set: every
+    entry point that takes one refuses it with the same text, in the error
+    class of its own layer."""
+    clauses, text = BAD_CLAUSE_SETS[name]
+    gdom, prob = load_texts(*det_chain(2))
+    res = plan_linear(gdom, prob)
+    doc = json.loads(json.dumps(plan_document(res, prob.with_priors(clauses),
+                                              "kbmc")))
+    entry_points = [
+        (GroundingError,
+         lambda: ground(Domain(clauses=tuple(map(_schema_clause, clauses))))),
+        (MalformedPlan, lambda: read_plan_document(doc)),
+        (MalformedPlan,
+         lambda: estimate_success(res.conditional, clauses, trials=10)),
+        (MalformedPlan, lambda: exhaustive_success(res.conditional, clauses)),
+        (ModelError, lambda: build_initial_net(prob.with_priors(clauses))),
+    ]
+    for error, call in entry_points:
+        with pytest.raises(error, match=f"^{re.escape(text)}$") as info:
+            call()
+        assert info.type is error
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS) + ["alpha"])
+def test_clauses_net_and_document_share_one_prior_order(name):
+    """A ground domain's clauses, the initial belief net and a decoded plan
+    document's priors list the variables in one order, whatever order the
+    clauses come in (``alpha`` depends on ``zeta``, which sorts after it)."""
+    domain_text, problem_text = {**WORLDS, "alpha": ALPHA}[name]
+    domain = parse_domain(domain_text)
+    gdom, prob = load_texts(domain_text, problem_text)
+    doc = plan_document(plan_linear(gdom, prob), prob, "kbmc")
+    want = [c.var for c in gdom.clauses]
+    rng = random.Random(0)
+    for _ in range(4):
+        shuffled = rng.sample(domain.clauses, len(domain.clauses))
+        regrounded = ground(dataclasses.replace(domain, clauses=shuffled))
+        priors = rng.sample(prob.priors, len(prob.priors))
+        net = build_initial_net(prob.with_priors(priors))
+        rng.shuffle(doc["priors"])
+        read = read_plan_document(doc)
+        assert [c.var for c in regrounded.clauses] == list(net.variables) \
+            == [c.var for c in read.priors] == want
 
 
 def _recursive_post_order(roots, deps):

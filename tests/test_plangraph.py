@@ -16,7 +16,7 @@ from riskplan import domain
 from riskplan.conditional import Label, plan_document, read_plan_document
 from riskplan.domain import GroundOperator, Problem, prop_from_text
 from riskplan.errors import (IgnoranceNotFromStart, IncompletePlan,
-                             WouldCreateCycle)
+                             MalformedPlan, WouldCreateCycle)
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
 from riskplan.plangraph import (Link, PlanGraph, START_ID, Threat,
@@ -645,8 +645,8 @@ def test_plan_document_roundtrip(name, planner):
     read = read_plan_document(doc)
     tree = read.plan.to_json_dict()
     assert tree == res.conditional.to_json_dict() == {k: doc[k] for k in tree}
-    assert read.priors == list(prob.priors) == domain._topo_clauses(
-        prob.priors)
+    assert read.priors == list(prob.priors) == domain.ordered_clauses(
+        prob.priors, MalformedPlan)
     assert read.known_true == sorted(prob.known_true)
     assert read.known_false == sorted(prob.known_false)
     assert read.achieved_mass == res.bound.achieved_mass

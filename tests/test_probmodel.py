@@ -16,13 +16,14 @@ from riskplan.conditional import Label
 from riskplan.domain import GroundClause, GroundOperator, prop_from_text
 from riskplan.errors import (InconsistentLabels, LabelWithoutDistribution,
                              MissingCptRow, MissingInfluenceVariable,
-                             OutcomeSpaceMismatch, OverlappingGoalContexts,
-                             UnknownVariable, ZeroProbabilityContext)
+                             ModelError, OutcomeSpaceMismatch,
+                             OverlappingGoalContexts, UnknownVariable,
+                             ZeroProbabilityContext)
 from riskplan.plangraph import (Link, add_link, complete_goal_ids,
                                 condition_step, dag_add_step,
                                 extract_conditional_plan, make_root_plan,
                                 tree_insert, uncovered_outcome_contexts)
-from riskplan.probmodel import (BeliefNet, NetVariable, _joint_ve,
+from riskplan.probmodel import (BeliefNet, _joint_ve,
                                 add_conditional_node,
                                 build_initial_net,
                                 conditional_outcome_probability,
@@ -97,10 +98,10 @@ def test_ski_conditional_probability(ski):
 
 
 def test_zero_probability_context_raises():
-    net = BeliefNet({"x": NetVariable(("true", "false"), (),
-                                      {("true",): 1.0, ("false",): 0.0}),
-                     "y": NetVariable(("true", "false"), (),
-                                      {("true",): 0.5, ("false",): 0.5})})
+    net = BeliefNet({"x": GroundClause("x", ("true", "false"), (),
+                                       {("true",): 1.0, ("false",): 0.0}),
+                     "y": GroundClause("y", ("true", "false"), (),
+                                       {("true",): 0.5, ("false",): 0.5})})
     with pytest.raises(ZeroProbabilityContext):
         conditional_outcome_probability(net, Label("y", "true"),
                                         [Label("x", "false")])
@@ -177,34 +178,34 @@ def test_build_initial_net_orders_parents_first(ski):
 
 def test_build_initial_net_refuses_what_the_exact_check_refuses():
     """Two clauses for one variable, or a clause whose parent has none,
-    raise as ``BeliefNet.with_variable`` does: the last clause does not
-    win, and no bare KeyError escapes."""
+    raise ModelError with ``ground``'s text: the last clause does not win,
+    and no bare KeyError escapes."""
     x = [GroundClause("x", ("true", "false"), (),
                       {("true",): p, ("false",): 1 - p}) for p in (0.2, 0.9)]
     y = GroundClause("y", ("true", "false"), ("x",),
                      {("true", "true"): 0.9, ("false", "true"): 0.1,
                       ("true", "false"): 0.2, ("false", "false"): 0.8})
     for priors in (x, x[::-1], [y, *x]):
-        with pytest.raises(UnknownVariable,
-                           match="^variable x already in the net$"):
+        with pytest.raises(ModelError,
+                           match="^two clauses govern variable x$"):
             build_initial_net(problem().with_priors(priors))
-    with pytest.raises(MissingInfluenceVariable,
-                       match="^variable y depends on x, not in the net$"):
+    with pytest.raises(ModelError,
+                       match="^clause for y depends on undeclared x$"):
         build_initial_net(problem().with_priors([y]))
     assert list(build_initial_net(problem().with_priors([y, x[0]]))
                 .variables) == ["x", "y"]
 
 
 def test_add_conditional_node_with_open_influence():
-    net = BeliefNet({"x": NetVariable(("true", "false"), (),
-                                      {("true",): 0.3, ("false",): 0.7})})
+    net = BeliefNet({"x": GroundClause("x", ("true", "false"), (),
+                                       {("true",): 0.3, ("false",): 0.7})})
     op = GroundOperator(
         name="walk", kind="cond", outcomes=("arrive", "slip"),
         influences=("x",),
         cpt={("arrive", "true"): 0.6, ("slip", "true"): 0.4,
              ("arrive", "false"): 0.99, ("slip", "false"): 0.01})
-    net2, parents = add_conditional_node(net, "s2", op)
-    assert parents == ("x",)
+    net2 = add_conditional_node(net, "s2", op)
+    assert net2.variables["s2"].parents == ("x",)
     assert joint_probability(net2, [Label("s2", "arrive")]) == \
         pytest.approx(0.3 * 0.6 + 0.7 * 0.99, abs=1e-12)
 
@@ -216,9 +217,8 @@ def test_add_conditional_node_known_influence_selects_rows():
         influences=("x",),
         cpt={("arrive", "true"): 0.6, ("slip", "true"): 0.4,
              ("arrive", "false"): 0.99, ("slip", "false"): 0.01})
-    net2, parents = add_conditional_node(net, "s2", op,
-                                         known_values={"x": "false"})
-    assert parents == ()
+    net2 = add_conditional_node(net, "s2", op, known_values={"x": "false"})
+    assert net2.variables["s2"].parents == ()
     assert joint_probability(net2, [Label("s2", "arrive")]) == \
         pytest.approx(0.99, abs=1e-12)
 
@@ -232,8 +232,8 @@ def test_add_conditional_node_missing_influence():
 
 
 def test_add_conditional_node_incomplete_cpt():
-    net = BeliefNet({"x": NetVariable(("true", "false"), (),
-                                      {("true",): 0.5, ("false",): 0.5})})
+    net = BeliefNet({"x": GroundClause("x", ("true", "false"), (),
+                                       {("true",): 0.5, ("false",): 0.5})})
     op = GroundOperator(name="w", kind="cond", outcomes=("a", "b"),
                         influences=("x",),
                         cpt={("a", "true"): 0.5, ("b", "true"): 0.5})
@@ -258,9 +258,9 @@ def test_d_connection_collider():
     collider_cpt = {(c,) + pair: 0.5
                     for c in tf
                     for pair in itertools.product(tf, repeat=2)}
-    net = BeliefNet({"a": NetVariable(tf, (), half),
-                     "b": NetVariable(tf, (), half)})
-    net = net.with_variable("c", NetVariable(tf, ("a", "b"), collider_cpt))
+    net = BeliefNet({"a": GroundClause("a", tf, (), half),
+                     "b": GroundClause("b", tf, (), half)})
+    net = net.with_variable(GroundClause("c", tf, ("a", "b"), collider_cpt))
     assert not d_connected(net, "a", "b")
     assert d_connected(net, "a", "b", observed=["c"])
 

@@ -167,8 +167,8 @@ def _walk_and_oracle(res, prob):
 def _oracle_exact(conditional, priors, known_true=(), known_false=()):
     """The node walk's success mass, and the number of prior assignments
     it branched into; it has no limit."""
-    walk = simulator._Walk({c.var: c
-                            for c in domain._topo_clauses(priors)})
+    walk = simulator._Walk({c.var: c for c in domain.ordered_clauses(
+        priors, MalformedPlan)})
     mass = _oracle_exact_mass(
         conditional.root, {},
         simulator._init_values({}, known_true, known_false), 1.0, walk)
@@ -441,9 +441,10 @@ def test_prior_with_undeclared_parent_raises_malformed_plan():
                             ("false", "false"): 0.8}),)
     plan = ConditionalPlan(GoalLeaf("s1", frozenset(), (y,)),
                            (frozenset(),), ())
-    with pytest.raises(MalformedPlan, match="prior y depends on undeclared x"):
+    text = "^clause for y depends on undeclared x$"
+    with pytest.raises(MalformedPlan, match=text):
         exhaustive_success(plan, priors)
-    with pytest.raises(MalformedPlan, match="prior y depends on undeclared x"):
+    with pytest.raises(MalformedPlan, match=text):
         estimate_success(plan, priors, trials=10)
 
 
@@ -455,7 +456,7 @@ def test_duplicate_prior_clauses_raise_malformed_plan():
                          {("true",): p, ("false",): 1 - p})
             for p in (0.2, 0.9))
     plan = _run_plan(goals=(_X,))
-    text = "^two prior clauses govern one variable$"
+    text = "^two clauses govern variable x$"
     for priors in ((a, b), (b, a)):
         with pytest.raises(MalformedPlan, match=text):
             exhaustive_success(plan, priors)
@@ -465,7 +466,8 @@ def test_duplicate_prior_clauses_raise_malformed_plan():
     doc = json.loads(json.dumps(plan_document(plan_linear(gdom, prob), prob,
                                               "kbmc")))
     doc["priors"].append(doc["priors"][0])
-    with pytest.raises(MalformedPlan, match=text):
+    with pytest.raises(MalformedPlan, match="^two clauses govern variable "
+                       + doc["priors"][0]["var"] + "$"):
         simulate_document(doc, trials=10, seed=0)
 
 
@@ -530,7 +532,7 @@ def test_cyclic_document_priors_rejected():
     doc = plan_document(plan_linear(gdom, prob), prob, "kbmc")
     by_var = {r["var"]: r for r in doc["priors"]}
     by_var["blizzard"]["parents"] = ["clear(b,snowbird)"]
-    with pytest.raises(MalformedPlan, match="prior clauses are cyclic"):
+    with pytest.raises(MalformedPlan, match="^clause set is cyclic: "):
         simulate_document(doc, trials=10, seed=0)
 
 
@@ -954,7 +956,7 @@ def _assert_replays_like_oracle(conditional, priors=(), kt=(), kf=(),
                                 trials=60, seed=0):
     """Trials 0.. of ``seed`` sample the oracle's worlds and end with the
     oracle's results; returns the results."""
-    priors = domain._topo_clauses(priors)
+    priors = domain.ordered_clauses(priors, MalformedPlan)
     results = []
     for t in range(trials):
         ours, theirs = _philox(seed, t), _philox(seed, t)
@@ -1059,6 +1061,19 @@ def test_replay_raises_as_node_walk_does():
     for check in (exhaustive_success, estimate_success):
         with pytest.raises(MalformedPlan, match="unknown node 'not a node'"):
             check(odd, prob.priors, prob.known_true, prob.known_false)
+
+
+def test_tree_holding_a_non_node_is_not_encoded():
+    """A plan document refuses a non-node with the text its replay gives,
+    rather than writing it as a give-up leaf."""
+    prob, res = _planned("det_chain")
+    odd = dataclasses.replace(res.conditional, root=dataclasses.replace(
+        res.conditional.root, child="not a node"))
+    with pytest.raises(MalformedPlan, match="^unknown node 'not a node'$"):
+        odd.to_json_dict()
+    with pytest.raises(MalformedPlan, match="^unknown node 'not a node'$"):
+        plan_document(dataclasses.replace(res, conditional=odd), prob,
+                      "kbmc")
 
 
 def test_chance_step_with_no_planned_outcome_aborts():
