@@ -26,8 +26,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
 
 from .domain import (GroundClause, GroundOperator, Problem, _check_row_groups,
-                     _Literals, literal_values, missing_cpt_rows,
-                     ordered_clauses)
+                     _Literals, complete_clauses, literal_values)
 from .errors import DomainSyntaxError, DomainValidationError, MalformedPlan
 
 __all__ = [
@@ -363,11 +362,8 @@ def read_plan_document(doc: dict) -> PlanDocument:
 
 
 def _document_priors(records) -> list[GroundClause]:
-    """The prior clauses of a plan document, in dependency order, checked
-    as a domain's clauses are: variables and outcomes are strings, outcome
-    spaces are nonempty and distinct, ``ordered_clauses`` accepts the set,
-    and each clause's rows pass ``_check_row_groups`` and cover every
-    assignment to its parents."""
+    """The prior clauses of a plan document, in dependency order: variables
+    and outcomes are strings, and ``complete_clauses`` accepts the set."""
     priors = []
     for r in records:
         names = [r["var"], *r["space"], *r["parents"]]
@@ -377,19 +373,7 @@ def _document_priors(records) -> list[GroundClause]:
         priors.append(GroundClause(r["var"], tuple(r["space"]),
                                    tuple(r["parents"]),
                                    {tuple(k): p for k, p in r["cpt"]}))
-    for c in priors:
-        if not c.space or len(set(c.space)) != len(c.space):
-            raise MalformedPlan(f"prior {c.var}: outcomes must be distinct "
-                                "and at least one")
-    priors = ordered_clauses(priors, MalformedPlan)
-    by_var = {c.var: c for c in priors}
-    for c in priors:
-        _check_row_groups(c.cpt, c.space, f"prior {c.var}")
-        missing = missing_cpt_rows(c.cpt, c.space,
-                                   [by_var[p].space for p in c.parents])
-        if missing:
-            raise MalformedPlan(f"prior {c.var}: no row for {missing[0]}")
-    return priors
+    return complete_clauses(priors, MalformedPlan)
 
 
 def _node_json(node) -> dict:

@@ -330,6 +330,21 @@ class GroundClause:
         object.__setattr__(self, "cuts",
                            _cumulative_rows(self.cpt or {}, self.space))
 
+    @cached_property
+    def row_fault(self) -> str | None:
+        """Why the rows are no distribution over ``space`` at each parent
+        assignment they name, as ``prior <variable>: ...``, or None: the
+        outcomes repeat or there are none, or ``_check_row_groups`` refuses
+        the rows."""
+        where = f"prior {self.var}"
+        if not self.space or len(set(self.space)) != len(self.space):
+            return f"{where}: outcomes must be distinct and at least one"
+        try:
+            _check_row_groups(self.cpt or {}, self.space, where)
+        except DomainValidationError as e:
+            return str(e)
+        return None
+
 
 @dataclass(frozen=True, eq=True)
 class GroundDomain:
@@ -844,6 +859,27 @@ def ordered_clauses(clauses: Sequence[GroundClause],
                                 f"{p}") from None
         raise error("clause set is cyclic: " + " -> ".join(e.args[0])) \
             from None
+
+
+def complete_clauses(clauses: Sequence[GroundClause],
+                     error: type) -> list[GroundClause]:
+    """``ordered_clauses(clauses, error)``, each clause also a distribution
+    to draw from: it has no ``row_fault``, and a row for every assignment
+    to its parents.  Raises ``error`` as ordered_clauses does, or with a
+    text that starts ``prior <variable>:``."""
+    ordered = ordered_clauses(clauses, error)
+    spaces = {c.var: c.space for c in ordered}
+    for c in ordered:
+        if c.row_fault is not None:
+            raise error(c.row_fault)
+        # the rows of a tail cover every outcome or none, so a tail
+        # without a cut row has no rows at all
+        cuts = c.cuts
+        for tail in itertools.product(*map(spaces.__getitem__, c.parents)):
+            if tail not in cuts:
+                raise error(f"prior {c.var}: no row for "
+                            f"{(c.space[0],) + tail}")
+    return ordered
 
 
 # ---------------------------------------------------------------------------

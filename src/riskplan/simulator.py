@@ -1,31 +1,38 @@
 """Execute conditional plans against sampled or enumerated worlds.
 
 A world is a full assignment to the prior variables, drawn by ancestral
-sampling.  Execution walks the plan tree keeping one mutable value per
-variable: observation steps read the variable's *current* value (so a road
-someone plowed reads clear even if the weather said otherwise), conditional
-steps draw their outcome from their table given the current values of their
-influences, and deterministic steps just rewrite state.  Reaching a goal
-leaf with all goals true is success; a give-up leaf, a missing branch, or
-any violation is failure.
-
-``execute_plan`` runs the plan's replay program (see
-``riskplan.conditional``), one block at a time.
+sampling (``sample_world``).  ``execute_plan`` runs one trial: it walks the
+plan's replay program (see ``riskplan.conditional``) one block at a time,
+keeping one mutable value per variable.  Observation steps read the
+variable's *current* value (so a road someone plowed reads clear even if
+the weather said otherwise), conditional steps draw their outcome from
+their table given the current values of their influences, and
+deterministic steps just rewrite state.  Reaching a goal leaf with all
+goals true is success; a give-up leaf, a missing branch, or any violation
+is failure.
 
 Trials are reproducible: trial ``t`` of seed ``s`` uses a Philox stream
 keyed by ``(s, t)``, independent of how many trials run or in what order.
 The stream is the one ``np.random.Generator(np.random.Philox(key=[s, t]))``
 gives, but no generator is built per trial: Philox4x64-10 is counter-based
 (Salmon et al., SC 2011), so ``estimate_success`` evaluates it for a chunk
-of trials at once in numpy and hands each trial its row of uniforms.  A
-trial takes one uniform per prior clause and one per chance step it runs.
-The outcome a uniform ``u`` picks is ``bisect_right(cuts, u)`` over the
-clause's or the operator's cut row (its running sums without the last,
-computed once when the clause or operator is made): the first outcome
-whose running sum exceeds ``u``, else the last.  A plan with no prior
-clause and no chance step draws nothing, so its trials read no stream and
-no uniforms are built; the seed is still checked as the generator would
-check it.
+of trials at once in numpy, one row of uniforms per trial.  A trial takes
+one uniform per prior clause and one per chance step it runs.  The outcome
+a uniform ``u`` picks is ``bisect_right(cuts, u)`` over the clause's or
+the operator's cut row (its running sums without the last, computed once
+when the clause or operator is made): the first outcome whose running sum
+exceeds ``u``, else the last.
+
+Trials that draw the same outcome for every prior clause form a trial
+class.  Without a chance step a plan's result is fixed by the prior world,
+so ``estimate_success`` finds every trial's class in numpy (the same picks,
+as counts of the cuts at or below each uniform, clause by clause) and runs
+``sample_world`` and ``execute_plan`` once per class: a prior net of 8
+binary variables has at most 256 classes, however many trials run.  A
+plan with a chance step runs each trial on its own row.  A plan with no
+prior clause and no chance step draws nothing: it runs once, reads no
+stream and builds no uniforms, and the seed is still checked as the
+generator would check it.
 
 ``exhaustive_success`` is the exact check.  It walks the same replay
 program once, summing over a chance block's arms where a trial draws
@@ -41,15 +48,16 @@ variables a plan reads, not the size of the prior net.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import sqrt
+from itertools import product, repeat
+from math import prod, sqrt
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .conditional import (ConditionalPlan, ReplayBlock, TrialResult,
                           read_plan_document)
-from .domain import (GroundClause, GroundOperator, Proposition, literal_value,
-                     ordered_clauses, var_id)
+from .domain import (GroundClause, GroundOperator, Proposition,
+                     complete_clauses, literal_value, ordered_clauses, var_id)
 from .errors import MalformedPlan
 
 __all__ = [
@@ -70,7 +78,14 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_TRIAL_CHUNK = 512  # trials whose uniforms are held at once
+# Trials whose uniforms are held at once.  Replaying the seven seed-1
+# bench montecarlo documents, 4000 trials each (best of 9 interleaved
+# passes, 2-vCPU VM, Python 3.11, numpy 2.4), at 512, 1024, 2048 and 4096:
+# 0.74, 1.11, 1.43 and 1.65 M trials/s, while peak RSS grew past the
+# planning peak by 0.12, 0.25, 0.70 and 1.32 MB (0.12 MB before trial
+# classes).  Past 1024 the numpy temporaries of a chunk raise the peak.
+_TRIAL_CHUNK = 1024
+_CLASS_CODES = 1 << 12  # the most trial-class codes counted in one table
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,10 +113,11 @@ def _philox_uniforms(seed: int, first: int, trials: int, k: int) -> np.ndarray:
     ``(x >> 11) * 2**-53``.  The seed is checked by ``_philox_key``."""
     seed = _philox_key(seed)
     blocks = -(-k // 4)
-    shape = (trials, blocks)
     t = np.arange(first, first + trials, dtype=np.uint64)[:, None]
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    # words that do not depend on the trial stay one row, which numpy
+    # broadcasts: all of round 1 and half of round 2
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, blocks), dtype=np.uint64)
     for r in range(10):
         k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
         k1 = t + np.uint64(r * _PHILOX_W[1] % 2**64)
@@ -260,38 +276,204 @@ def estimate_success(conditional: ConditionalPlan,
                      known_false: Iterable[Proposition] = (),
                      trials: int = 10000, seed: int = 0) -> dict:
     """Monte Carlo success frequency with its binomial standard error.
-    Raises ValueError for a negative number of trials."""
+
+    Trial ``t`` draws from the Philox stream keyed ``(seed, t)``.  A trial
+    class is the set of trials that drew the same outcome for every prior
+    clause.  How the trials run depends on what the plan draws:
+
+    * a plan with a chance step: every trial is its own class and runs
+      ``sample_world`` and ``execute_plan`` on its row of uniforms;
+    * a plan with prior clauses and no chance step: a trial's result is
+      fixed by its class, so each class runs ``sample_world`` and
+      ``execute_plan`` once, on the uniforms of one of its trials, and counts
+      for each of its trials (see ``_Classes``);
+    * a plan that draws nothing: one class, no uniforms, one
+      ``execute_plan``; the seed is still checked as the generator would
+      check it.
+
+    The report is the one trials run one at a time give, its violation
+    samples taken from the violating trials in trial order.  Raises
+    ValueError for a negative number of trials, and MalformedPlan for
+    prior clauses ``complete_clauses`` refuses."""
     if trials < 0:
         raise ValueError(f"trials must be at least 0, not {trials}")
     known = _init_values({}, known_true, known_false)
-    priors = ordered_clauses(priors, MalformedPlan)
-    draws = len(priors) + conditional.replay.chance_depth
-    if trials > 0 and not draws:
-        _philox_key(seed)  # no stream is read, but its seed is checked
+    priors = complete_clauses(priors, MalformedPlan)
+    chance = conditional.replay.chance_depth
+    totals = _Totals()
+    if not chance and not priors:
+        if trials:
+            _philox_key(seed)  # no stream is read, but its seed is checked
+            r = execute_plan(conditional, known)
+            totals.add([r], [trials])
+            totals.sample([r] * min(trials, 5))
+        return totals.report(trials, seed)
+    classes = None if chance else _Classes(conditional, priors, known)
+    draws = len(priors) + chance
     source = _Draws()
-    successes = 0
-    giveups = 0
-    violation_count = 0
-    samples: list[str] = []
     for first in range(0, trials, _TRIAL_CHUNK):
         n = min(_TRIAL_CHUNK, trials - first)
-        rows = (_philox_uniforms(seed, first, n, draws).tolist() if draws
-                else [()] * n)
-        for row in rows:
-            source.random = iter(row).__next__
-            world = sample_world(priors, source)
-            world.update(known)
-            r = execute_plan(conditional, world, (), (), source)
-            successes += r.success
-            giveups += r.leaf == "giveup"
-            violation_count += len(r.violations)
-            if r.violations and len(samples) < 5:
-                samples.extend(r.violations[:5 - len(samples)])
-    est = successes / trials if trials else 0.0
-    se = sqrt(est * (1.0 - est) / trials) if trials else 0.0
-    return {"trials": trials, "seed": seed, "successes": successes,
-            "giveups": giveups, "estimate": est, "stderr": se,
-            "violations": violation_count, "violationSamples": samples}
+        u = _philox_uniforms(seed, first, n, draws)
+        if classes is None:
+            results = []
+            for row in u.tolist():
+                source.random = iter(row).__next__
+                world = sample_world(priors, source)
+                world.update(known)
+                results.append(execute_plan(conditional, world, (), (),
+                                            source))
+            totals.add(results, repeat(1))
+            bad = [r for r in results if r.violations]
+        else:
+            slots = classes.add(u)
+            bad = []
+            if classes.violating and len(totals.samples) < 5:
+                hit = np.flatnonzero(np.isin(slots, classes.violating))
+                bad = [classes.results[s] for s in slots[hit[:5]]]
+        totals.sample(bad)
+    if classes is not None:
+        totals.add(classes.results, classes.counts)
+    return totals.report(trials, seed)
+
+
+class _Totals:
+    """What a report counts, added up over results that each stand for a
+    number of trials, and the first five violation samples."""
+
+    def __init__(self):
+        self.successes = self.giveups = self.violations = 0
+        self.samples: list[str] = []
+
+    def add(self, results: Iterable[TrialResult], counts: Iterable[int]):
+        for r, k in zip(results, counts):
+            self.successes += r.success * k
+            self.giveups += (r.leaf == "giveup") * k
+            self.violations += len(r.violations) * k
+
+    def sample(self, bad: Sequence[TrialResult]) -> None:
+        """Takes samples from ``bad``, the results of violating trials in
+        trial order, while there are fewer than five."""
+        for r in bad[:5]:
+            self.samples.extend(r.violations[:5 - len(self.samples)])
+
+    def report(self, trials: int, seed: int) -> dict:
+        est = self.successes / trials if trials else 0.0
+        se = sqrt(est * (1.0 - est) / trials) if trials else 0.0
+        return {"trials": trials, "seed": seed, "successes": self.successes,
+                "giveups": self.giveups, "estimate": est, "stderr": se,
+                "violations": self.violations,
+                "violationSamples": self.samples}
+
+
+class _Classes:
+    """The trial classes of one ``estimate_success`` call on a plan with
+    prior clauses and no chance step, whose trials end alike when they drew
+    the same prior outcomes.  Class ``s`` holds ``counts[s]`` trials so far;
+    ``worlds[s]`` is the world ``sample_world`` drew from the uniforms of
+    one of its trials, and ``results[s]`` what ``execute_plan`` gave there.
+    ``violating`` lists the classes whose result has violations."""
+
+    def __init__(self, conditional: ConditionalPlan,
+                 priors: Sequence[GroundClause], known: Mapping[str, str]):
+        self.conditional = conditional
+        self.priors = priors
+        self.known = known
+        self.radices = [len(c.space) for c in priors]
+        self.tables = _cut_tables(priors)
+        self.slots: dict[bytes, int] = {}  # picks of a class -> its number
+        self.worlds: list[dict[str, str]] = []
+        self.results: list[TrialResult] = []
+        self.counts: list[int] = []
+        self.violating: list[int] = []
+
+    def add(self, u: np.ndarray) -> np.ndarray:
+        """Counts in the trials whose prior uniforms are the rows of ``u``,
+        running each class that is new to the call, and returns each
+        trial's class."""
+        picks = _prior_picks(self.tables, u)
+        members, inverse = _class_of(picks, self.radices)
+        slots = self.slots
+        counts = self.counts
+        numbers = []
+        for t, k in zip(members.tolist(), np.bincount(inverse).tolist()):
+            key = picks[t].tobytes()
+            s = slots.get(key)
+            if s is None:
+                s = slots[key] = len(counts)
+                counts.append(0)
+                self._run(u[t].tolist())
+            counts[s] += k
+            numbers.append(s)
+        return np.array(numbers, dtype=np.intp)[inverse]
+
+    def _run(self, row: list[float]) -> None:
+        source = _Draws()
+        source.random = iter(row).__next__
+        world = sample_world(self.priors, source)
+        self.worlds.append(world)
+        r = execute_plan(self.conditional, {**world, **self.known})
+        if r.violations:
+            self.violating.append(len(self.results))
+        self.results.append(r)
+
+
+def _cut_tables(priors: Sequence[GroundClause]) -> list[tuple]:
+    """For each clause, in order: the positions of its parents in
+    ``priors``, their mixed-radix weights, and its dense cut matrix, whose
+    row ``sum(pick[parent] * weight)`` is the clause's cut row at the
+    parents' picked outcomes (parent assignments in ``itertools.product``
+    order).  Every clause needs a row for every parent assignment, as
+    ``complete_clauses`` checks."""
+    position = {c.var: j for j, c in enumerate(priors)}
+    tables = []
+    for c in priors:
+        parents = [position[p] for p in c.parents]
+        spaces = [priors[j].space for j in parents]
+        weights = [prod(len(s) for s in spaces[i + 1:])
+                   for i in range(len(spaces))]
+        rows = [c.cuts[tail] for tail in product(*spaces)]
+        cuts = np.array(rows, dtype=float).reshape(len(rows),
+                                                   len(c.space) - 1)
+        tables.append((parents, weights, cuts))
+    return tables
+
+
+def _prior_picks(tables: Sequence[tuple], u: np.ndarray) -> np.ndarray:
+    """``picks[t, j]``: the outcome index of clause ``j`` that trial ``t``
+    draws with the uniform ``u[t, j]``, the count of cuts in its row at or
+    below the uniform, which is the ``bisect_right`` pick of
+    ``sample_world``."""
+    picks = np.empty(u.shape, dtype=np.intp)
+    for j, (parents, weights, cuts) in enumerate(tables):
+        row = 0
+        for p, w in zip(parents, weights):
+            row = row + picks[:, p] * w
+        picks[:, j] = (u[:, j, None] >= cuts[row]).sum(1)
+    return picks
+
+
+def _class_of(picks: np.ndarray, radices: Sequence[int]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """A trial of each class, classes in code order, and each trial's
+    class.  A trial's code is the mixed-radix code of its row of
+    ``picks``.  The code so far is re-ranked to its distinct values
+    before the codes would pass ``_CLASS_CODES``, so it is exact for any
+    number of clauses, and the classes are found in dense tables of codes
+    (no sort, which takes numpy's sort kernels into memory)."""
+    key = np.zeros(len(picks), dtype=np.intp)
+    radix = 1
+    for j, k in enumerate(radices):
+        if radix * k > _CLASS_CODES:
+            distinct, key = np.unique(key, return_inverse=True)
+            radix = len(distinct)
+        key += picks[:, j] * radix
+        radix *= k
+    present = np.flatnonzero(np.bincount(key, minlength=radix))
+    rank = np.empty(radix, dtype=np.intp)
+    rank[present] = np.arange(len(present))
+    member = np.empty(radix, dtype=np.intp)
+    member[key] = np.arange(len(key))  # some trial of each code
+    return member[present], rank[key]
 
 
 def exhaustive_success(conditional: ConditionalPlan,
@@ -304,7 +486,10 @@ def exhaustive_success(conditional: ConditionalPlan,
     variables that nothing reads, and that no read variable depends on,
     sum out to 1 and are never branched on.  Raises ValueError once the
     walk has branched into more than ``EXHAUSTIVE_WORLD_LIMIT`` prior
-    assignments."""
+    assignments.  Raises MalformedPlan for prior clauses ``ordered_clauses``
+    refuses, and where the walk needs a row a clause lacks, with the text
+    of ``complete_clauses``.  Rows the walk never needs are not checked:
+    checking them all would add about a sixth to a small exact check."""
     walk = _Walk({c.var: c for c in ordered_clauses(priors, MalformedPlan)})
     return _exact_mass(conditional.replay.start, {},
                        _init_values({}, known_true, known_false), 1.0, walk)
@@ -375,7 +560,9 @@ def _branch(block: ReplayBlock, var: str, world: dict[str, str],
     tail = tuple(world[p] for p in c.parents)
     total = 0.0
     for o in c.space:
-        p = c.cpt[(o,) + tail]
+        p = c.cpt.get((o,) + tail)
+        if p is None:  # the one check of a clause set names the row
+            complete_clauses(list(walk.clauses.values()), MalformedPlan)
         if p == 0.0:
             continue
         walk.branches += 1

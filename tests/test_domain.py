@@ -15,8 +15,8 @@ from riskplan.conditional import plan_document, read_plan_document
 from riskplan.domain import (DependencyCycle, Domain, GroundClause,
                              GroundOperator, KbmcClause, OperatorSchema,
                              Problem, Proposition,
-                             _cumulative_rows, _read_forms, dependency_order,
-                             ground, literal_values, parse_domain,
+                             _cumulative_rows, _read_forms, complete_clauses,
+                             dependency_order, ground, literal_values, parse_domain,
                              parse_problem, prop_from_text, validate_problem,
                              var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
@@ -836,6 +836,26 @@ def test_every_entry_point_refuses_a_bad_clause_set_alike(name):
         with pytest.raises(error, match=f"^{re.escape(text)}$") as info:
             call()
         assert info.type is error
+
+
+def test_complete_clauses_refuses_what_cannot_be_sampled():
+    """A clause set passes in dependency order, or the first clause that
+    cannot be sampled is named with its fault."""
+    x, y = _binary_clause("x"), _binary_clause("y", ("x",))
+    assert complete_clauses([y, x], ValueError) == [x, y]
+    partial = GroundClause("y", ("true", "false"), ("x",),
+                           {("true", "true"): 0.9, ("false", "true"): 0.1})
+    faults = [
+        ([x, partial], "prior y: no row for ('true', 'false')"),
+        ([GroundClause("x", ("true", "true"), (), {("true",): 1.0})],
+         "prior x: outcomes must be distinct and at least one"),
+        ([GroundClause("x", ("true", "false"), (),
+                       {("true",): 1.5, ("false",): -0.5})],
+         "prior x: probability 1.5 out of range"),
+    ]
+    for clauses, text in faults:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            complete_clauses(clauses, ValueError)
 
 
 @pytest.mark.parametrize("name", sorted(WORLDS) + ["alpha"])

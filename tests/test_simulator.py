@@ -4,8 +4,10 @@ import bisect
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -448,6 +450,34 @@ def test_prior_with_undeclared_parent_raises_malformed_plan():
         estimate_success(plan, priors, trials=10)
 
 
+def test_prior_missing_cpt_rows_raise_malformed_plan():
+    """A clause ``y | x`` without the ``x=false`` rows is refused with the
+    text a plan document gets, by the exact check and the estimate called
+    directly, before any trial runs."""
+    from riskplan.domain import GroundClause, Proposition
+    x, y = Proposition("x", ()), Proposition("y", ())
+    priors = (GroundClause("x", ("true", "false"), (),
+                           {("true",): 0.5, ("false",): 0.5}),
+              GroundClause("y", ("true", "false"), ("x",),
+                           {("true", "true"): 0.9, ("false", "true"): 0.1}))
+    plan = ConditionalPlan(GoalLeaf("s1", frozenset(), (x, y)),
+                           (frozenset(),), ())
+    text = r"^prior y: no row for \('true', 'false'\)$"
+    with pytest.raises(MalformedPlan, match=text):
+        exhaustive_success(plan, priors)
+    for trials in (0, 10):
+        with pytest.raises(MalformedPlan, match=text):
+            estimate_success(plan, priors, trials=trials, seed=0)
+    gdom, prob = load_texts(*ski_world())
+    doc = json.loads(json.dumps(plan_document(plan_linear(gdom, prob), prob,
+                                              "kbmc")))
+    child = next(r for r in doc["priors"] if r["parents"])
+    child["cpt"] = [row for row in child["cpt"] if row[0][1] == "true"]
+    with pytest.raises(MalformedPlan, match=f"^prior {re.escape(child['var'])}"
+                       r": no row for \('true', 'false'\)$"):
+        simulate_document(doc, trials=10, seed=0)
+
+
 def test_duplicate_prior_clauses_raise_malformed_plan():
     """Two clauses for one variable are refused with one text by the exact
     check, the estimate and a plan document, in either order."""
@@ -658,26 +688,112 @@ def test_estimate_equals_reference_on_generated_domains():
 
 
 def test_each_trial_samples_its_own_stream(monkeypatch):
-    """Trial t of seed s samples its world from Philox keyed (s, t), also
-    past the first chunk of trials."""
+    """Trial t of seed s uses the world ``sample_world`` draws from Philox
+    keyed (s, t), also past the first chunk of trials.  The worlds are read
+    from the class table: each trial's class holds the world of the
+    trial's own stream, and no two classes hold one world."""
     gdom, prob = load_texts(*nroad_world(3))
     res = plan_nonlinear(gdom, prob)
-    worlds = []
+    assert res.conditional.replay.chance_depth == 0
+    tables, chunks = [], []
+    add = simulator._Classes.add
 
-    def recorded(priors, rng):
-        world = sample_world(priors, rng)
-        worlds.append(dict(world))
-        return world
+    def recorded(self, u):
+        slots = add(self, u)
+        tables.append(self)
+        chunks.append(slots)
+        return slots
 
-    monkeypatch.setattr(simulator, "sample_world", recorded)
+    monkeypatch.setattr(simulator._Classes, "add", recorded)
     trials = 2 * _TRIAL_CHUNK + 3
     estimate_success(res.conditional, prob.priors, prob.known_true,
                      prob.known_false, trials=trials, seed=5)
-    assert len(worlds) == trials
-    for t, world in enumerate(worlds):
+    assert len(chunks) == 3 and len({id(t) for t in tables}) == 1
+    worlds = tables[0].worlds
+    assert len({tuple(sorted(w.items())) for w in worlds}) == len(worlds)
+    slots = np.concatenate(chunks).tolist()
+    assert len(slots) == trials
+    for t, s in enumerate(slots):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([5, t], dtype=np.uint64)))
-        assert world == sample_world(prob.priors, rng), t
+        assert worlds[s] == sample_world(prob.priors, rng), t
+
+
+def test_class_picks_are_the_sampler_picks():
+    """The picks that group trials into classes are the outcomes
+    ``sample_world`` draws from the same uniforms, for clauses of up to
+    three parents and three outcomes, with uniforms on the cuts too."""
+    from riskplan.domain import GroundClause
+
+    def clause(var, space, parents=()):
+        # a different row for every parent assignment
+        tails = itertools.product(*[by_var[p].space for p in parents])
+        cpt = {}
+        for i, tail in enumerate(tails):
+            weights = [1 + (i + j) % 4 for j in range(len(space))]
+            for o, w in zip(space, weights):
+                cpt[(o,) + tail] = w / sum(weights)
+        by_var[var] = GroundClause(var, space, parents, cpt)
+        return by_var[var]
+
+    by_var = {}
+    priors = [clause("a", ("a0", "a1")), clause("b", ("b0", "b1", "b2")),
+              clause("c", ("c0", "c1", "c2"), ("b", "a")),
+              clause("d", ("t", "f"), ("c", "a", "b"))]
+    u = np.random.default_rng(0).random((600, 4))
+    cuts = sorted({x for c in priors for row in c.cuts.values() for x in row})
+    u[:len(cuts)] = np.array(cuts)[:, None]
+    picks = simulator._prior_picks(simulator._cut_tables(priors), u)
+    for row, got in zip(u.tolist(), picks.tolist()):
+        source = simulator._Draws()
+        source.random = iter(row).__next__
+        world = sample_world(priors, source)
+        assert [c.space[i] for c, i in zip(priors, got)] == \
+            [world[c.var] for c in priors], row
+
+
+def test_trial_classes_are_the_distinct_prior_picks():
+    """Two trials share a class exactly when they picked the same outcome
+    for every clause, with more clauses than one table of codes holds."""
+    rng = np.random.default_rng(3)
+    radices = [3] * 30 + [2] * 30  # 3**30 * 2**30 > 2**63
+    base = np.stack([rng.integers(0, k, size=40) for k in radices], axis=1)
+    picks = base[rng.integers(0, 40, size=3000)]
+    members, inverse = simulator._class_of(picks, radices)
+    rows = [tuple(r) for r in picks.tolist()]
+    assert len({rows[m] for m in members.tolist()}) == len(members) == \
+        len(set(rows))
+    for t, r in enumerate(rows):
+        assert rows[members[inverse[t]]] == r, t
+
+
+def test_estimate_equals_reference_on_wide_and_narrow_clauses():
+    """Class tables read clauses of one and of three outcomes, and a
+    clause with two parents, given in no dependency order."""
+    from riskplan.domain import GroundClause, Proposition
+    x = GroundClause("x", ("only",), (), {("only",): 1.0})
+    y = GroundClause("y", ("true", "false", "maybe"), ("x",),
+                     {("true", "only"): 0.2, ("false", "only"): 0.5,
+                      ("maybe", "only"): 0.3})
+    z = GroundClause("z", ("true", "false"), ("y", "x"), {
+        (o, b, "only"): p if o == "true" else 1 - p
+        for b, p in (("true", 0.25), ("false", 0.6), ("maybe", 0.9))
+        for o in ("true", "false")})
+    plan = ConditionalPlan(GoalLeaf("s1", frozenset(), (Proposition("z"),)),
+                           (frozenset(),), ())
+    r = _same_report(plan, (z, y, x), trials=3000, seed=3)
+    assert 0 < r["successes"] < 3000
+
+
+def test_estimate_equals_reference_past_an_int64_class_code():
+    # 70 binary clauses: 2**70 worlds, more than an int64 code can number
+    from riskplan.domain import GroundClause, Proposition
+    priors = [GroundClause(f"v{i}", ("true", "false"), (),
+                           {("true",): 0.97, ("false",): 0.03})
+              for i in range(70)]
+    plan = ConditionalPlan(GoalLeaf("s1", frozenset(), tuple(
+        Proposition(f"v{i}") for i in range(0, 70, 10))), (frozenset(),), ())
+    _same_report(plan, priors, trials=400, seed=2)
 
 
 def _drop_outcome(node):
@@ -733,6 +849,108 @@ def test_estimate_equals_reference_when_trials_break():
     # no trials: no draws, so no seed check either
     r = _same_report(ski.conditional, ski_prob.priors, trials=0, seed=-1)
     assert r["trials"] == 0 and r["estimate"] == 0.0
+
+
+def _violated_everywhere(node, extra):
+    """``node`` with the goals ``extra`` added to each goal leaf, and each
+    give-up leaf a goal leaf of ``extra``."""
+    if isinstance(node, GiveUpLeaf):
+        return GoalLeaf("gave-up", node.context, extra)
+    if isinstance(node, BranchNode):
+        return dataclasses.replace(node, children={
+            o: _violated_everywhere(c, extra)
+            for o, c in node.children.items()})
+    if isinstance(node, ActionNode):
+        return dataclasses.replace(
+            node, child=_violated_everywhere(node.child, extra))
+    return _more_goals(node, extra)
+
+
+def test_estimate_equals_reference_where_every_trial_violates():
+    """Every trial misses a goal that nothing sets, and which other goals
+    it misses depends on its prior world: the samples are the first
+    violations in trial order, also past two chunk boundaries."""
+    gdom, prob = load_texts(*nroad_world(3))
+    res = plan_nonlinear(gdom, prob)
+    extra = (domain.Proposition("blizzard"),
+             domain.Proposition("clear", ("b", "r2")),
+             domain.Proposition("unreached"))
+    plan = dataclasses.replace(
+        res.conditional, root=_violated_everywhere(res.conditional.root,
+                                                   extra))
+    assert plan.replay.chance_depth == 0
+    trials = 2 * _TRIAL_CHUNK + 3
+    r = _same_report(plan, prob.priors, prob.known_true, prob.known_false,
+                     trials=trials, seed=8)
+    assert r["successes"] == 0 and r["violations"] >= trials
+    assert len(set(r["violationSamples"])) > 1
+
+
+def test_estimate_equals_reference_where_a_known_fact_overrides_a_prior():
+    gdom, prob = load_texts(*nroad_world(3))
+    res = plan_nonlinear(gdom, prob)
+    r0 = domain.Proposition("clear", ("b", "r0"))
+    for kt, kf in ((prob.known_true | {r0}, prob.known_false),
+                   (prob.known_true, prob.known_false | {r0})):
+        _same_report(res.conditional, prob.priors, kt, kf, trials=500,
+                     seed=4)
+
+
+@pytest.mark.parametrize("name", ["press_button", "slippery_walk"])
+def test_estimate_equals_reference_on_chance_plans_past_two_chunks(name):
+    prob, res = _planned(name)
+    assert res.conditional.replay.chance_depth > 0
+    _same_report(res.conditional, prob.priors, prob.known_true,
+                 prob.known_false, trials=2 * _TRIAL_CHUNK + 3, seed=6)
+
+
+@pytest.mark.parametrize("name", ["det_chain", "ski_world",
+                                  "slippery_walk"])
+def test_estimate_equals_reference_on_no_and_one_trial(name):
+    # a plan that draws nothing, one with priors only, one with a chance
+    # step
+    prob, res = _planned(name)
+    for trials in (0, 1):
+        for seed in (0, 9):
+            _same_report(res.conditional, prob.priors, prob.known_true,
+                         prob.known_false, trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("name", ["det_chain", "ski_world",
+                                  "slippery_walk"])
+def test_seed_past_philox_keys_raises_as_the_reference_does(name):
+    prob, res = _planned(name)
+    for estimate in (estimate_success, reference_estimate):
+        with pytest.raises(OverflowError):
+            estimate(res.conditional, prob.priors, prob.known_true,
+                     prob.known_false, trials=3, seed=2**64)
+
+
+def test_each_trial_class_runs_once(monkeypatch):
+    """A plan with no chance step runs once per distinct prior world, not
+    once per trial; a plan with a chance step runs once per trial."""
+    runs = Counter()
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            runs[name] += 1
+            return fn(*args, **kwargs)
+        fn = getattr(simulator, name)
+        return wrapper
+
+    for name in ("sample_world", "execute_plan"):
+        monkeypatch.setattr(simulator, name, counted(name))
+    gdom, prob = load_texts(*nroad_world(3))
+    res = plan_nonlinear(gdom, prob)
+    estimate_success(res.conditional, prob.priors, prob.known_true,
+                     prob.known_false, trials=4000, seed=1)
+    assert 0 < runs["execute_plan"] <= 2 ** len(prob.priors)
+    assert runs["sample_world"] == runs["execute_plan"]
+    runs.clear()
+    prob, res = _planned("press_button")
+    estimate_success(res.conditional, prob.priors, prob.known_true,
+                     prob.known_false, trials=4000, seed=1)
+    assert runs == {"sample_world": 4000, "execute_plan": 4000}
 
 
 def test_estimate_rejects_seeds_outside_philox_keys():
@@ -1125,11 +1343,17 @@ def test_cut_rows_pick_as_the_clamped_running_sums(name):
                                  simple_distribution=dict(zip(space, probs)))
     plan = ConditionalPlan(BranchNode("s1", flip, "s1", {
         o: GoalLeaf(f"g{o}", frozenset(), ()) for o in space}), (), ())
-    for u in sorted(u for u in edges if 0.0 <= u < 1.0):
+    us = sorted(u for u in edges if 0.0 <= u < 1.0)
+    for u in us:
         want = space[_oracle_pick(sums, u)]
         assert sample_world([clause], _Fixed(u)) == {"v": want}, u
         assert execute_plan(plan, {}, rng=_Fixed(u)).outcomes == \
             (("s1", want),), u
+    # the picks that group trials into classes
+    picks = simulator._prior_picks(simulator._cut_tables([clause]),
+                                   np.array(us)[:, None])
+    assert [space[i] for i in picks[:, 0]] == \
+        [space[_oracle_pick(sums, u)] for u in us]
     # u on a running sum picks the outcome after it
     if name == "exact":
         assert sample_world([clause], _Fixed(0.25)) == {"v": "o1"}
