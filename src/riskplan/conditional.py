@@ -153,9 +153,10 @@ class ReplayBlock(NamedTuple):
     * ``"obs"``: look up the value of the variable ``read`` in ``arms``,
       value -> next block;
     * ``"chance"``: draw an outcome by bisecting the cut row that ``rows``
-      gives for the values of the influences ``read``, and take that
-      outcome's block in ``arms``, one per outcome in declared order (None
-      for an outcome the plan does not cover);
+      (the operator's ``outcome_cuts``) gives for the values of the
+      variables ``read`` (its ``row_vars``), and take that outcome's block
+      in ``arms``, one per outcome in declared order (None for an outcome
+      the plan does not cover);
     * ``"goal"``, ``"giveup"``: return ``verdict``, the success at a goal
       leaf or the failure at a give-up leaf.
     """
@@ -181,7 +182,7 @@ class ReplayBlock(NamedTuple):
     # (variable, k) for each variable the block reads before it writes it,
     # in the order a walk of the steps reads them: each run step's
     # preconditions, then the end's, then its observed variable or its
-    # influences, or a goal end's goals.  ``k`` counts the ``run`` entries
+    # ``row_vars``, or a goal end's goals.  ``k`` counts the ``run`` entries
     # before the reader; the exact check branches on such a variable of the
     # prior net only once those entries hold.
     reads: tuple
@@ -240,7 +241,7 @@ def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
         k = len(run)
         met = _require(op.precondition_values, written, check, reads,
                        k) and met
-        reads += [(v, k) for v in (op.influences if op.observes is None
+        reads += [(v, k) for v in (op.row_vars if op.observes is None
                                    else (op.observes,)) if v not in written]
         if op.kind == "obs":
             kind, read, arms = "obs", op.observes, {}
@@ -251,8 +252,7 @@ def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
                         op.effect_values(o))
                     depth = max(depth, d)
         else:
-            kind, rows, arms = "chance", op.outcome_cuts, []
-            read = () if op.cpt is None else op.influences
+            kind, read, rows, arms = "chance", op.row_vars, op.outcome_cuts, []
             for o in op.outcomes:
                 block = child = node.children.get(o)
                 if child is not None:

@@ -209,8 +209,11 @@ class GroundOperator:
     # (variable id, wanted value) of each precondition, in declared order
     precondition_values: tuple[tuple[str, str], ...] = field(
         init=False, repr=False, compare=False)
-    # influence row -> cut row over ``outcomes``; see _cumulative_rows.  A
-    # ``(prob ...)`` map ignores the influences and is keyed by ``()``.
+    # the rows a run draws its outcome from, the variables whose values
+    # key them, and their cut rows: see the module docstring
+    outcome_rows: Mapping[tuple[str, ...], list[float]] = field(
+        init=False, repr=False, compare=False)
+    row_vars: tuple[str, ...] = field(init=False, repr=False, compare=False)
     outcome_cuts: Mapping[tuple[str, ...], list[float]] = field(
         init=False, repr=False, compare=False)
 
@@ -242,13 +245,13 @@ class GroundOperator:
             runs = self.outcomes
             clobbers = frozenset().union(*(deletes[o] for o in runs))
         if self.cpt is not None:
-            cuts = _cumulative_rows(self.cpt, self.outcomes)
-        elif self.simple_distribution:
-            cuts = _cumulative_rows(
-                {(o,): p for o, p in self.simple_distribution.items()},
-                self.outcomes)
+            rows = distribution_rows(self.cpt, self.outcomes)
+            row_vars = self.influences
         else:
-            cuts = {}
+            rows = distribution_rows(
+                {(o,): p for o, p in (self.simple_distribution or {}).items()},
+                self.outcomes)
+            row_vars = ()
         # Fields go in through object.__setattr__, as the frozen __init__
         # sets them.  Touching self.__dict__ would turn the instance's
         # inline attribute values into a dict, and every later read of an
@@ -264,7 +267,9 @@ class GroundOperator:
         put(self, "precondition_values", tuple(
             (var_id(p), "false" if p.negated else "true")
             for p in self.preconditions))
-        put(self, "outcome_cuts", cuts)
+        put(self, "outcome_rows", rows)
+        put(self, "row_vars", row_vars)
+        put(self, "outcome_cuts", cut_rows(rows))
 
     def effective_deletes(self, outcome: str | None) -> frozenset[Proposition]:
         """Declared deletes plus the negation of every added literal,
@@ -291,29 +296,29 @@ class GroundOperator:
             var in values for values in self._effects.values())
 
 
-def _cumulative_rows(table: Mapping[tuple[str, ...], float],
-                    outcomes: Sequence[str]) -> dict[tuple, list[float]]:
-    """For each tail of ``table``'s rows, its cut row: the running sums
-    ``acc += p`` of ``table[(o,) + tail]`` over ``outcomes`` in order,
-    without the last; a tail lacking some outcome's row is left out.
-    Probabilities are never negative, so each row is non-decreasing, and
-    the outcome a uniform ``u`` picks is ``outcomes[bisect_right(cuts,
-    u)]``: the first whose running sum exceeds ``u``, else the last.  That
-    is the pick ``min(bisect_right(sums, u), len(sums) - 1)`` over the
-    full running sums, whose last entry may round below or above 1, with
-    the clamp built into the row."""
-    out: dict[tuple, list[float]] = {}
-    for tail in {key[1:] for key in table}:
-        acc, sums = 0.0, []
-        for o in outcomes:
-            p = table.get((o,) + tail)
-            if p is None:
-                break
-            acc += p
-            sums.append(acc)
-        else:
-            out[tail] = sums[:-1]
-    return out
+def distribution_rows(table: Mapping[tuple[str, ...], float],
+                      outcomes: Sequence[str]) -> dict[tuple, list[float]]:
+    """The rows of ``table``, keyed ``(outcome, *tail)``: each tail, in the
+    order ``table`` first names it, maps to ``[table[(o,) + tail] for o in
+    outcomes]``.  A tail that lacks some outcome's entry is left out."""
+    rows: dict[tuple, list[float]] = {}
+    for tail in dict.fromkeys(key[1:] for key in table):
+        row = [table.get((o,) + tail) for o in outcomes]
+        if None not in row:
+            rows[tail] = row
+    return rows
+
+
+def cut_rows(rows: Mapping[tuple, list[float]]) -> dict[tuple, list[float]]:
+    """The cut row of each row: its running sums ``acc += p`` in order,
+    without the last.  Probabilities are never negative, so a cut row is
+    non-decreasing, and the outcome a uniform ``u`` picks is
+    ``outcomes[bisect_right(cuts, u)]``: the first whose running sum
+    exceeds ``u``, else the last.  That is the pick ``min(bisect_right(sums,
+    u), len(sums) - 1)`` over the full running sums, whose last entry may
+    round below or above 1, with the clamp built into the row."""
+    return {tail: list(itertools.accumulate(row[:-1]))
+            for tail, row in rows.items()}
 
 
 @dataclass(frozen=True, eq=True)
@@ -322,13 +327,16 @@ class GroundClause:
     space: tuple[str, ...]
     parents: tuple[str, ...] = ()
     cpt: Mapping[tuple[str, ...], float] = None  # type: ignore[assignment]
-    # parent assignment -> cut row over ``space``; see _cumulative_rows
-    cuts: Mapping[tuple[str, ...], list[float]] = field(
-        init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cuts",
-                           _cumulative_rows(self.cpt or {}, self.space))
+    @cached_property
+    def rows(self) -> dict[tuple, list[float]]:
+        """Parent assignment -> row over ``space``, built on first use."""
+        return distribution_rows(self.cpt or {}, self.space)
+
+    @cached_property
+    def cuts(self) -> dict[tuple, list[float]]:
+        """Parent assignment -> cut row, built on first use."""
+        return cut_rows(self.rows)
 
     @cached_property
     def row_fault(self) -> str | None:
@@ -873,10 +881,10 @@ def complete_clauses(clauses: Sequence[GroundClause],
         if c.row_fault is not None:
             raise error(c.row_fault)
         # the rows of a tail cover every outcome or none, so a tail
-        # without a cut row has no rows at all
-        cuts = c.cuts
+        # without a row has no entries at all
+        rows = c.rows
         for tail in itertools.product(*map(spaces.__getitem__, c.parents)):
-            if tail not in cuts:
+            if tail not in rows:
                 raise error(f"prior {c.var}: no row for "
                             f"{(c.space[0],) + tail}")
     return ordered
@@ -1075,10 +1083,10 @@ def validate_problem(problem: Problem, gdomain: GroundDomain) -> list[Diagnostic
                     "error", "conditional-without-distribution",
                     f"operator {op.name} has neither outcome probabilities "
                     "nor a cpt"))
-            if op.cpt is not None:
+            else:
                 spaces = []
                 ok = True
-                for v in op.influences:
+                for v in op.row_vars:
                     if v in clause_vars:
                         spaces.append(clause_vars[v].space)
                     elif v in known_vids:
@@ -1090,10 +1098,8 @@ def validate_problem(problem: Problem, gdomain: GroundDomain) -> list[Diagnostic
                             "nothing governs"))
                         ok = False
                 if ok:
-                    # _check_row_groups made each tail in the cpt cover
-                    # every outcome, so the rows missing are whole tails
-                    missing = {row[1:] for row in missing_cpt_rows(
-                        op.cpt, op.outcomes, spaces)}
+                    missing = [tail for tail in itertools.product(*spaces)
+                               if tail not in op.outcome_rows]
                     if missing:
                         diags.append(Diagnostic(
                             "error", "missing-cpt-row",

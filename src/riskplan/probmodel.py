@@ -106,17 +106,19 @@ def build_initial_net(problem: Problem) -> BeliefNet:
 def add_conditional_node(net: BeliefNet, node_id: str, op: GroundOperator,
                          known_values: Mapping[str, str] | None = None
                          ) -> BeliefNet:
-    """Add the outcome variable of a conditional step.
+    """Add the outcome variable of a conditional step, its table read from
+    the operator's rows (``GroundOperator.outcome_rows``).
 
-    Influences whose value is known in the initial state contribute no arc;
-    the distribution is conditioned on the known value instead.  Every other
-    declared influence becomes a parent arc (an open influence: the planner
-    must commit to observing it or acting in ignorance of it).
+    A row variable whose value is known in the initial state contributes
+    no arc; the rows are restricted to the known value instead.  Every
+    other row variable (a declared influence) becomes a parent arc (an
+    open influence: the planner must commit to observing it or acting in
+    ignorance of it).
     """
     known_values = known_values or {}
     parents: list[str] = []
-    fixed: dict[int, str] = {}  # position in op.influences -> value
-    for i, v in enumerate(op.influences):
+    fixed: dict[int, str] = {}  # position in op.row_vars -> value
+    for i, v in enumerate(op.row_vars):
         if v in known_values:
             fixed[i] = known_values[v]
         elif v in net.variables:
@@ -124,23 +126,19 @@ def add_conditional_node(net: BeliefNet, node_id: str, op: GroundOperator,
         else:
             raise MissingInfluenceVariable(
                 f"step {node_id}: influence {v} is neither known nor in the net")
-    if op.cpt is not None:
-        cpt: dict[tuple[str, ...], float] = {}
-        for key, p in op.cpt.items():
-            tail = key[1:]
-            if all(tail[i] == val for i, val in fixed.items()):
-                new_tail = tuple(t for i, t in enumerate(tail)
-                                 if i not in fixed)
-                cpt[(key[0],) + new_tail] = p
-        missing = missing_cpt_rows(cpt, op.outcomes,
-                                   [net.variables[p].space for p in parents])
-        if missing:
-            raise MissingCptRow(f"step {node_id}: no row for {missing[0]}")
-    else:
-        if op.simple_distribution is None:
-            raise LabelWithoutDistribution(
-                f"step {node_id}: operator {op.name} has no distribution")
-        cpt = {(o,): p for o, p in op.simple_distribution.items()}
+    if not op.outcome_rows:
+        raise LabelWithoutDistribution(
+            f"step {node_id}: operator {op.name} has no distribution")
+    cpt: dict[tuple[str, ...], float] = {}
+    for tail, row in op.outcome_rows.items():
+        if all(tail[i] == val for i, val in fixed.items()):
+            kept = tuple(t for i, t in enumerate(tail) if i not in fixed)
+            for o, p in zip(op.outcomes, row):
+                cpt[(o,) + kept] = p
+    missing = missing_cpt_rows(cpt, op.outcomes,
+                               [net.variables[p].space for p in parents])
+    if missing:
+        raise MissingCptRow(f"step {node_id}: no row for {missing[0]}")
     return net.with_variable(GroundClause(node_id, tuple(op.outcomes),
                                           tuple(parents), cpt))
 

@@ -56,8 +56,8 @@ import numpy as np
 
 from .conditional import (ConditionalPlan, ReplayBlock, TrialResult,
                           read_plan_document)
-from .domain import (GroundClause, GroundOperator, Proposition,
-                     complete_clauses, literal_value, ordered_clauses, var_id)
+from .domain import (GroundClause, Proposition, complete_clauses,
+                     literal_value, ordered_clauses, var_id)
 from .errors import MalformedPlan
 
 __all__ = [
@@ -167,24 +167,6 @@ def _init_values(world: Mapping[str, str],
 def _holds(values: Mapping[str, str], prop: Proposition) -> bool:
     var, want = literal_value(prop)
     return values.get(var) == want
-
-
-def _outcome_distribution(op: GroundOperator, values: Mapping[str, str]
-                          ) -> list[float] | None:
-    """Probabilities over op.outcomes in declared order, or None when the
-    current state cannot supply them."""
-    if op.cpt is not None:
-        tail = tuple(values.get(v, "") for v in op.influences)
-        probs = []
-        for o in op.outcomes:
-            p = op.cpt.get((o,) + tail)
-            if p is None:
-                return None
-            probs.append(p)
-        return probs
-    if op.simple_distribution is not None:
-        return [op.simple_distribution[o] for o in op.outcomes]
-    return None
 
 
 def _aborted(text: str, outcomes: tuple) -> TrialResult:
@@ -536,7 +518,8 @@ def _exact_mass(block: ReplayBlock, world: dict[str, str],
             if block is None:
                 return 0.0
         elif kind == "chance":
-            probs = _outcome_distribution(block.end.op, values)
+            probs = block.end.op.outcome_rows.get(
+                tuple([values.get(v, "") for v in block.read]))
             if probs is None:
                 return 0.0
             total = 0.0
@@ -557,12 +540,11 @@ def _branch(block: ReplayBlock, var: str, world: dict[str, str],
     draw becomes the current value unless a known fact or an effect has
     already set one."""
     c = walk.clauses[_undrawn_ancestor(var, world, walk.clauses)]
-    tail = tuple(world[p] for p in c.parents)
+    row = c.rows.get(tuple(world[p] for p in c.parents))
+    if row is None:  # the one check of a clause set names the row
+        complete_clauses(list(walk.clauses.values()), MalformedPlan)
     total = 0.0
-    for o in c.space:
-        p = c.cpt.get((o,) + tail)
-        if p is None:  # the one check of a clause set names the row
-            complete_clauses(list(walk.clauses.values()), MalformedPlan)
+    for o, p in zip(c.space, row):
         if p == 0.0:
             continue
         walk.branches += 1

@@ -374,7 +374,10 @@ def _holds(values, prop) -> bool:
     return values.get(var_id(prop.positive)) == want
 
 
-def _outcome_probs(op, values):
+def outcome_probs(op, values):
+    """The probabilities of ``op``'s outcomes in declared order, read from
+    its cpt at the current values of its influences, else from its
+    ``(prob ...)`` map; None when the state has no row."""
     if op.cpt is not None:
         tail = tuple(values.get(v, "") for v in op.influences)
         probs = [op.cpt.get((o,) + tail) for o in op.outcomes]
@@ -418,7 +421,7 @@ def _reference_trial(conditional, clauses, kt, kf, rng):
                     f"step {node.step_id} observes {op.observes}, "
                     "which has no value",)
         else:
-            probs = _outcome_probs(op, values)
+            probs = outcome_probs(op, values)
             if probs is None:
                 return False, "aborted", (
                     f"step {node.step_id} ({op.name}) has no "

@@ -15,8 +15,9 @@ from riskplan.conditional import plan_document, read_plan_document
 from riskplan.domain import (DependencyCycle, Domain, GroundClause,
                              GroundOperator, KbmcClause, OperatorSchema,
                              Problem, Proposition,
-                             _cumulative_rows, _read_forms, complete_clauses,
-                             dependency_order, ground, literal_values, parse_domain,
+                             _read_forms, complete_clauses, cut_rows,
+                             dependency_order, distribution_rows, ground,
+                             literal_values, parse_domain,
                              parse_problem, prop_from_text, validate_problem,
                              var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
@@ -608,7 +609,8 @@ def test_effect_values_apply_deletes_then_adds():
 # one at a time.  The constructor must give the same fields.
 
 _DERIVED = ("outcome_adds", "outcome_dels", "_effects", "_deletes", "runs",
-            "clobbers", "precondition_values", "outcome_cuts")
+            "clobbers", "precondition_values", "outcome_rows", "row_vars",
+            "outcome_cuts")
 
 
 def _oracle_effect_values(adds, dels) -> dict[str, str]:
@@ -645,12 +647,15 @@ def _oracle_operator(**kw) -> GroundOperator:
     object.__setattr__(self, "precondition_values",
                        literal_values(self.preconditions))
     if self.cpt is not None:
-        table = self.cpt
+        table, row_vars = self.cpt, self.influences
     else:
         table = {(o,): p for o, p in
                  (self.simple_distribution or {}).items()}
-    object.__setattr__(self, "outcome_cuts",
-                       _cumulative_rows(table, self.outcomes))
+        row_vars = ()
+    object.__setattr__(self, "outcome_rows",
+                       distribution_rows(table, self.outcomes))
+    object.__setattr__(self, "row_vars", row_vars)
+    object.__setattr__(self, "outcome_cuts", cut_rows(self.outcome_rows))
     return self
 
 

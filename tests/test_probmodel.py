@@ -223,6 +223,31 @@ def test_add_conditional_node_known_influence_selects_rows():
         pytest.approx(0.99, abs=1e-12)
 
 
+@pytest.mark.parametrize("known", [{}, {"x": "false"}])
+def test_conditional_nodes_read_operator_rows_and_cut_none(known):
+    """A net node's table is the operator's rows, restricted to the known
+    influences; no cut row is computed for it, by the net or by
+    inference."""
+    x = GroundClause("x", ("true", "false"), (),
+                     {("true",): 0.3, ("false",): 0.7})
+    walk = GroundOperator(
+        name="walk", kind="cond", outcomes=("arrive", "slip"),
+        influences=("x",),
+        cpt={("arrive", "true"): 0.6, ("slip", "true"): 0.4,
+             ("arrive", "false"): 0.99, ("slip", "false"): 0.01})
+    flip = GroundOperator(name="flip", kind="cond", outcomes=("h", "t"),
+                          simple_distribution={"t": 0.25, "h": 0.75})
+    net = add_conditional_node(BeliefNet({} if known else {"x": x}), "s2",
+                               walk, known)
+    net = add_conditional_node(net, "s3", flip, known)
+    want = {("arrive",): 0.99, ("slip",): 0.01} if known \
+        else walk.cpt
+    assert net.variables["s2"].cpt == want
+    assert net.variables["s3"].cpt == {("h",): 0.75, ("t",): 0.25}
+    joint_probability(net, [Label("s2", "arrive"), Label("s3", "h")])
+    assert [v for v, c in net.variables.items() if "cuts" in vars(c)] == []
+
+
 def test_add_conditional_node_missing_influence():
     op = GroundOperator(name="walk", kind="cond", outcomes=("a", "b"),
                         influences=("ghost",),

@@ -29,7 +29,8 @@ from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, _TRIAL_CHUNK,
 from riskplan.worlds import (det_chain, load_texts, nroad_world,
                              press_button, ski_world, slippery_walk, sussman)
 
-from .gen import exhaustive_check, reference_estimate, solvable_domain
+from .gen import (exhaustive_check, outcome_probs, reference_estimate,
+                  solvable_domain)
 
 WORLDS = {
     "det_chain": det_chain(3),
@@ -210,7 +211,7 @@ def _oracle_exact_mass(node, world, values, weight, walk):
                 return 0.0
             values.update(op.effect_values(got))
             continue
-        probs = simulator._outcome_distribution(op, values)
+        probs = outcome_probs(op, values)
         if probs is None:
             return 0.0
         total = 0.0
@@ -1332,7 +1333,8 @@ def test_cut_rows_pick_as_the_clamped_running_sums(name):
     space = tuple(f"o{i}" for i in range(len(probs)))
     table = {(o,): p for o, p in zip(space, probs)}
     sums = _oracle_sums(table, space, ())
-    assert domain._cumulative_rows(table, space) == {(): sums[:-1]}
+    assert domain.cut_rows(domain.distribution_rows(table, space)) == {
+        (): sums[:-1]}
     if name == "below" or name == "short":
         assert sums[-1] == 1 - 2 ** -53
     if name == "above":
