@@ -44,7 +44,20 @@ product.
 When a step (or one outcome of it) runs, its deletes apply first and its
 adds second: ``(del P)`` makes P false, ``(del (not P))`` makes P true, an
 added literal holds, and so an add wins over a delete of the same variable.
-``GroundOperator.effect_values`` is the one place this rule is applied.
+``GroundOperator.effect_values`` is the one place this rule is applied:
+``effective_deletes`` and ``clobbers`` are the literals its values make
+false, so ``(del (p)) (add (p))`` leaves p true and clobbers only
+``(not (p))``.
+
+This module also decides which table prices a draw.  A table keyed
+``(outcome, *tail)`` gives *rows* (``distribution_rows``): tail -> the
+probabilities over the outcomes in declared order, a tail that lacks an
+outcome left out.  A row gives a *cut row* (``cut_rows``): its running
+sums without the last.  A chance step's ``outcome_rows`` are its cpt's,
+keyed by its influences' values (``row_vars``), else its ``(prob ...)``
+map's, keyed ``()``; a prior clause's ``rows`` are keyed by its parents'
+values.  Replay bisects cut rows; the exact walk and the belief net read
+rows.
 """
 
 from __future__ import annotations
@@ -219,7 +232,7 @@ class GroundOperator:
 
     def __post_init__(self):
         # one pass over (None,) + outcomes builds each outcome's effect
-        # values and effective deletes
+        # values, and its effective deletes from them
         adds = {} if self.outcome_adds is None else self.outcome_adds
         dels = {} if self.outcome_dels is None else self.outcome_dels
         effects: dict = {}
@@ -229,15 +242,14 @@ class GroundOperator:
                 added, deleted = self.add, self.delete
             else:
                 added, deleted = adds.get(o, ()), dels.get(o, ())
-            values: dict[str, str] = {}
-            gone = set(deleted)
+            holds: dict[str, Proposition] = {}  # variable id -> its literal
             for p in deleted:
-                values[var_id(p)] = "true" if p.negated else "false"
+                holds[var_id(p)] = p.negate()
             for p in added:
-                values[var_id(p)] = "false" if p.negated else "true"
-                gone.add(p.negate())
-            effects[o] = values
-            deletes[o] = frozenset(gone)
+                holds[var_id(p)] = p
+            effects[o] = {v: "false" if p.negated else "true"
+                          for v, p in holds.items()}
+            deletes[o] = frozenset(p.negate() for p in holds.values())
         if self.kind in ("det", "start"):
             runs = (None,)
             clobbers = deletes[None]
@@ -272,8 +284,9 @@ class GroundOperator:
         put(self, "outcome_cuts", cut_rows(rows))
 
     def effective_deletes(self, outcome: str | None) -> frozenset[Proposition]:
-        """Declared deletes plus the negation of every added literal,
-        computed once per outcome when the operator is made."""
+        """The literals a run under ``outcome`` (None = det) makes false:
+        the negation of each literal ``effect_values`` makes hold, computed
+        once per outcome when the operator is made."""
         return self._deletes.get(outcome, frozenset())
 
     def effect_values(self, outcome: str | None) -> Mapping[str, str]:

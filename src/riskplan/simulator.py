@@ -19,9 +19,9 @@ gives, but no generator is built per trial: Philox4x64-10 is counter-based
 of trials at once in numpy, one row of uniforms per trial.  A trial takes
 one uniform per prior clause and one per chance step it runs.  The outcome
 a uniform ``u`` picks is ``bisect_right(cuts, u)`` over the clause's or
-the operator's cut row (its running sums without the last, computed once
-when the clause or operator is made): the first outcome whose running sum
-exceeds ``u``, else the last.
+the operator's cut row (``GroundClause.cuts``, ``GroundOperator.
+outcome_cuts``: see ``domain.cut_rows``): the first outcome whose running
+sum exceeds ``u``, else the last.
 
 Trials that draw the same outcome for every prior clause form a trial
 class.  Without a chance step a plan's result is fixed by the prior world,
@@ -35,14 +35,19 @@ stream and builds no uniforms, and the seed is still checked as the
 generator would check it.
 
 ``exhaustive_success`` is the exact check.  It walks the same replay
-program once, summing over a chance block's arms where a trial draws
-one.  It branches on a prior variable only where a block reads it before
-writing it (``ReplayBlock.reads``), no known fact or earlier effect has
-set it, and the block's steps before that read hold; it draws the
-variable's unset ancestors first.  A prior variable that nothing reads,
-and that no read variable depends on, sums out to 1 (the barren-node
-rule of Shachter, Operations Research 1986), so the cost follows the
-variables a plan reads, not the size of the prior net.
+program once, summing over a chance block's arms where a trial draws one,
+each arm weighted by its entry in the operator's row
+(``GroundOperator.outcome_rows``) where a trial bisects the cut row.  It
+branches on a prior variable only where a block reads it before writing it
+(``ReplayBlock.reads``), no known fact or earlier effect has set it, and
+the block's steps before that read hold; it draws the variable's unset
+ancestors first, each branch weighted by the clause's row
+(``GroundClause.rows``) at its parents' draws.  A prior variable that
+nothing reads, and that no read variable depends on, sums out to 1 (the
+barren-node rule of Shachter, Operations Research 1986), so the cost
+follows the variables a plan reads, not the size of the prior net.  Rows
+and cut rows are made in ``domain``, the one place that decides which
+table prices a chance step or a prior clause.
 """
 
 from __future__ import annotations

@@ -602,6 +602,11 @@ def test_effect_values_apply_deletes_then_adds():
     assert dry.establishing_outcomes(prop_from_text("(not (x))")) == []
     assert both.effect_values(None) == {"x": "true", "y": "false"}
     assert both.establishing_outcomes(prop_from_text("(not (x))")) == []
+    # a step that leaves x true deletes (not (x)) only, so no threat check
+    # takes it for a step that clobbers (x)
+    made_false = {prop_from_text("(not (x))"), prop_from_text("(y)")}
+    assert both.effective_deletes(None) == both.clobbers == made_false
+    assert dry.clobbers == {prop_from_text("(not (x))")}
 
 
 # The operator constructor as it was before it built its derived fields in
@@ -622,6 +627,15 @@ def _oracle_effect_values(adds, dels) -> dict[str, str]:
     return values
 
 
+def _oracle_deletes(adds, dels) -> frozenset:
+    """The literals a run makes false: for each literal it adds or
+    deletes, the polarity of that variable its effect value rules out."""
+    values = _oracle_effect_values(adds, dels)
+    return frozenset(
+        p.positive if values[var_id(p.positive)] == "false"
+        else p.positive.negate() for p in (*adds, *dels))
+
+
 def _oracle_operator(**kw) -> GroundOperator:
     """``GroundOperator(**kw)`` with its derived fields set by the oracle."""
     self = object.__new__(GroundOperator)
@@ -637,8 +651,7 @@ def _oracle_operator(**kw) -> GroundOperator:
         o: _oracle_effect_values(adds_for(self, o), deletes_for(self, o))
         for o in variants})
     object.__setattr__(self, "_deletes", {
-        o: frozenset(deletes_for(self, o))
-        | frozenset(p.negate() for p in adds_for(self, o))
+        o: _oracle_deletes(adds_for(self, o), deletes_for(self, o))
         for o in variants})
     object.__setattr__(self, "runs", (None,) if self.kind in (
         "det", "start") else self.outcomes)
