@@ -389,16 +389,19 @@ def add_link(plan: PlanGraph, link: Link) -> PlanGraph:
 
 
 def find_threats(plan: PlanGraph) -> list[Threat]:
-    """Steps that could undo a causal link or break an ignorance pledge.
+    """Steps that could undo a causal or influence link or break an
+    ignorance pledge.
 
     ``v`` threatens causal link ``(s, P, w)`` iff v is neither endpoint,
     could sit between them, and some effect set of v (its deterministic
     effects, or one outcome's effects plus that outcome's label) deletes P
-    while staying context-compatible with both endpoints.  ``v`` threatens
-    ignorance link ``(start, X, w)`` iff v could precede w, is
-    context-compatible with w, and observing or executing v would reveal
-    X's value.  Threats come by link text, then by step in canonical
-    order, then by outcome in declared order.
+    while staying context-compatible with both endpoints.  ``v``
+    threatens influence link ``(s, X, w)`` on the same terms when such an
+    effect set writes the variable X, whose value at w the link fixes.
+    ``v`` threatens ignorance link ``(start, X, w)`` iff v could precede
+    w, is context-compatible with w, and observing or executing v would
+    reveal X's value.  Threats come by link text, then by step in
+    canonical order, then by outcome in declared order.
     """
     threats: list[Threat] = []
     steps = plan.step_list()
@@ -410,16 +413,20 @@ def find_threats(plan: PlanGraph) -> list[Threat]:
 def _link_threats(plan: PlanGraph, link: Link,
                   steps: Iterable[Step]) -> Iterator[Threat]:
     """The threats to ``link`` from ``steps``, in the order given."""
-    if link.kind == "causal":
-        s, w, prop = link.producer, link.consumer, link.payload
+    if link.kind in ("causal", "influence"):
+        s, w, item = link.producer, link.consumer, link.payload
+        causal = link.kind == "causal"
         sctx = plan.steps[s].context
         wctx = plan.steps[w].context
         for v in steps:
-            if prop not in v.operator.clobbers or \
+            op = v.operator
+            if causal and item not in op.clobbers or \
                     not plan.possibly_between(v.id, s, w):
                 continue
-            for o in v.operator.runs:
-                if prop not in v.operator.effective_deletes(o):
+            for o in op.runs:
+                # a run that deletes the proposition, or writes the variable
+                if item not in (op.effective_deletes(o) if causal
+                                else op.effect_values(o)):
                     continue
                 vctx = set(v.context)
                 if o is not None and v.source is not None:

@@ -255,6 +255,42 @@ def _two_doors(rng: random.Random) -> tuple[str, str]:
     return domain, problem
 
 
+def influence_family(rng: random.Random) -> tuple[str, str]:
+    """A chance step ``fly`` whose odds depend on x, and det steps that
+    write x: ``setx`` sets it, ``unsetx`` clears it.  Each may also make
+    true a goal, which it then always does, or the precondition ``fly`` may
+    have, so that a plan may need a writer of x that the influence it
+    prices does not want.  x is known either way or has a prior clause.
+    Some problems have no plan: nothing makes the precondition of fly."""
+    hi = round(rng.uniform(0.6, 0.95), 3)
+    lo = round(rng.uniform(0.05, 0.4), 3)
+    pre = rng.choice(("", "(pre (a))", "(pre (b))"))
+    goals = ["(done)"] + [g for g in ("(a)", "(b)") if rng.random() < 0.5]
+    set_a = rng.random() < 0.5 or "(a)" in goals
+    add_b = rng.random() < 0.5 or "(b)" in goals
+    domain = f"""\
+(operator fly (kind cond) {pre}
+  (outcomes (ok (add (done))) (fail))
+  (influences (x))
+  (cpt ((ok true) {hi!r}) ((fail true) {1.0 - hi!r})
+       ((ok false) {lo!r}) ((fail false) {1.0 - lo!r})))
+(operator setx (kind det) (add (x){" (a)" if set_a else ""}))
+(operator unsetx (kind det) (del (x)){" (add (b))" if add_b else ""})
+"""
+    init = ["(not (done))", "(not (a))", "(not (b))"]
+    x = rng.choice(("true", "false", "prior"))
+    if x == "prior":
+        q = round(rng.uniform(0.1, 0.9), 3)
+        domain += (f"(clause (head (x) (true false))\n"
+                   f"  (cpt ((true) {q!r}) ((false) {1.0 - q!r})))\n")
+    else:
+        init.append("(x)" if x == "true" else "(not (x))")
+    epsilon = rng.choice((0.3, 0.5, 0.7, 0.9, 0.95))
+    problem = (f"(problem (init {' '.join(init)}) (goal {' '.join(goals)})"
+               f" (epsilon {epsilon!r}))\n")
+    return domain, problem
+
+
 SOLVABLE_TEMPLATES = (_chancy_chain, _observe_then_act, _influence_walk,
                       _two_doors)
 

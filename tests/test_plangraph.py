@@ -149,10 +149,10 @@ def _obs(name, var):
 
 
 # operators for random plans: producers, clobberers (deterministic, by
-# negation, by one outcome), and revealers of the variable x
+# negation, by one outcome), and writers and revealers of the variable x
 _OPS = [det("make-p", add=["(p)"]), det("wreck-p", delete=["(p)"]),
         det("negate-p", add=["(not (p))"]), det("make-q", add=["(q)"]),
-        det("set-x", add=["(x)"]),
+        det("set-x", add=["(x)"]), det("unset-x", delete=["(x)"]),
         cond("flip", {"heads": (["(p)"], ()), "tails": ((), ["(p)", "(q)"])}),
         _obs("look", "x")]
 _PROPS = [lit("(p)"), lit("(q)"), lit("(x)")]
@@ -176,10 +176,12 @@ def _chance_labels(plan):
 
 def _random_link(plan, a, b, c):
     ids = sorted(plan.steps)
-    kind = ["causal", "ordering", "ignorance"][a % 3]
+    kind = ["causal", "ordering", "ignorance", "influence"][a % 4]
     consumer = ids[c % len(ids)]
     if kind == "ignorance":
         return Link(kind, START_ID, consumer, "x")
+    if kind == "influence":
+        return Link(kind, ids[b % len(ids)], consumer, "x")
     producer = ids[b % len(ids)]
     return Link(kind, producer, consumer,
                 _PROPS[a % len(_PROPS)] if kind == "causal" else None)
@@ -500,6 +502,27 @@ def test_ignorance_threats():
     # ordering the observation after the protected step clears it
     plan2 = add_link(plan, Link("ordering", wid, lid))
     assert find_threats(plan2) == []
+
+
+def test_influence_threats():
+    """A step that can run between an influence link's ends and writes its
+    variable, in some outcome compatible with both ends, threatens it; a
+    step that leaves the variable alone does not."""
+    plan = make_root_plan(problem(), "dag")
+    plan, setter = dag_add_step(plan, det("set-x", add=["(x)"]), ())
+    fly = cond("fly", {"ok": (["(g)"], ()), "fail": ((), ())})
+    plan, fid = dag_add_step(plan, fly, (), source="sF")
+    link = Link("influence", setter, fid, "x")
+    plan = add_link(plan, link)
+    flip = cond("flip", {"heads": ((), ["(x)"]), "tails": (["(q)"], ())})
+    plan, cid = dag_add_step(plan, flip, (), source="sC")
+    plan, _ = dag_add_step(plan, det("make-q", add=["(q)"]), ())
+    assert find_threats(plan) == [Threat(cid, link, "heads")]
+    # ordered after the consumer, the writer no longer threatens the link
+    assert find_threats(add_link(plan, Link("ordering", fid, cid))) == []
+    # nor under an outcome the consumer's context rules out
+    plan = condition_step(plan, fid, [(Label("sC", "tails"), cid)])
+    assert find_threats(plan) == []
 
 
 # ---------------------------------------------------------------------------
