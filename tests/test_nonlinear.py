@@ -13,6 +13,7 @@ from riskplan.nonlinear import (_resolve_influence, _resolve_threat,
 from riskplan.plangraph import (Link, START_ID, Threat, add_link,
                                 dag_add_step, find_threats, linearizations,
                                 make_root_plan)
+from riskplan.simulator import exhaustive_success
 from riskplan.worlds import (det_chain, load_texts, press_button, ski_world,
                              slippery_walk, sussman)
 
@@ -220,6 +221,46 @@ def test_threat_to_an_ignorance_pledge_is_promoted():
     (promoted,) = _resolve_threat(plan, plan.threats[0])
     assert _new_links(plan, promoted) == {Link("ordering", walk, look)}
     assert promoted.threats == []
+
+
+# The ok branch reaches g by finish-a, which needs aq from prep-q; the bad
+# branch reaches it by detour, which needs p from make-p.  prep-q deletes
+# p.  The search places prep-q and finish-a before try conditions the
+# goal on ok, so prep-q runs in every branch and threatens make-p -> detour
+# once the bad branch is planned.
+_SPLIT_DOMAIN = """
+(operator try (kind cond)
+  (outcomes (ok (prob 0.6) (add (k))) (bad (prob 0.4) (add (r)))))
+(operator finish-a (kind det) (pre (aq) (k)) (add (g)))
+(operator prep-q (kind det) (add (aq)) (del (p)))
+(operator detour (kind det) (pre (p) (r)) (add (g)))
+(operator make-p (kind det) (add (p)))
+"""
+_SPLIT_PROBLEM = ("(problem (init (not (g)) (not (k)) (not (r)) (not (p)) "
+                  "(not (aq))) (goal (g)) (epsilon 0))")
+
+
+@pytest.mark.parametrize("model", ["kbmc", "simple"])
+def test_threat_resolved_by_conditioning_the_clobberer_apart(model):
+    """prep-q's threat to make-p -> detour is resolved by conditioning
+    prep-q on try=ok, apart from detour under try=bad, not by ordering.
+    prep-q has no precondition and conditioning spreads only to a step's
+    consumers, so only the threat's conditioning move gives it that
+    label."""
+    gdom, prob = load_texts(_SPLIT_DOMAIN, _SPLIT_PROBLEM)
+    res = plan_nonlinear(gdom, prob, model=model)
+    graph = res.graph
+    ids = {st.operator.name: st.id for st in graph.step_list()}
+    chance = graph.steps[ids["try"]]
+    assert Link("conditioning", chance.id, ids["prep-q"],
+                Label(chance.source, "ok")) in graph.links
+    assert graph.steps[ids["detour"]].context == {Label(chance.source,
+                                                        "bad")}
+    assert not {l for l in graph.links if l.kind == "ordering"
+                and l.producer != START_ID}
+    assert res.bound.achieved_mass == 1.0
+    assert exhaustive_success(res.conditional, prob.priors, prob.known_true,
+                              prob.known_false) == 1.0
 
 
 def test_influence_settled_by_a_label_is_discharged():
