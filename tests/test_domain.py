@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskplan.conditional import plan_document, read_plan_document
-from riskplan.domain import (DependencyCycle, Domain, GroundClause,
-                             GroundOperator, KbmcClause, OperatorSchema,
-                             Problem, Proposition,
+from riskplan.domain import (DependencyCycle, Diagnostic, Domain,
+                             GroundClause, GroundOperator, KbmcClause,
+                             OperatorSchema, Problem, Proposition,
                              _read_forms, complete_clauses, cut_rows,
                              dependency_order, distribution_rows, ground,
-                             literal_values, parse_domain,
-                             parse_problem, prop_from_text, validate_problem,
-                             var_id)
+                             literal_values, parse_domain, parse_problem,
+                             prop_from_text, validate_problem, var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
                              GroundingError, MalformedPlan, ModelError)
 from riskplan.linear import plan_linear
@@ -284,6 +283,129 @@ def test_repeated_init_and_outcomes_merge():
     op, = parse_domain("(operator a (kind cond) (outcomes (x (prob 0.5))) "
                        "(outcomes (y (prob 0.5))))").operators
     assert op.outcomes.outcomes == ("x", "y")
+
+
+def _grounded(text):
+    return ground(parse_domain(text))
+
+
+def _diagnosed(texts):
+    domain_text, problem_text = texts
+    return validate_problem(parse_problem(problem_text),
+                            _grounded(domain_text))
+
+
+_CLAUSE_CPT = "(cpt ((t) 1) ((f) 0))"
+_FLY = ("(operator fly (kind cond) (influences (x)) (outcomes (ok (add (g))) "
+        "(fail)) (cpt ((ok true) 1) ((fail true) 0) ((ok false) 0) "
+        "((fail false) 1)))")
+
+# (id, reader, text, what it raises or reports, message, (line, column) of
+# a syntax error); the validator's cases report a diagnostic
+_INPUT_ERRORS = [
+    ("number", _grounded,
+     "(operator o (kind cond) (outcomes (a (prob x)) (b (prob 1))))",
+     DomainSyntaxError, "expected a number, got 'x'", (1, 44)),
+    ("varref", _grounded, f"(clause (head x (t f)) {_CLAUSE_CPT})",
+     DomainSyntaxError, "expected a (name args...) form", (1, 15)),
+    ("not-arity", _grounded, "(operator o (kind det) (add (not (p) (q))))",
+     DomainSyntaxError, "(not ...) takes exactly one literal", (1, 29)),
+    ("cpt-key", _grounded, "(clause (head (x) (t f)) (cpt (t 1) ((f) 0)))",
+     DomainSyntaxError, "cpt row key must be a list of outcomes", (1, 32)),
+    ("cpt-duplicate", _grounded,
+     "(clause (head (x) (t f)) (cpt ((t) 1) ((f) 0) ((t) 1)))",
+     DomainSyntaxError, "duplicate cpt row ('t',)", (1, 47)),
+    ("outcome-duplicate", _grounded,
+     "(operator o (kind cond) (outcomes (a (prob 0.5)) (a (prob 0.5))))",
+     DomainSyntaxError, "duplicate outcome 'a'", (1, 50)),
+    ("outcome-section", _grounded,
+     "(operator o (kind cond) (outcomes (a (pre (p)))))",
+     DomainSyntaxError, "unknown outcome section 'pre'", (1, 38)),
+    ("kind-missing", _grounded, "(operator o (add (p)))",
+     DomainSyntaxError, "operator 'o' is missing (kind ...)", (1, 1)),
+    ("outcomes-missing", _grounded, "(operator o (kind cond))",
+     DomainValidationError, "operator 'o': no outcomes declared", None),
+    ("obs-without-observes", _grounded,
+     "(operator o (kind obs) (outcomes (true) (false)))",
+     DomainValidationError, "operator 'o': obs operators need (observes ...)",
+     None),
+    ("cond-observes", _grounded,
+     "(operator o (kind cond) (observes (x)) (outcomes (a (prob 1))))",
+     DomainValidationError, "operator 'o': only obs operators observe", None),
+    ("cpt-without-influences", _grounded,
+     "(operator o (kind cond) (outcomes (a) (b)) (cpt ((a) 1) ((b) 0)))",
+     DomainValidationError, "operator 'o': a cpt needs (influences ...)",
+     None),
+    ("influences-without-cpt", _grounded,
+     "(operator o (kind cond) (influences (x)) (outcomes (a (prob 1))))",
+     DomainValidationError, "operator 'o': influences need a (cpt ...)", None),
+    ("head-shape", _grounded, f"(clause (head (x)) {_CLAUSE_CPT})",
+     DomainSyntaxError, "expected (head VAR (OUTCOME...))", (1, 9)),
+    ("head-outcomes", _grounded, f"(clause (head (x) t) {_CLAUSE_CPT})",
+     DomainSyntaxError, "expected an outcome list", (1, 19)),
+    ("head-missing", _grounded, f"(clause {_CLAUSE_CPT})",
+     DomainSyntaxError, "clause is missing its head", (1, 1)),
+    ("clause-cpt-missing", _grounded, "(clause (head (x) (t f)))",
+     DomainSyntaxError, "clause is missing its cpt", (1, 1)),
+    ("space-duplicate", _grounded, "(clause (head (x) (t t)) (cpt ((t) 1)))",
+     DomainValidationError, "clause (x): duplicate outcomes in space", None),
+    ("top-level", _grounded, "(operator o (kind det))\n  ()",
+     DomainSyntaxError, "expected a top-level form", (2, 3)),
+    ("unbound-parameter", _grounded,
+     "(types (t a)) (operator o (params (?x t)) (kind det) (add (p ?y)))",
+     GroundingError, "operator 'o': unbound parameter '?y'", None),
+    ("problem-count", parse_problem,
+     "(problem (goal) (epsilon 0)) (problem (goal) (epsilon 0))",
+     DomainValidationError,
+     "a problem file holds exactly one (problem ...) form", None),
+    ("problem-none", parse_problem, "", DomainValidationError,
+     "a problem file holds exactly one (problem ...) form", None),
+    ("not-a-problem", parse_problem, "(domain (goal) (epsilon 0))",
+     DomainSyntaxError, "expected a (problem ...) form", (1, 1)),
+    ("epsilon-empty", parse_problem, "(problem (goal (a))\n (epsilon))",
+     DomainSyntaxError, "epsilon needs a number", (2, 2)),
+    ("problem-section", parse_problem,
+     "(problem (goal (a)) (epsilon 0) (horizon 3))",
+     DomainSyntaxError, "unknown problem section 'horizon'", (1, 33)),
+    ("epsilon-missing", parse_problem, "(problem (goal (a)))",
+     DomainSyntaxError, "problem is missing (epsilon ...)", (1, 1)),
+    ("init-both", parse_problem,
+     "(problem (init (a) (not (a))) (goal (a)) (epsilon 0))",
+     DomainValidationError, "init lists ['(a)'] as both true and false",
+     None),
+    ("non-boolean-proposition", _diagnosed,
+     ("(operator o (kind det) (add (x))) (clause (head (x) (hi lo)) "
+      "(cpt ((hi) 0.5) ((lo) 0.5)))", "(problem (goal (x)) (epsilon 0))"),
+     Diagnostic, "error: [non-boolean-proposition] (x) appears in operator "
+     "effects but variable x has outcomes ['hi', 'lo']", None),
+    ("observation-of-known", _diagnosed,
+     ("(operator look (kind obs) (observes (x)) (outcomes (true) (false)))",
+      "(problem (init (x)) (goal) (epsilon 0))"),
+     Diagnostic, "warning: [observation-of-known] operator look observes x, "
+     "already known", None),
+    ("missing-influence-variable", _diagnosed,
+     (_FLY, "(problem (init (not (g))) (goal (g)) (epsilon 0))"),
+     Diagnostic, "error: [missing-influence-variable] operator fly is "
+     "influenced by x, which nothing governs", None),
+]
+
+
+@pytest.mark.parametrize("read,text,error,message,position",
+                         [case[1:] for case in _INPUT_ERRORS],
+                         ids=[case[0] for case in _INPUT_ERRORS])
+def test_bad_input_gets_its_error_and_message(read, text, error, message,
+                                              position):
+    if error is Diagnostic:
+        assert [str(d) for d in read(text)] == [message]
+        return
+    with pytest.raises(error) as e:
+        read(text)
+    if position is None:
+        assert str(e.value) == message
+    else:
+        line, column = position
+        assert (e.value.line, e.value.column) == position
+        assert str(e.value) == f"line {line}, col {column}: {message}"
 
 
 def test_syntax_error_carries_position():
