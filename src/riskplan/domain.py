@@ -232,7 +232,7 @@ class GroundOperator:
 
     def __post_init__(self):
         # one pass over (None,) + outcomes builds each outcome's effect
-        # values, and its effective deletes from them
+        # values and, by variable, the literal each value makes false
         adds = {} if self.outcome_adds is None else self.outcome_adds
         dels = {} if self.outcome_dels is None else self.outcome_dels
         effects: dict = {}
@@ -242,28 +242,32 @@ class GroundOperator:
                 added, deleted = self.add, self.delete
             else:
                 added, deleted = adds.get(o, ()), dels.get(o, ())
-            holds: dict[str, Proposition] = {}  # variable id -> its literal
+            values: dict[str, str] = {}
+            false: dict[str, Proposition] = {}  # variable -> literal made false
             for p in deleted:
-                holds[var_id(p)] = p.negate()
+                v = var_id(p)
+                values[v] = "true" if p.negated else "false"
+                false[v] = p
             for p in added:
-                holds[var_id(p)] = p
-            effects[o] = {v: "false" if p.negated else "true"
-                          for v, p in holds.items()}
-            deletes[o] = frozenset(p.negate() for p in holds.values())
+                v = var_id(p)
+                values[v] = "false" if p.negated else "true"
+                false[v] = p.negate()
+            effects[o] = values
+            deletes[o] = frozenset(false.values())
         if self.kind in ("det", "start"):
             runs = (None,)
             clobbers = deletes[None]
         else:
             runs = self.outcomes
             clobbers = frozenset().union(*(deletes[o] for o in runs))
+        rows, row_vars = {}, ()
         if self.cpt is not None:
             rows = distribution_rows(self.cpt, self.outcomes)
             row_vars = self.influences
-        else:
+        elif self.simple_distribution is not None:
             rows = distribution_rows(
-                {(o,): p for o, p in (self.simple_distribution or {}).items()},
+                {(o,): p for o, p in self.simple_distribution.items()},
                 self.outcomes)
-            row_vars = ()
         # Fields go in through object.__setattr__, as the frozen __init__
         # sets them.  Touching self.__dict__ would turn the instance's
         # inline attribute values into a dict, and every later read of an
@@ -281,7 +285,7 @@ class GroundOperator:
             for p in self.preconditions))
         put(self, "outcome_rows", rows)
         put(self, "row_vars", row_vars)
-        put(self, "outcome_cuts", cut_rows(rows))
+        put(self, "outcome_cuts", cut_rows(rows) if rows else rows)
 
     def effective_deletes(self, outcome: str | None) -> frozenset[Proposition]:
         """The literals a run under ``outcome`` (None = det) makes false:
@@ -315,10 +319,12 @@ def distribution_rows(table: Mapping[tuple[str, ...], float],
     order ``table`` first names it, maps to ``[table[(o,) + tail] for o in
     outcomes]``.  A tail that lacks some outcome's entry is left out."""
     rows: dict[tuple, list[float]] = {}
-    for tail in dict.fromkeys(key[1:] for key in table):
-        row = [table.get((o,) + tail) for o in outcomes]
-        if None not in row:
-            rows[tail] = row
+    for key in table:
+        tail = key[1:]
+        if tail not in rows:
+            row = [table.get((o,) + tail) for o in outcomes]
+            if None not in row:
+                rows[tail] = row
     return rows
 
 
@@ -330,8 +336,14 @@ def cut_rows(rows: Mapping[tuple, list[float]]) -> dict[tuple, list[float]]:
     exceeds ``u``, else the last.  That is the pick ``min(bisect_right(sums,
     u), len(sums) - 1)`` over the full running sums, whose last entry may
     round below or above 1, with the clamp built into the row."""
-    return {tail: list(itertools.accumulate(row[:-1]))
-            for tail, row in rows.items()}
+    cuts: dict[tuple, list[float]] = {}
+    for tail, row in rows.items():
+        acc, sums = 0.0, []
+        for p in row[:-1]:
+            acc += p
+            sums.append(acc)
+        cuts[tail] = sums
+    return cuts
 
 
 @dataclass(frozen=True, eq=True)
