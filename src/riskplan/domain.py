@@ -352,16 +352,29 @@ class GroundClause:
     space: tuple[str, ...]
     parents: tuple[str, ...] = ()
     cpt: Mapping[tuple[str, ...], float] = None  # type: ignore[assignment]
+    # rows and cuts, kept once built.  They are fields set through
+    # object.__setattr__, not cached properties: writing the instance dict
+    # would make every later field read of the clause (the exact walk and
+    # the sampler read them per branch or draw) about twice as slow.
+    _rows: dict | None = field(default=None, init=False, repr=False,
+                               compare=False)
+    _cuts: dict | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
-    @cached_property
+    @property
     def rows(self) -> dict[tuple, list[float]]:
         """Parent assignment -> row over ``space``, built on first use."""
-        return distribution_rows(self.cpt or {}, self.space)
+        if self._rows is None:
+            object.__setattr__(self, "_rows",
+                               distribution_rows(self.cpt or {}, self.space))
+        return self._rows
 
-    @cached_property
+    @property
     def cuts(self) -> dict[tuple, list[float]]:
         """Parent assignment -> cut row, built on first use."""
-        return cut_rows(self.rows)
+        if self._cuts is None:
+            object.__setattr__(self, "_cuts", cut_rows(self.rows))
+        return self._cuts
 
     @cached_property
     def row_fault(self) -> str | None:

@@ -245,7 +245,7 @@ def test_conditional_nodes_read_operator_rows_and_cut_none(known):
     assert net.variables["s2"].cpt == want
     assert net.variables["s3"].cpt == {("h",): 0.75, ("t",): 0.25}
     joint_probability(net, [Label("s2", "arrive"), Label("s3", "h")])
-    assert [v for v, c in net.variables.items() if "cuts" in vars(c)] == []
+    assert [v for v, c in net.variables.items() if c._cuts is not None] == []
 
 
 def test_add_conditional_node_missing_influence():
