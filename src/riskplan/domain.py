@@ -352,14 +352,10 @@ class GroundClause:
     space: tuple[str, ...]
     parents: tuple[str, ...] = ()
     cpt: Mapping[tuple[str, ...], float] = None  # type: ignore[assignment]
-    # rows and cuts, kept once built.  They are fields set through
-    # object.__setattr__, not cached properties: writing the instance dict
-    # would make every later field read of the clause (the exact walk and
-    # the sampler read them per branch or draw) about twice as slow.
-    _rows: dict | None = field(default=None, init=False, repr=False,
-                               compare=False)
-    _cuts: dict | None = field(default=None, init=False, repr=False,
-                               compare=False)
+    # what rows and cuts build, kept in fields: a cached property writes the
+    # instance dict, which makes every later field read about twice as slow
+    _rows: dict = field(default=None, init=False, repr=False, compare=False)
+    _cuts: dict = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rows(self) -> dict[tuple, list[float]]:
@@ -609,16 +605,6 @@ def _check_row_groups(rows: Mapping[tuple[str, ...], float],
         if abs(total - 1.0) > PROB_TOL:
             raise DomainValidationError(
                 f"{where}: rows for tail {tail} sum to {total}, not 1")
-
-
-def missing_cpt_rows(cpt: Mapping[tuple[str, ...], float],
-                     outcomes: Sequence[str],
-                     parent_spaces: Sequence[Sequence[str]]
-                     ) -> list[tuple[str, ...]]:
-    """The ``(outcome, *parent outcomes)`` rows a CPT lacks, parent
-    assignments in product order and outcomes within each."""
-    return [(o,) + tail for tail in itertools.product(*parent_spaces)
-            for o in outcomes if (o,) + tail not in cpt]
 
 
 def _parse_operator(form) -> OperatorSchema:
@@ -918,8 +904,7 @@ def complete_clauses(clauses: Sequence[GroundClause],
     for c in ordered:
         if c.row_fault is not None:
             raise error(c.row_fault)
-        # the rows of a tail cover every outcome or none, so a tail
-        # without a row has no entries at all
+        # with no row_fault, a tail without a row has no entries at all
         rows = c.rows
         for tail in itertools.product(*map(spaces.__getitem__, c.parents)):
             if tail not in rows:
@@ -1088,8 +1073,9 @@ def validate_problem(problem: Problem, gdomain: GroundDomain) -> list[Diagnostic
                 f"outcomes {list(clause_vars[vid].space)}"))
 
     for c in gdomain.clauses:
-        missing = missing_cpt_rows(
-            c.cpt, c.space, [clause_vars[p].space for p in c.parents])
+        missing = [(o,) + tail for tail in itertools.product(
+            *(clause_vars[p].space for p in c.parents))
+            if tail not in c.rows for o in c.space]
         if missing:
             diags.append(Diagnostic(
                 "error", "missing-cpt-row",

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .domain import (GroundClause, GroundOperator, Problem, dependency_order,
-                     missing_cpt_rows, ordered_clauses)
+                     ordered_clauses)
 from .errors import (InconsistentLabels, LabelWithoutDistribution,
                      MissingCptRow, MissingInfluenceVariable, ModelError,
                      OutcomeSpaceMismatch, OverlappingGoalContexts,
@@ -129,16 +129,15 @@ def add_conditional_node(net: BeliefNet, node_id: str, op: GroundOperator,
     if not op.outcome_rows:
         raise LabelWithoutDistribution(
             f"step {node_id}: operator {op.name} has no distribution")
-    cpt: dict[tuple[str, ...], float] = {}
-    for tail, row in op.outcome_rows.items():
-        if all(tail[i] == val for i, val in fixed.items()):
-            kept = tuple(t for i, t in enumerate(tail) if i not in fixed)
-            for o, p in zip(op.outcomes, row):
-                cpt[(o,) + kept] = p
-    missing = missing_cpt_rows(cpt, op.outcomes,
-                               [net.variables[p].space for p in parents])
-    if missing:
-        raise MissingCptRow(f"step {node_id}: no row for {missing[0]}")
+    rows = {tuple(t for i, t in enumerate(tail) if i not in fixed): row
+            for tail, row in op.outcome_rows.items()
+            if all(tail[i] == val for i, val in fixed.items())}
+    for tail in itertools.product(*(net.variables[p].space for p in parents)):
+        if tail not in rows:
+            raise MissingCptRow(
+                f"step {node_id}: no row for {(op.outcomes[0],) + tail}")
+    cpt = {(o,) + tail: p for tail, row in rows.items()
+           for o, p in zip(op.outcomes, row)}
     return net.with_variable(GroundClause(node_id, tuple(op.outcomes),
                                           tuple(parents), cpt))
 
