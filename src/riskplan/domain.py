@@ -44,10 +44,10 @@ product.
 When a step (or one outcome of it) runs, its deletes apply first and its
 adds second: ``(del P)`` makes P false, ``(del (not P))`` makes P true, an
 added literal holds, and so an add wins over a delete of the same variable.
-``GroundOperator.effect_values`` is the one place this rule is applied:
-``effective_deletes`` and ``clobbers`` are the literals its values make
-false, so ``(del (p)) (add (p))`` leaves p true and clobbers only
-``(not (p))``.
+``GroundOperator`` applies this rule once, variable by variable, when it is
+made: ``effect_values`` gives the values, and ``effective_deletes`` and
+``clobbers`` the literals those values make false, so ``(del (p)) (add
+(p))`` leaves p true and clobbers only ``(not (p))``.
 
 This module also decides which table prices a draw.  A table keyed
 ``(outcome, *tail)`` gives *rows* (``distribution_rows``): tail -> the
