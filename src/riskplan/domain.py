@@ -352,18 +352,16 @@ class GroundClause:
     space: tuple[str, ...]
     parents: tuple[str, ...] = ()
     cpt: Mapping[tuple[str, ...], float] = None  # type: ignore[assignment]
-    # what rows and cuts build, kept in fields: a cached property writes the
+    # parent assignment -> row over ``space``; see distribution_rows
+    rows: Mapping[tuple[str, ...], list[float]] = field(
+        init=False, repr=False, compare=False)
+    # what ``cuts`` builds, kept in a field: a cached property writes the
     # instance dict, which makes every later field read about twice as slow
-    _rows: dict = field(default=None, init=False, repr=False, compare=False)
     _cuts: dict = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def rows(self) -> dict[tuple, list[float]]:
-        """Parent assignment -> row over ``space``, built on first use."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows",
-                               distribution_rows(self.cpt or {}, self.space))
-        return self._rows
+    def __post_init__(self):
+        object.__setattr__(self, "rows",
+                           distribution_rows(self.cpt or {}, self.space))
 
     @property
     def cuts(self) -> dict[tuple, list[float]]:
