@@ -10,7 +10,8 @@ directly.
 
 from riskplan.conditional import Label
 from riskplan.probmodel import (build_initial_net, conditional_outcome_probability,
-                                d_connected, joint_probability, net_to_dot)
+                                d_connected, joint_by_enumeration,
+                                joint_probability, net_to_dot)
 from riskplan.worlds import load_texts, ski_world
 
 _, problem = load_texts(*ski_world())
@@ -44,7 +45,7 @@ print("  ... given blizzard:", d_connected(net, CBS, CCP, ["blizzard"]))
 # value combinations is the oracle it is tested against
 both = [Label(CBS, "false"), Label(CCP, "true")]
 fast = joint_probability(net, both)
-brute = joint_probability(net, both, method="enumerate")
+brute = joint_by_enumeration(net, both)
 print(f"\nP(blocked here, clear there): ve {fast:.9f}  enumerate {brute:.9f}")
 
 # the net renders to graphviz if you want to look at it

@@ -173,7 +173,7 @@ class KbmcClause:
     head: Proposition
     space: tuple[str, ...]
     body: tuple[Proposition, ...] = ()
-    cpt: Mapping[tuple[str, ...], float] = None  # type: ignore[assignment]
+    cpt: Mapping[tuple[str, ...], float] = field(default_factory=dict)
     params: tuple[tuple[str, str], ...] = ()
 
 
@@ -181,11 +181,7 @@ class KbmcClause:
 class Domain:
     operators: tuple[OperatorSchema, ...] = ()
     clauses: tuple[KbmcClause, ...] = ()
-    types: Mapping[str, tuple] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.types is None:
-            object.__setattr__(self, "types", {})
+    types: Mapping[str, tuple] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +199,8 @@ class GroundOperator:
     add: tuple[Proposition, ...] = ()
     delete: tuple[Proposition, ...] = ()
     outcomes: tuple[str, ...] = ()
-    outcome_adds: Mapping[str, tuple[Proposition, ...]] = None  # type: ignore
-    outcome_dels: Mapping[str, tuple[Proposition, ...]] = None  # type: ignore
+    outcome_adds: Mapping[str, tuple] = field(default_factory=dict)
+    outcome_dels: Mapping[str, tuple] = field(default_factory=dict)
     simple_distribution: Mapping[str, float] | None = None
     influences: tuple[str, ...] = ()  # variable ids
     cpt: Mapping[tuple[str, ...], float] | None = None
@@ -233,8 +229,7 @@ class GroundOperator:
     def __post_init__(self):
         # one pass over (None,) + outcomes builds each outcome's effect
         # values and, by variable, the literal each value makes false
-        adds = {} if self.outcome_adds is None else self.outcome_adds
-        dels = {} if self.outcome_dels is None else self.outcome_dels
+        adds, dels = self.outcome_adds, self.outcome_dels
         effects: dict = {}
         deletes: dict = {}
         for o in (None, *self.outcomes):
@@ -274,8 +269,6 @@ class GroundOperator:
         # operator field (search reads clobbers on each threat check)
         # would be about four times slower.
         put = object.__setattr__
-        put(self, "outcome_adds", adds)
-        put(self, "outcome_dels", dels)
         put(self, "_effects", effects)
         put(self, "_deletes", deletes)
         put(self, "runs", runs)
@@ -351,17 +344,21 @@ class GroundClause:
     var: str
     space: tuple[str, ...]
     parents: tuple[str, ...] = ()
-    cpt: Mapping[tuple[str, ...], float] = None  # type: ignore[assignment]
+    cpt: Mapping[tuple[str, ...], float] = field(default_factory=dict)
     # parent assignment -> row over ``space``; see distribution_rows
     rows: Mapping[tuple[str, ...], list[float]] = field(
         init=False, repr=False, compare=False)
-    # what ``cuts`` builds, kept in a field: a cached property writes the
-    # instance dict, which makes every later field read about twice as slow
+    # what ``cuts`` and ``row_fault`` find, kept in fields: a cached
+    # property writes the instance dict, which makes every later field read
+    # about twice as slow.  A fault text is never "", and None is a result,
+    # so "" marks a fault not yet looked for.
     _cuts: dict = field(default=None, init=False, repr=False, compare=False)
+    _row_fault: str | None = field(default="", init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows",
-                           distribution_rows(self.cpt or {}, self.space))
+                           distribution_rows(self.cpt, self.space))
 
     @property
     def cuts(self) -> dict[tuple, list[float]]:
@@ -370,17 +367,22 @@ class GroundClause:
             object.__setattr__(self, "_cuts", cut_rows(self.rows))
         return self._cuts
 
-    @cached_property
+    @property
     def row_fault(self) -> str | None:
         """Why the rows are no distribution over ``space`` at each parent
         assignment they name, as ``prior <variable>: ...``, or None: the
         outcomes repeat or there are none, or ``_check_row_groups`` refuses
-        the rows."""
+        the rows.  Looked for on first use."""
+        if self._row_fault == "":
+            object.__setattr__(self, "_row_fault", self._find_row_fault())
+        return self._row_fault
+
+    def _find_row_fault(self) -> str | None:
         where = f"prior {self.var}"
         if not self.space or len(set(self.space)) != len(self.space):
             return f"{where}: outcomes must be distinct and at least one"
         try:
-            _check_row_groups(self.cpt or {}, self.space, where)
+            _check_row_groups(self.cpt, self.space, where)
         except DomainValidationError as e:
             return str(e)
         return None

@@ -109,7 +109,7 @@ def _redundant_observation(plan: PlanGraph, op: GroundOperator, child: str,
     var = op.observes
     if _determined_value(plan, child, var) is not None:
         return True
-    for below in plan.subtree_ids(child) | {child}:
+    for below in plan.after[child] | {child}:
         if plan.steps[below].operator.observes == var:
             return True
     return False

@@ -242,17 +242,13 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
     # settle the variable first: an observation (each outcome is its own
     # commitment) or a forcing action
     if model == "kbmc":
-        candidates: list[tuple[PlanGraph, str, GroundOperator]] = []
-        existing = [st for st in plan.step_list()
-                    if st.operator.observes == var]
-        if existing:
-            candidates = [(plan, st.id, st.operator) for st in existing]
-        else:
-            for op in gdomain.operators:
-                if op.kind == "obs" and op.observes == var:
-                    made = _add_step_for(plan, op, sid, model)
-                    if made is not None:
-                        candidates.append((made[0], made[1], op))
+        candidates = [(plan, st.id, st.operator) for st in plan.step_list()
+                      if st.operator.observes == var]
+        for op in gdomain.operators:
+            if op.kind == "obs" and op.observes == var:
+                made = _add_step_for(plan, op, sid, model)
+                if made is not None:
+                    candidates.append((made[0], made[1], op))
         for base, oid, op in candidates:
             for o in op.outcomes:
                 p2 = condition_step(base, sid, [(Label(var, o), oid)])

@@ -35,9 +35,11 @@ shortcut to them.
 
 Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 (each step has one parent; conditional steps fan out per outcome), which
-is what the linear planner maintains.  ``dag`` plans (``tree`` is None)
-order steps only as far as links require.  All queries here work on
-either shape.
+is what the linear planner maintains.  A tree plan's links run from tree
+ancestors: ``add_link`` and ``condition_step`` refuse any other, so
+``after[x]`` is exactly the set of steps below x.  ``dag`` plans (``tree``
+is None) order steps only as far as links require.  All queries here work
+on either shape.
 """
 
 from __future__ import annotations
@@ -233,20 +235,6 @@ class PlanGraph:
         path.reverse()
         return path
 
-    def subtree_ids(self, root: str) -> set[str]:
-        """``root`` and every step below it (tree plans only)."""
-        assert self.tree is not None
-        children: dict[str, list[str]] = {}
-        for c, (p, _o) in self.tree.items():
-            children.setdefault(p, []).append(c)
-        out = {root}
-        frontier = [root]
-        while frontier:
-            for c in children.get(frontier.pop(), ()):
-                out.add(c)
-                frontier.append(c)
-        return out
-
     # -- functional updates ------------------------------------------------
 
     def _derive(self, new_steps: frozenset = frozenset(),
@@ -373,6 +361,8 @@ def add_link(plan: PlanGraph, link: Link) -> PlanGraph:
         raise IgnoranceNotFromStart(
             f"ignorance of {link.payload} must originate at start, "
             f"not {link.producer}")
+    if plan.tree and link.consumer not in plan.after[link.producer]:
+        raise PlanGraphError(f"not from a tree ancestor: {link.text()}")
     if link in plan.links:
         return plan
     after = _with_order(plan.after, link.producer, link.consumer)
@@ -502,7 +492,7 @@ def has_threat(plan: PlanGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# context conditioning (dag plans)
+# context conditioning
 
 
 def condition_step(plan: PlanGraph, sid: str,
@@ -510,9 +500,9 @@ def condition_step(plan: PlanGraph, sid: str,
     """Restrict ``sid`` (and, transitively, everything that depends on its
     effects) to the given outcome labels.  Each label comes with the step
     that produced it so a conditioning link records the dependence and the
-    implied ordering.  Returns None when the restriction is contradictory
-    or would create an ordering cycle, and ``plan`` itself when every label
-    is already there."""
+    implied ordering.  Returns None when the restriction is contradictory,
+    would create an ordering cycle or link a tree plan's step from off its
+    tree path, and ``plan`` itself when every label is already there."""
     grown: dict[str, Step] = {}  # step id -> the step with its grown context
     links, after = plan.links, plan.after
     queue: list[tuple[str, tuple[tuple[Label, str], ...]]] = [
@@ -529,6 +519,8 @@ def condition_step(plan: PlanGraph, sid: str,
         for lab, prod in fresh:
             link = Link("conditioning", prod, cur, lab)
             if prod != cur and link not in links:
+                if plan.tree and cur not in after[prod]:
+                    return None
                 try:
                     after = _with_order(after, prod, cur)
                 except WouldCreateCycle:
@@ -599,7 +591,7 @@ def tree_insert(plan: PlanGraph, op: GroundOperator, parent: str, child: str,
     if op.kind in ("cond", "obs"):
         assert chosen_outcome in op.outcomes
         lab = Label(source, chosen_outcome)
-        for below in plan.subtree_ids(child):
+        for below in plan.after[child] | {child}:
             steps[below] = steps[below].grown(frozenset({lab}))
         for o in op.outcomes:
             leaf_ctx = ctx | {Label(source, o)}

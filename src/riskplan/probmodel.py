@@ -10,14 +10,14 @@ outcome labels to an existing variable (no node is added, which is what
 makes re-observation consistent).  Every net variable is a
 ``GroundClause``: a prior clause as grounded, or a conditional step's
 outcome under the step's id.  Context probabilities are then exact joint
-marginals; both an enumeration oracle and a variable-elimination fast
-path are provided and must agree.
+marginals, by variable elimination over each variable's ``rows``;
+``joint_by_enumeration``, which reads each ``cpt``, is its oracle.
 
 A search asks the same few nets the same questions many times.  Nets are
 immutable, so one search keeps one net object per distinct net (see
 ``net_for_plan``), and each net compiles its factor tables once and
 remembers every joint it has answered.  ``_joint_ve`` and
-``_joint_enumerate`` stay callable without the memo, as the oracles the
+``joint_by_enumeration`` stay callable without the memo, as the oracles the
 shortcuts are tested against.
 """
 
@@ -47,6 +47,7 @@ __all__ = [
     "build_initial_net",
     "add_conditional_node",
     "joint_probability",
+    "joint_by_enumeration",
     "conditional_outcome_probability",
     "d_connected",
     "simple_context_probability",
@@ -161,30 +162,24 @@ def _as_evidence(net: BeliefNet, labels: Iterable[Label]) -> dict[str, str]:
     return ev
 
 
-def joint_probability(net: BeliefNet, labels: Iterable[Label],
-                      method: str = "ve") -> float:
-    """Exact probability that every label's variable takes its outcome.
-
-    ``method`` is ``ve`` (variable elimination, the default) or
-    ``enumerate`` (the brute-force oracle the fast path is tested against).
-    A ``ve`` answer is kept on the net, so asking the same net the same
-    question again costs a lookup; ``enumerate`` always recomputes.
-    """
+def joint_probability(net: BeliefNet, labels: Iterable[Label]) -> float:
+    """Exact probability that every label's variable takes its outcome, by
+    variable elimination; ``joint_by_enumeration`` is its oracle.  The
+    answer is kept on the net, so asking it again costs a lookup."""
     ev = _as_evidence(net, labels)
     if not net.variables:
         return 1.0
-    if method == "enumerate":
-        return _joint_enumerate(net, ev)
-    if method == "ve":
-        key = frozenset(ev.items())
-        p = net._joints.get(key)
-        if p is None:
-            p = net._joints[key] = _joint_ve(net, ev)
-        return p
-    raise ValueError(f"unknown method {method!r}")
+    key = frozenset(ev.items())
+    p = net._joints.get(key)
+    if p is None:
+        p = net._joints[key] = _joint_ve(net, ev)
+    return p
 
 
-def _joint_enumerate(net: BeliefNet, ev: Mapping[str, str]) -> float:
+def joint_by_enumeration(net: BeliefNet, labels: Iterable[Label]) -> float:
+    """``joint_probability`` by brute force over every assignment the
+    labels allow, each weighted by its ``cpt`` entries; nothing is kept."""
+    ev = _as_evidence(net, labels)
     order = net.topological_order()
     total = 0.0
     assign: dict[str, str] = {}
@@ -218,20 +213,21 @@ class _Factor:
 
 
 def _factor_for(net: BeliefNet, v: str) -> _Factor:
-    """The factor of ``v``'s CPT, compiled once per net.  Its table is
-    read-only: elimination restricts and multiplies into new arrays."""
+    """``v``'s rows as a factor, compiled once per net.  Its table is
+    C-contiguous and read-only: elimination makes new arrays from it."""
     f = net._factors.get(v)
     if f is not None:
         return f
     nv = net.variables[v]
-    shape = [len(nv.space)] + [len(net.variables[p].space) for p in nv.parents]
-    table = np.empty(shape, dtype=float)
-    spaces = [nv.space] + [net.variables[p].space for p in nv.parents]
-    for idx in itertools.product(*(range(len(s)) for s in spaces)):
-        key = tuple(spaces[d][i] for d, i in enumerate(idx))
-        if key not in nv.cpt:
-            raise MissingCptRow(f"{v}: no row for {key}")
-        table[idx] = nv.cpt[key]
+    spaces = [net.variables[p].space for p in nv.parents]
+    rows = []
+    for tail in itertools.product(*spaces):
+        row = nv.rows.get(tail)
+        if row is None:
+            raise MissingCptRow(f"{v}: no row for {(nv.space[0],) + tail}")
+        rows.append(row)
+    table = np.ascontiguousarray(np.array(rows, dtype=float).T).reshape(
+        [len(nv.space)] + [len(s) for s in spaces])
     table.flags.writeable = False
     f = net._factors[v] = _Factor((v,) + nv.parents, table)
     return f

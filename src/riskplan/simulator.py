@@ -355,9 +355,9 @@ class _Totals:
 class _Classes:
     """The trial classes of one ``estimate_success`` call on a plan with
     prior clauses and no chance step, whose trials end alike when they drew
-    the same prior outcomes.  Class ``s`` holds ``counts[s]`` trials so far;
-    ``worlds[s]`` is the world ``sample_world`` drew from the uniforms of
-    one of its trials, and ``results[s]`` what ``execute_plan`` gave there.
+    the same prior outcomes.  Class ``s`` holds ``counts[s]`` trials so far,
+    and ``results[s]`` is what ``execute_plan`` gave in the world
+    ``sample_world`` drew from the uniforms of one of its trials.
     ``violating`` lists the classes whose result has violations."""
 
     def __init__(self, conditional: ConditionalPlan,
@@ -368,7 +368,6 @@ class _Classes:
         self.radices = [len(c.space) for c in priors]
         self.tables = _cut_tables(priors)
         self.slots: dict[bytes, int] = {}  # picks of a class -> its number
-        self.worlds: list[dict[str, str]] = []
         self.results: list[TrialResult] = []
         self.counts: list[int] = []
         self.violating: list[int] = []
@@ -397,7 +396,6 @@ class _Classes:
         source = _Draws()
         source.random = iter(row).__next__
         world = sample_world(self.priors, source)
-        self.worlds.append(world)
         r = execute_plan(self.conditional, {**world, **self.known})
         if r.violations:
             self.violating.append(len(self.results))

@@ -20,7 +20,8 @@ from riskplan import (
     success_bound,
 )
 from riskplan.conditional import ActionNode, BranchNode, GiveUpLeaf, GoalLeaf, Label
-from riskplan.probmodel import build_initial_net, joint_probability
+from riskplan.probmodel import (build_initial_net, joint_by_enumeration,
+                                joint_probability)
 from riskplan.worlds import det_chain, load_texts, ski_world, sussman
 
 from .gen import (
@@ -96,7 +97,7 @@ def test_2_blocked_but_parkcity_clear_joint():
         _, prob = _ski()
         net = build_initial_net(prob)
         labels = [Label(CBS, "false"), Label(CCP, "true")]
-        brute = joint_probability(net, labels, method="enumerate")
+        brute = joint_by_enumeration(net, labels)
         assert abs(brute - P_BLOCKED_B_CLEAR_C) <= 1e-9
         # the fast path must reproduce the oracle
         assert abs(joint_probability(net, labels) - brute) <= 1e-12
@@ -209,6 +210,6 @@ def test_8_elimination_matches_enumeration():
             net = random_net(rng, max_vars=12)
             labels = random_evidence(rng, net)
             fast = joint_probability(net, labels)
-            brute = joint_probability(net, labels, method="enumerate")
+            brute = joint_by_enumeration(net, labels)
             assert 0.0 <= fast <= 1.0 + 1e-12
             assert abs(fast - brute) <= 1e-12, i

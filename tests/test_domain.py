@@ -763,11 +763,9 @@ def _oracle_operator(**kw) -> GroundOperator:
     self = object.__new__(GroundOperator)
     for f in dataclasses.fields(GroundOperator):
         if f.init:
-            object.__setattr__(self, f.name, kw.get(f.name, f.default))
-    if self.outcome_adds is None:
-        object.__setattr__(self, "outcome_adds", {})
-    if self.outcome_dels is None:
-        object.__setattr__(self, "outcome_dels", {})
+            default = (f.default if f.default_factory is dataclasses.MISSING
+                       else f.default_factory())
+            object.__setattr__(self, f.name, kw.get(f.name, default))
     variants = (None,) + tuple(self.outcomes)
     object.__setattr__(self, "_effects", {
         o: _oracle_effect_values(adds_for(self, o), deletes_for(self, o))
@@ -996,6 +994,24 @@ def test_complete_clauses_refuses_what_cannot_be_sampled():
     for clauses, text in faults:
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             complete_clauses(clauses, ValueError)
+
+
+def test_checked_clauses_keep_their_instance_dicts_clean():
+    """``complete_clauses`` keeps each clause's fault, None included, in a
+    declared field: a cached property would write the instance dict, and
+    every later field read of the clause (``sample_world`` reads them on
+    every draw) would be slower."""
+    x, y = _binary_clause("x"), _binary_clause("y", ("x",))
+    bad = GroundClause("z", ("true", "false"), (),
+                       {("true",): 1.5, ("false",): -0.5})
+    complete_clauses([y, x], ValueError)
+    with pytest.raises(ValueError):
+        complete_clauses([bad], ValueError)
+    assert [c.row_fault for c in (x, y)] == [None, None]
+    assert bad.row_fault == "prior z: probability 1.5 out of range"
+    for c in (x, y, bad):
+        assert "row_fault" not in vars(c)
+        assert vars(c)["_row_fault"] == c.row_fault
 
 
 @pytest.mark.parametrize("name", sorted(WORLDS) + ["alpha"])

@@ -16,7 +16,7 @@ from riskplan import domain
 from riskplan.conditional import Label, plan_document, read_plan_document
 from riskplan.domain import GroundOperator, Problem, prop_from_text
 from riskplan.errors import (IgnoranceNotFromStart, IncompletePlan,
-                             MalformedPlan, WouldCreateCycle)
+                             MalformedPlan, PlanGraphError, WouldCreateCycle)
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
 from riskplan.plangraph import (Link, PlanGraph, START_ID, Threat,
@@ -203,8 +203,25 @@ def _quadratic_topo(plan, ids):
     return order
 
 
+def _oracle_subtree(plan, root):
+    """``root`` and every step below it in a tree plan, by a walk of the
+    children of each step in ``plan.tree``."""
+    children = {}
+    for c, (p, _o) in plan.tree.items():
+        children.setdefault(p, []).append(c)
+    out, frontier = {root}, [root]
+    while frontier:
+        for c in children.get(frontier.pop(), ()):
+            out.add(c)
+            frontier.append(c)
+    return out
+
+
 def _assert_matches_oracles(plan, look):
     assert plan.after == _ordering_closure(plan.steps, plan.links, plan.tree)
+    if plan.tree is not None:  # a tree plan is ordered by its tree alone
+        for x in plan.steps:
+            assert plan.after[x] | {x} == _oracle_subtree(plan, x), x
     if look:  # else the next plan derives its threats across two updates
         # before ``plan.threats`` is read, so the early exit runs from the
         # basis; a plan it clears keeps ``[]`` as its threats
@@ -222,7 +239,9 @@ def test_incremental_updates_match_from_scratch_oracles(shape, moves):
     """After every update, the ordering closure and the threat list derived
     from the parent equal ``_ordering_closure`` and ``find_threats`` run
     from scratch, and a link raises WouldCreateCycle exactly when the
-    from-scratch closure does.  A derived plan inherits none of its
+    from-scratch closure does.  A tree plan refuses a link whose producer
+    is not above its consumer, so each step's closure is the steps below
+    it in the tree.  A derived plan inherits none of its
     parent's cached facts, and the canonical step order equals the
     quadratic one.  Two plans on the way share a canonical key
     exactly when they share a text key."""
@@ -246,6 +265,12 @@ def test_incremental_updates_match_from_scratch_oracles(shape, moves):
                     chosen_outcome=outcome, source=_source(plan, op))
         elif move == "link":
             link = _random_link(plan, a, b, c)
+            if shape == "tree" and link.consumer not in \
+                    _oracle_subtree(plan, link.producer) - {link.producer}:
+                with pytest.raises(PlanGraphError,
+                                   match="^not from a tree ancestor: "):
+                    add_link(plan, link)
+                continue
             try:
                 plan = add_link(plan, link)
             except WouldCreateCycle:
@@ -311,7 +336,7 @@ def test_tree_insert_derives_its_child_once(monkeypatch):
     plan.threats
     plan, s2, _ = tree_insert(plan, det("a"), START_ID, "s1")
     plan, _s3, _ = tree_insert(plan, det("b"), s2, "s1")
-    below = plan.subtree_ids(s2)
+    below = plan.after[s2] | {s2}
     assert len(below) == 3
     three = cond("roll", {o: ((), ()) for o in ("one", "two", "three")})
     calls = _count_derives(monkeypatch)
@@ -596,6 +621,26 @@ def test_tree_insert_skips_inconsistent_alternative():
     plan, cid2, goals2 = tree_insert(plan, chancy, cid, "s1",
                                      chosen_outcome="heads", source="sC")
     assert goals2 == []
+
+
+def test_tree_plan_links_only_from_above():
+    """A tree plan takes a link, or a conditioning on an outcome, only from
+    a step above the consumer: one from a sibling branch or from below is
+    refused, and the plan's order stays its tree."""
+    plan = _tree_setup()
+    plan, aid, _ = tree_insert(plan, det("a", add=["(p)"]), START_ID, "s1")
+    flip = cond("flip", {"heads": ((), ()), "tails": ((), ())})
+    plan, cid, (tails,) = tree_insert(plan, flip, START_ID, aid,
+                                      chosen_outcome="heads", source="coin")
+    plan, look, _ = tree_insert(plan, _obs("look", "x"), cid, tails,
+                                chosen_outcome="true", source="x")
+    for producer, consumer in ((aid, tails), ("s1", aid), (look, "s1")):
+        with pytest.raises(PlanGraphError, match="^not from a tree ancestor"):
+            add_link(plan, Link("ordering", producer, consumer))
+    assert condition_step(plan, "s1", [(Label("x", "true"), look)]) is None
+    linked = add_link(plan, Link("causal", aid, "s1", lit("(p)")))
+    assert linked.after == plan.after
+    _assert_matches_oracles(linked, True)
 
 
 # ---------------------------------------------------------------------------

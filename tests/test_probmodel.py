@@ -28,7 +28,8 @@ from riskplan.probmodel import (BeliefNet, _joint_ve,
                                 build_initial_net,
                                 conditional_outcome_probability,
                                 context_probability, d_connected,
-                                joint_probability, net_for_plan,
+                                joint_by_enumeration, joint_probability,
+                                net_for_plan,
                                 select_goal_node, simple_context_probability,
                                 success_bound)
 from riskplan.simulator import (_TRIAL_CHUNK, estimate_success,
@@ -76,14 +77,15 @@ def test_frozen_ski_numbers_match_hand_enumeration():
     assert _ski_hand_joint(cbs=False) == pytest.approx(0.0909, abs=1e-12)
 
 
-@pytest.mark.parametrize("method", ["enumerate", "ve"])
-def test_ski_joint_probabilities(ski, method):
+@pytest.mark.parametrize("joint", [joint_by_enumeration, joint_probability],
+                         ids=["enumerate", "ve"])
+def test_ski_joint_probabilities(ski, joint):
     _gdom, _prob, net = ski
-    assert joint_probability(net, [Label(CBS, "true")], method) == \
+    assert joint(net, [Label(CBS, "true")]) == \
         pytest.approx(0.9091, abs=1e-12)
-    assert joint_probability(net, [Label(CBS, "false"), Label(CCP, "true")],
-                             method) == pytest.approx(0.0098991, abs=1e-12)
-    assert joint_probability(net, [], method) == pytest.approx(1.0, abs=1e-12)
+    assert joint(net, [Label(CBS, "false"), Label(CCP, "true")]) == \
+        pytest.approx(0.0098991, abs=1e-12)
+    assert joint(net, []) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ski_conditional_probability(ski):
@@ -123,8 +125,8 @@ def test_enumeration_and_ve_agree_on_random_nets(seed):
     rng = random.Random(seed)
     net = random_net(rng, max_vars=8)
     ev = random_evidence(rng, net)
-    a = joint_probability(net, ev, "enumerate")
-    b = joint_probability(net, ev, "ve")
+    a = joint_by_enumeration(net, ev)
+    b = joint_probability(net, ev)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -149,9 +151,8 @@ def test_memoized_joint_equals_uncached_elimination(seed):
 @given(st.integers(0, 10**9))
 def test_joint_over_no_evidence_is_one(seed):
     net = random_net(random.Random(seed), max_vars=8)
-    assert joint_probability(net, [], "ve") == pytest.approx(1.0, abs=1e-12)
-    assert joint_probability(net, [], "enumerate") == \
-        pytest.approx(1.0, abs=1e-12)
+    assert joint_probability(net, []) == pytest.approx(1.0, abs=1e-12)
+    assert joint_by_enumeration(net, []) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,6 +265,20 @@ def test_add_conditional_node_incomplete_cpt():
                         cpt={("a", "true"): 0.5, ("b", "true"): 0.5})
     with pytest.raises(MissingCptRow):
         add_conditional_node(net, "s2", op)
+
+
+def test_joint_of_a_net_whose_clause_lacks_a_row_raises():
+    """A hand-built clause with no row for x=false: elimination, whose
+    factor reads the clause's rows, names the row enumeration names."""
+    tf = ("true", "false")
+    net = BeliefNet({
+        "x": GroundClause("x", tf, (), {("true",): 0.5, ("false",): 0.5}),
+        "y": GroundClause("y", tf, ("x",), {("true", "true"): 0.4,
+                                            ("false", "true"): 0.6})})
+    for joint in (joint_probability, joint_by_enumeration):
+        with pytest.raises(MissingCptRow,
+                           match=r"^y: no row for \('true', 'false'\)$"):
+            joint(net, [Label("y", "true")])
 
 
 # ---------------------------------------------------------------------------

@@ -690,13 +690,14 @@ def test_estimate_equals_reference_on_generated_domains():
 
 def test_each_trial_samples_its_own_stream(monkeypatch):
     """Trial t of seed s uses the world ``sample_world`` draws from Philox
-    keyed (s, t), also past the first chunk of trials.  The worlds are read
-    from the class table: each trial's class holds the world of the
-    trial's own stream, and no two classes hold one world."""
+    keyed (s, t), also past the first chunk of trials.  The worlds are
+    recorded as ``sample_world`` makes them, one per class as each class
+    first runs: each trial's class holds the world of the trial's own
+    stream, and no two classes hold one world."""
     gdom, prob = load_texts(*nroad_world(3))
     res = plan_nonlinear(gdom, prob)
     assert res.conditional.replay.chance_depth == 0
-    tables, chunks = [], []
+    tables, chunks, worlds = [], [], []
     add = simulator._Classes.add
 
     def recorded(self, u):
@@ -705,12 +706,17 @@ def test_each_trial_samples_its_own_stream(monkeypatch):
         chunks.append(slots)
         return slots
 
+    def sampled(priors, rng):
+        worlds.append(sample_world(priors, rng))
+        return dict(worlds[-1])
+
     monkeypatch.setattr(simulator._Classes, "add", recorded)
+    monkeypatch.setattr(simulator, "sample_world", sampled)
     trials = 2 * _TRIAL_CHUNK + 3
     estimate_success(res.conditional, prob.priors, prob.known_true,
                      prob.known_false, trials=trials, seed=5)
     assert len(chunks) == 3 and len({id(t) for t in tables}) == 1
-    worlds = tables[0].worlds
+    assert len(worlds) == len(tables[0].counts)
     assert len({tuple(sorted(w.items())) for w in worlds}) == len(worlds)
     slots = np.concatenate(chunks).tolist()
     assert len(slots) == trials
@@ -1360,6 +1366,76 @@ def test_cut_rows_pick_as_the_clamped_running_sums(name):
     if name == "exact":
         assert sample_world([clause], _Fixed(0.25)) == {"v": "o1"}
         assert sample_world([clause], _Fixed(0.5)) == {"v": "o2"}
+
+
+# an outcome of probability 0.0 between two others: its cut repeats the
+# one before it, so a uniform on that cut picks the outcome after it
+_ZERO_SPACE = ("a", "z", "b")
+_ZERO_PROBS = {"a": 0.5, "z": 0.0, "b": 0.5}
+
+
+def _zero_outcome_plan(kind):
+    """A plan that branches on ``_ZERO_SPACE``: on a prior variable x by
+    observing it, or on a chance step's draw.  Arm a reaches the goal,
+    arm z gives up and arm b misses a goal, so a report counts every trial
+    that ran z as a give-up."""
+    if kind == "prior":
+        op = domain.GroundOperator("look", "obs", outcomes=_ZERO_SPACE,
+                                   observes="x")
+        priors = [domain.GroundClause("x", _ZERO_SPACE, (), {
+            (o,): p for o, p in _ZERO_PROBS.items()})]
+    else:
+        op = domain.GroundOperator("flip", "cond", outcomes=_ZERO_SPACE,
+                                   simple_distribution=_ZERO_PROBS)
+        priors = []
+    root = BranchNode("s1", op, "x" if kind == "prior" else "s1", {
+        "a": GoalLeaf("ga", frozenset(), ()),
+        "z": GiveUpLeaf(frozenset()),
+        "b": GoalLeaf("gb", frozenset(), (_DONE,))})
+    return ConditionalPlan(root, (frozenset(),), ()), priors
+
+
+@pytest.mark.parametrize("kind", ["prior", "cond"])
+def test_an_outcome_of_probability_zero_is_never_taken(kind, monkeypatch):
+    """The exact walk never branches into an outcome of probability 0.0,
+    as the node walk does not, and Monte Carlo never draws one: not on
+    Philox streams, as the reference estimator does not, and not on a
+    uniform exactly on the repeated cut."""
+    plan, priors = _zero_outcome_plan(kind)
+    assert _exact_and_branches(plan, priors) == _oracle_exact(plan, priors)
+    # the walks count the prior assignments they branch into
+    assert _oracle_exact(plan, priors) == (0.5, 2 if kind == "prior" else 0)
+    entered = []
+    exact_mass = simulator._exact_mass
+
+    def recorded(block, *args):
+        entered.append(block.end)
+        return exact_mass(block, *args)
+
+    monkeypatch.setattr(simulator, "_exact_mass", recorded)
+    assert exhaustive_success(plan, priors) == 0.5
+    monkeypatch.undo()
+    assert GiveUpLeaf(frozenset()) not in entered
+    for seed in (0, 3):
+        assert _same_report(plan, priors, seed=seed)["giveups"] == 0
+    # uniforms on the repeated cut 0.5 and just below it
+    edges = (0.5, np.nextafter(0.5, 0))
+    want = ["b", "a"]
+    for u, o in zip(edges, want):
+        world = sample_world(priors, _Fixed(u))
+        r = execute_plan(plan, world, rng=_Fixed(u))
+        assert r == _oracle_execute_plan(plan, world, rng=_Fixed(u))
+        assert (world.get("x") if kind == "prior" else r.outcomes[0][1]) == o
+    if kind == "prior":
+        picks = simulator._prior_picks(simulator._cut_tables(priors),
+                                       np.array(edges)[:, None])
+        assert [_ZERO_SPACE[i] for i in picks[:, 0]] == want
+    monkeypatch.setattr(simulator, "_philox_uniforms",
+                        lambda seed, first, n, k: np.array(
+                            [[edges[(first + i) % 2]] * k for i in range(n)]))
+    report = estimate_success(plan, priors, trials=2 * _TRIAL_CHUNK + 3)
+    assert report["giveups"] == 0
+    assert report["successes"] == _TRIAL_CHUNK + 1  # the odd trials
 
 
 def test_negative_trials_are_refused():
