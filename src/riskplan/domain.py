@@ -74,7 +74,6 @@ from .errors import DomainSyntaxError, DomainValidationError, GroundingError
 __all__ = [
     "PROB_TOL",
     "Proposition",
-    "OutcomeFamily",
     "OperatorSchema",
     "KbmcClause",
     "Domain",
@@ -141,15 +140,6 @@ def literal_values(lits: Iterable[Proposition]) -> tuple[tuple[str, str], ...]:
 # schema-level types
 
 
-@dataclass(frozen=True)
-class OutcomeFamily:
-    """Named alternative outcomes of a conditional or observation operator."""
-
-    outcomes: tuple[str, ...]
-    adds: Mapping[str, tuple[Proposition, ...]]
-    deletes: Mapping[str, tuple[Proposition, ...]]
-
-
 @dataclass(frozen=True, eq=True)
 class OperatorSchema:
     name: str
@@ -158,7 +148,11 @@ class OperatorSchema:
     preconditions: tuple[Proposition, ...] = ()
     add: tuple[Proposition, ...] = ()
     delete: tuple[Proposition, ...] = ()
-    outcomes: OutcomeFamily | None = None
+    outcomes: tuple[str, ...] = ()
+    outcome_adds: Mapping[str, tuple[Proposition, ...]] = field(
+        default_factory=dict)
+    outcome_dels: Mapping[str, tuple[Proposition, ...]] = field(
+        default_factory=dict)
     simple_distribution: Mapping[str, float] | None = None
     influences: tuple[Proposition, ...] = ()
     cpt: Mapping[tuple[str, ...], float] | None = None
@@ -679,7 +673,8 @@ def _parse_operator(form) -> OperatorSchema:
                 f"operator {name!r}: use (outcomes ...) for {kind} operators")
         if not outcomes:
             raise DomainValidationError(f"operator {name!r}: no outcomes declared")
-        fields["outcomes"] = OutcomeFamily(tuple(outcomes), adds, dels)
+        fields.update(outcomes=tuple(outcomes), outcome_adds=adds,
+                      outcome_dels=dels)
         if saw_prob:
             _check_row_groups(probs, outcomes, f"operator {name!r}")
             fields["simple_distribution"] = {k[0]: p for k, p in probs.items()}
@@ -963,16 +958,14 @@ def _ground_operator(op: OperatorSchema, binding) -> GroundOperator:
         preconditions=tuple(sub(p) for p in op.preconditions),
         add=tuple(sub(p) for p in op.add),
         delete=tuple(sub(p) for p in op.delete),
+        outcomes=op.outcomes,
+        outcome_adds={o: tuple(sub(p) for p in ps)
+                      for o, ps in op.outcome_adds.items()},
+        outcome_dels={o: tuple(sub(p) for p in ps)
+                      for o, ps in op.outcome_dels.items()},
         simple_distribution=op.simple_distribution,
         cpt=op.cpt,
     )
-    if op.outcomes is not None:
-        fam = op.outcomes
-        fields["outcomes"] = fam.outcomes
-        fields["outcome_adds"] = {o: tuple(sub(p) for p in fam.adds.get(o, ()))
-                                  for o in fam.outcomes}
-        fields["outcome_dels"] = {o: tuple(sub(p) for p in fam.deletes.get(o, ()))
-                                  for o in fam.outcomes}
     if op.observes is not None:
         fields["observes"] = var_id(sub(op.observes))
     fields["influences"] = tuple(var_id(sub(v)) for v in op.influences)

@@ -163,7 +163,8 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
                        sid: str, var: str) -> list[PlanGraph]:
     """Discharge one influence: it may already be settled in this branch,
     may be pledged unknown (an ignorance link from start), or may be pinned
-    down first by inserting an observer or a forcing action on the path."""
+    down first by inserting an observer or a forcing action on the path:
+    either settles the variable at ``sid``, which runs below it."""
     if _determined_value(plan, sid, var) is not None:
         return [plan.without_open_influence((sid, var))]
 
@@ -182,8 +183,5 @@ def _resolve_influence(plan: PlanGraph, gdomain: GroundDomain, model: str,
                 made = _insert_producer(plan, op, o, parent, child, model)
                 if made is None:
                     continue
-                plan2, _new = made
-                if _determined_value(plan2, sid, var) is None:
-                    continue
-                out.extend(_safe(plan2.without_open_influence((sid, var))))
+                out.extend(_safe(made[0].without_open_influence((sid, var))))
     return out

@@ -99,18 +99,10 @@ def _expand(plan: PlanGraph, bound: SuccessBound, m, gdomain: GroundDomain,
 # label plumbing
 
 
-def _label_producer(plan: PlanGraph, holder: str, lab: Label) -> str:
-    """The step that put ``lab`` into ``holder``'s context (falls back to
-    the canonically first step bound to the label's source)."""
-    for l in plan.links:
-        if l.kind == "conditioning" and l.consumer == holder \
-                and l.payload == lab:
-            return l.producer
-    return _source_step(plan, lab.source)
-
-
 def _source_step(plan: PlanGraph, source: str) -> str:
-    """The canonically first step bound to ``source``, else start."""
+    """The step bound to ``source``, else start.  A dag plan binds each
+    source to one step, and every conditioning link on one of its labels
+    runs from that step."""
     return next((st.id for st in plan.step_list() if st.source == source),
                 START_ID)
 
@@ -125,8 +117,7 @@ def _join_branch(plan: PlanGraph, sid: str, producer: str,
     sid takes on the producer's context labels, plus the producing outcome's
     label when support comes from one outcome of a chancy step."""
     w = plan.steps[producer]
-    pairs = [(lab, _label_producer(plan, producer, lab))
-             for lab in sorted(w.context - plan.steps[sid].context)]
+    pairs = _context_pairs(plan, w.context - plan.steps[sid].context)
     if outcome is not None:
         lab = Label(w.source, outcome)
         if lab not in plan.steps[sid].context:
@@ -146,8 +137,6 @@ def _resolve_threat(plan: PlanGraph, threat: Threat) -> list[PlanGraph]:
     link = threat.link
 
     def try_order(a: str, b: str):
-        if a == START_ID and b == START_ID:
-            return
         try:
             out.append(add_link(plan, Link("ordering", a, b)))
         except WouldCreateCycle:

@@ -19,19 +19,19 @@ Two contexts are compatible when their union assigns no variable two
 different outcomes.  Plans are immutable; every mutation returns a fresh
 graph.  Updates only add steps, links and tree edges and only grow
 contexts, so a child's facts follow from its parent's.  Adding a -> b
-gives ``{b} | after[b]`` to a and to every step ordered before a.  Threats
-are derived once per graph (``PlanGraph.threats``): a graph derived from
-one whose threats are known keeps those threats that still hold and checks
-only its new links against every step and its old links against its new
-steps, as UCPOP does (Penberthy & Weld, KR 1992).  In a tree plan a new
-link is checked only against the steps on the tree path down to its
-consumer, and a causal link skips at once every step whose operator's
-``clobbers`` lacks the link's proposition; an old causal link whose
-proposition no new step clobbers is not visited at all.  ``has_threat``
-runs the same check but stops at the first threat, and a plan it clears
-keeps ``[]`` as its threats.  ``_ordering_closure`` and ``find_threats``
-are the from-scratch paths: roots use them, and the tests hold every
-shortcut to them.
+gives ``{b} | after[b]`` to a and to every step ordered before a.  A
+plan's threats are a set, derived once per graph (``PlanGraph.threats``):
+a graph derived from one whose threats are known keeps those threats that
+still hold and checks only its new links against every step and its old
+links against its new steps, as UCPOP does (Penberthy & Weld, KR 1992).
+In a tree plan a new link is checked only against the steps on the tree
+path down to its consumer, and a causal link skips at once every step
+whose operator's ``clobbers`` lacks the link's proposition; an old causal
+link whose proposition no new step clobbers is not visited at all.
+``has_threat`` runs the same check but stops at the first threat, and a
+plan it clears keeps the empty set as its threats.  ``_ordering_closure``
+and ``find_threats`` are the from-scratch paths: roots use them, and the
+tests hold every shortcut to them.
 
 Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 (each step has one parent; conditional steps fan out per outcome), which
@@ -163,11 +163,11 @@ class Threat(NamedTuple):
 
 @dataclass(frozen=True)
 class _ThreatBasis:
-    """What a derived plan's threats start from: the threats of the plan it
-    was derived from, and the step ids and links added since.  It holds no
-    plan, so a chain of derived plans keeps no ancestor alive."""
+    """What a derived plan's threats start from: the threat set of the plan
+    it was derived from, and the step ids and links added since.  It holds
+    no plan, so a chain of derived plans keeps no ancestor alive."""
 
-    threats: tuple  # of Threat
+    threats: frozenset  # of Threat
     steps: frozenset  # of step id
     links: frozenset  # of Link
 
@@ -193,12 +193,12 @@ class PlanGraph:
         return len(self.steps)
 
     @cached_property
-    def threats(self) -> list[Threat]:
-        """The plan's threats in ``find_threats`` order, computed on first
-        use and kept: the graph never changes."""
+    def threats(self) -> frozenset[Threat]:
+        """The set of the plan's threats, ``find_threats(self)``, computed
+        on first use and kept: the graph never changes."""
         if self._basis is None:
             return find_threats(self)
-        return _derived_threats(self, self._basis)
+        return frozenset(_threat_candidates(self, self._basis))
 
     @cached_property
     def _step_order(self) -> tuple[Step, ...]:
@@ -246,7 +246,7 @@ class PlanGraph:
         straight from this plan's instance dict, so it inherits none of
         this plan's cached properties."""
         if "threats" in self.__dict__:
-            basis = _ThreatBasis(tuple(self.threats), new_steps, new_links)
+            basis = _ThreatBasis(self.threats, new_steps, new_links)
         elif self._basis is not None:
             b = self._basis
             basis = _ThreatBasis(b.threats, b.steps | new_steps,
@@ -378,7 +378,7 @@ def add_link(plan: PlanGraph, link: Link) -> PlanGraph:
 # threats
 
 
-def find_threats(plan: PlanGraph) -> list[Threat]:
+def find_threats(plan: PlanGraph) -> frozenset[Threat]:
     """Steps that could undo a causal or influence link or break an
     ignorance pledge.
 
@@ -390,19 +390,16 @@ def find_threats(plan: PlanGraph) -> list[Threat]:
     effect set writes the variable X, whose value at w the link fixes.
     ``v`` threatens ignorance link ``(start, X, w)`` iff v could precede
     w, is context-compatible with w, and observing or executing v would
-    reveal X's value.  Threats come by link text, then by step in
-    canonical order, then by outcome in declared order.
+    reveal X's value.  The threats are a set: no reader needs an order.
     """
-    threats: list[Threat] = []
     steps = plan.step_list()
-    for link in sorted(plan.links, key=Link.text):
-        threats.extend(_link_threats(plan, link, steps))
-    return threats
+    return frozenset(t for link in plan.links
+                     for t in _link_threats(plan, link, steps))
 
 
 def _link_threats(plan: PlanGraph, link: Link,
                   steps: Iterable[Step]) -> Iterator[Threat]:
-    """The threats to ``link`` from ``steps``, in the order given."""
+    """The threats to ``link`` from ``steps``."""
     if link.kind in ("causal", "influence"):
         s, w, item = link.producer, link.consumer, link.payload
         causal = link.kind == "causal"
@@ -438,8 +435,8 @@ def _link_threats(plan: PlanGraph, link: Link,
 
 def _threat_candidates(plan: PlanGraph, basis: _ThreatBasis
                        ) -> Iterator[Threat]:
-    """``find_threats(plan)``, unordered, from the threats of a plan it was
-    derived from.  Derived plans only add steps and links and only grow
+    """``find_threats(plan)``, one by one, from the threats of a plan it
+    was derived from.  Derived plans only add steps and links and only grow
     contexts and orderings, so a step that did not threaten a link there
     does not threaten it here: it is enough to keep the old threats that
     still hold, check the new links against every step, and check the old
@@ -469,25 +466,15 @@ def _threat_candidates(plan: PlanGraph, basis: _ThreatBasis
                 yield from _link_threats(plan, link, fresh)
 
 
-def _derived_threats(plan: PlanGraph, basis: _ThreatBasis) -> list[Threat]:
-    """``_threat_candidates`` in ``find_threats`` order."""
-
-    def order(t: Threat):
-        v = plan.steps[t.step]
-        pos = -1 if t.outcome is None else v.operator.outcomes.index(t.outcome)
-        return (t.link.text(), v.sort_key(), pos)
-
-    return sorted(_threat_candidates(plan, basis), key=order)
-
-
 def has_threat(plan: PlanGraph) -> bool:
     """``bool(plan.threats)``, stopping at the first threat a derived plan
-    meets.  A plan found to have none keeps ``[]`` as its threats."""
+    meets.  A plan found to have none keeps the empty set as its
+    threats."""
     if "threats" in plan.__dict__ or plan._basis is None:
         return bool(plan.threats)
     for _t in _threat_candidates(plan, plan._basis):
         return True
-    plan.__dict__["threats"] = []
+    plan.__dict__["threats"] = frozenset()
     return False
 
 

@@ -178,9 +178,18 @@ def joint_probability(net: BeliefNet, labels: Iterable[Label]) -> float:
 
 def joint_by_enumeration(net: BeliefNet, labels: Iterable[Label]) -> float:
     """``joint_probability`` by brute force over every assignment the
-    labels allow, each weighted by its ``cpt`` entries; nothing is kept."""
+    labels allow, each weighted by its ``cpt`` entries; nothing is kept.
+    Every ``cpt`` cell is looked for first, visited or not, so a net that
+    lacks one raises MissingCptRow, as ``joint_probability`` does."""
     ev = _as_evidence(net, labels)
     order = net.topological_order()
+    for v in order:
+        nv = net.variables[v]
+        for tail in itertools.product(*(net.variables[p].space
+                                        for p in nv.parents)):
+            for out in nv.space:
+                if (out,) + tail not in nv.cpt:
+                    raise MissingCptRow(f"{v}: no row for {(out,) + tail}")
     total = 0.0
     assign: dict[str, str] = {}
 
@@ -194,8 +203,6 @@ def joint_by_enumeration(net: BeliefNet, labels: Iterable[Label]) -> float:
         choices = (ev[v],) if v in ev else nv.space
         for out in choices:
             key = (out,) + tuple(assign[p] for p in nv.parents)
-            if key not in nv.cpt:
-                raise MissingCptRow(f"{v}: no row for {key}")
             assign[v] = out
             rec(i + 1, weight * nv.cpt[key])
         del assign[v]

@@ -58,7 +58,7 @@ def test_parse_ski_domain():
     assert prop_from_text("(clear b snowbird)") in drive.preconditions
     check = next(o for o in d.operators if o.name == "check-road-b-snowbird")
     assert check.kind == "obs"
-    assert check.outcomes.outcomes == ("true", "false")
+    assert check.outcomes == ("true", "false")
 
 
 def test_parse_problem():
@@ -98,16 +98,15 @@ def _render_operator(op: OperatorSchema) -> str:
         if op.delete:
             parts.append("  " + _render_lits("del", op.delete))
     else:
-        fam = op.outcomes
         olines = []
-        for o in fam.outcomes:
+        for o in op.outcomes:
             sects = []
             if op.simple_distribution is not None:
                 sects.append(f"(prob {_fmt_num(op.simple_distribution[o])})")
-            if fam.adds.get(o):
-                sects.append(_render_lits("add", fam.adds[o]))
-            if fam.deletes.get(o):
-                sects.append(_render_lits("del", fam.deletes[o]))
+            if op.outcome_adds.get(o):
+                sects.append(_render_lits("add", op.outcome_adds[o]))
+            if op.outcome_dels.get(o):
+                sects.append(_render_lits("del", op.outcome_dels[o]))
             olines.append("(" + " ".join([o] + sects) + ")")
         parts.append("  (outcomes " + "\n            ".join(olines) + ")")
         if op.observes is not None:
@@ -282,7 +281,7 @@ def test_repeated_init_and_outcomes_merge():
         frozenset({prop_from_text("(a)")}), frozenset({prop_from_text("(b)")}))
     op, = parse_domain("(operator a (kind cond) (outcomes (x (prob 0.5))) "
                        "(outcomes (y (prob 0.5))))").operators
-    assert op.outcomes.outcomes == ("x", "y")
+    assert op.outcomes == ("x", "y")
 
 
 def _grounded(text):

@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -262,6 +266,46 @@ def run_case(tmp: Path, make, extra, planner: str, model: str):
 def test_golden_output(case, tmp_path):
     name, make, extra, planner, model = case
     assert run_case(tmp_path, make, extra, planner, model) == GOLDEN[name]
+
+
+# Cases rerun under two hash seeds: both planners on ski, and the nonlinear
+# planner, whose threat sets have no order, on two more worlds.
+SEEDED = ("ski-0.085-linear-kbmc", "ski-0.085-nonlinear-kbmc",
+          "sussman-nonlinear-kbmc", "sussman-nonlinear-simple",
+          "slippery-nonlinear-simple")
+
+_RUN_SEEDED = """
+import json, sys
+from pathlib import Path
+from tests.test_golden import CASES, run_case
+out = {}
+for name, make, extra, planner, model in CASES:
+    if name in sys.argv[2:]:
+        tmp = Path(sys.argv[1]) / name
+        tmp.mkdir(parents=True)
+        out[name] = run_case(tmp, make, extra, planner, model)
+print(json.dumps(out))
+"""
+
+
+def test_golden_output_does_not_hang_on_the_hash_seed(tmp_path):
+    """Set and dict order of strings moves with PYTHONHASHSEED; the
+    outputs must not."""
+    root = Path(__file__).resolve().parent.parent
+    runs = []
+    for seed in ("0", "1"):
+        path = [str(root / "src"), str(root), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", _RUN_SEEDED, str(tmp_path / seed),
+             *SEEDED], cwd=root, env=env, stdout=subprocess.PIPE, text=True))
+    for proc in runs:
+        stdout = proc.communicate(timeout=60)[0]
+        assert proc.returncode == 0
+        got = {name: (code, digests, failure)
+               for name, (code, digests, failure) in json.loads(stdout).items()}
+        assert got == {name: GOLDEN[name] for name in SEEDED}
 
 
 if __name__ == "__main__":

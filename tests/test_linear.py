@@ -135,7 +135,7 @@ def test_accepted_plans_carry_no_threats():
     for world in (det_chain(3), ski_world(), slippery_walk()):
         gdom, prob = load_texts(*world)
         res = plan_linear(gdom, prob)
-        assert find_threats(res.graph) == []
+        assert find_threats(res.graph) == set()
 
 
 def test_no_redundant_reobservation():

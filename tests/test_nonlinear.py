@@ -71,7 +71,7 @@ def test_ski_link_discipline():
     causal = [l for l in by_kind["causal"]
               if str(l.payload) == "(at-resort)"]
     assert causal
-    assert find_threats(res.graph) == []
+    assert find_threats(res.graph) == set()
 
 
 def test_ski_tight_epsilon_covers_both_resorts():
@@ -107,7 +107,7 @@ def test_sussman_anomaly():
     mass, violations = exhaustive_check(res.conditional, prob.priors,
                                         prob.known_true, prob.known_false)
     assert (mass, violations) == (1.0, 0)
-    assert find_threats(res.graph) == []
+    assert find_threats(res.graph) == set()
 
 
 def test_every_linearization_of_sussman_executes():
@@ -148,7 +148,7 @@ def test_threat_resolution_on_clobbering_domain():
           if "kick" in t[0]][0])
     res = plan_nonlinear(gdom, prob)
     assert res.bound.achieved_mass == 1.0
-    assert find_threats(res.graph) == []
+    assert find_threats(res.graph) == set()
     mass, violations = exhaustive_check(res.conditional, prob.priors,
                                         prob.known_true, prob.known_false)
     assert (mass, violations) == (1.0, 0)
@@ -198,12 +198,12 @@ def test_threat_to_a_causal_link_is_demoted_or_promoted():
     plan, wreck = dag_add_step(plan, operator_named(gdom, "wreck"), ())
     link = Link("causal", make, use, prop_from_text("(p)"))
     plan = add_link(plan, link)
-    assert plan.threats == [Threat(wreck, link)]
-    demoted, promoted = _resolve_threat(plan, plan.threats[0])
+    assert plan.threats == {Threat(wreck, link)}
+    demoted, promoted = _resolve_threat(plan, Threat(wreck, link))
     assert _new_links(plan, demoted) == {Link("ordering", wreck, make)}
     assert demoted.ordered_before(wreck, use)
     assert _new_links(plan, promoted) == {Link("ordering", use, wreck)}
-    assert demoted.threats == promoted.threats == []
+    assert demoted.threats == promoted.threats == set()
 
 
 def test_threat_to_an_ignorance_pledge_is_promoted():
@@ -217,10 +217,10 @@ def test_threat_to_an_ignorance_pledge_is_promoted():
                               source="x")
     pledge = Link("ignorance", START_ID, walk, "x")
     plan = add_link(plan, pledge)
-    assert plan.threats == [Threat(look, pledge)]
-    (promoted,) = _resolve_threat(plan, plan.threats[0])
+    assert plan.threats == {Threat(look, pledge)}
+    (promoted,) = _resolve_threat(plan, Threat(look, pledge))
     assert _new_links(plan, promoted) == {Link("ordering", walk, look)}
-    assert promoted.threats == []
+    assert promoted.threats == set()
 
 
 # The ok branch reaches g by finish-a, which needs aq from prep-q; the bad

@@ -157,7 +157,8 @@ _OPS = [det("make-p", add=["(p)"]), det("wreck-p", delete=["(p)"]),
         _obs("look", "x")]
 _PROPS = [lit("(p)"), lit("(q)"), lit("(x)")]
 
-_moves = st.lists(st.tuples(st.sampled_from(["step", "link", "condition"]),
+_moves = st.lists(st.tuples(st.sampled_from(["step", "link", "condition",
+                                             "fork"]),
                             st.integers(0, 99), st.integers(0, 99),
                             st.integers(0, 99), st.booleans()),
                   max_size=14)
@@ -185,6 +186,39 @@ def _random_link(plan, a, b, c):
     producer = ids[b % len(ids)]
     return Link(kind, producer, consumer,
                 _PROPS[a % len(_PROPS)] if kind == "causal" else None)
+
+
+_COIN = cond("toss", {"heads": ((), ()), "tails": ((), ())})
+
+
+def _fork(plan, a, b, c):
+    """Fork on a chance step, put a second chance step under its tails
+    outcome, and condition a step under heads on the second step's outcome.
+    Returns the plan before the conditioning and what ``condition_step``
+    makes of it: a tree plan refuses a link from off the step's tree path,
+    and a dag plan takes it."""
+    if plan.tree is None:
+        first = sorted(plan.steps)[a % len(plan.steps)]
+        plan, fork = dag_add_step(plan, _COIN, (),
+                                  source=_source(plan, _COIN))
+        heads, tails = (Label(plan.steps[fork].source, o)
+                        for o in _COIN.outcomes)
+        plan, inner = dag_add_step(plan, _COIN, [(tails, fork)],
+                                   source=_source(plan, _COIN))
+        target, pairs = first, [(heads, fork)]
+    else:
+        first = sorted(plan.tree)[a % len(plan.tree)]
+        plan, fork, (leaf,) = tree_insert(
+            plan, _COIN, plan.tree[first][0], first, chosen_outcome="heads",
+            source=_source(plan, _COIN))
+        plan, inner, _ = tree_insert(plan, _COIN, fork, leaf,
+                                     chosen_outcome="heads",
+                                     source=_source(plan, _COIN))
+        below = sorted(plan.after[first] | {first})
+        target, pairs = below[b % len(below)], []
+    pairs.append((Label(plan.steps[inner].source, _COIN.outcomes[c % 2]),
+                  inner))
+    return plan, condition_step(plan, target, pairs)
 
 
 def _quadratic_topo(plan, ids):
@@ -224,7 +258,7 @@ def _assert_matches_oracles(plan, look):
             assert plan.after[x] | {x} == _oracle_subtree(plan, x), x
     if look:  # else the next plan derives its threats across two updates
         # before ``plan.threats`` is read, so the early exit runs from the
-        # basis; a plan it clears keeps ``[]`` as its threats
+        # basis; a plan it clears keeps the empty set as its threats
         assert has_threat(plan) == bool(find_threats(plan))
         assert plan.threats == find_threats(plan)
     for ids in (plan.steps, [sid for sid, st in plan.steps.items()
@@ -236,12 +270,13 @@ def _assert_matches_oracles(plan, look):
 @settings(max_examples=150, deadline=None)
 @given(moves=_moves)
 def test_incremental_updates_match_from_scratch_oracles(shape, moves):
-    """After every update, the ordering closure and the threat list derived
+    """After every update, the ordering closure and the threat set derived
     from the parent equal ``_ordering_closure`` and ``find_threats`` run
     from scratch, and a link raises WouldCreateCycle exactly when the
     from-scratch closure does.  A tree plan refuses a link whose producer
     is not above its consumer, so each step's closure is the steps below
-    it in the tree.  A derived plan inherits none of its
+    it in the tree, even after a step is conditioned on a chance step in
+    another branch.  A derived plan inherits none of its
     parent's cached facts, and the canonical step order equals the
     quadratic one.  Two plans on the way share a canonical key
     exactly when they share a text key."""
@@ -278,6 +313,10 @@ def test_incremental_updates_match_from_scratch_oracles(shape, moves):
                     _ordering_closure(plan.steps, plan.links | {link},
                                       plan.tree)
                 continue
+        elif move == "fork":
+            plan, conditioned = _fork(plan, a, b, c)
+            if conditioned is not None:
+                plan = conditioned
         else:
             labels = _chance_labels(plan)
             if not labels:
@@ -470,10 +509,10 @@ def test_ordered_out_clobberer_is_safe():
     plan, prod, cons = _threat_plan()
     plan, clob = dag_add_step(plan, det("wreck", delete=["(p)"]), ())
     promoted = add_link(plan, Link("ordering", cons, clob))
-    assert find_threats(promoted) == []
+    assert find_threats(promoted) == set()
     assert _oracle_causal_threats(promoted) == set()
     demoted = add_link(plan, Link("ordering", clob, prod))
-    assert find_threats(demoted) == []
+    assert find_threats(demoted) == set()
 
 
 def test_conditional_clobberer_names_outcome():
@@ -493,7 +532,7 @@ def test_conditioned_apart_clobberer_is_safe():
     # consumer committed to fizzle: the boom variant is incompatible
     plan2 = condition_step(plan, cons, [(Label("sX", "fizzle"), cid)])
     assert plan2 is not None
-    assert find_threats(plan2) == []
+    assert find_threats(plan2) == set()
     assert _oracle_causal_threats(plan2) == set()
 
 
@@ -510,7 +549,7 @@ def test_outcome_threat_leaves_only_its_own_branch_unfinished():
     plan, cons = dag_add_step(plan, det("use-p", pre=["(p)"]), ())
     link = Link("causal", prod, cons, lit("(p)"))
     plan = add_link(plan, link)
-    assert plan.threats == [Threat(cid, link, "boom")]
+    assert plan.threats == {Threat(cid, link, "boom")}
     assert complete_goal_ids(plan) == ["s1"]
 
 
@@ -526,7 +565,7 @@ def test_ignorance_threats():
     assert [(t.step, t.link.kind) for t in threats] == [(lid, "ignorance")]
     # ordering the observation after the protected step clears it
     plan2 = add_link(plan, Link("ordering", wid, lid))
-    assert find_threats(plan2) == []
+    assert find_threats(plan2) == set()
 
 
 def test_influence_threats():
@@ -542,12 +581,12 @@ def test_influence_threats():
     flip = cond("flip", {"heads": ((), ["(x)"]), "tails": (["(q)"], ())})
     plan, cid = dag_add_step(plan, flip, (), source="sC")
     plan, _ = dag_add_step(plan, det("make-q", add=["(q)"]), ())
-    assert find_threats(plan) == [Threat(cid, link, "heads")]
+    assert find_threats(plan) == {Threat(cid, link, "heads")}
     # ordered after the consumer, the writer no longer threatens the link
-    assert find_threats(add_link(plan, Link("ordering", fid, cid))) == []
+    assert find_threats(add_link(plan, Link("ordering", fid, cid))) == set()
     # nor under an outcome the consumer's context rules out
     plan = condition_step(plan, fid, [(Label("sC", "tails"), cid)])
-    assert find_threats(plan) == []
+    assert find_threats(plan) == set()
 
 
 # ---------------------------------------------------------------------------

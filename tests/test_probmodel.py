@@ -281,6 +281,23 @@ def test_joint_of_a_net_whose_clause_lacks_a_row_raises():
             joint(net, [Label("y", "true")])
 
 
+def test_enumeration_refuses_a_net_lacking_a_cell_it_need_not_visit():
+    """y = true never reaches the cell (false, false) of y's table, which
+    the net lacks; both joints refuse the net all the same."""
+    tf = ("true", "false")
+    net = BeliefNet({
+        "x": GroundClause("x", tf, (), {("true",): 0.5, ("false",): 0.5}),
+        "y": GroundClause("y", tf, ("x",), {("true", "true"): 0.4,
+                                            ("false", "true"): 0.6,
+                                            ("true", "false"): 0.7})})
+    with pytest.raises(MissingCptRow,
+                       match=r"^y: no row for \('false', 'false'\)$"):
+        joint_by_enumeration(net, [Label("y", "true")])
+    with pytest.raises(MissingCptRow,
+                       match=r"^y: no row for \('true', 'false'\)$"):
+        joint_probability(net, [Label("y", "true")])
+
+
 # ---------------------------------------------------------------------------
 # d-connection
 

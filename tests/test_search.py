@@ -11,14 +11,14 @@ from collections import Counter
 
 import pytest
 
-from riskplan import probmodel
+from riskplan import linear, probmodel
 from riskplan.errors import PlanningFailure
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
-from riskplan.plangraph import _ordering_closure, find_threats
+from riskplan.plangraph import START_ID, _ordering_closure, find_threats
 from riskplan.simulator import exhaustive_success
 from riskplan.worlds import (det_chain, load_texts, nroad_world, ski_world,
-                             sussman)
+                             slippery_walk, sussman)
 
 from .gen import influence_family, solvable_domain
 from .test_bench_targets import load_bench_module
@@ -113,7 +113,13 @@ def test_every_node_matches_the_from_scratch_plan_graph(monkeypatch, planner,
     for plan in generated:
         assert plan.after == _ordering_closure(plan.steps, plan.links,
                                                plan.tree)
-        assert plan.threats == find_threats(plan)
+        threats = find_threats(plan)
+        assert plan.threats == threats
+        assert all(t.step != START_ID for t in threats)
+        if plan.tree is None:  # each label source belongs to one step
+            sources = [st.source for st in plan.steps.values()
+                       if st.source is not None]
+            assert len(sources) == len(set(sources))
     assert_keys_agree(generated)
 
 
@@ -220,3 +226,29 @@ def test_influence_family_plans_have_the_mass_they_claim(planner):
         assert _exact(res, prob) == pytest.approx(res.bound.achieved_mass,
                                                   abs=1e-9), seed
     assert accepted == _INFLUENCE_ACCEPTED[planner]
+
+
+def test_linear_influence_steps_settle_the_variable(monkeypatch):
+    """Each child ``linear._resolve_influence`` makes by inserting a step,
+    an observer or a forcer on the tree path, has the variable settled at
+    the step whose influence it resolves.  The influence family inserts
+    forcers; the slippery walk inserts observers."""
+    resolve = linear._resolve_influence
+    inserted: Counter = Counter()  # operator kind -> children checked
+
+    def checked(plan, gdomain, model, sid, var):
+        children = resolve(plan, gdomain, model, sid, var)
+        for child in children:
+            if len(child.steps) > len(plan.steps):
+                inserted[child.steps[f"s{plan.next_index}"].kind] += 1
+                assert linear._determined_value(child, sid, var) is not None
+        return children
+
+    monkeypatch.setattr(linear, "_resolve_influence", checked)
+    problems = [influence_family(random.Random(seed)) for seed in range(60)]
+    for texts in problems + [slippery_walk()]:
+        try:
+            plan_linear(*load_texts(*texts), node_budget=200)
+        except PlanningFailure:
+            pass
+    assert inserted["det"] and inserted["obs"]
