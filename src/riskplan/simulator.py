@@ -78,30 +78,20 @@ __all__ = [
 EXHAUSTIVE_WORLD_LIMIT = 4096  # prior assignments an exact walk may take
 
 
-# Philox4x64-10: round multipliers and Weyl key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64-10: the round multipliers and Weyl key increments of the two
+# products a round takes, one row each
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                     dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                     dtype=np.uint64)[:, None, None]
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-# Trials whose uniforms are held at once.  Replaying the seven seed-1
-# bench montecarlo documents, 4000 trials each (best of 9 interleaved
-# passes, 2-vCPU VM, Python 3.11, numpy 2.4), at 512, 1024, 2048 and 4096:
-# 0.74, 1.11, 1.43 and 1.65 M trials/s, while peak RSS grew past the
-# planning peak by 0.12, 0.25, 0.70 and 1.32 MB (0.12 MB before trial
-# classes).  Past 1024 the numpy temporaries of a chunk raise the peak.
+_HALVES = np.array([32, 0], dtype=np.uint64)[:, None, None, None]
+_M_HALVES = ((_PHILOX_M >> _HALVES) & _LOW32)[:, None]  # [half, 1, m, 1, 1]
+_ROUNDS = np.arange(10, dtype=np.uint64)[:, None, None, None]
+# Trials whose uniforms are held at once.  TRIAL_CHUNK_NOTE
 _TRIAL_CHUNK = 1024
 _CLASS_CODES = 1 << 12  # the most trial-class codes counted in one table
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of the 128-bit products ``m * x``, from
-    32-bit halves (numpy ``uint64`` products wrap)."""
-    m1, m0 = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
-    x1, x0 = x >> _SHIFT32, x & _LOW32
-    p01, p10 = m0 * x1, m1 * x0
-    mid = ((m0 * x0) >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
-    hi = m1 * x1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, x * np.uint64(m)
 
 
 def _philox_key(seed: int) -> int:
@@ -115,22 +105,32 @@ def _philox_uniforms(seed: int, first: int, trials: int, k: int) -> np.ndarray:
     ``np.random.Generator(np.random.Philox(key=[seed, first + i])).random()``
     for each of ``trials`` trials, bit for bit: counter blocks 1, 2, ...
     give four 64-bit words each, and a word ``x`` gives the double
-    ``(x >> 11) * 2**-53``.  The seed is checked by ``_philox_key``."""
+    ``(x >> 11) * 2**-53``.  The seed is checked by ``_philox_key``.
+
+    A block's words ``c0 .. c3`` are held as ``a = (c0, c2)``, the words a
+    round multiplies, and ``b = (c1, c3)``, each of shape ``(2, trials,
+    blocks)``, so a round takes both of its 128-bit products at once: the
+    high words come from the four products of 32-bit halves, and the low
+    words are the wrapping ``uint64`` products."""
     seed = _philox_key(seed)
     blocks = -(-k // 4)
     t = np.arange(first, first + trials, dtype=np.uint64)[:, None]
-    # words that do not depend on the trial stay one row, which numpy
-    # broadcasts: all of round 1 and half of round 2
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
-    c1 = c2 = c3 = np.zeros((1, blocks), dtype=np.uint64)
-    for r in range(10):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
-        k1 = t + np.uint64(r * _PHILOX_W[1] % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(trials, 4 * blocks)
-    return (words[:, :k] >> np.uint64(11)) * 2.0 ** -53
+    # round r's key words (k0, k1): the key plus r increments, mod 2**64
+    keys = _ROUNDS * _PHILOX_W + np.stack([np.full_like(t, seed), t])
+    # until round 1 adds the keys the state does not depend on the trial,
+    # so it stays one row, which numpy broadcasts
+    a = np.zeros((2, 1, blocks), dtype=np.uint64)
+    a[0] = np.arange(1, blocks + 1)
+    b = np.zeros_like(a)
+    for key in keys:
+        p = _M_HALVES * ((a >> _HALVES) & _LOW32)  # p[i, j]: m half i * half j
+        high, low = p >> _SHIFT32, p & _LOW32
+        mid = high[1, 1] + low[1, 0] + low[0, 1]
+        hi = p[0, 0] + high[1, 0] + high[0, 1] + (mid >> _SHIFT32)
+        a, b = hi[::-1] ^ b ^ key, (a * _PHILOX_M)[::-1]
+    words = np.stack([a, b], axis=-1).transpose(1, 2, 0, 3)
+    return (words.reshape(trials, 4 * blocks)[:, :k] >> np.uint64(11)) \
+        * 2.0 ** -53
 
 
 class _Draws:
