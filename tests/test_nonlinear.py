@@ -8,11 +8,12 @@ import pytest
 from riskplan.conditional import BranchNode, GiveUpLeaf, GoalLeaf, Label
 from riskplan.domain import prop_from_text
 from riskplan.errors import PlanningFailure
-from riskplan.nonlinear import (_resolve_influence, _resolve_threat,
+from riskplan.nonlinear import (_expand, _resolve_influence, _resolve_threat,
                                 plan_nonlinear)
 from riskplan.plangraph import (Link, START_ID, Threat, add_link,
                                 dag_add_step, find_threats, linearizations,
                                 make_root_plan)
+from riskplan.probmodel import success_bound
 from riskplan.simulator import exhaustive_success
 from riskplan.worlds import (det_chain, load_texts, press_button, ski_world,
                              slippery_walk, sussman)
@@ -314,3 +315,49 @@ def test_influence_forced_by_a_det_step():
     assert _new_links(plan, forced) == {Link("ordering", START_ID, setx),
                                         Link("influence", setx, walk, "x")}
     assert forced.open_influences == frozenset()
+
+
+# two threats alike but for their branch: make-p -> use-p under try=ok,
+# threatened by wreck-p, and make-q -> use-q under try=bad, by wreck-q
+_TWO_THREATS_DOMAIN = """
+(operator try (kind cond)
+  (outcomes (ok (prob {ok}) (add (k))) (bad (prob {bad}) (add (r)))))
+(operator make-p (kind det) (add (p)))
+(operator use-p (kind det) (pre (p)) (add (g)))
+(operator wreck-p (kind det) (del (p)))
+(operator make-q (kind det) (add (q)))
+(operator use-q (kind det) (pre (q)) (add (g)))
+(operator wreck-q (kind det) (del (q)))
+"""
+
+
+@pytest.mark.parametrize("ok", [0.8, 0.2])
+def test_expand_resolves_the_heaviest_threat_first(ok):
+    """Of two threats, the one on the branch of greater mass is resolved.
+    The two orientations build the same plan graph, so a choice that does
+    not follow mass takes the lighter threat in one of them."""
+    gdom, prob = load_texts(
+        _TWO_THREATS_DOMAIN.format(ok=ok, bad=round(1 - ok, 1)),
+        "(problem (init (not (p)) (not (q)) (not (g)) (not (k)) (not (r))) "
+        "(goal (g)) (epsilon 0))")
+    plan = make_root_plan(prob, "dag")
+    source = f"s{plan.next_index}"
+    plan, chance = dag_add_step(plan, operator_named(gdom, "try"), (),
+                                source=source)
+    threats = {}
+    for var, outcome in (("p", "ok"), ("q", "bad")):
+        pairs = [(Label(source, outcome), chance)]
+        ids = []
+        for name in ("make", "use", "wreck"):
+            plan, sid = dag_add_step(
+                plan, operator_named(gdom, f"{name}-{var}"), pairs)
+            ids.append(sid)
+        link = Link("causal", ids[0], ids[1], prop_from_text(f"({var})"))
+        plan = add_link(plan, link)
+        threats[outcome] = Threat(ids[2], link)
+    assert plan.threats == set(threats.values())
+    heavy, light = ("ok", "bad") if ok > 0.5 else ("bad", "ok")
+    children = _expand(plan, success_bound(plan, "simple", prob.epsilon),
+                       "simple", gdom, "simple")
+    assert children == _resolve_threat(plan, threats[heavy])
+    assert all(c.threats == {threats[light]} for c in children)

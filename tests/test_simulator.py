@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -649,12 +650,29 @@ def test_mutated_documents_raise_malformed_plan():
 @pytest.mark.parametrize("seed", [0, 1, 2026, 2**32 - 1, 2**32, 2**63,
                                   2**64 - 1])
 def test_vectorized_philox_equals_numpy_philox(seed):
-    for k in (1, 4, 5, 13):
-        rows = _philox_uniforms(seed, 3, 5, k)
-        for i, row in enumerate(rows):
-            gen = np.random.Generator(np.random.Philox(
-                key=np.array([seed, 3 + i], dtype=np.uint64)))
-            assert (row == gen.random(k)).all(), (seed, k, 3 + i)
+    """Every row equals numpy's generator, in chunks of 1, 50 and
+    ``_TRIAL_CHUNK`` rows, at trial indices with bit 63 set and up to
+    2**64 - 1, for rows that end inside and on a four-word block."""
+    for first, n in ((2**64 - 1, 1), (2**63 - 25, 50),
+                     (2**64 - _TRIAL_CHUNK, _TRIAL_CHUNK)):
+        for k in [*range(1, 10), 16]:
+            rows = _philox_uniforms(seed, first, n, k)
+            assert rows.shape == (n, k)
+            for i, row in enumerate(rows):
+                gen = np.random.Generator(np.random.Philox(
+                    key=np.array([seed, first + i], dtype=np.uint64)))
+                assert (row == gen.random(k)).all(), (seed, k, first + i)
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+def test_philox_wraps_its_keys_without_a_warning(seed):
+    """Both key words wrap mod 2**64 over the ten rounds here (the seed
+    plus nine increments, and trial indices up to 2**64 - 1), which a
+    numpy ``uint64`` scalar sum would report as an overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _philox_uniforms(seed, 2**64 - 50, 50, 9)
+    assert rows.shape == (50, 9)
 
 
 def _same_report(conditional, priors, kt=(), kf=(), trials=300, seed=0):
