@@ -340,8 +340,16 @@ def read_plan_document(doc: dict) -> PlanDocument:
     """The plan, prior clauses, ``init`` facts and recorded mass of a plan
     document, or of a tree alone as ``to_json_dict`` writes it.  Raises
     MalformedPlan when it cannot be decoded.  Each distinct literal text
-    runs the s-expression reader once, and each step's operator is built
-    once."""
+    is read once, by one pattern match when ``Proposition.text()`` wrote
+    it, and each step's operator is built once."""
+    read = _read_document(doc)
+    return read._replace(priors=complete_clauses(read.priors, MalformedPlan))
+
+
+def _read_document(doc: dict) -> PlanDocument:
+    """``read_plan_document`` but for the one check of the prior clauses:
+    they are built from their records as given, for a caller that checks
+    them itself (``estimate_success``)."""
     literals = _Literals()
     try:
         ops = {rec["id"]: _op_from_json(rec, literals)
@@ -362,18 +370,23 @@ def read_plan_document(doc: dict) -> PlanDocument:
 
 
 def _document_priors(records) -> list[GroundClause]:
-    """The prior clauses of a plan document, in dependency order: variables
-    and outcomes are strings, and ``complete_clauses`` accepts the set."""
+    """The prior clauses of a plan document, in the order given: their
+    variables and outcomes are strings, and each has looked for its
+    ``row_fault`` here, so that a probability that is no number raises
+    TypeError while the document is decoded.  ``complete_clauses`` raises
+    a fault found, and checks the set."""
     priors = []
     for r in records:
         names = [r["var"], *r["space"], *r["parents"]]
         if not all(isinstance(x, str) for x in names):
             raise MalformedPlan(f"prior {r['var']!r}: variables and outcomes "
                                 "must be strings")
-        priors.append(GroundClause(r["var"], tuple(r["space"]),
-                                   tuple(r["parents"]),
-                                   {tuple(k): p for k, p in r["cpt"]}))
-    return complete_clauses(priors, MalformedPlan)
+        clause = GroundClause(r["var"], tuple(r["space"]),
+                              tuple(r["parents"]),
+                              {tuple(k): p for k, p in r["cpt"]})
+        clause.row_fault  # kept on the clause for complete_clauses
+        priors.append(clause)
+    return priors
 
 
 def _node_json(node) -> dict:

@@ -30,7 +30,9 @@ a ``;`` ends the line.  Whitespace is exactly space, tab, CR and LF; any
 other character, ``\\x0b`` and ``\\xa0`` among them, belongs to an atom.
 Every list and atom keeps the 1-based ``(line, col)`` of its first
 character, counted in characters with a tab as one column, and a syntax
-error reports the position of the token at fault.
+error reports the position of the token at fault.  A literal text of a
+plan document, written by ``Proposition.text()``, is read by one pattern
+match instead (``prop_from_text``); the reader takes any other text.
 
 A ``clause`` declares a random variable (its head) with a conditional
 probability table over its body variables; the resulting clause set must be
@@ -442,7 +444,14 @@ class Diagnostic:
 # s-expression reader
 
 
-_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;")
+# an atom: a run of characters other than whitespace, parens and ``;``
+_ATOM = r"[^ \t\r\n();]+"
+_TOKEN = re.compile(rf"[()]|{_ATOM}|;")
+# a literal as ``Proposition.text()`` writes it, its names one space apart:
+# group 1 is the body of ``(not (...))``, group 2 that of a positive
+# literal, whose name is not ``not``
+_NAMES = rf"({_ATOM}(?: {_ATOM})*)"
+_LITERAL = re.compile(rf"\((?:not \({_NAMES}\)|(?!not[ )]){_NAMES})\)")
 
 
 def _read_forms(text: str) -> list:
@@ -999,19 +1008,30 @@ def ground(domain: Domain) -> GroundDomain:
 
 
 def prop_from_text(s: str) -> Proposition:
-    """Inverse of Proposition.text() for a single literal."""
-    forms = _read_forms(s)
-    if len(forms) != 1:
-        raise DomainSyntaxError("expected a single literal", 1, 1)
-    return _parse_literal(forms[0])
+    """Inverse of Proposition.text() for a single literal.
+
+    A text in the form ``text()`` writes, ``(NAME ARG ...)`` or ``(not
+    (NAME ARG ...))`` with one space between names and a positive name
+    other than ``not``, is taken by one match of a pattern.  The reader
+    reads any other text (other spacing, comments, newlines), so both
+    accept the same texts, and it raises DomainSyntaxError, with its line
+    and column, for a text that is no single literal."""
+    m = _LITERAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        forms = _read_forms(s)
+        if len(forms) != 1:
+            raise DomainSyntaxError("expected a single literal", 1, 1)
+        return _parse_literal(forms[0])
+    name, *args = m[m.lastindex].split(" ")
+    return Proposition(name, tuple(args), m.lastindex == 1)
 
 
 class _Literals(dict):
     """Literal text -> Proposition for one plan document: ``table[text]``
-    reads a text through ``prop_from_text`` the first time it is asked for,
-    and returns that Proposition again after.  A decoder makes one per
-    document and drops it with the document; an unhashable text raises
-    TypeError."""
+    reads a text through ``prop_from_text`` (one pattern match for a text
+    ``Proposition.text()`` wrote) the first time it is asked for, and
+    returns that Proposition again after.  A decoder makes one per document
+    and drops it with the document; an unhashable text raises TypeError."""
 
     __slots__ = ()
 

@@ -63,7 +63,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .conditional import (ConditionalPlan, ReplayBlock, TrialResult,
-                          read_plan_document)
+                          _read_document)
 from .domain import (GroundClause, Proposition, complete_clauses,
                      literal_value, ordered_clauses, var_id)
 from .errors import MalformedPlan
@@ -588,8 +588,10 @@ def _undrawn_ancestor(var: str, world: Mapping[str, str],
 
 def simulate_document(doc: dict, trials: int = 10000, seed: int = 0) -> dict:
     """``estimate_success`` on what a plan document (the plan-json
-    emission) holds, with the mass it records as ``analyticMass``."""
-    read = read_plan_document(doc)
+    emission) holds, with the mass it records as ``analyticMass``.  The
+    document is read as ``read_plan_document`` reads it, and its prior
+    clauses are checked once, by ``estimate_success``."""
+    read = _read_document(doc)
     report = estimate_success(read.plan, read.priors, read.known_true,
                               read.known_false, trials, seed)
     report["analyticMass"] = read.achieved_mass

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 from typing import Mapping, Sequence
 
 import pytest
@@ -12,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskplan.conditional import plan_document, read_plan_document
-from riskplan.domain import (DependencyCycle, Diagnostic, Domain,
+from riskplan.domain import (_LITERAL, DependencyCycle, Diagnostic, Domain,
                              GroundClause, GroundOperator, KbmcClause,
                              OperatorSchema, Problem, Proposition,
-                             _read_forms, complete_clauses, cut_rows,
-                             dependency_order, distribution_rows, ground,
+                             _parse_literal, _read_forms, complete_clauses,
+                             cut_rows, dependency_order, distribution_rows,
+                             ground,
                              literal_values, parse_domain, parse_problem,
                              prop_from_text, validate_problem, var_id)
 from riskplan.errors import (DomainSyntaxError, DomainValidationError,
@@ -542,6 +544,79 @@ def test_reader_errors_name_the_token_at_fault(text, message, line, column):
         _read_forms(text)
     assert (e.value.line, e.value.column) == (line, column)
     assert str(e.value) == f"line {line}, col {column}: {message}"
+
+
+def _oracle_prop_from_text(text):
+    """The literal reader before its pattern: the whole s-expression
+    reader, exactly one form, then ``_parse_literal``."""
+    forms = _read_forms(text)
+    if len(forms) != 1:
+        raise DomainSyntaxError("expected a single literal", 1, 1)
+    return _parse_literal(forms[0])
+
+
+def _assert_literal_reads_like_oracle(text):
+    """``prop_from_text`` gives the oracle's Proposition or raises its
+    exception, with the same text; and its pattern takes exactly the texts
+    that ``Proposition.text()`` writes.  Returns which of "written",
+    "read" (by the reader alone) and "refused" the text is."""
+    try:
+        want = _oracle_prop_from_text(text)
+    except Exception as e:
+        with pytest.raises(type(e)) as got:
+            prop_from_text(text)
+        assert str(got.value) == str(e)
+        kind = "refused"
+    else:
+        got = prop_from_text(text)
+        assert got == want and type(got) is Proposition
+        assert all(type(x) is str for x in (got.name, *got.args))
+        kind = "written" if want.text() == text else "read"
+    taken = isinstance(text, str) and _LITERAL.fullmatch(text) is not None
+    assert taken == (kind == "written")
+    return kind
+
+
+@pytest.mark.parametrize("text", [
+    "(a)", "(on a b)", "(not (a))", "(not (not a))", "(not a)", "(not)",
+    "( a )", "(a  b)", "(a\tb)", "(a b) ; note", "(a\nb)", "(p a\x0bb)",
+    "(p a\xa0b)", "(a) (b)", "", None, 5, b"(a)", "(not (a b))", "(not  (a))",
+    "(not (a) )", "(nota b)", "(not\x0b(a))", "(a\r)", "((a))", "(a (b))",
+])
+def test_literal_reader_matches_the_oracle_on_a_table(text):
+    _assert_literal_reads_like_oracle(text)
+    # atoms split at space, tab, CR and LF alone, in the oracle as well
+    pinned = {"(p a\x0bb)": Proposition("p", ("a\x0bb",)),
+              "(p a\xa0b)": Proposition("p", ("a\xa0b",)),
+              "(a\tb)": Proposition("a", ("b",)),
+              "(not (not a))": Proposition("not", ("a",), True)}
+    if text in pinned:
+        assert prop_from_text(text) == pinned[text]
+
+
+def _sweep_text(rng: random.Random) -> str:
+    """A literal as ``Proposition.text()`` writes it, over atoms that hold
+    ``\x0b``, ``\xa0`` and ``not``, then edited up to three times with
+    pieces of the same alphabet."""
+    atoms = ["a", "b", "on", "not", "?x", "a\x0bb", "\xa0", "nota"]
+    pieces = atoms + ["(", ")", " ", "\t", "\n", "\r", ";", "(not ", "\x0b"]
+    text = Proposition(rng.choice(atoms),
+                       tuple(rng.choices(atoms, k=rng.randrange(4))),
+                       rng.random() < 0.5).text()
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randrange(3))
+        text = text[:i] + rng.choice(pieces + [""]) + text[j:]
+    return text
+
+
+def test_literal_reader_matches_the_oracle_on_a_random_sweep():
+    rng = random.Random(28)
+    texts = [_sweep_text(rng) for _ in range(20000)]
+    kinds = Counter(map(_assert_literal_reads_like_oracle, texts))
+    # the pattern takes some texts, and the reader reads and refuses others
+    assert min(kinds["written"], kinds["read"], kinds["refused"]) > 1000
+    assert sum("\x0b" in text or "\xa0" in text for text in texts) > 1000
 
 
 def test_duplicate_operator_names_the_first_repeated_in_order():

@@ -1075,6 +1075,76 @@ def test_bad_init_literals_raise_malformed_plan(bad, side):
         simulate_document(doc, trials=10, seed=0)
 
 
+def _planned_document(name, planner):
+    gdom, prob = load_texts(*WORLDS[name])
+    return json.loads(json.dumps(plan_document(planner(gdom, prob), prob,
+                                               "kbmc")))
+
+
+def test_documents_decode_without_the_reader(monkeypatch):
+    """Every literal of a document the package writes is read by the
+    pattern alone; a literal spaced by hand still goes through the
+    reader."""
+    read = domain._read_forms
+    docs = [_planned_document(name, planner) for name in sorted(WORLDS)
+            for planner in (plan_linear, plan_nonlinear)]
+    doc = _planned_document("ski_world", plan_linear)
+
+    def refuse(text):
+        raise AssertionError(f"the reader was asked for {text!r}")
+
+    monkeypatch.setattr(domain, "_read_forms", refuse)
+    for planned in docs:
+        read_plan_document(planned)
+        simulate_document(planned, trials=20)
+    want = read_plan_document(doc).known_true
+    asked = []
+
+    def counted(text):
+        asked.append(text)
+        return read(text)
+
+    monkeypatch.setattr(domain, "_read_forms", counted)
+    doc["init"]["true"] = ["( at  b )" if s == "(at b)" else s
+                           for s in doc["init"]["true"]]
+    assert read_plan_document(doc).known_true == want
+    assert asked == ["( at  b )"]
+
+
+def test_simulate_document_checks_its_priors_once(monkeypatch):
+    """A replay of a document runs ``complete_clauses`` once, and bad
+    document priors still raise the texts they raised when it ran twice."""
+    from riskplan import conditional
+    calls = []
+    check = domain.complete_clauses
+
+    def counted(clauses, error):
+        calls.append(len(clauses))
+        return check(clauses, error)
+
+    for module in (conditional, simulator):
+        monkeypatch.setattr(module, "complete_clauses", counted)
+    for name in sorted(WORLDS):
+        doc = _planned_document(name, plan_linear)
+        calls.clear()
+        simulate_document(doc, trials=20)
+        assert calls == [len(doc["priors"])]
+    doc = _planned_document("ski_world", plan_linear)
+    assert doc["priors"]
+    doc["priors"][0]["cpt"][0][1] = None
+    with pytest.raises(MalformedPlan, match=r"^cannot decode plan document: "
+                       "'<=' not supported between instances of 'float' and "
+                       "'NoneType'$"):
+        simulate_document(doc, trials=10)
+    doc["priors"][0]["cpt"][0][1] = 1.5
+    with pytest.raises(MalformedPlan, match=r"^prior blizzard: probability "
+                       r"1\.5 out of range$"):
+        simulate_document(doc, trials=10)
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        simulate_document(_planned_document("ski_world", plan_linear),
+                          trials=-3)
+
+
 # ---------------------------------------------------------------------------
 # The node-walking replay that ``execute_plan`` and ``sample_world`` ran
 # before plans were compiled to replay programs and clauses to cut rows:
