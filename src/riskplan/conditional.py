@@ -371,8 +371,8 @@ def _read_document(doc: dict) -> PlanDocument:
 
 def _document_priors(records) -> list[GroundClause]:
     """The prior clauses of a plan document, in the order given: their
-    variables and outcomes are strings, and each has looked for its
-    ``row_fault`` here, so that a probability that is no number raises
+    variables and outcomes are strings, and each clause's ``row_fault`` is
+    looked for here, so that a probability that is no number raises
     TypeError while the document is decoded.  ``complete_clauses`` raises
     a fault found, and checks the set."""
     priors = []
