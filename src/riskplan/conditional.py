@@ -390,41 +390,56 @@ def _document_priors(records) -> list[GroundClause]:
 
 
 def _node_json(node) -> dict:
-    if isinstance(node, ActionNode):
-        return {"type": "action", "step": node.step_id,
-                "next": _node_json(node.child)}
+    # a run of action steps is walked in a loop and its records nested
+    # from the end back, so a long chain needs no frame per step
+    chain = []
+    while isinstance(node, ActionNode):
+        chain.append(node.step_id)
+        node = node.child
     if isinstance(node, BranchNode):
-        return {"type": "branch", "step": node.step_id,
-                "source": node.source,
-                "children": {o: _node_json(c)
-                             for o, c in sorted(node.children.items())}}
-    if isinstance(node, GoalLeaf):
-        return {"type": "goal", "step": node.step_id,
-                "context": _ctx_json(node.context),
-                "goals": [g.text() for g in node.goals]}
-    if isinstance(node, GiveUpLeaf):
-        return {"type": "giveup", "context": _ctx_json(node.context)}
-    raise MalformedPlan(f"unknown node {node!r}")
+        rec = {"type": "branch", "step": node.step_id,
+               "source": node.source,
+               "children": {o: _node_json(c)
+                            for o, c in sorted(node.children.items())}}
+    elif isinstance(node, GoalLeaf):
+        rec = {"type": "goal", "step": node.step_id,
+               "context": _ctx_json(node.context),
+               "goals": [g.text() for g in node.goals]}
+    elif isinstance(node, GiveUpLeaf):
+        rec = {"type": "giveup", "context": _ctx_json(node.context)}
+    else:
+        raise MalformedPlan(f"unknown node {node!r}")
+    for step_id in reversed(chain):
+        rec = {"type": "action", "step": step_id, "next": rec}
+    return rec
 
 
 def _node_from_json(rec, ops: Mapping[str, GroundOperator],
                     literals: _Literals) -> object:
     """The plan node ``rec`` encodes; ``ops`` maps step ids to their
-    decoded operators, and ``literals`` reads goal texts."""
+    decoded operators, and ``literals`` reads goal texts.  A chain of
+    ``action`` records is read in a loop and its nodes built from the end
+    back; only a branch recurses, once per child."""
+    chain = []  # (step id, operator) of each action record on the way
+    while rec["type"] == "action":
+        step_id = rec["step"]
+        chain.append((step_id, ops[step_id]))
+        rec = rec["next"]
     t = rec["type"]
-    if t == "action":
-        return ActionNode(rec["step"], ops[rec["step"]],
-                          _node_from_json(rec["next"], ops, literals))
     if t == "branch":
-        return BranchNode(rec["step"], ops[rec["step"]], rec["source"],
+        node = BranchNode(rec["step"], ops[rec["step"]], rec["source"],
                           {o: _node_from_json(c, ops, literals)
                            for o, c in rec["children"].items()})
-    if t == "goal":
-        return GoalLeaf(rec["step"], _ctx_from_json(rec["context"]),
+    elif t == "goal":
+        node = GoalLeaf(rec["step"], _ctx_from_json(rec["context"]),
                         tuple(map(literals.__getitem__, rec["goals"])))
-    if t == "giveup":
-        return GiveUpLeaf(_ctx_from_json(rec["context"]))
-    raise KeyError(t)
+    elif t == "giveup":
+        node = GiveUpLeaf(_ctx_from_json(rec["context"]))
+    else:
+        raise KeyError(t)
+    for step_id, op in reversed(chain):
+        node = ActionNode(step_id, op, node)
+    return node
 
 
 def _ctx_json(ctx: frozenset) -> list[list[str]]:
@@ -458,32 +473,33 @@ def _op_json(op: GroundOperator) -> dict:
 
 
 def _op_from_json(rec: dict, literals: _Literals) -> GroundOperator:
-    lits = lambda xs: tuple(map(literals.__getitem__, xs))
-    kw: dict = dict(name=rec["name"], kind=rec["kind"],
-                    preconditions=lits(rec.get("pre", ())))
-    if rec["kind"] in ("det", "start"):
-        kw["add"] = lits(rec.get("add", ()))
-        kw["delete"] = lits(rec.get("del", ()))
-    else:
-        where = f"step {rec['id']}"
-        fam = rec["outcomes"]
-        if not fam:
-            raise ValueError(f"{where} has no outcomes")
-        kw["outcomes"] = tuple(fam)
-        kw["outcome_adds"] = {o: lits(v.get("add", ())) for o, v in fam.items()}
-        kw["outcome_dels"] = {o: lits(v.get("del", ())) for o, v in fam.items()}
-        kw["influences"] = tuple(rec.get("influences", ()))
-        kw["observes"] = rec.get("observes")
-        if not isinstance(kw["observes"], (str, type(None))) or not all(
-                isinstance(v, str) for v in kw["influences"]):
-            raise TypeError(f"{where}: variables are named by strings")
-        # distributions get the checks a domain's get
-        if "dist" in rec:
-            kw["simple_distribution"] = {o: rec["dist"][o] for o in fam}
-            _check_row_groups({(o,): p for o, p in
-                               kw["simple_distribution"].items()},
-                              kw["outcomes"], where)
-        if "cpt" in rec:
-            kw["cpt"] = {tuple(k): p for k, p in rec["cpt"]}
-            _check_row_groups(kw["cpt"], kw["outcomes"], where)
-    return GroundOperator(**kw)
+    get = literals.__getitem__
+    name, kind = rec["name"], rec["kind"]
+    pre = tuple(map(get, rec.get("pre", ())))
+    if kind in ("det", "start"):
+        return GroundOperator(name, kind, pre,
+                              tuple(map(get, rec.get("add", ()))),
+                              tuple(map(get, rec.get("del", ()))))
+    where = f"step {rec['id']}"
+    fam = rec["outcomes"]
+    if not fam:
+        raise ValueError(f"{where} has no outcomes")
+    outcomes = tuple(fam)
+    adds = {o: tuple(map(get, v.get("add", ()))) for o, v in fam.items()}
+    dels = {o: tuple(map(get, v.get("del", ()))) for o, v in fam.items()}
+    influences = tuple(rec.get("influences", ()))
+    observes = rec.get("observes")
+    if not isinstance(observes, (str, type(None))) or not all(
+            isinstance(v, str) for v in influences):
+        raise TypeError(f"{where}: variables are named by strings")
+    # distributions get the checks a domain's get
+    dist = cpt = None
+    if "dist" in rec:
+        dist = {o: rec["dist"][o] for o in fam}
+        _check_row_groups({(o,): p for o, p in dist.items()}, outcomes,
+                          where)
+    if "cpt" in rec:
+        cpt = {tuple(k): p for k, p in rec["cpt"]}
+        _check_row_groups(cpt, outcomes, where)
+    return GroundOperator(name, kind, pre, (), (), outcomes, adds, dels,
+                          dist, influences, cpt, observes)

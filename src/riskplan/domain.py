@@ -184,7 +184,7 @@ class Domain:
 # ground-level types
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, init=False)
 class GroundOperator:
     """A fully instantiated operator.  ``start`` and ``goal`` pseudo-operators
     use the same shape so plan steps are uniform."""
@@ -222,56 +222,87 @@ class GroundOperator:
     outcome_cuts: Mapping[tuple[str, ...], list[float]] = field(
         init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, name, kind, preconditions=(), add=(), delete=(),
+                 outcomes=(), outcome_adds=None, outcome_dels=None,
+                 simple_distribution=None, influences=(), cpt=None,
+                 observes=None):
+        """The declared fields as given (an outcome map left out is a new
+        empty dict), and the derived fields worked out from them in one
+        pass over the literals.  A plan document's decode builds every
+        step here, so each literal is unpacked as ``name, args, neg`` and
+        its variable id (``var_id``) and negation are made in place."""
+        if outcome_adds is None:
+            outcome_adds = {}
+        if outcome_dels is None:
+            outcome_dels = {}
         # one pass over (None,) + outcomes builds each outcome's effect
         # values and, by variable, the literal each value makes false
-        adds, dels = self.outcome_adds, self.outcome_dels
+        new = tuple.__new__
         effects: dict = {}
         deletes: dict = {}
-        for o in (None, *self.outcomes):
+        for o in (None, *outcomes):
             if o is None:
-                added, deleted = self.add, self.delete
+                added, deleted = add, delete
             else:
-                added, deleted = adds.get(o, ()), dels.get(o, ())
+                added = outcome_adds.get(o, ())
+                deleted = outcome_dels.get(o, ())
             values: dict[str, str] = {}
             false: dict[str, Proposition] = {}  # variable -> literal made false
             for p in deleted:
-                v = var_id(p)
-                values[v] = "true" if p.negated else "false"
+                n, args, neg = p
+                v = f"{n}({','.join(args)})" if args else n
+                values[v] = "true" if neg else "false"
                 false[v] = p
             for p in added:
-                v = var_id(p)
-                values[v] = "false" if p.negated else "true"
-                false[v] = p.negate()
+                n, args, neg = p
+                v = f"{n}({','.join(args)})" if args else n
+                values[v] = "false" if neg else "true"
+                false[v] = new(Proposition, (n, args, not neg))
             effects[o] = values
             deletes[o] = frozenset(false.values())
-        if self.kind in ("det", "start"):
+        if kind in ("det", "start"):
             runs = (None,)
             clobbers = deletes[None]
         else:
-            runs = self.outcomes
+            runs = outcomes
             clobbers = frozenset().union(*(deletes[o] for o in runs))
+        wants = []
+        for n, args, neg in preconditions:
+            wants.append((f"{n}({','.join(args)})" if args else n,
+                          "false" if neg else "true"))
         rows, row_vars = {}, ()
-        if self.cpt is not None:
-            rows = distribution_rows(self.cpt, self.outcomes)
-            row_vars = self.influences
-        elif self.simple_distribution is not None:
+        if cpt is not None:
+            rows = distribution_rows(cpt, outcomes)
+            row_vars = influences
+        elif simple_distribution is not None:
             rows = distribution_rows(
-                {(o,): p for o, p in self.simple_distribution.items()},
-                self.outcomes)
-        # Fields go in through object.__setattr__, as the frozen __init__
-        # sets them.  Touching self.__dict__ would turn the instance's
-        # inline attribute values into a dict, and every later read of an
-        # operator field (search reads clobbers on each threat check)
-        # would be about four times slower.
+                {(o,): p for o, p in simple_distribution.items()}, outcomes)
+        # Every field is written once, here, through object.__setattr__ as
+        # a frozen dataclass's own __init__ writes it, and in declaration
+        # order, so that all operators share one attribute layout.  None is
+        # lazy: a __getattr__ fallback or a cached property, like touching
+        # self.__dict__, stops CPython 3.11 from specialising attribute
+        # loads on the class, and every later read of an operator field
+        # (search reads clobbers on each threat check) would be four to
+        # five times slower.
         put = object.__setattr__
+        put(self, "name", name)
+        put(self, "kind", kind)
+        put(self, "preconditions", preconditions)
+        put(self, "add", add)
+        put(self, "delete", delete)
+        put(self, "outcomes", outcomes)
+        put(self, "outcome_adds", outcome_adds)
+        put(self, "outcome_dels", outcome_dels)
+        put(self, "simple_distribution", simple_distribution)
+        put(self, "influences", influences)
+        put(self, "cpt", cpt)
+        put(self, "observes", observes)
         put(self, "_effects", effects)
         put(self, "_deletes", deletes)
         put(self, "runs", runs)
         put(self, "clobbers", clobbers)
-        put(self, "precondition_values", tuple(
-            (var_id(p), "false" if p.negated else "true")
-            for p in self.preconditions))
+        put(self, "precondition_values", tuple(wants))
         put(self, "outcome_rows", rows)
         put(self, "row_vars", row_vars)
         put(self, "outcome_cuts", cut_rows(rows) if rows else rows)
@@ -961,24 +992,14 @@ def _ground_operator(op: OperatorSchema, binding) -> GroundOperator:
         flat.extend(m if isinstance(m, tuple) else (m,))
     name = f"{op.name}({','.join(flat)})" if flat else op.name
     sub = lambda p: _subst_prop(p, binding, what)
-    fields = dict(
-        name=name,
-        kind=op.kind,
-        preconditions=tuple(sub(p) for p in op.preconditions),
-        add=tuple(sub(p) for p in op.add),
-        delete=tuple(sub(p) for p in op.delete),
-        outcomes=op.outcomes,
-        outcome_adds={o: tuple(sub(p) for p in ps)
-                      for o, ps in op.outcome_adds.items()},
-        outcome_dels={o: tuple(sub(p) for p in ps)
-                      for o, ps in op.outcome_dels.items()},
-        simple_distribution=op.simple_distribution,
-        cpt=op.cpt,
-    )
-    if op.observes is not None:
-        fields["observes"] = var_id(sub(op.observes))
-    fields["influences"] = tuple(var_id(sub(v)) for v in op.influences)
-    return GroundOperator(**fields)
+    return GroundOperator(
+        name, op.kind, tuple(sub(p) for p in op.preconditions),
+        tuple(sub(p) for p in op.add), tuple(sub(p) for p in op.delete),
+        op.outcomes,
+        {o: tuple(sub(p) for p in ps) for o, ps in op.outcome_adds.items()},
+        {o: tuple(sub(p) for p in ps) for o, ps in op.outcome_dels.items()},
+        op.simple_distribution, tuple(var_id(sub(v)) for v in op.influences),
+        op.cpt, None if op.observes is None else var_id(sub(op.observes)))
 
 
 def ground(domain: Domain) -> GroundDomain:
@@ -1059,15 +1080,27 @@ def _mentioned_props(gdomain: GroundDomain, problem: Problem) -> set[Proposition
 
 def validate_problem(problem: Problem, gdomain: GroundDomain) -> list[Diagnostic]:
     """Check that every proposition is governed exactly once: known true,
-    known false, or covered by a prior clause.  Also cross-checks operator
-    distributions against the clause set.  Returns diagnostics; an empty
-    error set means the pair is plannable."""
+    known false, or covered by a prior clause, and that no two propositions
+    share a variable id.  Also cross-checks operator distributions against
+    the clause set.  Returns diagnostics; an empty error set means the pair
+    is plannable."""
     diags: list[Diagnostic] = []
     clause_vars = {c.var: c for c in gdomain.clauses}
     known = {p: True for p in problem.known_true}
     known.update({p: False for p in problem.known_false})
+    mentioned = _mentioned_props(gdomain, problem)
 
-    for p in sorted(_mentioned_props(gdomain, problem)):
+    # var_id joins arguments with commas and an atom may hold one, so two
+    # propositions can name one variable; planning would conflate them
+    first: dict[str, Proposition] = {}
+    for p in sorted(mentioned.union(known)):
+        q = first.setdefault(var_id(p), p)
+        if q != p:
+            diags.append(Diagnostic(
+                "error", "shared-variable",
+                f"{q} and {p} are both variable {var_id(p)}"))
+
+    for p in sorted(mentioned):
         vid = var_id(p)
         in_known = p in known
         in_prior = vid in clause_vars

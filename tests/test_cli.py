@@ -143,6 +143,16 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     assert "uncovered-proposition" in capsys.readouterr().err
 
 
+def test_shared_variable_exits_one(tmp_path, capsys):
+    from .test_domain import SHARED_VARIABLE
+    dom, prob = tmp_path / "d.sexp", tmp_path / "p.sexp"
+    dom.write_text(SHARED_VARIABLE[0])
+    prob.write_text(SHARED_VARIABLE[1])
+    assert run(["--domain", dom, "--problem", prob]) == 1
+    assert ("[shared-variable] (p a b) and (p a,b) are both variable p(a,b)"
+            in capsys.readouterr().err)
+
+
 def test_unpriceable_operator_fails_planning(tmp_path, capsys):
     # cpt-only chance cannot be priced by the simple model, so the walk
     # operator is never offered and the search comes up empty

@@ -904,7 +904,7 @@ def test_operators_are_built_as_the_oracle_builds_them():
     assert kinds == {"det", "cond", "obs", "start", "goal"}
 
 
-@pytest.mark.parametrize("kw", [
+OPERATOR_ARGUMENTS = [
     dict(name="noop", kind="det"),
     dict(name="goal", kind="goal", preconditions=(
         Proposition("x"), Proposition("y", ("a",), True))),
@@ -922,9 +922,51 @@ def test_operators_are_built_as_the_oracle_builds_them():
          cpt={("ok", "true"): 0.4, ("slip", "true"): 0.6,
               ("ok", "false"): 0.9},
          outcome_dels={"slip": (Proposition("up", (), True),)}),
-], ids=lambda kw: kw["name"])
+]
+
+
+@pytest.mark.parametrize("kw", OPERATOR_ARGUMENTS, ids=lambda kw: kw["name"])
 def test_operator_arguments_are_built_as_the_oracle_builds_them(kw):
     _assert_built_like_oracle(GroundOperator(**kw), **kw)
+
+
+@pytest.mark.parametrize("kw", OPERATOR_ARGUMENTS, ids=lambda kw: kw["name"])
+def test_operators_built_by_position_equal_those_built_by_keyword(kw):
+    ref = _oracle_operator(**kw)
+    args = [kw.get(f.name, getattr(ref, f.name))
+            for f in dataclasses.fields(GroundOperator) if f.init]
+    by_position, by_keyword = GroundOperator(*args), GroundOperator(**kw)
+    _assert_built_like_oracle(by_position, **kw)
+    _assert_built_like_oracle(by_keyword, **kw)
+    assert by_position == by_keyword
+    for name in _DERIVED:
+        assert getattr(by_position, name) == getattr(by_keyword, name)
+
+
+@pytest.mark.parametrize("kw", OPERATOR_ARGUMENTS, ids=lambda kw: kw["name"])
+def test_replace_rebuilds_the_derived_fields(kw):
+    op = GroundOperator(**kw)
+    renamed = dataclasses.replace(op, name="renamed")
+    assert renamed.name == "renamed" and renamed != op
+    _assert_built_like_oracle(renamed)
+    extra = Proposition("extra", ("a",), True)
+    grown = dataclasses.replace(op, preconditions=op.preconditions + (extra,),
+                                add=op.add + (extra,))
+    _assert_built_like_oracle(grown)
+    assert grown.precondition_values[-1] == ("extra(a)", "false")
+    assert grown.effect_values(None)["extra(a)"] == "false"
+
+
+def test_operator_fields_are_plain_attributes():
+    """Every field is an attribute written when the operator is made: no
+    lookup hook and no second initialisation step, and each operator gets
+    its own empty outcome maps."""
+    for name in ("__getattr__", "__getattribute__", "__post_init__"):
+        assert name not in vars(GroundOperator), name
+    assert GroundOperator.__getattribute__ is object.__getattribute__
+    a, b = GroundOperator("a", "det"), GroundOperator("b", "det")
+    assert a.outcome_adds == {} and a.outcome_adds is not b.outcome_adds
+    assert a.outcome_dels == {} and a.outcome_dels is not b.outcome_dels
 
 
 @pytest.mark.parametrize("name", sorted(WORLDS) + ["det_chain5",
@@ -1234,6 +1276,23 @@ def test_validate_conditional_without_distribution():
         "(operator w (kind cond) (outcomes (a (add (g))) (b)))",
         "(problem (init (not (g))) (goal (g)) (epsilon 0))")
     assert "conditional-without-distribution" in codes
+
+
+# (p a b) and (p a,b) are both variable p(a,b): unchecked, the false
+# (p a,b) hides the true (p a b) and the planner finds no plan
+SHARED_VARIABLE = (
+    "(operator mk (kind det) (pre (p a b)) (add (g)))",
+    "(problem (init (p a b) (not (p a,b)) (not (g))) (goal (g)) (epsilon 0))")
+
+
+def test_validate_shared_variable():
+    gdom, problem = load_texts(*SHARED_VARIABLE)
+    diags = validate_problem(problem, gdom)
+    assert [(d.level, d.code) for d in diags] == [("error", "shared-variable")]
+    assert diags[0].message == "(p a b) and (p a,b) are both variable p(a,b)"
+    gdom, problem = load_texts(SHARED_VARIABLE[0], SHARED_VARIABLE[1].replace(
+        " (not (p a,b))", ""))
+    assert validate_problem(problem, gdom) == []
 
 
 def test_epsilon_range_checked():

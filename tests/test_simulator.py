@@ -515,6 +515,50 @@ def test_simulate_document_roundtrip():
     assert abs(report["estimate"] - 0.9091) <= spread
 
 
+def _relay_document(n: int) -> dict:
+    """A valid plan document of ``n`` det hops: step ``sI`` turns (legI-1)
+    into (legI), and the goal is (legN)."""
+    steps = [{"name": f"hop{i}", "kind": "det", "pre": [f"(leg{i - 1})"],
+              "add": [f"(leg{i})"], "del": [f"(leg{i - 1})"], "id": f"s{i}"}
+             for i in range(1, n + 1)]
+    node = {"type": "goal", "step": "g", "context": [],
+            "goals": [f"(leg{n})"]}
+    for i in range(n, 0, -1):
+        node = {"type": "action", "step": f"s{i}", "next": node}
+    return {"steps": sorted(steps, key=lambda r: r["id"]), "branches": node,
+            "contexts": [[]], "uncoveredContexts": [], "achievedMass": 1.0,
+            "init": {"true": ["(leg0)"],
+                     "false": [f"(leg{i})" for i in range(1, n + 1)]},
+            "priors": []}
+
+
+def test_deep_documents_decode_without_recursion():
+    """A chain of action steps far deeper than the interpreter's recursion
+    limit is read, replayed and written back."""
+    doc = _relay_document(1200)
+    read = read_plan_document(doc)
+    assert len(read.plan.steps_used()) == 1200
+    assert exhaustive_success(read.plan, read.priors, read.known_true,
+                              read.known_false) == 1.0
+    report = simulate_document(doc, trials=50, seed=0)
+    assert report["estimate"] == 1.0 and report["violations"] == 0
+    written = read.plan.to_json_dict()
+    # == on the nested records themselves would recurse as deep as the chain
+    assert _chain(written.pop("branches")) == _chain(doc["branches"])
+    assert written == {k: doc[k] for k in ("steps", "contexts",
+                                           "uncoveredContexts")}
+
+
+def _chain(rec) -> list[dict]:
+    """The records of a chain of action records, each without its
+    ``next``, then the record that ends the chain."""
+    out = []
+    while rec["type"] == "action":
+        out.append({k: v for k, v in rec.items() if k != "next"})
+        rec = rec["next"]
+    return out + [rec]
+
+
 # warm-up deletes (not (x)), so x is true when the hike runs: the planners
 # must price the hike's CPT row for x=true, as execution does
 DEL_NOT_DOMAIN = """
