@@ -341,7 +341,13 @@ def read_plan_document(doc: dict) -> PlanDocument:
     document, or of a tree alone as ``to_json_dict`` writes it.  Raises
     MalformedPlan when it cannot be decoded.  Each distinct literal text
     is read once, by one pattern match when ``Proposition.text()`` wrote
-    it, and each step's operator is built once."""
+    it.  Each step's operator is built once, by one constructor call that
+    writes every field, derived ones too, once through
+    ``object.__setattr__``: none is left to be worked out on first read,
+    since a lazy field would make every later read of any operator field,
+    by the replay or a search, several times slower.  A chain of action
+    steps is read in a loop, so its depth is not bounded by the
+    interpreter's recursion limit."""
     read = _read_document(doc)
     return read._replace(priors=complete_clauses(read.priors, MalformedPlan))
 
