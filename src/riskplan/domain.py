@@ -283,8 +283,9 @@ class GroundOperator:
         # lazy: a __getattr__ fallback or a cached property, like touching
         # self.__dict__, stops CPython 3.11 from specialising attribute
         # loads on the class, and every later read of an operator field
-        # (search reads clobbers on each threat check) would be four to
-        # five times slower.
+        # (search reads clobbers on each threat check) would be several
+        # times slower: about 4x once __dict__ is touched, about 6x on a
+        # class with a __getattr__.
         put = object.__setattr__
         put(self, "name", name)
         put(self, "kind", kind)
