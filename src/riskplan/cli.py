@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .conditional import plan_document
+from .conditional import document_text, plan_document
 from .domain import (DomainSyntaxError, DomainValidationError, GroundingError,
                      ground, parse_domain, parse_problem, validate_problem)
 from .errors import PlanningFailure, RiskplanError
@@ -153,7 +153,7 @@ def _emit(args: argparse.Namespace, result, doc: dict,
         written.append(path)
 
     if "plan-json" in args.emit:
-        write("plan.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        write("plan.json", document_text(doc) + "\n")
     if "dot" in args.emit:
         write("plan.dot", to_dot(result.graph))
         if args.model == "kbmc":

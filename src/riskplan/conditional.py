@@ -16,11 +16,13 @@ anything but plan nodes is refused when it is compiled.
 
 ``plan_document`` writes a plan document (the CLI's ``plan.json``): the
 tree, the links it uses, its masses, and the problem's ``init`` facts and
-``priors``.  ``read_plan_document`` is its one reader.
+``priors``.  ``document_text`` gives its JSON text, and
+``read_plan_document`` is its one reader.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple
@@ -41,6 +43,7 @@ __all__ = [
     "ReplayProgram",
     "PlanDocument",
     "plan_document",
+    "document_text",
     "read_plan_document",
 ]
 
@@ -101,8 +104,9 @@ class ConditionalPlan:
     def replay(self) -> "ReplayProgram":
         """The plan compiled for replay, built on first use; see
         ``ReplayBlock``.  Raises MalformedPlan at a node of no plan type."""
-        start, depth = _compile_block(self.root)
-        return ReplayProgram(start, depth)
+        reads: set = set()
+        start, depth = _compile_block(self.root, reads)
+        return ReplayProgram(start, depth, frozenset(reads))
 
     def steps_used(self) -> dict[str, GroundOperator]:
         """The steps on the tree, in depth-first preorder."""
@@ -193,6 +197,10 @@ class ReplayBlock(NamedTuple):
 class ReplayProgram(NamedTuple):
     start: ReplayBlock
     chance_depth: int  # the most chance steps on any path of the plan
+    # the variables of every block's ``reads``: a trial looks up no other
+    # variable before it writes it, so two worlds that agree on these give
+    # every trial the same result
+    reads: frozenset
 
 
 # a pair no state holds: no state has the key
@@ -215,12 +223,14 @@ def _require(pairs, written: Mapping[str, str], check: set, reads: list,
     return met
 
 
-def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
-                   = None) -> tuple[ReplayBlock, int]:
+def _compile_block(node, program_reads: set, path: tuple = (),
+                   entry: Mapping[str, str] | None = None
+                   ) -> tuple[ReplayBlock, int]:
     """The replay block that starts at ``node``, reached by the draws
     ``path`` whose last outcome wrote ``entry``, and the most chance steps
     on a path from ``node`` on (a chance step counts once whether or not
-    the plan covers the outcome it draws)."""
+    the plan covers the outcome it draws).  Adds the variables of each
+    block's ``reads`` to ``program_reads``."""
     written = dict(entry or {})
     run = [(None, frozenset(), entry)] if entry else []
     check: set = set()
@@ -248,7 +258,7 @@ def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
             for o, child in node.children.items():
                 if child is not None:
                     arms[o], d = _compile_block(
-                        child, path + ((node.step_id, o),),
+                        child, program_reads, path + ((node.step_id, o),),
                         op.effect_values(o))
                     depth = max(depth, d)
         else:
@@ -257,7 +267,7 @@ def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
                 block = child = node.children.get(o)
                 if child is not None:
                     block, d = _compile_block(
-                        child, path + ((node.step_id, o),),
+                        child, program_reads, path + ((node.step_id, o),),
                         op.effect_values(o))
                     depth = max(depth, d)
                 arms.append(block)
@@ -271,6 +281,7 @@ def _compile_block(node, path: tuple = (), entry: Mapping[str, str] | None
         kind, verdict = "giveup", TrialResult(False, "giveup", (), path)
     else:
         raise MalformedPlan(f"unknown node {node!r}")
+    program_reads.update(var for var, _ in reads)
     return ReplayBlock(kind, frozenset(check) if met else _UNMET, written,
                        read, rows, arms, verdict, tuple(run), tuple(reads),
                        node, path), depth
@@ -324,6 +335,43 @@ def plan_document(result, problem: Problem, model_name: str) -> dict:
     # wall-clock time would break byte-identical reruns
     doc["stats"] = {k: v for k, v in result.stats.items() if k != "elapsed"}
     return doc
+
+
+def document_text(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for
+    JSON data nested to any depth: dicts with string keys, lists, strings,
+    numbers, booleans and None.  A plan document nests one record per
+    action step, and ``json`` recurses once per level, so containers are
+    written here from an explicit stack, and only values that hold no
+    container go through ``json.dumps``."""
+    parts: list[str] = []
+    # per open container: its (separator and key, value) entries still to
+    # write, and its closing text
+    stack = [(iter([("", doc)]), "")]
+    while stack:
+        entries, close = stack[-1]
+        entry = next(entries, None)
+        if entry is None:
+            parts.append(close)
+            stack.pop()
+            continue
+        prefix, value = entry
+        parts.append(prefix)
+        pad = "\n" + "  " * len(stack)
+        if isinstance(value, dict) and value:
+            opener, closer = "{", "}"
+            entries = [(f",{pad}{json.dumps(k)}: ", value[k])
+                       for k in sorted(value)]
+        elif isinstance(value, (list, tuple)) and value:
+            opener, closer = "[", "]"
+            entries = [(f",{pad}", v) for v in value]
+        else:
+            parts.append(json.dumps(value))
+            continue
+        entries[0] = (entries[0][0][1:], entries[0][1])  # no separator
+        parts.append(opener)
+        stack.append((iter(entries), pad[:-2] + closer))
+    return "".join(parts)
 
 
 class PlanDocument(NamedTuple):

@@ -744,7 +744,9 @@ def extract_conditional_plan(plan: PlanGraph,
 def _build_branch(plan: PlanGraph, order: Sequence[str],
                   covered_ctxs: Sequence[frozenset], ctx: frozenset, pos: int):
     """The executable node for context ``ctx``, reading steps from
-    ``order[pos:]``."""
+    ``order[pos:]``.  A run of action steps is read in a loop and its nodes
+    built from the end back; only a branch recurses, once per child."""
+    chain = []  # (step id, operator) of each action step on the way
     while pos < len(order):
         sid = order[pos]
         st = plan.steps[sid]
@@ -752,7 +754,8 @@ def _build_branch(plan: PlanGraph, order: Sequence[str],
         if not st.context <= ctx:
             continue
         if st.kind == "goal":
-            return GoalLeaf(sid, st.context, st.operator.preconditions)
+            node = GoalLeaf(sid, st.context, st.operator.preconditions)
+            break
         if st.kind in ("cond", "obs"):
             children = {}
             for o in st.operator.outcomes:
@@ -764,10 +767,14 @@ def _build_branch(plan: PlanGraph, order: Sequence[str],
                                                 frozenset(c2), pos)
                 else:
                     children[o] = GiveUpLeaf(frozenset(c2))
-            return BranchNode(sid, st.operator, st.source, children)
-        return ActionNode(sid, st.operator,
-                          _build_branch(plan, order, covered_ctxs, ctx, pos))
-    return GiveUpLeaf(frozenset(ctx))
+            node = BranchNode(sid, st.operator, st.source, children)
+            break
+        chain.append((sid, st.operator))
+    else:
+        node = GiveUpLeaf(frozenset(ctx))
+    for sid, op in reversed(chain):
+        node = ActionNode(sid, op, node)
+    return node
 
 
 # ---------------------------------------------------------------------------

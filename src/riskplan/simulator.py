@@ -26,16 +26,21 @@ over the clause's or the operator's cut row (``GroundClause.cuts``,
 ``GroundOperator.outcome_cuts``: see ``domain.cut_rows``): the first
 outcome whose running sum exceeds ``u``, else the last.
 
-Trials that draw the same outcome for every prior clause form a trial
-class.  Without a chance step a plan's result is fixed by the prior world,
-so ``estimate_success`` finds every trial's class in numpy (the same picks,
-as counts of the cuts at or below each uniform, clause by clause) and runs
-``sample_world`` and ``execute_plan`` once per class: a prior net of 8
-binary variables has at most 256 classes, however many trials run.  A
-plan with a chance step runs each trial on its own row.  A plan with no
-prior clause and no chance step draws nothing: it runs once, reads no
-stream and builds no uniforms, and the seed is still checked as the
-generator would check it.
+A trial's result depends on its world only through the prior variables
+the plan's replay program reads (``ReplayProgram.reads``).  Without a
+chance step a plan's result is fixed by those values, so the trials that
+draw the same outcome for every prior clause the plan reads, and no known
+fact overrides, form a trial class.  ``estimate_success`` finds every
+trial's class in numpy (the same picks, as counts of the cuts at or below
+each uniform, for the clauses read and their ancestors, whose picks choose
+the cut rows) and runs ``sample_world`` and ``execute_plan`` once per
+class: an N-road plan that reads 3 of its 8 binary prior variables has at
+most 8 classes, however many trials run.  A plan with a chance step runs
+each trial on its own row.  A plan with no chance step that reads no such
+clause draws nothing: it runs once, reads no stream and builds no
+uniforms, and the seed is still checked as the generator would check it.
+A chunk of trials holds a fixed number of Philox counter blocks, four
+draws each, so trials of fewer draws come in larger chunks.
 
 ``exhaustive_success`` is the exact check.  It walks the same replay
 program once, summing over a chance block's arms where a trial draws one,
@@ -92,15 +97,30 @@ _SHIFT32 = np.uint64(32)
 _HALVES = np.array([32, 0], dtype=np.uint64)[:, None, None, None]  # high, low
 _M_HALVES = ((_PHILOX_M >> _HALVES) & _LOW32)[:, None]  # [half, 1, m, 1, 1]
 _ROUNDS = np.arange(10, dtype=np.uint64)[:, None, None, None]
-# Trials whose uniforms are held at once.  Replaying the seven seed-1
-# bench montecarlo documents, 4000 trials each (best of 9 interleaved
-# passes, 2-vCPU VM, Python 3.11, numpy 2.4), at 512, 1024, 2048 and 4096:
-# 1.01, 1.29, 1.48 and 1.24 M trials/s, while peak RSS grew past the
-# planning peak by 0, 0, 1.0 and 2.85 MB.  Past 1024 a round's half
-# products, four words for each word it multiplies, raise the peak, and at
-# 4096 the replay is slower again.
+# The fewest trials whose uniforms are held at once.  Replaying the seven
+# seed-1 bench montecarlo documents, 4000 trials each (best of 9
+# interleaved passes, 2-vCPU VM, Python 3.11, numpy 2.4), at 512, 1024,
+# 2048 and 4096: 1.01, 1.29, 1.48 and 1.24 M trials/s, while peak RSS grew
+# past the planning peak by 0, 0, 1.0 and 2.85 MB.  Past 1024 a round's
+# half products, four words for each word it multiplies, raise the peak,
+# and at 4096 the replay is slower again.
 _TRIAL_CHUNK = 1024
+# The Philox counter blocks of a chunk, unless that makes it smaller than
+# ``_TRIAL_CHUNK``: a block is four draws, so a chunk holds 2048 trials of
+# at most 4 draws and 1024 of more, and one of 2048 one-block trials holds
+# no more words than one of 1024 two-block trials.  ``_philox_uniforms``
+# per trial (timeit, best of 3, one process, 2-vCPU VM, numpy 2.4.6) at
+# 1024 and 2048 trials: 0.35 and 0.25-0.26 us at 3-4 draws, 26-29% less,
+# but 0.57-0.88 and 0.63-0.96 us at 6-8 draws, no faster.  At 32 draws,
+# 256 trials cost 2.30 us a trial against 1.80 at 1024, hence the floor.
+_CHUNK_BLOCKS = 2048
 _CLASS_CODES = 1 << 12  # the most trial-class codes counted in one table
+
+
+def _chunk_trials(draws: int) -> int:
+    """The trials of one chunk of uniforms when each trial takes
+    ``draws`` draws."""
+    return max(_TRIAL_CHUNK, _CHUNK_BLOCKS // -(-draws // 4))
 
 
 def _philox_key(seed: int) -> int:
@@ -278,17 +298,18 @@ def estimate_success(conditional: ConditionalPlan,
 
     Trial ``t`` draws from the Philox stream keyed ``(seed, t)``.  A trial
     class is the set of trials that drew the same outcome for every prior
-    clause.  How the trials run depends on what the plan draws:
+    clause whose variable the plan reads (``ReplayProgram.reads``) and no
+    known fact sets.  How the trials run depends on what the plan draws:
 
     * a plan with a chance step: every trial is its own class and runs
       ``sample_world`` and ``execute_plan`` on its row of uniforms;
-    * a plan with prior clauses and no chance step: a trial's result is
-      fixed by its class, so each class runs ``sample_world`` and
-      ``execute_plan`` once, on the uniforms of one of its trials, and counts
-      for each of its trials (see ``_Classes``);
-    * a plan that draws nothing: one class, no uniforms, one
-      ``execute_plan``; the seed is still checked as the generator would
-      check it.
+    * a plan with no chance step that reads a prior clause: a trial's
+      result is fixed by its class, so each class runs ``sample_world`` and
+      ``execute_plan`` once, on the uniforms of one of its trials, and
+      counts for each of its trials (see ``_Classes``);
+    * a plan that draws nothing, or reads none of the prior clauses it
+      would draw: one class, no uniforms, one ``execute_plan``; the seed is
+      still checked as the generator would check it.
 
     The report is the one trials run one at a time give, its violation
     samples taken from the violating trials in trial order.  Raises
@@ -298,20 +319,23 @@ def estimate_success(conditional: ConditionalPlan,
         raise ValueError(f"trials must be at least 0, not {trials}")
     known = _init_values({}, known_true, known_false)
     priors = complete_clauses(priors, MalformedPlan)
-    chance = conditional.replay.chance_depth
+    replay = conditional.replay
+    chance = replay.chance_depth
+    read = replay.reads - known.keys()
     totals = _Totals()
-    if not chance and not priors:
+    if not chance and not any(c.var in read for c in priors):
         if trials:
             _philox_key(seed)  # no stream is read, but its seed is checked
             r = execute_plan(conditional, known)
             totals.add([r], [trials])
             totals.sample([r] * min(trials, 5))
         return totals.report(trials, seed)
-    classes = None if chance else _Classes(conditional, priors, known)
+    classes = None if chance else _Classes(conditional, priors, known, read)
     draws = len(priors) + chance
+    chunk = _chunk_trials(draws)
     source = _Draws()
-    for first in range(0, trials, _TRIAL_CHUNK):
-        n = min(_TRIAL_CHUNK, trials - first)
+    for first in range(0, trials, chunk):
+        n = min(chunk, trials - first)
         u = _philox_uniforms(seed, first, n, draws)
         if classes is None:
             results = []
@@ -365,30 +389,39 @@ class _Totals:
 
 
 class _Classes:
-    """The trial classes of one ``estimate_success`` call on a plan with
-    prior clauses and no chance step, whose trials end alike when they drew
-    the same prior outcomes.  Class ``s`` holds ``counts[s]`` trials so far,
+    """The trial classes of one ``estimate_success`` call on a plan with no
+    chance step that reads some prior clause's variable.  A trial's result
+    depends on its world only through the variables the plan reads, so a
+    class is the set of trials that drew the same outcome for every clause
+    whose variable is in ``read``: those the plan reads, less the ones
+    known facts override.  Class ``s`` holds ``counts[s]`` trials so far,
     and ``results[s]`` is what ``execute_plan`` gave in the world
-    ``sample_world`` drew from the uniforms of one of its trials.
-    ``violating`` lists the classes whose result has violations."""
+    ``sample_world`` drew from the full row of uniforms of one of its
+    trials.  ``violating`` lists the classes whose result has
+    violations."""
 
     def __init__(self, conditional: ConditionalPlan,
-                 priors: Sequence[GroundClause], known: Mapping[str, str]):
+                 priors: Sequence[GroundClause], known: Mapping[str, str],
+                 read: frozenset):
         self.conditional = conditional
         self.priors = priors
         self.known = known
-        self.radices = [len(c.space) for c in priors]
-        self.tables = _cut_tables(priors)
+        self.tables = _cut_tables(priors, read)
+        # the positions in ``tables`` of the clauses whose picks make a code
+        self.keyed = [i for i, (j, *_) in enumerate(self.tables)
+                      if priors[j].var in read]
+        self.radices = [len(priors[self.tables[i][0]].space)
+                        for i in self.keyed]
         self.slots: dict[bytes, int] = {}  # picks of a class -> its number
         self.results: list[TrialResult] = []
         self.counts: list[int] = []
         self.violating: list[int] = []
 
     def add(self, u: np.ndarray) -> np.ndarray:
-        """Counts in the trials whose prior uniforms are the rows of ``u``,
+        """Counts in the trials whose uniforms are the rows of ``u``,
         running each class that is new to the call, and returns each
         trial's class."""
-        picks = _prior_picks(self.tables, u)
+        picks = _prior_picks(self.tables, u)[:, self.keyed]
         members, inverse = _class_of(picks, self.radices)
         slots = self.slots
         counts = self.counts
@@ -414,38 +447,48 @@ class _Classes:
         self.results.append(r)
 
 
-def _cut_tables(priors: Sequence[GroundClause]) -> list[tuple]:
-    """For each clause, in order: the positions of its parents in
-    ``priors``, their mixed-radix weights, and its dense cut matrix, whose
-    row ``sum(pick[parent] * weight)`` is the clause's cut row at the
-    parents' picked outcomes (parent assignments in ``itertools.product``
-    order).  Every clause needs a row for every parent assignment, as
-    ``complete_clauses`` checks."""
-    position = {c.var: j for j, c in enumerate(priors)}
+def _cut_tables(priors: Sequence[GroundClause],
+                wanted: Iterable[str]) -> list[tuple]:
+    """For each clause whose variable is in ``wanted`` or is an ancestor of
+    one, in the order of ``priors``: its position ``j`` in ``priors``, the
+    positions of its parents in this list, their mixed-radix weights, and
+    its dense cut matrix, whose row ``sum(pick[parent] * weight)`` is the
+    clause's cut row at the parents' picked outcomes (parent assignments in
+    ``itertools.product`` order).  ``priors`` come parents first, and every
+    clause needs a row for every parent assignment, as ``complete_clauses``
+    checks."""
+    needed = set(wanted)
+    for c in reversed(priors):
+        if c.var in needed:
+            needed.update(c.parents)
+    clauses = {c.var: c for c in priors}
+    position: dict[str, int] = {}
     tables = []
-    for c in priors:
-        parents = [position[p] for p in c.parents]
-        spaces = [priors[j].space for j in parents]
+    for j, c in enumerate(priors):
+        if c.var not in needed:
+            continue
+        position[c.var] = len(tables)
+        spaces = [clauses[p].space for p in c.parents]
         weights = [prod(len(s) for s in spaces[i + 1:])
                    for i in range(len(spaces))]
         rows = [c.cuts[tail] for tail in product(*spaces)]
         cuts = np.array(rows, dtype=float).reshape(len(rows),
                                                    len(c.space) - 1)
-        tables.append((parents, weights, cuts))
+        tables.append((j, [position[p] for p in c.parents], weights, cuts))
     return tables
 
 
 def _prior_picks(tables: Sequence[tuple], u: np.ndarray) -> np.ndarray:
-    """``picks[t, j]``: the outcome index of clause ``j`` that trial ``t``
-    draws with the uniform ``u[t, j]``, the count of cuts in its row at or
-    below the uniform, which is the ``bisect_right`` pick of
-    ``sample_world``."""
-    picks = np.empty(u.shape, dtype=np.intp)
-    for j, (parents, weights, cuts) in enumerate(tables):
+    """``picks[t, i]``: the outcome index that trial ``t`` draws for the
+    clause of ``tables[i]``, at position ``j`` in the priors, with the
+    uniform ``u[t, j]``: the count of cuts in its row at or below the
+    uniform, which is the ``bisect_right`` pick of ``sample_world``."""
+    picks = np.empty((len(u), len(tables)), dtype=np.intp)
+    for i, (j, parents, weights, cuts) in enumerate(tables):
         row = 0
         for p, w in zip(parents, weights):
             row = row + picks[:, p] * w
-        picks[:, j] = (u[:, j, None] >= cuts[row]).sum(1)
+        picks[:, i] = (u[:, j, None] >= cuts[row]).sum(1)
     return picks
 
 

@@ -1,10 +1,15 @@
 """Command line behavior: exit codes, emissions, determinism."""
 
+import inspect
 import json
+import math
+import random
+import sys
 
 import pytest
 
 from riskplan.cli import main
+from riskplan.conditional import document_text
 from riskplan.worlds import ski_world, slippery_walk, sussman
 
 
@@ -181,3 +186,78 @@ def test_stdout_summary_is_deterministic(ski_files, capsys):
     first = capsys.readouterr().out
     run(["--domain", dom, "--problem", prob])
     assert capsys.readouterr().out == first
+
+
+def _relay_texts(n: int) -> tuple[str, str]:
+    """A relay of ``n`` det hops: hop-I turns (legI) into (legI+1), and the
+    goal is (legN)."""
+    domain = "\n".join(f"(operator hop-{i} (kind det) (pre (leg{i})) "
+                       f"(add (leg{i + 1})) (del (leg{i})))" for i in range(n))
+    negs = " ".join(f"(not (leg{i}))" for i in range(1, n + 1))
+    problem = (f"(problem (init (leg0) {negs}) (goal (leg{n})) "
+               "(epsilon 0))")
+    return domain + "\n", problem + "\n"
+
+
+def test_plans_deeper_than_the_recursion_limit_exit_zero(tmp_path):
+    """Nothing from extraction to the emitted files takes a frame per
+    action step: with the recursion limit 60 frames above the caller, a
+    250-step relay plans and writes every emission."""
+    d, p = _relay_texts(250)
+    dom, prob, out = tmp_path / "d.sexp", tmp_path / "p.sexp", tmp_path / "o"
+    dom.write_text(d)
+    prob.write_text(p)
+    argv = ["--domain", dom, "--problem", prob, "--planner", "nonlinear",
+            "--emit", "plan-json", "--emit", "dot", "--emit", "trace",
+            "--emit", "simulate", "--trials", "50", "--out", out]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        code = run(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert sorted(f.name for f in out.iterdir()) == [
+        "net.dot", "plan.dot", "plan.json", "simulate.json", "trace.jsonl"]
+    assert json.loads((out / "simulate.json").read_text())["estimate"] == 1.0
+
+
+def _random_json(rng: random.Random, depth: int):
+    kind = rng.randrange(9 if depth else 6)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randint(-10**20, 10**20)
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 1e-300, 2.5e17, math.inf, -math.inf,
+                           math.nan, rng.random(), rng.uniform(-1e6, 1e6)])
+    if kind in (3, 4, 5):
+        return "".join(rng.choice('ab "\\/\n\t\x01\u00e9\u2603\U0001f600')
+                       for _ in range(rng.randrange(6)))
+    width = rng.randrange(4)
+    if kind in (6, 7):
+        return {"".join(rng.choice('k"\u00e9\n') for _ in range(3)):
+                _random_json(rng, depth - 1) for _ in range(width)}
+    return [_random_json(rng, depth - 1) for _ in range(width)]
+
+
+def test_document_text_is_the_json_text():
+    """``document_text`` gives the bytes ``json.dumps(doc, sort_keys=True,
+    indent=2)`` does: on random shallow data, and on a plan document 1,200
+    action steps deep, which ``json`` writes only under a raised recursion
+    limit.  (The golden plan documents are checked in
+    ``tests/test_golden.py``.)"""
+    from .test_simulator import _relay_document
+    rng = random.Random(31)
+    for _ in range(400):
+        doc = _random_json(rng, 4)
+        assert document_text(doc) == json.dumps(doc, sort_keys=True,
+                                                indent=2), doc
+    doc = _relay_document(1200)
+    text = document_text(doc)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        assert text == json.dumps(doc, sort_keys=True, indent=2)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -266,6 +266,11 @@ def run_case(tmp: Path, make, extra, planner: str, model: str):
 def test_golden_output(case, tmp_path):
     name, make, extra, planner, model = case
     assert run_case(tmp_path, make, extra, planner, model) == GOLDEN[name]
+    plan_json = tmp_path / "out" / "plan.json"
+    if plan_json.exists():  # the CLI writes the text json.dumps gives
+        text = plan_json.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=2) + "\n"
 
 
 # Cases rerun under two hash seeds: both planners on ski, and the nonlinear

@@ -32,7 +32,7 @@ from riskplan.probmodel import (BeliefNet, _joint_ve,
                                 net_for_plan,
                                 select_goal_node, simple_context_probability,
                                 success_bound)
-from riskplan.simulator import (_TRIAL_CHUNK, estimate_success,
+from riskplan.simulator import (_chunk_trials, estimate_success,
                                 exhaustive_success)
 from riskplan.worlds import load_texts, ski_world
 
@@ -487,13 +487,14 @@ def test_pinned_influence_reads_a_chance_outcome_in_context():
 @pytest.mark.parametrize("build", [_tree_pin_plan, _dag_pin_plan, _arm_plan])
 def test_pinned_influence_plans_replay_as_the_reference(build):
     """Monte Carlo over chance steps whose odds hang on a pinned influence
-    reports what the reference estimator does, across two chunks of
-    trials."""
+    reports what the reference estimator does, across two chunk boundaries
+    at the chunk size for the plan's draws."""
     plan, prob = build()
     conditional = extract_conditional_plan(plan, complete_goal_ids(plan))
     assert conditional.replay.chance_depth >= 1
+    draws = len(prob.priors) + conditional.replay.chance_depth
     args = (conditional, prob.priors, prob.known_true, prob.known_false,
-            2 * _TRIAL_CHUNK + 3, 5)
+            2 * _chunk_trials(draws) + 3, 5)
     report = estimate_success(*args)
     assert report == reference_estimate(*args)
     assert 0 < report["successes"] < report["trials"]

@@ -21,9 +21,9 @@ from riskplan.conditional import (ActionNode, BranchNode, ConditionalPlan,
 from riskplan.errors import MalformedPlan
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
-from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, _TRIAL_CHUNK,
-                                TrialResult,
-                                _philox_uniforms, estimate_success,
+from riskplan.simulator import (EXHAUSTIVE_WORLD_LIMIT, TrialResult,
+                                _chunk_trials, _philox_uniforms,
+                                estimate_success,
                                 execute_plan,
                                 exhaustive_success, sample_world,
                                 simulate_document)
@@ -32,6 +32,11 @@ from riskplan.worlds import (det_chain, load_texts, nroad_world,
 
 from .gen import (exhaustive_check, outcome_probs, reference_estimate,
                   solvable_domain)
+
+# The most trials one chunk of uniforms holds, which it holds when a
+# trial's draws fit one Philox counter block: ``2 * _TRIAL_CHUNK + 3``
+# trials cross at least two chunk boundaries whatever a plan draws.
+_TRIAL_CHUNK = _chunk_trials(1)
 
 WORLDS = {
     "det_chain": det_chain(3),
@@ -751,14 +756,18 @@ def test_estimate_equals_reference_on_generated_domains():
 
 
 def test_each_trial_samples_its_own_stream(monkeypatch):
-    """Trial t of seed s uses the world ``sample_world`` draws from Philox
-    keyed (s, t), also past the first chunk of trials.  The worlds are
-    recorded as ``sample_world`` makes them, one per class as each class
-    first runs: each trial's class holds the world of the trial's own
-    stream, and no two classes hold one world."""
-    gdom, prob = load_texts(*nroad_world(3))
+    """Trial t of seed s runs in a world that agrees, on every prior
+    variable the plan reads, with the world ``sample_world`` draws from
+    Philox keyed (s, t), also past the first chunks of trials.  The worlds
+    are recorded as ``sample_world`` makes them, one per class as each
+    class first runs, and no two classes agree on every variable read.
+    N-road N=5 leaves ``blizzard`` and two roads unread."""
+    gdom, prob = load_texts(*nroad_world(5))
     res = plan_nonlinear(gdom, prob)
-    assert res.conditional.replay.chance_depth == 0
+    replay = res.conditional.replay
+    assert replay.chance_depth == 0
+    read = [c.var for c in prob.priors if c.var in replay.reads]
+    assert len(read) == 3 and len(prob.priors) == 6
     tables, chunks, worlds = [], [], []
     add = simulator._Classes.add
 
@@ -772,20 +781,23 @@ def test_each_trial_samples_its_own_stream(monkeypatch):
         worlds.append(sample_world(priors, rng))
         return dict(worlds[-1])
 
+    def seen(world):
+        return [world[v] for v in read]
+
     monkeypatch.setattr(simulator._Classes, "add", recorded)
     monkeypatch.setattr(simulator, "sample_world", sampled)
     trials = 2 * _TRIAL_CHUNK + 3
     estimate_success(res.conditional, prob.priors, prob.known_true,
                      prob.known_false, trials=trials, seed=5)
-    assert len(chunks) == 3 and len({id(t) for t in tables}) == 1
+    assert len(chunks) > 2 and len({id(t) for t in tables}) == 1
     assert len(worlds) == len(tables[0].counts)
-    assert len({tuple(sorted(w.items())) for w in worlds}) == len(worlds)
+    assert len({tuple(seen(w)) for w in worlds}) == len(worlds)
     slots = np.concatenate(chunks).tolist()
     assert len(slots) == trials
     for t, s in enumerate(slots):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([5, t], dtype=np.uint64)))
-        assert worlds[s] == sample_world(prob.priors, rng), t
+        assert seen(worlds[s]) == seen(sample_world(prob.priors, rng)), t
 
 
 def test_class_picks_are_the_sampler_picks():
@@ -812,7 +824,13 @@ def test_class_picks_are_the_sampler_picks():
     u = np.random.default_rng(0).random((600, 4))
     cuts = sorted({x for c in priors for row in c.cuts.values() for x in row})
     u[:len(cuts)] = np.array(cuts)[:, None]
-    picks = simulator._prior_picks(simulator._cut_tables(priors), u)
+    picks = simulator._prior_picks(
+        simulator._cut_tables(priors, [c.var for c in priors]), u)
+    # clause c and its ancestors b and a, not d, in the order of ``priors``
+    tables = simulator._cut_tables(priors, ["c"])
+    assert [j for j, *_ in tables] == [0, 1, 2]
+    some = simulator._prior_picks(tables, u)
+    assert (some == picks[:, :3]).all()
     for row, got in zip(u.tolist(), picks.tolist()):
         source = simulator._Draws()
         source.random = iter(row).__next__
@@ -1020,6 +1038,73 @@ def test_each_trial_class_runs_once(monkeypatch):
     estimate_success(res.conditional, prob.priors, prob.known_true,
                      prob.known_false, trials=4000, seed=1)
     assert runs == {"sample_world": 4000, "execute_plan": 4000}
+
+
+@pytest.mark.parametrize("n, blocks", [(3, 1), (5, 2), (7, 2)])
+def test_estimate_equals_reference_on_nroad_past_two_chunks(n, blocks):
+    """N-road plans read three roads: N=3 leaves ``blizzard`` unread, an
+    ancestor whose picks still choose the roads' cut rows, and N=5 and
+    N=7 leave roads unread too.  The draws fit one Philox counter block at
+    N=3 and two at N=5 and N=7, and the trials cross two chunk boundaries
+    at the chunk size for those draws."""
+    gdom, prob = load_texts(*nroad_world(n))
+    res = plan_nonlinear(gdom, prob)
+    read = {c.var for c in prob.priors} & res.conditional.replay.reads
+    assert len(read) == 3 and "blizzard" not in read
+    assert -(-len(prob.priors) // 4) == blocks
+    trials = 2 * _chunk_trials(len(prob.priors)) + 3
+    _same_report(res.conditional, prob.priors, prob.known_true,
+                 prob.known_false, trials=trials, seed=11)
+
+
+def test_estimate_equals_reference_where_no_prior_is_read(monkeypatch):
+    """A plan with prior clauses that reads none of them draws nothing: it
+    builds no uniforms and runs once, and the seed is still checked."""
+    prob, res = _planned("det_chain")
+    priors = load_texts(*nroad_world(3))[1].priors
+    assert priors and not {c.var for c in priors} & res.conditional.replay.reads
+    runs = Counter()
+
+    def no_stream(*args):
+        raise AssertionError("a plan that reads no prior read the stream")
+
+    def counted(*args, **kwargs):
+        runs["execute_plan"] += 1
+        return execute_plan(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_philox_uniforms", no_stream)
+    monkeypatch.setattr(simulator, "execute_plan", counted)
+    _same_report(res.conditional, priors, prob.known_true, prob.known_false,
+                 trials=2 * _TRIAL_CHUNK + 3, seed=3)
+    assert runs["execute_plan"] == 1
+    for seed in (-1, 2**64):
+        with pytest.raises(OverflowError):
+            estimate_success(res.conditional, priors, prob.known_true,
+                             prob.known_false, trials=1, seed=seed)
+
+
+def test_classes_are_the_outcomes_of_the_read_priors(monkeypatch):
+    """N-road N=7 has 8 prior clauses, and its plan reads three roads: its
+    4,000 trials replay at most 2**3 classes, however many distinct worlds
+    they draw."""
+    runs = Counter()
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            runs[name] += 1
+            return fn(*args, **kwargs)
+        fn = getattr(simulator, name)
+        return wrapper
+
+    for name in ("sample_world", "execute_plan"):
+        monkeypatch.setattr(simulator, name, counted(name))
+    gdom, prob = load_texts(*nroad_world(7))
+    res = plan_nonlinear(gdom, prob)
+    assert len(prob.priors) == 8
+    estimate_success(res.conditional, prob.priors, prob.known_true,
+                     prob.known_false, trials=4000, seed=1)
+    assert 0 < runs["execute_plan"] <= 8
+    assert runs["sample_world"] == runs["execute_plan"]
 
 
 def test_estimate_rejects_seeds_outside_philox_keys():
@@ -1490,7 +1575,7 @@ def test_cut_rows_pick_as_the_clamped_running_sums(name):
         assert execute_plan(plan, {}, rng=_Fixed(u)).outcomes == \
             (("s1", want),), u
     # the picks that group trials into classes
-    picks = simulator._prior_picks(simulator._cut_tables([clause]),
+    picks = simulator._prior_picks(simulator._cut_tables([clause], ["v"]),
                                    np.array(us)[:, None])
     assert [space[i] for i in picks[:, 0]] == \
         [space[_oracle_pick(sums, u)] for u in us]
@@ -1559,7 +1644,7 @@ def test_an_outcome_of_probability_zero_is_never_taken(kind, monkeypatch):
         assert r == _oracle_execute_plan(plan, world, rng=_Fixed(u))
         assert (world.get("x") if kind == "prior" else r.outcomes[0][1]) == o
     if kind == "prior":
-        picks = simulator._prior_picks(simulator._cut_tables(priors),
+        picks = simulator._prior_picks(simulator._cut_tables(priors, ["x"]),
                                        np.array(edges)[:, None])
         assert [_ZERO_SPACE[i] for i in picks[:, 0]] == want
     monkeypatch.setattr(simulator, "_philox_uniforms",
