@@ -402,7 +402,7 @@ class _Classes:
 
     def __init__(self, conditional: ConditionalPlan,
                  priors: Sequence[GroundClause], known: Mapping[str, str],
-                 read: frozenset):
+                 read: set):
         self.conditional = conditional
         self.priors = priors
         self.known = known
