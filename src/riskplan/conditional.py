@@ -230,7 +230,9 @@ def _compile_block(node, program_reads: set, path: tuple = (),
     ``path`` whose last outcome wrote ``entry``, and the most chance steps
     on a path from ``node`` on (a chance step counts once whether or not
     the plan covers the outcome it draws).  Adds the variables of each
-    block's ``reads`` to ``program_reads``."""
+    block's ``reads`` to ``program_reads``.  Every child of a branch is
+    compiled, whatever its name; a chance end keeps those of its outcomes,
+    in declared order."""
     written = dict(entry or {})
     run = [(None, frozenset(), entry)] if entry else []
     check: set = set()
@@ -253,25 +255,18 @@ def _compile_block(node, program_reads: set, path: tuple = (),
                        k) and met
         reads += [(v, k) for v in (op.row_vars if op.observes is None
                                    else (op.observes,)) if v not in written]
+        arms = {}
+        for o, child in node.children.items():
+            if child is not None:
+                arms[o], d = _compile_block(
+                    child, program_reads, path + ((node.step_id, o),),
+                    op.effect_values(o))
+                depth = max(depth, d)
         if op.kind == "obs":
-            kind, read, arms = "obs", op.observes, {}
-            for o, child in node.children.items():
-                if child is not None:
-                    arms[o], d = _compile_block(
-                        child, program_reads, path + ((node.step_id, o),),
-                        op.effect_values(o))
-                    depth = max(depth, d)
+            kind, read = "obs", op.observes
         else:
-            kind, read, rows, arms = "chance", op.row_vars, op.outcome_cuts, []
-            for o in op.outcomes:
-                block = child = node.children.get(o)
-                if child is not None:
-                    block, d = _compile_block(
-                        child, program_reads, path + ((node.step_id, o),),
-                        op.effect_values(o))
-                    depth = max(depth, d)
-                arms.append(block)
-            arms = tuple(arms)
+            kind, read, rows = "chance", op.row_vars, op.outcome_cuts
+            arms = tuple(map(arms.get, op.outcomes))
             depth += 1
     elif isinstance(node, GoalLeaf):
         kind, verdict = "goal", TrialResult(True, "goal", (), path)

@@ -20,18 +20,19 @@ different outcomes.  Plans are immutable; every mutation returns a fresh
 graph.  Updates only add steps, links and tree edges and only grow
 contexts, so a child's facts follow from its parent's.  Adding a -> b
 gives ``{b} | after[b]`` to a and to every step ordered before a.  A
-plan's threats are a set, derived once per graph (``PlanGraph.threats``):
-a graph derived from one whose threats are known keeps those threats that
-still hold and checks only its new links against every step and its old
-links against its new steps, as UCPOP does (Penberthy & Weld, KR 1992).
+plan's threats are a set.  A root's are found when it is made; any other
+graph's are derived once (``PlanGraph.threats``) from those of its nearest
+ancestor whose threats are known: it keeps those that still hold and checks
+only the links added since against every step and the older links against
+the steps added since, as UCPOP does (Penberthy & Weld, KR 1992).
 In a tree plan a new link is checked only against the steps on the tree
 path down to its consumer, and a causal link skips at once every step
 whose operator's ``clobbers`` lacks the link's proposition; an old causal
 link whose proposition no new step clobbers is not visited at all.
 ``has_threat`` runs the same check but stops at the first threat, and a
 plan it clears keeps the empty set as its threats.  ``_ordering_closure``
-and ``find_threats`` are the from-scratch paths: roots use them, and the
-tests hold every shortcut to them.
+and ``find_threats`` are the from-scratch paths: only roots use them, and
+the tests hold every shortcut to them.
 
 Plans come in two shapes.  ``tree`` plans keep an explicit parent map
 (each step has one parent; conditional steps fan out per outcome), which
@@ -163,9 +164,10 @@ class Threat(NamedTuple):
 
 @dataclass(frozen=True)
 class _ThreatBasis:
-    """What a derived plan's threats start from: the threat set of the plan
-    it was derived from, and the step ids and links added since.  It holds
-    no plan, so a chain of derived plans keeps no ancestor alive."""
+    """What a derived plan's threats start from: the threat set of its
+    nearest ancestor whose threats are known, and the step ids and links
+    added since.  It holds no plan, so a chain of derived plans keeps no
+    ancestor alive."""
 
     threats: frozenset  # of Threat
     steps: frozenset  # of step id
@@ -181,6 +183,7 @@ class PlanGraph:
     goal_op: GroundOperator  # every goal step's operator: the problem goals
     tree: Mapping[str, tuple] | None  # child id -> (parent id, edge outcome)
     after: Mapping[str, frozenset]  # derived: strict ordering closure
+    # None only for a root, whose threats are known from the start
     _basis: _ThreatBasis | None = field(default=None, compare=False,
                                         repr=False)
 
@@ -194,10 +197,10 @@ class PlanGraph:
 
     @cached_property
     def threats(self) -> frozenset[Threat]:
-        """The set of the plan's threats, ``find_threats(self)``, computed
-        on first use and kept: the graph never changes."""
-        if self._basis is None:
-            return find_threats(self)
+        """The set of the plan's threats, ``find_threats(self)``.  A root's
+        are found when it is made (``make_root_plan``); any other plan's
+        are derived from its basis on first use and kept: the graph never
+        changes."""
         return frozenset(_threat_candidates(self, self._basis))
 
     @cached_property
@@ -241,18 +244,16 @@ class PlanGraph:
                 new_links: frozenset = frozenset(), **kw) -> "PlanGraph":
         """A copy with ``kw`` replaced that adds the steps ``new_steps`` and
         the links ``new_links``.  Its threats start from this plan's, if
-        they are known (a cached property lives in the instance dict), or
-        from this plan's own basis.  The copy takes the declared fields
-        straight from this plan's instance dict, so it inherits none of
-        this plan's cached properties."""
+        they are known (a cached property lives in the instance dict, as a
+        root's always does), or else from this plan's own basis.  The copy
+        takes the declared fields straight from this plan's instance dict,
+        so it inherits none of this plan's cached properties."""
         if "threats" in self.__dict__:
             basis = _ThreatBasis(self.threats, new_steps, new_links)
-        elif self._basis is not None:
+        else:
             b = self._basis
             basis = _ThreatBasis(b.threats, b.steps | new_steps,
                                  b.links | new_links)
-        else:
-            basis = None
         child = object.__new__(PlanGraph)
         state, mine = child.__dict__, self.__dict__
         for name in _PLAN_FIELDS:
@@ -332,7 +333,8 @@ def _start_operator(problem: Problem) -> GroundOperator:
 def make_root_plan(problem: Problem, shape: str) -> PlanGraph:
     """Start step plus a single universal-context goal step whose
     preconditions are the problem goals.  Every goal step the plan's
-    descendants add shares the root goal's operator."""
+    descendants add shares the root goal's operator.  Its threats are
+    found here, so every plan derived from it has a threat basis."""
     start = Step(START_ID, 0, _start_operator(problem))
     goal = Step("s1", 1, GroundOperator(name="goal", kind="goal",
                                         preconditions=tuple(problem.goals)))
@@ -345,6 +347,7 @@ def make_root_plan(problem: Problem, shape: str) -> PlanGraph:
         open_goals=frozenset((goal.id, g) for g in problem.goals),
         open_influences=frozenset(), goal_op=goal.operator, tree=tree,
         after=_ordering_closure(steps, links, tree))
+    plan.__dict__["threats"] = find_threats(plan)
     return plan
 
 
@@ -470,7 +473,7 @@ def has_threat(plan: PlanGraph) -> bool:
     """``bool(plan.threats)``, stopping at the first threat a derived plan
     meets.  A plan found to have none keeps the empty set as its
     threats."""
-    if "threats" in plan.__dict__ or plan._basis is None:
+    if "threats" in plan.__dict__:
         return bool(plan.threats)
     for _t in _threat_candidates(plan, plan._basis):
         return True

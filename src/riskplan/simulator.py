@@ -33,10 +33,11 @@ draw the same outcome for every prior clause the plan reads, and no known
 fact overrides, form a trial class.  ``estimate_success`` finds every
 trial's class in numpy (the same picks, as counts of the cuts at or below
 each uniform, for the clauses read and their ancestors, whose picks choose
-the cut rows) and runs ``sample_world`` and ``execute_plan`` once per
-class: an N-road plan that reads 3 of its 8 binary prior variables has at
-most 8 classes, however many trials run.  A plan with a chance step runs
-each trial on its own row.  A plan with no chance step that reads no such
+the cut rows) and runs ``execute_plan`` once per class, in the world its
+picks give the clauses read: an N-road plan that reads 3 of its 8 binary
+prior variables has at most 8 classes, however many trials run.  A plan
+with a chance step runs ``sample_world`` and ``execute_plan`` on each
+trial's own row.  A plan with no chance step that reads no such
 clause draws nothing: it runs once, reads no stream and builds no
 uniforms, and the seed is still checked as the generator would check it.
 A chunk of trials holds a fixed number of Philox counter blocks, four
@@ -304,9 +305,9 @@ def estimate_success(conditional: ConditionalPlan,
     * a plan with a chance step: every trial is its own class and runs
       ``sample_world`` and ``execute_plan`` on its row of uniforms;
     * a plan with no chance step that reads a prior clause: a trial's
-      result is fixed by its class, so each class runs ``sample_world`` and
-      ``execute_plan`` once, on the uniforms of one of its trials, and
-      counts for each of its trials (see ``_Classes``);
+      result is fixed by its class, so each class runs ``execute_plan``
+      once, in the world of its picks, and counts for each of its trials
+      (see ``_Classes``);
     * a plan that draws nothing, or reads none of the prior clauses it
       would draw: one class, no uniforms, one ``execute_plan``; the seed is
       still checked as the generator would check it.
@@ -395,23 +396,25 @@ class _Classes:
     class is the set of trials that drew the same outcome for every clause
     whose variable is in ``read``: those the plan reads, less the ones
     known facts override.  Class ``s`` holds ``counts[s]`` trials so far,
-    and ``results[s]`` is what ``execute_plan`` gave in the world
-    ``sample_world`` drew from the full row of uniforms of one of its
-    trials.  ``violating`` lists the classes whose result has
+    and ``results[s]`` is what ``execute_plan`` gave in its world: each
+    keyed clause's variable at the outcome the class picks, with the known
+    facts laid over them.  A trial reads no other variable before it
+    writes it (``ReplayProgram.reads``), so that world gives every member
+    its own result.  ``violating`` lists the classes whose result has
     violations."""
 
     def __init__(self, conditional: ConditionalPlan,
                  priors: Sequence[GroundClause], known: Mapping[str, str],
                  read: set):
         self.conditional = conditional
-        self.priors = priors
         self.known = known
         self.tables = _cut_tables(priors, read)
-        # the positions in ``tables`` of the clauses whose picks make a code
+        # the positions in ``tables`` of the clauses whose picks make a
+        # code, and those clauses
         self.keyed = [i for i, (j, *_) in enumerate(self.tables)
                       if priors[j].var in read]
-        self.radices = [len(priors[self.tables[i][0]].space)
-                        for i in self.keyed]
+        self.clauses = [priors[self.tables[i][0]] for i in self.keyed]
+        self.radices = [len(c.space) for c in self.clauses]
         self.slots: dict[bytes, int] = {}  # picks of a class -> its number
         self.results: list[TrialResult] = []
         self.counts: list[int] = []
@@ -432,15 +435,13 @@ class _Classes:
             if s is None:
                 s = slots[key] = len(counts)
                 counts.append(0)
-                self._run(u[t].tolist())
+                self._run(picks[t].tolist())
             counts[s] += k
             numbers.append(s)
         return np.array(numbers, dtype=np.intp)[inverse]
 
-    def _run(self, row: list[float]) -> None:
-        source = _Draws()
-        source.random = iter(row).__next__
-        world = sample_world(self.priors, source)
+    def _run(self, picks: list[int]) -> None:
+        world = {c.var: c.space[k] for c, k in zip(self.clauses, picks)}
         r = execute_plan(self.conditional, {**world, **self.known})
         if r.violations:
             self.violating.append(len(self.results))

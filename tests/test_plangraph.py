@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskplan import domain
+from riskplan import domain, plangraph
 from riskplan.conditional import Label, plan_document, read_plan_document
 from riskplan.domain import GroundOperator, Problem, prop_from_text
 from riskplan.errors import (IgnoranceNotFromStart, IncompletePlan,
@@ -433,6 +433,48 @@ def test_causal_link_discharges_its_open_goal(monkeypatch):
     linked = add_link(plan, Link("causal", pid, "s1", lit("(g)")))
     assert len(calls) == 1
     assert linked.open_goals == plan.open_goals - {goal}
+
+
+@pytest.mark.parametrize("shape", ["dag", "tree"])
+def test_roots_hold_their_threats_when_made(shape):
+    root = make_root_plan(problem(), shape)
+    assert "threats" in root.__dict__
+    assert root.threats == find_threats(root)
+
+
+def _derived_from_unread_root(shape):
+    """A root whose threats were never read, then a producer of ``(g)``,
+    a step that deletes it, and the causal link from the producer to the
+    goal, each derived from the one before with no threats read."""
+    plan = make_root_plan(problem(), shape)
+    make, wreck = det("make", add=["(g)"]), det("wreck", delete=["(g)"])
+    if shape == "tree":
+        plan, pid, _ = tree_insert(plan, make, START_ID, "s1")
+        first = plan
+        plan, _sid, _ = tree_insert(plan, wreck, pid, "s1")
+    else:
+        plan, pid = dag_add_step(plan, make, ())
+        first = plan
+        plan, _sid = dag_add_step(plan, wreck, ())
+    return [first, plan, add_link(plan, Link("causal", pid, "s1",
+                                             lit("(g)")))]
+
+
+@pytest.mark.parametrize("shape", ["dag", "tree"])
+def test_children_of_an_unread_root_derive_their_threats(shape,
+                                                         monkeypatch):
+    """Every plan derived from a root has a threat basis, so its threats
+    are derived from the root's, never found from scratch."""
+    plans = _derived_from_unread_root(shape)
+
+    def from_scratch(plan):
+        raise AssertionError("a derived plan found its threats from scratch")
+
+    monkeypatch.setattr(plangraph, "find_threats", from_scratch)
+    got = [plan.threats for plan in plans]
+    monkeypatch.undo()
+    assert got == [find_threats(plan) for plan in plans]
+    assert got[-1]  # the deleting step threatens the link
 
 
 # ---------------------------------------------------------------------------

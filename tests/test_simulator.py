@@ -4,6 +4,7 @@ import bisect
 import dataclasses
 import functools
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 
 from riskplan import domain, simulator
-from riskplan.conditional import (ActionNode, BranchNode, ConditionalPlan,
-                                  GiveUpLeaf, GoalLeaf, plan_document,
-                                  read_plan_document)
+from riskplan.conditional import (_UNMET, ActionNode, BranchNode,
+                                  ConditionalPlan, GiveUpLeaf, GoalLeaf,
+                                  plan_document, read_plan_document)
 from riskplan.errors import MalformedPlan
 from riskplan.linear import plan_linear
 from riskplan.nonlinear import plan_nonlinear
@@ -759,7 +760,7 @@ def test_each_trial_samples_its_own_stream(monkeypatch):
     """Trial t of seed s runs in a world that agrees, on every prior
     variable the plan reads, with the world ``sample_world`` draws from
     Philox keyed (s, t), also past the first chunks of trials.  The worlds
-    are recorded as ``sample_world`` makes them, one per class as each
+    are recorded as ``execute_plan`` is given them, one per class as each
     class first runs, and no two classes agree on every variable read.
     N-road N=5 leaves ``blizzard`` and two roads unread."""
     gdom, prob = load_texts(*nroad_world(5))
@@ -777,15 +778,15 @@ def test_each_trial_samples_its_own_stream(monkeypatch):
         chunks.append(slots)
         return slots
 
-    def sampled(priors, rng):
-        worlds.append(sample_world(priors, rng))
-        return dict(worlds[-1])
+    def executed(conditional, world, *args):
+        worlds.append(dict(world))
+        return execute_plan(conditional, world, *args)
 
     def seen(world):
         return [world[v] for v in read]
 
     monkeypatch.setattr(simulator._Classes, "add", recorded)
-    monkeypatch.setattr(simulator, "sample_world", sampled)
+    monkeypatch.setattr(simulator, "execute_plan", executed)
     trials = 2 * _TRIAL_CHUNK + 3
     estimate_success(res.conditional, prob.priors, prob.known_true,
                      prob.known_false, trials=trials, seed=5)
@@ -1014,8 +1015,9 @@ def test_seed_past_philox_keys_raises_as_the_reference_does(name):
 
 
 def test_each_trial_class_runs_once(monkeypatch):
-    """A plan with no chance step runs once per distinct prior world, not
-    once per trial; a plan with a chance step runs once per trial."""
+    """A plan with no chance step runs once per class of the prior clauses
+    it reads, from the class's picks, sampling no world; a plan with a
+    chance step samples a world and runs once per trial."""
     runs = Counter()
 
     def counted(name):
@@ -1029,10 +1031,12 @@ def test_each_trial_class_runs_once(monkeypatch):
         monkeypatch.setattr(simulator, name, counted(name))
     gdom, prob = load_texts(*nroad_world(3))
     res = plan_nonlinear(gdom, prob)
+    read = {c.var for c in prob.priors} & res.conditional.replay.reads
+    assert len(read) == 3
     estimate_success(res.conditional, prob.priors, prob.known_true,
                      prob.known_false, trials=4000, seed=1)
-    assert 0 < runs["execute_plan"] <= 2 ** len(prob.priors)
-    assert runs["sample_world"] == runs["execute_plan"]
+    assert 0 < runs["execute_plan"] <= 2 ** len(read)
+    assert runs["sample_world"] == 0
     runs.clear()
     prob, res = _planned("press_button")
     estimate_success(res.conditional, prob.priors, prob.known_true,
@@ -1086,7 +1090,7 @@ def test_estimate_equals_reference_where_no_prior_is_read(monkeypatch):
 def test_classes_are_the_outcomes_of_the_read_priors(monkeypatch):
     """N-road N=7 has 8 prior clauses, and its plan reads three roads: its
     4,000 trials replay at most 2**3 classes, however many distinct worlds
-    they draw."""
+    they draw, and sample none of those worlds."""
     runs = Counter()
 
     def counted(name):
@@ -1104,7 +1108,7 @@ def test_classes_are_the_outcomes_of_the_read_priors(monkeypatch):
     estimate_success(res.conditional, prob.priors, prob.known_true,
                      prob.known_false, trials=4000, seed=1)
     assert 0 < runs["execute_plan"] <= 8
-    assert runs["sample_world"] == runs["execute_plan"]
+    assert runs["sample_world"] == 0
 
 
 def test_estimate_rejects_seeds_outside_philox_keys():
@@ -1503,6 +1507,79 @@ def test_replay_raises_as_node_walk_does():
     for check in (exhaustive_success, estimate_success):
         with pytest.raises(MalformedPlan, match="unknown node 'not a node'"):
             check(odd, prob.priors, prob.known_true, prob.known_false)
+
+
+def _program_shape(replay) -> list:
+    """What a replay program is made of, as JSON data: its chance depth,
+    its reads, and per block in depth-first order the kind, the check, the
+    reads, the arms' keys (observation) or which arms are None (chance),
+    and the path."""
+    blocks, stack = [], [replay.start]
+    while stack:
+        b = stack.pop()
+        if isinstance(b.arms, dict):
+            arms, nxt = list(b.arms), list(b.arms.values())
+        elif b.arms is not None:
+            arms = [a is None for a in b.arms]
+            nxt = [a for a in b.arms if a is not None]
+        else:
+            arms, nxt = None, []
+        blocks.append([b.kind,
+                       "unmet" if b.check is _UNMET else sorted(b.check),
+                       [list(r) for r in b.reads], arms,
+                       [list(p) for p in b.path]])
+        stack.extend(reversed(nxt))
+    return [replay.chance_depth, sorted(replay.reads), blocks]
+
+
+# sha256 of the JSON text of ``_program_shape``, recorded when the arms of
+# observation and chance ends were compiled by two separate loops
+_PROGRAM_SHAPES = {
+    "det_chain": ("3c06174ba84df5ccbb43fd713a0ae0a18e10cd73589aadc7c3bb3cd727fe024d",) * 2,
+    "nroad4": ("bc74a199a52de817a7e1b145829d37a9631ca350ba093620c98dc9a1165d4031",
+               "50187c3e0dbdd3d3a80e1bd0339158447ec98506ca05e9599236f585198c7008"),
+    "press_button": ("20a081e5a628974064b94dff13c6bfd0d02e0688a91991d37b81b2950618f0be",) * 2,
+    "ski_world": ("caa4b894f1157e4a1ef122dc8a8b024e0cd4d7d16c86e8d2d3059c0b5bafd14d",) * 2,
+    "slippery_walk": ("32f24f200cf5dc42581e5209245789411b91c03c85db7a2ef23547f1a9188df0",) * 2,
+    "sussman": ("45e79e40c637b4160b67eb6deee762b01751ff949223eb35542af16b4fc7dcbd",) * 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROGRAM_SHAPES))
+def test_replay_programs_are_pinned(name):
+    """The compiled replay programs of the golden worlds' plans and of
+    N-road N=4, under both planners (linear first)."""
+    texts = nroad_world(4) if name == "nroad4" else WORLDS[name]
+    for planner, want in zip((plan_linear, plan_nonlinear),
+                             _PROGRAM_SHAPES[name]):
+        res = planner(*load_texts(*texts))
+        text = json.dumps(_program_shape(res.conditional.replay))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, planner
+
+
+def test_branch_children_are_compiled_alike():
+    """A child under a name that is no outcome of its step is compiled
+    under a chance end as under an observation: an unknown node there is
+    refused, and a plan node there is compiled but never reached."""
+    flip = domain.GroundOperator("flip", "cond", outcomes=("h", "t"),
+                                 simple_distribution={"h": 0.5, "t": 0.5})
+    look = domain.GroundOperator("look", "obs", outcomes=("true", "false"),
+                                 observes="x")
+    win = GoalLeaf("s2", frozenset(), ())
+    for op in (flip, look):
+        odd = ConditionalPlan(BranchNode("s1", op, "s1", {
+            **{o: win for o in op.outcomes}, "extra": "not a node"}),
+                              (frozenset(),), ())
+        with pytest.raises(MalformedPlan, match="^unknown node 'not a node'$"):
+            odd.replay
+        spare = ConditionalPlan(BranchNode("s1", op, "s1", {
+            **{o: win for o in op.outcomes}, "extra": win}),
+                                (frozenset(),), ())
+        arms = spare.replay.start.arms
+        assert len(arms) == (3 if op is look else 2)
+    r = _same_report(spare, (), (), (domain.prop_from_text("(x)"),),
+                     trials=20, seed=1)
+    assert r["successes"] == 20
 
 
 def test_tree_holding_a_non_node_is_not_encoded():
