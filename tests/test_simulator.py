@@ -1535,13 +1535,24 @@ def _program_shape(replay) -> list:
 # sha256 of the JSON text of ``_program_shape``, recorded when the arms of
 # observation and chance ends were compiled by two separate loops
 _PROGRAM_SHAPES = {
-    "det_chain": ("3c06174ba84df5ccbb43fd713a0ae0a18e10cd73589aadc7c3bb3cd727fe024d",) * 2,
-    "nroad4": ("bc74a199a52de817a7e1b145829d37a9631ca350ba093620c98dc9a1165d4031",
-               "50187c3e0dbdd3d3a80e1bd0339158447ec98506ca05e9599236f585198c7008"),
-    "press_button": ("20a081e5a628974064b94dff13c6bfd0d02e0688a91991d37b81b2950618f0be",) * 2,
-    "ski_world": ("caa4b894f1157e4a1ef122dc8a8b024e0cd4d7d16c86e8d2d3059c0b5bafd14d",) * 2,
-    "slippery_walk": ("32f24f200cf5dc42581e5209245789411b91c03c85db7a2ef23547f1a9188df0",) * 2,
-    "sussman": ("45e79e40c637b4160b67eb6deee762b01751ff949223eb35542af16b4fc7dcbd",) * 2,
+    "det_chain": (
+        "3c06174ba84df5ccbb43fd713a0ae0a18e10cd73589aadc7c3bb3cd727fe024d",
+        "3c06174ba84df5ccbb43fd713a0ae0a18e10cd73589aadc7c3bb3cd727fe024d"),
+    "nroad4": (
+        "bc74a199a52de817a7e1b145829d37a9631ca350ba093620c98dc9a1165d4031",
+        "50187c3e0dbdd3d3a80e1bd0339158447ec98506ca05e9599236f585198c7008"),
+    "press_button": (
+        "20a081e5a628974064b94dff13c6bfd0d02e0688a91991d37b81b2950618f0be",
+        "20a081e5a628974064b94dff13c6bfd0d02e0688a91991d37b81b2950618f0be"),
+    "ski_world": (
+        "caa4b894f1157e4a1ef122dc8a8b024e0cd4d7d16c86e8d2d3059c0b5bafd14d",
+        "caa4b894f1157e4a1ef122dc8a8b024e0cd4d7d16c86e8d2d3059c0b5bafd14d"),
+    "slippery_walk": (
+        "32f24f200cf5dc42581e5209245789411b91c03c85db7a2ef23547f1a9188df0",
+        "32f24f200cf5dc42581e5209245789411b91c03c85db7a2ef23547f1a9188df0"),
+    "sussman": (
+        "45e79e40c637b4160b67eb6deee762b01751ff949223eb35542af16b4fc7dcbd",
+        "45e79e40c637b4160b67eb6deee762b01751ff949223eb35542af16b4fc7dcbd"),
 }
 
 
@@ -1559,8 +1570,8 @@ def test_replay_programs_are_pinned(name):
 
 def test_branch_children_are_compiled_alike():
     """A child under a name that is no outcome of its step is compiled
-    under a chance end as under an observation: an unknown node there is
-    refused, and a plan node there is compiled but never reached."""
+    under a chance end as under an observation, so an unknown node there
+    is refused."""
     flip = domain.GroundOperator("flip", "cond", outcomes=("h", "t"),
                                  simple_distribution={"h": 0.5, "t": 0.5})
     look = domain.GroundOperator("look", "obs", outcomes=("true", "false"),
@@ -1572,14 +1583,6 @@ def test_branch_children_are_compiled_alike():
                               (frozenset(),), ())
         with pytest.raises(MalformedPlan, match="^unknown node 'not a node'$"):
             odd.replay
-        spare = ConditionalPlan(BranchNode("s1", op, "s1", {
-            **{o: win for o in op.outcomes}, "extra": win}),
-                                (frozenset(),), ())
-        arms = spare.replay.start.arms
-        assert len(arms) == (3 if op is look else 2)
-    r = _same_report(spare, (), (), (domain.prop_from_text("(x)"),),
-                     trials=20, seed=1)
-    assert r["successes"] == 20
 
 
 def test_tree_holding_a_non_node_is_not_encoded():
